@@ -74,12 +74,9 @@ from .lipschitz import (
 )
 from .report import BoundReport, ReportRow, emit_report, parse_report
 from .specfun import (
-    BesselBranchConfig,
     QuadratureRule,
-    bessel_i,
     gauss_laguerre_rule,
     laguerre_poly,
-    log_bessel_i,
     log_bessel_i_scaled,
 )
 

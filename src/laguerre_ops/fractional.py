@@ -15,7 +15,7 @@ c_lambda_k = int_0^inf u^{-lambda-1} (e^{-u} - 1)^k du carries sign (-1)^k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,7 +56,6 @@ class FracOpConfig:
 
     lam: float
     k: int = None
-    s_quad: SubordinationRule = field(default_factory=SubordinationRule)
     t_floor: float = 1e-6
 
     def __post_init__(self):
@@ -278,7 +277,7 @@ def _callable_difference_route(f, params, lam, k, x, shift, t_floor):
 def _dispatch(kind, f, params, lam, x, cfg):
     cfg = cfg if cfg is not None else FracOpConfig(lam)
     if abs(cfg.lam - lam) > 0:
-        cfg = FracOpConfig(lam, s_quad=cfg.s_quad, t_floor=cfg.t_floor)
+        cfg = FracOpConfig(lam, t_floor=cfg.t_floor)
     x = tuple(float(v) for v in np.atleast_1d(x))
     if isinstance(f, LaguerreExpansion):
         return synthesize(_apply_expansion(kind, f, cfg), np.asarray(x))

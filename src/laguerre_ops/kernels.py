@@ -1,6 +1,8 @@
 """Pointwise heat and Poisson kernels plus quadrature-based semigroup action.
 
-All kernel formulas are evaluated in log space.  The Poisson kernel is
+All kernel formulas are evaluated in log space, with the Bessel factor
+taken from specfun.log_bessel_i_scaled (scipy.special.ive, with a
+log-series fallback where ive underflows; see specfun).  The Poisson kernel is
 computed through the one-sided stable-1/2 subordination weight
 
     g(t, s) = (t / 2 sqrt(pi)) e^{-t^2/4s} s^{-3/2},
@@ -22,7 +24,7 @@ from scipy.integrate import quad
 
 from .errors import DomainError, OverflowGuardError, QuadratureError
 from .expansion import MultiIndexParams
-from .specfun import BesselBranchConfig, DEFAULT_BESSEL, log_bessel_i_scaled
+from .specfun import log_bessel_i_scaled
 
 __all__ = [
     "KernelQuery",
@@ -74,7 +76,6 @@ class KernelQuery:
 class SubordinationRule:
     """Panel scheme for integrals in log-time over (0, inf)."""
 
-    mapping: str = "neg-log-r"
     panels: int = 48
     order: int = 12
     abs_tol: float = 1e-10
@@ -98,8 +99,8 @@ def log_mu_density(params: MultiIndexParams, y) -> float:
     return out
 
 
-def _log_heat_axis(alpha, t, x, y, cfg: BesselBranchConfig = DEFAULT_BESSEL):
-    """log of one Lebesgue heat-kernel factor H_t(x, y); t may be an array.
+def _log_heat_axis(alpha, t, x, y):
+    """log of one Lebesgue heat-kernel factor H_t(x, y); t or y may be an array.
 
     H integrates functions of y against plain dy.  The exponent is grouped
     as -(sqrt(rx) - sqrt(y))^2 / (1-r) so that no large cancellation occurs
@@ -108,31 +109,30 @@ def _log_heat_axis(alpha, t, x, y, cfg: BesselBranchConfig = DEFAULT_BESSEL):
     t = np.asarray(t, dtype=float)
     one_r = -np.expm1(-t)
     z = 2.0 * np.sqrt(np.exp(-t) * x * y) / one_r
-    sq = (np.sqrt(np.exp(-t) * x) - math.sqrt(y)) ** 2
+    sq = (np.sqrt(np.exp(-t) * x) - np.sqrt(y)) ** 2
     return (
         -np.log(one_r)
-        + 0.5 * alpha * (math.log(y) - math.log(x) + t)
+        + 0.5 * alpha * (np.log(y) - math.log(x) + t)
         - sq / one_r
-        + log_bessel_i_scaled(alpha, z, cfg)
+        + log_bessel_i_scaled(alpha, z)
     )
 
 
-def _log_heat_lebesgue(params, t, x, y, cfg=DEFAULT_BESSEL):
+def _log_heat_lebesgue(params, t, x, y):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     out = 0.0
     for j, a in enumerate(params.alpha):
-        out = out + _log_heat_axis(a, t, x[j], y[j], cfg)
+        out = out + _log_heat_axis(a, t, x[j], y[j])
     return out
 
 
-def heat_kernel(q: KernelQuery, cfg: BesselBranchConfig = DEFAULT_BESSEL) -> float:
+def heat_kernel(q: KernelQuery) -> float:
     """Heat kernel G_t(x, y) against d mu_alpha(y) (Hille-Hardy product)."""
     if q.y is None:
         raise DomainError("heat_kernel requires both x and y")
     log_g = float(
-        _log_heat_lebesgue(q.params, q.t, q.x, q.y, cfg)
-        - log_mu_density(q.params, q.y)
+        _log_heat_lebesgue(q.params, q.t, q.x, q.y) - log_mu_density(q.params, q.y)
     )
     if abs(log_g) > 700.0:
         raise OverflowGuardError(f"heat kernel log-value {log_g} out of range")
@@ -162,7 +162,7 @@ def _panel_nodes(breaks: np.ndarray, order: int):
     return nodes.ravel(), weights.ravel()
 
 
-def _heat_axis_nodes(alpha, t, x, order=12, cfg=DEFAULT_BESSEL):
+def _heat_axis_nodes(alpha, t, x, order=12):
     """Quadrature nodes (y_i, W_i) with sum_i W_i f(y_i) ~ int H_t(x,y) f dy.
 
     Works in v = sqrt(y): the kernel is a Gaussian ridge centered at
@@ -183,26 +183,15 @@ def _heat_axis_nodes(alpha, t, x, order=12, cfg=DEFAULT_BESSEL):
         breaks = bumps
     v, pw = _panel_nodes(np.unique(breaks), order)
     y = v * v
-    z = 2.0 * np.sqrt(math.exp(-t) * x * y) / one_r
-    sq = (v0 - v) ** 2
-    log_h = (
-        -math.log(one_r)
-        + 0.5 * alpha * (np.log(y) - math.log(x) + t)
-        - sq / one_r
-        + log_bessel_i_scaled(alpha, z, cfg)
-    )
-    return y, np.exp(np.log(pw * 2.0 * v) + log_h)
+    return y, np.exp(np.log(pw * 2.0 * v) + _log_heat_axis(alpha, t, x, y))
 
 
-def heat_apply_kernel(f, q: KernelQuery, order: int = 12, cfg=DEFAULT_BESSEL) -> float:
+def heat_apply_kernel(f, q: KernelQuery, order: int = 12) -> float:
     """T_t f(x) by quadrature of the heat kernel against d mu_alpha.
 
     f is called with a vector of y values (d = 1) or an (m, d) array.
     """
-    axes = [
-        _heat_axis_nodes(a, q.t, q.x[j], order, cfg)
-        for j, a in enumerate(q.params.alpha)
-    ]
+    axes = [_heat_axis_nodes(a, q.t, q.x[j], order) for j, a in enumerate(q.params.alpha)]
     if q.params.d == 1:
         y, w = axes[0]
         return float(np.dot(w, np.asarray(f(y), dtype=float)))
@@ -278,22 +267,22 @@ def _subordination_breaks(t: float, panels: int) -> np.ndarray:
     return np.exp(np.linspace(math.log(s_lo), math.log(S_CUTOFF), panels + 1))
 
 
-def _poisson_core_once(params, t, x, y, m, panels, order, cfg=DEFAULT_BESSEL):
+def _poisson_core_once(params, t, x, y, m, panels, order):
     breaks = _subordination_breaks(t, panels)
     s, w = _panel_nodes(np.log(breaks), order)
     s = np.exp(s)
-    log_h = _log_heat_lebesgue(params, s, x, y, cfg)
+    log_h = _log_heat_lebesgue(params, s, x, y)
     val = float(np.dot(w * s, stable_density_dt(m, t, s) * np.exp(log_h)))
     tail = math.exp(log_mu_density(params, y)) * stable_tail_mass(m, t, S_CUTOFF)
     return val + tail
 
 
-def _poisson_core(params, t, x, y, m, rule: SubordinationRule, cfg=DEFAULT_BESSEL):
+def _poisson_core(params, t, x, y, m, rule: SubordinationRule):
     panels = rule.panels
-    prev = _poisson_core_once(params, t, x, y, m, panels, rule.order, cfg)
+    prev = _poisson_core_once(params, t, x, y, m, panels, rule.order)
     for _ in range(rule.max_refinements):
         panels *= 2
-        cur = _poisson_core_once(params, t, x, y, m, panels, rule.order, cfg)
+        cur = _poisson_core_once(params, t, x, y, m, panels, rule.order)
         if abs(cur - prev) <= max(rule.abs_tol, rule.rel_tol * abs(cur)):
             return cur
         prev = cur

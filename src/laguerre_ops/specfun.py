@@ -1,7 +1,9 @@
 """Scalar special functions and quadrature rules.
 
-Everything downstream consumes these: Gamma, the modified Bessel function
-I_nu (ascending series and large-argument expansion), Laguerre polynomials,
+Everything downstream consumes these: Gamma, the log of the exponentially
+scaled modified Bessel function I_nu (from scipy.special.ive, with a
+log-space ascending series where ive underflows and the large-argument
+expansion past ive's range), Laguerre polynomials,
 and Gauss-Laguerre rules normalized against the Laguerre probability
 measure mu_alpha (density x^alpha e^-x / Gamma(alpha+1) per axis).
 """
@@ -12,50 +14,32 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_genlaguerre
+from scipy.special import gammaln, ive, kve, logsumexp, roots_genlaguerre
 
 from .errors import DomainError, PoleError, QuadratureError
 
 __all__ = [
-    "BesselBranchConfig",
     "QuadratureRule",
     "gamma",
     "log_gamma",
-    "bessel_i_series",
-    "asymptotic_coefficient",
-    "bessel_i_asymptotic",
-    "bessel_i",
-    "log_bessel_i",
     "log_bessel_i_scaled",
     "laguerre_poly",
     "gauss_laguerre_rule",
 ]
 
 
-@dataclass(frozen=True)
-class BesselBranchConfig:
-    """Truncation orders and branch split for I_nu evaluation.
+#: terms of the ascending series used where ive leaves the normal range.
+#: That only happens for z far below max(nu, 1), where term m shrinks by
+#: at least (z/2)^2 / (m (m + nu)) per step, so 40 terms are plenty.
+SERIES_TERMS = 40
 
-    The ascending series is used for z <= switch_threshold, the
-    large-argument expansion above it.  The default asymptotic order is
-    chosen so the two branches agree to 1e-9 relative on the overlap
-    window [z*, 2 z*]; three terms are nowhere near enough there.
-    """
+#: Amos's routines return nan above z = (2^31 - 1) / 2.  Beyond this bound
+#: the terms of the large-argument expansion shrink by (4 nu^2) / (8 z) per
+#: step, so six of them reach double precision for any order below 1e3.
+IVE_Z_MAX = 1e9
+HANKEL_TERMS = 6
 
-    series_terms: int = 40
-    asymptotic_terms: int = 14
-    switch_threshold: float = 15.0
-
-    def __post_init__(self):
-        if self.series_terms < 1:
-            raise DomainError("series_terms must be >= 1")
-        if self.asymptotic_terms < 1:
-            raise DomainError("asymptotic_terms must be >= 1")
-        if not self.switch_threshold > 0:
-            raise DomainError("switch_threshold must be positive")
-
-
-DEFAULT_BESSEL = BesselBranchConfig()
+_TINY = np.finfo(float).tiny
 
 
 def gamma(x: float) -> float:
@@ -72,114 +56,71 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _log_series(nu: float, z: np.ndarray, terms: int) -> np.ndarray:
+def _log_series(nu: float, z: np.ndarray) -> np.ndarray:
     # All series terms are positive for nu > -1, z > 0: logsumexp is exact
     # in the sense that no cancellation occurs.
-    m = np.arange(terms, dtype=float)
+    m = np.arange(SERIES_TERMS, dtype=float)
     log_fact = gammaln(m + 1.0) + gammaln(m + nu + 1.0)
     with np.errstate(divide="ignore"):
-        log_half_z = np.atleast_1d(np.log(z / 2.0))
+        log_half_z = np.atleast_1d(np.log(z) - math.log(2.0))
     exps = (2.0 * m[:, None] + nu) * log_half_z[None, :] - log_fact[:, None]
     return logsumexp(exps, axis=0).reshape(np.shape(z))
 
 
-def bessel_i_series(nu: float, z, cfg: BesselBranchConfig = DEFAULT_BESSEL):
-    """Ascending-series evaluation of I_nu(z) for nu > -1, z >= 0."""
+def _log_hankel(nu: float, z: np.ndarray) -> np.ndarray:
+    # I_nu(z) e^{-z} ~ (2 pi z)^{-1/2} sum_k (-1)^k a_k(nu) / z^k with
+    # a_k / a_{k-1} = (4 nu^2 - (2k - 1)^2) / (8 k)
+    mu = 4.0 * nu * nu
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    for k in range(1, HANKEL_TERMS + 1):
+        term = -term * (mu - (2 * k - 1) ** 2) / (8.0 * k * z)
+        total += term
+    return np.log(total) - 0.5 * np.log(2.0 * math.pi * z)
+
+
+def _ive(nu: float, z: np.ndarray) -> np.ndarray:
+    if nu > -_TINY:
+        # a subnormal order is zero to double precision, and Amos's K
+        # routine fails on one
+        return ive(max(nu, 0.0), z)
+    # I_nu = I_v + (2/pi) sin(v pi) K_v with v = -nu.  ive applies this
+    # reflection with sin(pi nu), which loses every digit as nu -> -1;
+    # sin((1 - v) pi) keeps them, since 1 - v is exact for v >= 1/2.
+    v = -nu
+    k_term = kve(v, z) * np.exp(-2.0 * z)
+    return ive(v, z) + (2.0 / math.pi) * math.sin(math.pi * min(v, 1.0 - v)) * k_term
+
+
+def log_bessel_i_scaled(nu: float, z):
+    """log(I_nu(z) e^{-z}) for nu > -1, z >= 0.
+
+    Computed as log(ive(nu, z)) (Amos, ACM TOMS 644), with negative
+    orders reflected to positive ones here.  Where that value leaves the
+    normal double range (tiny z with large nu, or subnormal z) the
+    log-space ascending series takes over; its terms are all positive.
+    Above IVE_Z_MAX, where Amos's code gives up, the large-argument
+    expansion is used.
+    """
     if nu <= -1:
-        raise DomainError(f"bessel_i_series requires nu > -1, got {nu}")
-    z_arr = np.asarray(z, dtype=float)
+        raise DomainError(f"log_bessel_i_scaled requires nu > -1, got {nu}")
+    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr < 0):
-        raise DomainError("bessel_i_series requires z >= 0")
-    out = np.exp(_log_series(nu, np.where(z_arr > 0, z_arr, 1.0), cfg.series_terms))
+        raise DomainError("log_bessel_i_scaled requires z >= 0")
+    big = z_arr > IVE_Z_MAX
+    scaled = _ive(nu, np.where(big, 1.0, z_arr))
+    with np.errstate(divide="ignore"):
+        out = np.log(scaled)
+    outside = ~((scaled >= _TINY) & (scaled < math.inf)) & (z_arr > 0)
+    if np.any(outside):
+        zu = z_arr[outside]
+        out[outside] = _log_series(nu, zu) - zu
+    if np.any(big):
+        out[big] = _log_hankel(nu, z_arr[big])
     zero = z_arr == 0
     if np.any(zero):
-        at_zero = 1.0 if nu == 0 else (0.0 if nu > 0 else math.inf)
-        out = np.where(zero, at_zero, out)
-    return out if np.ndim(z) else float(out)
-
-
-def asymptotic_coefficient(nu: float, r: int) -> float:
-    """Coefficient [nu, r] of the large-argument expansion of I_nu.
-
-    [nu, 0] = 1 and
-    [nu, r] = (4 nu^2 - 1)(4 nu^2 - 3^2)...(4 nu^2 - (2r-1)^2) / (2^{2r} r!).
-    """
-    if r < 0:
-        raise DomainError("r must be a nonnegative integer")
-    num = 1.0
-    for i in range(1, r + 1):
-        num *= 4.0 * nu * nu - (2 * i - 1) ** 2
-    return num / (4.0**r * math.factorial(r))
-
-
-def _asymptotic_sum(nu: float, z: np.ndarray, terms: int) -> np.ndarray:
-    s = np.zeros_like(z)
-    for r in range(terms + 1):
-        s += (-1.0) ** r * asymptotic_coefficient(nu, r) * (2.0 * z) ** (-float(r))
-    return s
-
-
-def bessel_i_asymptotic(nu: float, z, cfg: BesselBranchConfig = DEFAULT_BESSEL):
-    """Large-argument evaluation: e^z / sqrt(2 pi z) * sum of [nu,r] terms."""
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr <= 0):
-        raise DomainError("bessel_i_asymptotic requires z > 0")
-    out = np.exp(_log_asymptotic(nu, z_arr, cfg.asymptotic_terms))
-    return out if np.ndim(z) else float(out)
-
-
-def _log_asymptotic(nu: float, z: np.ndarray, terms: int) -> np.ndarray:
-    s = _asymptotic_sum(nu, z, terms)
-    if np.any(s <= 0):
-        raise QuadratureError(
-            "asymptotic correction sum is nonpositive; argument too small "
-            "for the asymptotic branch"
-        )
-    return z - 0.5 * np.log(2.0 * math.pi * z) + np.log(s)
-
-
-def log_bessel_i(nu: float, z, cfg: BesselBranchConfig = DEFAULT_BESSEL):
-    """log I_nu(z), branch-dispatched at cfg.switch_threshold."""
-    if nu <= -1:
-        raise DomainError(f"log_bessel_i requires nu > -1, got {nu}")
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr < 0):
-        raise DomainError("log_bessel_i requires z >= 0")
-    out = np.empty_like(z_arr)
-    small = z_arr <= cfg.switch_threshold
-    if np.any(small):
-        zs = z_arr[small]
-        res = np.full_like(zs, -math.inf if nu > 0 else (0.0 if nu == 0 else math.inf))
-        pos = zs > 0
-        if np.any(pos):
-            res[pos] = _log_series(nu, zs[pos], cfg.series_terms)
-        out[small] = res
-    if np.any(~small):
-        out[~small] = _log_asymptotic(nu, z_arr[~small], cfg.asymptotic_terms)
+        out[zero] = -math.inf if nu > 0 else (0.0 if nu == 0 else math.inf)
     out = out.reshape(np.shape(z))
-    return out if np.ndim(z) else float(out)
-
-
-def log_bessel_i_scaled(nu: float, z, cfg: BesselBranchConfig = DEFAULT_BESSEL):
-    """log(I_nu(z) e^{-z}); the e^z factor cancels analytically."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty_like(z_arr)
-    small = z_arr <= cfg.switch_threshold
-    if np.any(small):
-        out[small] = np.asarray(log_bessel_i(nu, z_arr[small], cfg)) - z_arr[small]
-    if np.any(~small):
-        zl = z_arr[~small]
-        s = _asymptotic_sum(nu, zl, cfg.asymptotic_terms)
-        if np.any(s <= 0):
-            raise QuadratureError("asymptotic correction sum is nonpositive")
-        out[~small] = -0.5 * np.log(2.0 * math.pi * zl) + np.log(s)
-    out = out.reshape(np.shape(z))
-    return out if np.ndim(z) else float(out)
-
-
-def bessel_i(nu: float, z, cfg: BesselBranchConfig = DEFAULT_BESSEL):
-    """I_nu(z), branch-dispatched."""
-    out = np.exp(log_bessel_i(nu, z, cfg))
     return out if np.ndim(z) else float(out)
 
 
@@ -209,7 +150,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    weight_kind: str  # "laguerre-measure" | "lebesgue-halfline" | "unit-interval-log"
     exact_degree: int
 
     def __post_init__(self):
@@ -242,6 +182,4 @@ def gauss_laguerre_rule(alpha: float, n: int) -> QuadratureRule:
     # roots_genlaguerre weights integrate against x^alpha e^-x dx; divide by
     # Gamma(alpha+1) to target the probability measure.
     weights = weights / math.gamma(alpha + 1.0)
-    return QuadratureRule(
-        nodes=nodes, weights=weights, weight_kind="laguerre-measure", exact_degree=2 * n - 1
-    )
+    return QuadratureRule(nodes=nodes, weights=weights, exact_degree=2 * n - 1)

@@ -98,6 +98,12 @@ class TestScenarios:
     def test_prop31_passes(self):
         assert run_scenario(ScenarioConfig(scenario="prop31")).passed
 
+    def test_report_config_reruns(self):
+        r = run_scenario(ScenarioConfig(scenario="subordination", tolerances={"abs": 1e-7}))
+        parsed = parse_report(report_to_json(r))
+        assert parsed.config["tolerances"] == {"abs": 1e-7}
+        assert run_scenario(ScenarioConfig(**parsed.config)).same_results(r)
+
     def test_determinism(self):
         a = run_scenario(ScenarioConfig(scenario="subordination"))
         b = run_scenario(ScenarioConfig(scenario="subordination"))
@@ -149,6 +155,15 @@ class TestCli:
         )
         assert code == 2
 
-    def test_thread_env_is_tolerated(self, monkeypatch):
-        monkeypatch.setenv("LAGUERRE_OPS_THREADS", "2")
-        assert main(["run", "--scenario", "subordination"]) == 0
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scenario": "kernel-mass", "d": 2, "alpha": [0.5, 0.5]},
+            {"scenario": "lemma21", "d": 2, "alpha": [0.5, 0.5]},
+            {"scenario": "prop31", "d": 2},
+        ],
+    )
+    def test_bad_dimension_is_config_error(self, tmp_path, doc):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", doc["scenario"], "--config", str(cfgfile)]) == 2

@@ -56,12 +56,13 @@ def spectral_poisson_kernel(alpha, t, x, y, terms=200):
 
 
 class TestHeatKernel:
-    @pytest.mark.parametrize("alpha", [0.5, -0.25])
+    @pytest.mark.parametrize("alpha", [0.5, -0.25, -0.75, 10.0, 25.0])
     def test_matches_spectral_sum(self, alpha):
-        for x, y in ((1.0, 2.0), (0.3, 5.0)):
-            q = KernelQuery(MultiIndexParams(1, (alpha,)), 0.5, (x,), (y,))
+        # (0.5, 4, 4) puts the Bessel argument at z = 15.8
+        for t, x, y in ((0.5, 1.0, 2.0), (0.5, 0.3, 5.0), (1.0, 1.0, 1.3), (0.5, 4.0, 4.0)):
+            q = KernelQuery(MultiIndexParams(1, (alpha,)), t, (x,), (y,))
             assert heat_kernel(q) == pytest.approx(
-                spectral_heat_kernel(alpha, 0.5, x, y), rel=1e-10
+                spectral_heat_kernel(alpha, t, x, y), rel=1e-10
             )
 
     def test_symmetry(self):
@@ -229,6 +230,14 @@ class TestPoissonApply:
         want = math.exp(-t * math.sqrt(k)) * laguerre_poly(k, 0.5, x)
         assert got == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("alpha", [20.0, 25.0])
+    def test_large_order_eigenfunction(self, alpha):
+        t, x = 0.75, 4.0
+        params = MultiIndexParams(1, (alpha,))
+        got = poisson_apply(lambda y: laguerre_poly(3, alpha, y), params, t, (x,))
+        want = math.exp(-t * math.sqrt(3)) * laguerre_poly(3, alpha, x)
+        assert got == pytest.approx(want, rel=1e-6)
+
     def test_dt_apply_matches_multiplier(self):
         k, m, t, x = 3, 2, 0.7, 1.3
         got = poisson_dt_apply(lambda y: laguerre_poly(k, 0.5, y), P_HALF, t, (x,), m)
@@ -252,4 +261,3 @@ class TestSubordinationRule:
     def test_validation(self):
         with pytest.raises(DomainError):
             SubordinationRule(abs_tol=0.0)
-        assert SubordinationRule().mapping == "neg-log-r"

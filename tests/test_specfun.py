@@ -1,23 +1,31 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, iv
 
 from laguerre_ops.errors import DomainError, PoleError, QuadratureError
 from laguerre_ops.specfun import (
-    BesselBranchConfig,
-    DEFAULT_BESSEL,
-    asymptotic_coefficient,
-    bessel_i,
-    bessel_i_asymptotic,
-    bessel_i_series,
+    IVE_Z_MAX,
+    _log_series,
     gamma,
     gauss_laguerre_rule,
     laguerre_poly,
-    log_bessel_i,
     log_bessel_i_scaled,
 )
+
+
+def mp_log_bessel_i_scaled(nu, z):
+    """Reference log(I_nu(z) e^{-z}) at 40 significant digits."""
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.besseli(nu, z)) - z)
+
+
+def assert_log_close(got, ref):
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestGamma:
@@ -37,57 +45,86 @@ class TestGamma:
 
 
 class TestBesselI:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(
+        nu=st.floats(min_value=-1.0, max_value=50.0, exclude_min=True),
+        log10_z=st.floats(min_value=-12.0, max_value=4.0),
+    )
+    @example(nu=-5e-324, log10_z=0.0)  # Amos's K routine fails on subnormal orders
+    def test_matches_mpmath(self, nu, log10_z):
+        z = 10.0**log10_z
+        assert_log_close(log_bessel_i_scaled(nu, z), mp_log_bessel_i_scaled(nu, z))
+
+    @pytest.mark.parametrize("nu", [25.0, 50.0])
+    def test_underflow_fallback(self, nu):
+        # I_nu(1e-12) e^{-z} is far below the smallest normal double here,
+        # so these points take the log-series path
+        z = np.array([1e-12, 1e-9, 1e-3, 1.0, 30.0])
+        got = log_bessel_i_scaled(nu, z)
+        assert got.shape == z.shape
+        for g, zi in zip(got, z):
+            assert_log_close(g, mp_log_bessel_i_scaled(nu, zi))
+        assert got[0] < math.log(np.finfo(float).tiny)
+
     @pytest.mark.parametrize("nu", [-0.25, 0.0, 0.3, 0.5, 1.5, 4.0])
     @pytest.mark.parametrize("z", [1e-6, 0.1, 1.0, 5.0, 14.0])
     def test_series_matches_scipy(self, nu, z):
-        assert bessel_i_series(nu, z) == pytest.approx(iv(nu, z), rel=1e-12)
-
-    def test_half_order_closed_form(self):
-        # I_{1/2}(z) = sqrt(2/(pi z)) sinh z
-        for z in (0.3, 1.0, 7.0):
-            ref = math.sqrt(2.0 / (math.pi * z)) * math.sinh(z)
-            assert bessel_i(0.5, z) == pytest.approx(ref, rel=1e-12)
-
-    def test_z_zero(self):
-        assert bessel_i_series(0.0, 0.0) == 1.0
-        assert bessel_i_series(1.5, 0.0) == 0.0
+        """The fallback ascending series on its own, against scipy's iv."""
+        got = math.exp(float(_log_series(nu, np.array([z]))[0]))
+        assert got == pytest.approx(iv(nu, z), rel=1e-12)
 
     @pytest.mark.parametrize("nu", [-0.25, 0.0, 0.5, 1.5])
     def test_branch_overlap(self, nu):
-        """Series and asymptotic branches agree across the switch window."""
-        for z in np.linspace(15.0, 30.0, 7):
-            a = math.log(bessel_i_series(nu, z, DEFAULT_BESSEL))
-            b = math.log(bessel_i_asymptotic(nu, z, DEFAULT_BESSEL))
-            assert abs(a - b) < 1e-9
+        """The fallback series and ive agree wherever both are representable,
+        so switching between them by value leaves no seam."""
+        z = np.geomspace(1e-8, 15.0, 9)
+        series = _log_series(nu, z) - z
+        np.testing.assert_allclose(log_bessel_i_scaled(nu, z), series, rtol=1e-12, atol=1e-12)
 
-    def test_first_asymptotic_coefficient(self):
-        # paired with powers of (2z): [nu, 1] = (4 nu^2 - 1)/4
-        for nu in (0.0, 0.5, 2.0):
-            assert asymptotic_coefficient(nu, 1) == pytest.approx(
-                (4.0 * nu * nu - 1.0) / 4.0
-            )
-        assert asymptotic_coefficient(1.0, 0) == 1.0
+    def test_half_order_closed_form(self):
+        # I_{1/2}(z) e^{-z} = (1 - e^{-2z}) / sqrt(2 pi z)
+        for z in (0.3, 1.0, 7.0):
+            ref = math.log(-math.expm1(-2.0 * z) / math.sqrt(2.0 * math.pi * z))
+            assert log_bessel_i_scaled(0.5, z) == pytest.approx(ref, rel=1e-12)
+
+    def test_z_zero(self):
+        assert log_bessel_i_scaled(0.0, 0.0) == 0.0
+        assert log_bessel_i_scaled(1.5, 0.0) == -math.inf
+        assert log_bessel_i_scaled(-0.25, 0.0) == math.inf
+        got = log_bessel_i_scaled(1.5, np.array([0.0, 1.0]))
+        assert got[0] == -math.inf and math.isfinite(got[1])
 
     @pytest.mark.parametrize("z", [1e-8, 0.5, 10.0, 15.0, 40.0, 200.0])
     def test_log_scaled_consistency(self, z):
-        nu = 0.3
-        val = log_bessel_i_scaled(nu, z) + z
-        assert val == pytest.approx(log_bessel_i(nu, z), rel=1e-12, abs=1e-12)
+        assert_log_close(log_bessel_i_scaled(0.3, z), mp_log_bessel_i_scaled(0.3, z))
 
     def test_large_argument_no_overflow(self):
         # scaled log stays finite far beyond the overflow point of I itself
         val = log_bessel_i_scaled(0.5, 1e6)
-        assert math.isfinite(val)
+        assert val == pytest.approx(-0.5 * math.log(2.0 * math.pi * 1e6), rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [-0.75, 0.0, 0.5, 25.0, 50.0])
+    def test_past_ive_range(self, nu):
+        # ive returns nan from z = (2^31 - 1) / 2 on; both sides of the
+        # switch to the large-argument expansion must be right
+        z = np.array([IVE_Z_MAX, 1.001 * IVE_Z_MAX, 1e10, 1e15])
+        for g, zi in zip(log_bessel_i_scaled(nu, z), z):
+            assert_log_close(g, mp_log_bessel_i_scaled(nu, zi))
+
+    @pytest.mark.parametrize("nu", [-1.0 + 2.0**-52, -0.999999999, -0.9999])
+    def test_order_near_minus_one(self, nu):
+        # the reflection from positive order must keep the digits of
+        # sin(nu pi) as nu -> -1; at subnormal z, K_{-nu} overflows
+        for z in (5e-324, 1e-12, 1e-6, 1e-3, 1.0, 30.0):
+            assert_log_close(log_bessel_i_scaled(nu, z), mp_log_bessel_i_scaled(nu, z))
 
     def test_invalid_order(self):
         with pytest.raises(DomainError):
-            bessel_i_series(-1.5, 1.0)
-
-    def test_config_validation(self):
+            log_bessel_i_scaled(-1.5, 1.0)
         with pytest.raises(DomainError):
-            BesselBranchConfig(series_terms=0)
+            log_bessel_i_scaled(-1.0, 1.0)
         with pytest.raises(DomainError):
-            BesselBranchConfig(switch_threshold=-1.0)
+            log_bessel_i_scaled(0.5, np.array([1.0, -1e-3]))
 
 
 class TestLaguerrePoly:

@@ -12,7 +12,6 @@ from .errors import (
 )
 from .expansion import (
     LaguerreExpansion,
-    MultiIndex,
     MultiIndexParams,
     SpectralMultiplier,
     analyze,

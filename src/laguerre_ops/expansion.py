@@ -1,16 +1,24 @@
 """Finite Laguerre expansions and exact spectral operator action.
 
-Coefficients live in the non-normalized basis {L_k^alpha}; every diagonal
-operator acts by multiplying coefficient c_k by a scalar depending only on
-the total order |k|.  This is the oracle path the kernel/quadrature
-implementations are checked against.
+Coefficients live in the non-normalized basis {L_k^alpha}.  An expansion of
+degree N stores them as one read-only vector over every multi-index with
+|k| <= N, in enumerate_indices order, beside the vector of orders |k|.
+Every diagonal operator multiplies c_k by its symbol m(param, |k|); the six
+symbols and their zero-mean requirements are stated once, in OPERATORS.
+This is the oracle path the kernel/quadrature implementations are checked
+against.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,13 +27,17 @@ from .specfun import gauss_laguerre_rule, laguerre_poly, log_gamma
 
 __all__ = [
     "MultiIndexParams",
-    "MultiIndex",
     "LaguerreExpansion",
+    "Operator",
+    "OPERATORS",
     "SpectralMultiplier",
     "enumerate_indices",
     "basis_norm_sq",
+    "tensor_grid",
+    "call_on_points",
     "analyze",
     "synthesize",
+    "synthesize_many",
     "spectral_apply",
     "pi0",
     "expansion_to_json",
@@ -57,128 +69,132 @@ class MultiIndexParams:
         return min(self.alpha) > -0.5
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    k: tuple
-
-    def __post_init__(self):
-        k = tuple(int(v) for v in self.k)
-        if any(v < 0 for v in k):
-            raise DomainError("multi-index entries must be nonnegative")
-        object.__setattr__(self, "k", k)
-
-    @property
-    def order(self) -> int:
-        return sum(self.k)
+@lru_cache(maxsize=64)
+def _layout(d: int, degree: int):
+    """(indices, orders, position) of the coefficient vector for (d, degree)."""
+    if degree < 0:
+        raise DomainError("degree must be >= 0")
+    indices = tuple(sorted(
+        (k for k in itertools.product(range(degree + 1), repeat=d) if sum(k) <= degree),
+        key=lambda k: (sum(k), k),
+    ))
+    orders = np.array([sum(k) for k in indices])
+    orders.flags.writeable = False
+    return indices, orders, {k: i for i, k in enumerate(indices)}
 
 
 def enumerate_indices(d: int, degree: int) -> list:
-    """All multi-indices with |k| <= degree, graded lexicographic order."""
-    if degree < 0:
-        raise DomainError("degree must be >= 0")
-
-    def _compositions(n, parts):
-        if parts == 1:
-            yield (n,)
-            return
-        for first in range(n, -1, -1):
-            for rest in _compositions(n - first, parts - 1):
-                yield (first,) + rest
-
-    out = []
-    for n in range(degree + 1):
-        out.extend(MultiIndex(k) for k in sorted(_compositions(n, d)))
-    return out
+    """All multi-indices (tuples) with |k| <= degree, graded lexicographic order."""
+    return list(_layout(d, degree)[0])
 
 
 def basis_norm_sq(k, params: MultiIndexParams) -> float:
     """Squared mu_alpha-norm of L_k^alpha: prod binom(k_j + alpha_j, k_j)."""
-    kt = k.k if isinstance(k, MultiIndex) else tuple(k)
     log_h = 0.0
-    for kj, aj in zip(kt, params.alpha):
+    for kj, aj in zip(k, params.alpha):
         log_h += log_gamma(kj + aj + 1.0) - log_gamma(kj + 1.0) - log_gamma(aj + 1.0)
     return math.exp(log_h)
 
 
-@dataclass(frozen=True)
 class LaguerreExpansion:
-    """Finite coefficient table c_k over |k| <= degree, non-normalized basis."""
+    """Finite expansion sum_k c_k L_k^alpha over |k| <= degree.
 
-    params: MultiIndexParams
-    degree: int
-    coeffs: dict = field(default_factory=dict)
+    `coeffs` is a vector in enumerate_indices order, a mapping
+    {index tuple: c_k} in which absent indices are zero, or None for zero.
+    """
 
-    def __post_init__(self):
-        clean = {}
-        for k, c in self.coeffs.items():
-            kt = k.k if isinstance(k, MultiIndex) else tuple(int(v) for v in k)
-            if len(kt) != self.params.d:
-                raise DomainError("coefficient index has wrong dimension")
-            if sum(kt) > self.degree:
-                raise DomainError(f"index {kt} exceeds expansion degree {self.degree}")
-            clean[kt] = float(c)
-        object.__setattr__(self, "coeffs", clean)
+    def __init__(self, params: MultiIndexParams, degree: int, coeffs=None):
+        indices, orders, position = _layout(params.d, degree)
+        if isinstance(coeffs, Mapping):
+            vector = np.zeros(len(indices))
+            for k, c in coeffs.items():
+                kt = tuple(int(v) for v in k)
+                if len(kt) != params.d:
+                    raise DomainError("coefficient index has wrong dimension")
+                if kt not in position:
+                    raise DomainError(f"index {kt} is not an index of degree <= {degree}")
+                vector[position[kt]] = c
+        else:
+            vector = np.zeros(len(indices)) if coeffs is None else np.array(coeffs, dtype=float)
+            if vector.shape != orders.shape:
+                raise DomainError(f"coefficient vector must have length {len(indices)}")
+        vector.flags.writeable = False
+        self.params, self.degree, self.indices = params, degree, indices
+        self.vector, self.orders = vector, orders
+
+    @cached_property
+    def coeffs(self) -> Mapping:
+        """Read-only {index tuple: c_k} over every index up to the degree."""
+        return MappingProxyType(dict(zip(self.indices, self.vector.tolist())))
 
     def coeff(self, k) -> float:
-        kt = k.k if isinstance(k, MultiIndex) else tuple(k)
-        return self.coeffs.get(kt, 0.0)
+        return self.coeffs.get(tuple(k), 0.0)
 
     @property
     def mean(self) -> float:
         """Integral against mu_alpha (= coefficient of L_0)."""
-        return self.coeffs.get((0,) * self.params.d, 0.0)
+        return float(self.vector[0])
+
+    def scaled(self, factors) -> "LaguerreExpansion":
+        """The expansion with c_k replaced by factors[i] c_k (factors in index order)."""
+        return LaguerreExpansion(self.params, self.degree, self.vector * factors)
+
+    def __eq__(self, other):
+        if not isinstance(other, LaguerreExpansion):
+            return NotImplemented
+        return (self.params, self.degree) == (other.params, other.degree) and bool(
+            np.array_equal(self.vector, other.vector))
+
+    def __repr__(self):
+        return f"LaguerreExpansion({self.params!r}, {self.degree}, {self.vector.tolist()!r})"
+
+
+class Operator(NamedTuple):
+    """Symbol m(param, n) on the modes of order n, and the input it needs."""
+
+    symbol: Callable
+    zero_mean: bool = False
+
+
+#: the diagonal operators of the Laguerre setting; the zero-mean one is
+#: undefined on the mean mode, where its symbol is 0 by convention
+OPERATORS = {
+    "heat": Operator(lambda t, n: np.exp(-t * n)),
+    "poisson": Operator(lambda t, n: np.exp(-t * np.sqrt(n))),
+    "bessel_potential": Operator(lambda lam, n: (1.0 + np.sqrt(n)) ** -lam),
+    "fractional_integral": Operator(
+        lambda lam, n: np.where(n > 0, n, np.inf) ** (-lam / 2.0), zero_mean=True),
+    "fractional_derivative": Operator(lambda lam, n: n ** (lam / 2.0)),
+    "bessel_derivative": Operator(lambda lam, n: (1.0 + np.sqrt(n)) ** lam),
+}
 
 
 @dataclass(frozen=True)
 class SpectralMultiplier:
-    """Diagonal symbol m(|k|) of the operators in play.
-
-    Kinds and their eigenvalues on L_k^alpha (n = |k|):
-      heat(t):                 e^{-t n}
-      poisson(t):              e^{-t sqrt(n)}
-      bessel_potential(lam):   (1 + sqrt(n))^{-lam}
-      fractional_integral(lam): n^{-lam/2},  n > 0 only
-      fractional_derivative(lam): n^{lam/2}
-      bessel_derivative(lam):  (1 + sqrt(n))^{lam}
-    """
+    """One operator of OPERATORS at a positive parameter (time t or order lam)."""
 
     kind: str
     param: float
 
-    _KINDS = (
-        "heat",
-        "poisson",
-        "bessel_potential",
-        "fractional_integral",
-        "fractional_derivative",
-        "bessel_derivative",
-    )
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in OPERATORS:
             raise DomainError(f"unknown multiplier kind {self.kind!r}")
-        if self.param <= 0 and self.kind != "heat":
+        if not self.param > 0:
             raise DomainError("multiplier parameter must be positive")
+
+    @property
+    def zero_mean(self) -> bool:
+        return OPERATORS[self.kind].zero_mean
+
+    def symbol(self, n):
+        return OPERATORS[self.kind].symbol(self.param, n)
 
     def value(self, n: int) -> float:
         if n < 0:
             raise DomainError("order n must be nonnegative")
-        if self.kind == "heat":
-            return math.exp(-self.param * n)
-        if self.kind == "poisson":
-            return math.exp(-self.param * math.sqrt(n))
-        if self.kind == "bessel_potential":
-            return (1.0 + math.sqrt(n)) ** (-self.param)
-        if self.kind == "bessel_derivative":
-            return (1.0 + math.sqrt(n)) ** self.param
-        if self.kind == "fractional_derivative":
-            return float(n) ** (self.param / 2.0)
-        # fractional_integral
-        if n == 0:
-            raise NonzeroMeanError(
-                "fractional_integral is undefined at |k| = 0; project with pi0 first"
-            )
-        return float(n) ** (-self.param / 2.0)
+        if n == 0 and self.zero_mean:
+            raise NonzeroMeanError(f"{self.kind} is undefined at |k| = 0; project with pi0")
+        return float(self.symbol(n))
 
 
 def heat(t: float) -> SpectralMultiplier:
@@ -207,32 +223,41 @@ def bessel_derivative(lam: float) -> SpectralMultiplier:
 
 def spectral_apply(m: SpectralMultiplier, e: LaguerreExpansion) -> LaguerreExpansion:
     """Apply the diagonal operator: c_k -> m(|k|) c_k."""
-    zero = (0,) * e.params.d
-    if m.kind == "fractional_integral" and e.coeffs.get(zero, 0.0) != 0.0:
-        raise NonzeroMeanError(
-            "fractional_integral requires a zero-mean expansion (apply pi0 first)"
-        )
-    new = {k: m.value(sum(k)) * c for k, c in e.coeffs.items() if not (
-        m.kind == "fractional_integral" and sum(k) == 0)}
-    return LaguerreExpansion(e.params, e.degree, new)
+    if m.zero_mean and e.mean != 0.0:
+        raise NonzeroMeanError(f"{m.kind} requires a zero-mean expansion (apply pi0 first)")
+    return e.scaled(m.symbol(e.orders))
 
 
 def pi0(e: LaguerreExpansion) -> LaguerreExpansion:
     """Remove the mu_alpha-mean: zero the L_0 coefficient."""
-    new = dict(e.coeffs)
-    new[(0,) * e.params.d] = 0.0
-    return LaguerreExpansion(e.params, e.degree, new)
+    vector = e.vector.copy()
+    vector[0] = 0.0
+    return LaguerreExpansion(e.params, e.degree, vector)
 
 
-def _axis_tables(params: MultiIndexParams, degree: int, quad_points: int):
-    """Per-axis Gauss-Laguerre rules and Laguerre polynomial tables."""
-    rules = [gauss_laguerre_rule(a, quad_points) for a in params.alpha]
-    tables = []
-    for rule, a in zip(rules, params.alpha):
-        tables.append(
-            np.array([laguerre_poly(k, a, rule.nodes) for k in range(degree + 1)])
-        )
-    return rules, tables
+def tensor_grid(nodes, weights):
+    """(points (M, d), weights (M,)) of the tensor product of per-axis rules.
+
+    Points run in C order over the axes, the last axis fastest.
+    """
+    if len(nodes) == 1:  # skips meshgrid's copies on every heat-kernel application
+        return np.asarray(nodes[0], dtype=float)[:, None], np.asarray(weights[0])
+    grids = np.meshgrid(*nodes, indexing="ij")
+    w = weights[0]
+    for wj in weights[1:]:
+        w = np.multiply.outer(w, wj)
+    return np.stack([g.ravel() for g in grids], axis=-1), w.ravel()
+
+
+def call_on_points(f, pts) -> np.ndarray:
+    """f at points of shape (..., d): f takes the coordinate itself when d = 1."""
+    pts = np.asarray(pts, dtype=float)
+    return np.asarray(f(pts[..., 0] if pts.shape[-1] == 1 else pts), dtype=float)
+
+
+def _laguerre_rows(alpha: float, degree: int, x) -> np.ndarray:
+    """L_0^alpha(x), ..., L_degree^alpha(x) as the rows of one array."""
+    return np.array([laguerre_poly(k, alpha, x) for k in range(degree + 1)])
 
 
 def analyze(
@@ -242,29 +267,23 @@ def analyze(
 
     c_k = (integral of f * L_k^alpha d mu_alpha) / ||L_k^alpha||^2.
     Exact (to rounding) when f is a polynomial of low enough degree.
+    f is called as call_on_points describes.
     """
     if quad_points is None:
         quad_points = max(2 * degree + 8, 24)
     if quad_points < degree + 1:
         raise DomainError("quad_points must be at least degree + 1 per axis")
-    rules, tables = _axis_tables(params, degree, quad_points)
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)  # (M, d)
-    if params.d == 1:
-        fv = np.asarray(f(pts[:, 0]), dtype=float)
-    else:
-        fv = np.asarray(f(pts), dtype=float)
-    w = rules[0].weights
-    for r in rules[1:]:
-        w = np.multiply.outer(w, r.weights)
-    w = w.ravel()
-    coeffs = {}
-    for k in enumerate_indices(params.d, degree):
-        basis = tables[0][k.k[0]]
+    rules = [gauss_laguerre_rule(a, quad_points) for a in params.alpha]
+    pts, w = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
+    fv = call_on_points(f, pts)
+    tables = [_laguerre_rows(a, degree, r.nodes) for r, a in zip(rules, params.alpha)]
+    indices = _layout(params.d, degree)[0]
+    coeffs = np.empty(len(indices))
+    for i, k in enumerate(indices):
+        basis = tables[0][k[0]]
         for ax in range(1, params.d):
-            basis = np.multiply.outer(basis, tables[ax][k.k[ax]])
-        c = float(np.dot(w, fv * basis.ravel())) / basis_norm_sq(k, params)
-        coeffs[k.k] = c
+            basis = np.multiply.outer(basis, tables[ax][k[ax]])
+        coeffs[i] = float(np.dot(w, fv * basis.ravel())) / basis_norm_sq(k, params)
     return LaguerreExpansion(params, degree, coeffs)
 
 
@@ -273,39 +292,20 @@ def synthesize(e: LaguerreExpansion, x) -> float:
     xt = np.atleast_1d(np.asarray(x, dtype=float))
     if xt.shape != (e.params.d,):
         raise DomainError(f"point must have {e.params.d} coordinates")
-    kmax = [max((k[j] for k in e.coeffs), default=0) for j in range(e.params.d)]
-    tables = [
-        [laguerre_poly(k, e.params.alpha[j], xt[j]) for k in range(kmax[j] + 1)]
-        for j in range(e.params.d)
-    ]
-    total = 0.0
-    for k, c in e.coeffs.items():
-        term = c
-        for j, kj in enumerate(k):
-            term *= tables[j][kj]
-        total += term
-    return total
+    return float(synthesize_many(e, xt)[0])
 
 
 def synthesize_many(e: LaguerreExpansion, xs: np.ndarray) -> np.ndarray:
     """Vectorized synthesize over points; xs shape (m,) for d=1 or (m, d)."""
-    xs = np.asarray(xs, dtype=float)
-    if e.params.d == 1:
-        pts = xs.reshape(-1, 1)
-    else:
-        pts = xs.reshape(-1, e.params.d)
-    kmax = [max((k[j] for k in e.coeffs), default=0) for j in range(e.params.d)]
-    tables = [
-        np.array(
-            [laguerre_poly(k, e.params.alpha[j], pts[:, j]) for k in range(kmax[j] + 1)]
-        )
-        for j in range(e.params.d)
-    ]
+    pts = np.asarray(xs, dtype=float).reshape(-1, e.params.d)
+    tables = [_laguerre_rows(a, e.degree, pts[:, j]) for j, a in enumerate(e.params.alpha)]
     total = np.zeros(pts.shape[0])
-    for k, c in e.coeffs.items():
-        term = np.full(pts.shape[0], c)
-        for j, kj in enumerate(k):
-            term = term * tables[j][kj]
+    for c, k in zip(e.vector.tolist(), e.indices):
+        if c == 0.0:
+            continue
+        term = c * tables[0][k[0]]
+        for j in range(1, e.params.d):
+            term *= tables[j][k[j]]
         total += term
     return total
 
@@ -315,10 +315,8 @@ def random_expansion(
 ) -> LaguerreExpansion:
     """Seeded expansion with coefficients uniform in [-1, 1] on |k| <= degree."""
     rng = np.random.default_rng(seed)
-    coeffs = {
-        k.k: float(rng.uniform(-1.0, 1.0)) for k in enumerate_indices(params.d, degree)
-    }
-    return LaguerreExpansion(params, degree, coeffs)
+    return LaguerreExpansion(
+        params, degree, rng.uniform(-1.0, 1.0, len(_layout(params.d, degree)[0])))
 
 
 def _fmt(x: float) -> str:

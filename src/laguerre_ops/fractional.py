@@ -22,11 +22,18 @@ import numpy as np
 from scipy.special import comb
 
 from .errors import DomainError, NonzeroMeanError
-from .expansion import LaguerreExpansion, MultiIndexParams, synthesize
-from .kernels import SubordinationRule, poisson_apply
+from .expansion import (
+    OPERATORS,
+    LaguerreExpansion,
+    MultiIndexParams,
+    call_on_points,
+    synthesize,
+)
+from .kernels import SubordinationRule, _mu_mean, _panel_nodes, poisson_apply
 from .specfun import gamma
 
 __all__ = [
+    "ROUTES",
     "FracOpConfig",
     "smallest_integer_above",
     "c_lambda",
@@ -79,8 +86,6 @@ def _graded_unit_breaks(levels: int = 40) -> np.ndarray:
 
 
 def _panel_quad(breaks, func, order=16):
-    from .kernels import _panel_nodes
-
     s, w = _panel_nodes(np.asarray(breaks, dtype=float), order)
     return float(np.dot(w, func(s)))
 
@@ -114,8 +119,6 @@ def _em1_power_integral(lam: float, k: int, a: float) -> float:
     """
     if lam >= k:
         raise DomainError("integral diverges at 0 unless lambda < k")
-    if a == 0.0:
-        return 0.0
 
     def integrand(s):
         return s ** (-lam - 1.0) * np.expm1(-a * s) ** k
@@ -162,37 +165,38 @@ def forward_difference(f, k: int, s: float, t: float) -> float:
 # Quadrature-route multipliers and expansion-level operators
 # ---------------------------------------------------------------------------
 
+#: each operator is (shift + sqrt(L))^(-lam) through the Laplace integral
+#: (1/Gamma(lam)) int s^(lam-1) e^(-shift s) P_s ds, or (shift + sqrt(L))^lam
+#: through the difference integral (1/c_lam_k) int s^(-lam-1) (e^(-shift s) P_s - I)^k ds
+ROUTES = {
+    "bessel_potential": (1.0, "laplace"),
+    "fractional_integral": (0.0, "laplace"),
+    "fractional_derivative": (0.0, "difference"),
+    "bessel_derivative": (1.0, "difference"),
+}
+
 
 def _quad_multiplier(kind: str, lam: float, k: int, n: int) -> float:
-    rn = math.sqrt(n)
-    if kind == "bessel_potential":
-        return _mellin_laplace(lam, 1.0 + rn) / gamma(lam)
-    if kind == "fractional_integral":
-        if n == 0:
-            raise NonzeroMeanError("fractional integral undefined on the mean mode")
-        return _mellin_laplace(lam, rn) / gamma(lam)
-    if kind == "fractional_derivative":
-        if n == 0:
-            return 0.0
-        return _em1_power_integral(lam, k, rn) / c_lambda(lam, k)
-    if kind == "bessel_derivative":
-        return _em1_power_integral(lam, k, 1.0 + rn) / c_lambda(lam, k)
-    raise DomainError(f"unknown operator kind {kind!r}")
+    shift, route = ROUTES[kind]
+    a = shift + math.sqrt(n)
+    if a == 0.0:
+        # the mean mode: killed by the derivative, and the integral is only
+        # taken on zero-mean inputs
+        return 0.0
+    if route == "laplace":
+        return _mellin_laplace(lam, a) / gamma(lam)
+    return _em1_power_integral(lam, k, a) / c_lambda(lam, k)
+
+
+def _check_mean(kind: str, mean: float):
+    if OPERATORS[kind].zero_mean and abs(mean) > 1e-8:
+        raise NonzeroMeanError(f"{kind} requires a zero-mean input")
 
 
 def _apply_expansion(kind: str, e: LaguerreExpansion, cfg: FracOpConfig):
-    if kind == "fractional_integral" and abs(e.mean) > 1e-8:
-        raise NonzeroMeanError("fractional integral requires a zero-mean input")
-    mults = {}
-    coeffs = {}
-    for k_idx, c in e.coeffs.items():
-        n = sum(k_idx)
-        if kind == "fractional_integral" and n == 0:
-            continue
-        if n not in mults:
-            mults[n] = _quad_multiplier(kind, cfg.lam, cfg.k, n)
-        coeffs[k_idx] = mults[n] * c
-    return LaguerreExpansion(e.params, e.degree, coeffs)
+    _check_mean(kind, e.mean)
+    mults = [_quad_multiplier(kind, cfg.lam, cfg.k, n) for n in range(e.degree + 1)]
+    return e.scaled(np.array(mults)[e.orders])
 
 
 def bessel_potential_expansion(e: LaguerreExpansion, cfg: FracOpConfig):
@@ -225,10 +229,8 @@ def _poisson_point(f, params, s, x):
     return poisson_apply(f, params, s, x, rule=_CALLABLE_RULE, heat_order=8)
 
 
-def _callable_laplace_route(f, params, lam, x, weight):
-    """(1/Gamma(lam)) int s^(lam-1) weight(s) P_s f(x) ds for a callable f."""
-    from .kernels import _panel_nodes
-
+def _callable_laplace_route(f, params, lam, x, shift):
+    """(1/Gamma(lam)) int s^(lam-1) e^(-shift s) P_s f(x) ds for a callable f."""
     breaks = np.concatenate(
         (
             _graded_unit_breaks(levels=10),
@@ -238,7 +240,7 @@ def _callable_laplace_route(f, params, lam, x, weight):
     s_nodes, w = _panel_nodes(np.unique(breaks), 4)
     total = 0.0
     for sj, wj in zip(s_nodes, w):
-        factor = sj ** (lam - 1.0) * weight(sj)
+        factor = sj ** (lam - 1.0) * math.exp(-shift * sj)
         if factor == 0.0:
             continue
         total += wj * factor * _poisson_point(f, params, sj, x)
@@ -251,10 +253,7 @@ def _callable_difference_route(f, params, lam, k, x, shift, t_floor):
     Below t_floor the difference is O(s^k); that stretch integrates to
     Delta(t_floor) t_floor^(-lam) / (k - lam) under the O(s^k) model.
     """
-    from .kernels import _panel_nodes
-
-    fx = float(f(np.asarray(x)) if params.d > 1 else f(np.asarray(x[0])))
-    cache = {0.0: fx}
+    cache = {0.0: float(call_on_points(f, np.asarray(x)))}
 
     def u(s):
         if s not in cache:
@@ -281,19 +280,12 @@ def _dispatch(kind, f, params, lam, x, cfg):
     x = tuple(float(v) for v in np.atleast_1d(x))
     if isinstance(f, LaguerreExpansion):
         return synthesize(_apply_expansion(kind, f, cfg), np.asarray(x))
-    if kind == "bessel_potential":
-        return _callable_laplace_route(f, params, lam, x, lambda s: math.exp(-s))
-    if kind == "fractional_integral":
-        from .kernels import _mu_mean
-
-        if abs(_mu_mean(f, params)) > 1e-8:
-            raise NonzeroMeanError("fractional integral requires a zero-mean input")
-        return _callable_laplace_route(f, params, lam, x, lambda s: 1.0)
-    if kind == "fractional_derivative":
-        return _callable_difference_route(f, params, lam, cfg.k, x, 0.0, cfg.t_floor)
-    if kind == "bessel_derivative":
-        return _callable_difference_route(f, params, lam, cfg.k, x, 1.0, cfg.t_floor)
-    raise DomainError(f"unknown operator kind {kind!r}")
+    if OPERATORS[kind].zero_mean:
+        _check_mean(kind, _mu_mean(f, params))
+    shift, route = ROUTES[kind]
+    if route == "laplace":
+        return _callable_laplace_route(f, params, lam, x, shift)
+    return _callable_difference_route(f, params, lam, cfg.k, x, shift, cfg.t_floor)
 
 
 def bessel_potential_apply(f, params: MultiIndexParams, lam, x, cfg=None) -> float:

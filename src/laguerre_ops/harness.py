@@ -18,15 +18,16 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .expansion import LaguerreExpansion, MultiIndexParams, random_expansion
-from .fractional import (
-    FracOpConfig,
-    bessel_derivative_expansion,
-    bessel_potential_expansion,
-    forward_difference,
-    fractional_derivative_expansion,
-    fractional_integral_expansion,
+from .expansion import (
+    OPERATORS,
+    LaguerreExpansion,
+    MultiIndexParams,
+    SpectralMultiplier,
+    pi0,
+    random_expansion,
+    spectral_apply,
 )
+from .fractional import ROUTES, FracOpConfig, _apply_expansion, forward_difference
 from .kernels import (
     DEFAULT_RULE,
     KernelQuery,
@@ -76,7 +77,6 @@ class ScenarioConfig:
     seed: int = 0
     degree: int = 6
     t_levels: int = 11
-    x_points: int = 24
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -89,7 +89,7 @@ class ScenarioConfig:
             MultiIndexParams(self.d, self.alpha)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.scenario in ("kernel-mass", "lemma21") and self.d != 1:
+        if self.scenario in ("kernel-mass", "spectral-vs-kernel", "lemma21") and self.d != 1:
             raise ConfigError(f"scenario {self.scenario} is one-dimensional; d must be 1")
         if self.scenario == "thm42" or self.scenario == "thm33":
             b, l = self._beta_lam(0.8, 0.3)
@@ -170,8 +170,9 @@ def _run_subordination(cfg, started):
     )
 
 
-def _poisson_mass_nodes(params, t, x):
-    """y nodes of a graded+log panel rule on (0, 80) plus kernel values."""
+def _run_kernel_mass(cfg, started):
+    tol = cfg.tol("mass", 1e-6)
+    # y nodes of a graded+log panel rule on (0, 80)
     breaks = np.concatenate(
         (
             [0.0],
@@ -180,20 +181,13 @@ def _poisson_mass_nodes(params, t, x):
         )
     )
     y, w = _panel_nodes(breaks, 12)
-    vals = np.array(
-        [_poisson_core(params, t, x, (float(yj),), 0, DEFAULT_RULE) for yj in y]
-    )
-    return y, w, vals
-
-
-def _run_kernel_mass(cfg, started):
-    tol = cfg.tol("mass", 1e-6)
-    params = cfg.params
     rows = []
     min_val = math.inf
     for t in (0.25, 1.0):
         for x in (0.5, 1.0, 2.0):
-            _, w, vals = _poisson_mass_nodes(params, t, (x,))
+            vals = np.array(
+                [_poisson_core(cfg.params, t, (x,), (yj,), 0, DEFAULT_RULE) for yj in y.tolist()]
+            )
             mass = float(np.dot(w, vals))
             min_val = min(min_val, float(np.min(vals)))
             rows.append(ReportRow(f"t={t:g},x={x:g}", abs(mass - 1.0), tol))
@@ -211,45 +205,45 @@ def _run_kernel_mass(cfg, started):
     )
 
 
+#: report-row name of each operator of fractional.ROUTES, and the order lam
+#: at which spectral-vs-kernel checks its quadrature route
+_FRACTIONAL_ROWS = {
+    "bessel_potential": ("potential", 1.0),
+    "fractional_integral": ("integral", 0.7),
+    "fractional_derivative": ("derivative", 0.7),
+    "bessel_derivative": ("bessel-derivative", 0.7),
+}
+
+
 def _run_spectral_vs_kernel(cfg, started):
     tol = cfg.tol("rel", 1e-6)
+    params = cfg.params
+    (alpha,) = cfg.alpha
+    heat_t, poisson_t, x, degree = 0.5, 0.75, 1.3, 6
+    # every quadrature multiplier against its symbol, all orders at once
+    ones = LaguerreExpansion(params, degree, np.ones(degree + 1))
+    frac_err = {}
+    for kind, (_, lam) in _FRACTIONAL_ROWS.items():
+        m = SpectralMultiplier(kind, lam)
+        source = pi0(ones) if m.zero_mean else ones
+        want = spectral_apply(m, source).vector
+        got = _apply_expansion(kind, source, FracOpConfig(lam)).vector
+        frac_err[kind] = (np.abs(got - want) / np.maximum(np.abs(want), 1.0)).tolist()
     rows = []
-    heat_t, poisson_t = 0.5, 0.75
-    lam_pairs = (("potential", 1.0), ("integral", 0.7), ("derivative", 0.7),
-                 ("bessel-derivative", 0.7))
-    for alpha in (-0.25, 0.5):
-        params = MultiIndexParams(1, (alpha,))
-        for k in range(7):
-            f = lambda y, k=k, a=alpha: laguerre_poly(k, a, y)
-            denom = max(abs(laguerre_poly(k, alpha, 1.3)), 1.0)
-            got = heat_apply_kernel(f, KernelQuery(params, heat_t, (1.3,)))
-            want = math.exp(-heat_t * k) * laguerre_poly(k, alpha, 1.3)
-            rows.append(ReportRow(f"heat,a={alpha:g},k={k}", abs(got - want) / denom, tol))
-            got = poisson_apply(f, params, poisson_t, (1.3,))
-            want = math.exp(-poisson_t * math.sqrt(k)) * laguerre_poly(k, alpha, 1.3)
-            rows.append(
-                ReportRow(f"poisson,a={alpha:g},k={k}", abs(got - want) / denom, tol)
-            )
-            basis = LaguerreExpansion(params, k, {(k,): 1.0})
-            for name, lam in lam_pairs:
-                if name == "integral" and k == 0:
-                    continue
-                fc = FracOpConfig(lam)
-                if name == "potential":
-                    out = bessel_potential_expansion(basis, fc)
-                    want = (1.0 + math.sqrt(k)) ** -lam
-                elif name == "integral":
-                    out = fractional_integral_expansion(basis, fc)
-                    want = k ** (-lam / 2.0)
-                elif name == "derivative":
-                    out = fractional_derivative_expansion(basis, fc)
-                    want = k ** (lam / 2.0) if k else 0.0
-                else:
-                    out = bessel_derivative_expansion(basis, fc)
-                    want = (1.0 + math.sqrt(k)) ** lam
-                got = out.coeffs.get((k,), 0.0)
-                err = abs(got - want) / max(abs(want), 1.0)
-                rows.append(ReportRow(f"{name},a={alpha:g},k={k}", err, tol))
+    for k in range(degree + 1):
+        f = lambda y, k=k: laguerre_poly(k, alpha, y)
+        fx = laguerre_poly(k, alpha, x)
+        denom = max(abs(fx), 1.0)
+        got = heat_apply_kernel(f, KernelQuery(params, heat_t, (x,)))
+        want = math.exp(-heat_t * k) * fx
+        rows.append(ReportRow(f"heat,a={alpha:g},k={k}", abs(got - want) / denom, tol))
+        got = poisson_apply(f, params, poisson_t, (x,))
+        want = math.exp(-poisson_t * math.sqrt(k)) * fx
+        rows.append(ReportRow(f"poisson,a={alpha:g},k={k}", abs(got - want) / denom, tol))
+        for kind, err in frac_err.items():
+            if k > 0 or not OPERATORS[kind].zero_mean:
+                name = _FRACTIONAL_ROWS[kind][0]
+                rows.append(ReportRow(f"{name},a={alpha:g},k={k}", err[k], tol))
     worst = max(r.measured for r in rows)
     return _report(
         cfg,
@@ -312,52 +306,36 @@ def _run_prop33(cfg, started):
 def _refined_t_grid(levels):
     """Same span as the dyadic grid with geometric midpoints inserted."""
     base = default_t_grid(levels)
-    out = []
-    for a, b in zip(base[:-1], base[1:]):
-        out.extend([a, math.sqrt(a * b)])
-    out.append(base[-1])
-    return out
+    return sorted(base + [math.sqrt(a * b) for a, b in zip(base[:-1], base[1:])])
 
 
-def _lip_norm(f, params, beta, t_grid):
-    est = lipschitz_seminorm(f, params, beta, t_grid=t_grid)
-    return est.f_sup + est.A_beta, est
-
-
-def _theorem_ratio(cfg, op, beta, lam, t_grid):
+def _theorem_ratio(cfg, kind, beta, lam, t_grid):
+    """A_beta' of the operator's output over the Lipschitz norm of its input,
+    where beta' = beta + lam for a potential and beta - lam for a derivative."""
     f = _seeded_function(cfg)
-    norm_in, _ = _lip_norm(f, cfg.params, beta, t_grid)
-    fc = FracOpConfig(lam)
-    if op == "potential":
-        g = bessel_potential_expansion(f, fc)
-        beta_out = beta + lam
-    elif op == "derivative":
-        g = fractional_derivative_expansion(f, fc)
-        beta_out = beta - lam
-    elif op == "bessel-derivative":
-        g = bessel_derivative_expansion(f, fc)
-        beta_out = beta - lam
-    else:
-        raise ConfigError(f"unknown operator {op!r}")
+    est_in = lipschitz_seminorm(f, cfg.params, beta, t_grid=t_grid)
+    g = _apply_expansion(kind, f, FracOpConfig(lam))
+    beta_out = beta + lam if ROUTES[kind][1] == "laplace" else beta - lam
     est_out = lipschitz_seminorm(g, cfg.params, beta_out, t_grid=t_grid)
-    return est_out.A_beta / norm_in
+    return est_out.A_beta / (est_in.f_sup + est_in.A_beta)
 
 
-def _run_theorem(cfg, started, ops, default_beta, default_lam, claim):
+def _run_theorem(cfg, started, kinds, default_beta, default_lam, claim):
     beta, lam = cfg._beta_lam(default_beta, default_lam)
     drift_tol = cfg.tol("drift", 0.10)
     rows = []
     worst_drift = 0.0
     finite = True
-    for op in ops:
-        coarse = _theorem_ratio(cfg, op, beta, lam, default_t_grid(cfg.t_levels))
-        fine = _theorem_ratio(cfg, op, beta, lam, _refined_t_grid(cfg.t_levels))
+    for kind in kinds:
+        coarse = _theorem_ratio(cfg, kind, beta, lam, default_t_grid(cfg.t_levels))
+        fine = _theorem_ratio(cfg, kind, beta, lam, _refined_t_grid(cfg.t_levels))
         drift = abs(fine - coarse) / coarse if coarse > 0 else math.inf
         finite = finite and math.isfinite(coarse) and math.isfinite(fine)
         worst_drift = max(worst_drift, drift)
-        rows.append(ReportRow(f"{op},ratio", coarse, math.inf))
-        rows.append(ReportRow(f"{op},refined", fine, math.inf))
-        rows.append(ReportRow(f"{op},drift", drift, drift_tol))
+        name = _FRACTIONAL_ROWS[kind][0]
+        rows.append(ReportRow(f"{name},ratio", coarse, math.inf))
+        rows.append(ReportRow(f"{name},refined", fine, math.inf))
+        rows.append(ReportRow(f"{name},drift", drift, drift_tol))
     passed = finite and worst_drift <= drift_tol
     return _report(cfg, claim, rows, worst_drift, passed, started)
 
@@ -427,26 +405,26 @@ def _run_fdiff(cfg, started):
 
 _THEOREM_SPECS = {
     "thm31": (
-        ("potential",),
+        ("bessel_potential",),
         0.5,
         1.0,
         "the smoothing potential raises the Lipschitz order by lambda",
     ),
     "thm42": (
-        ("derivative",),
+        ("fractional_derivative",),
         0.8,
         0.3,
         "the fractional derivative lowers the Lipschitz order by lambda "
         "for 0 < lambda < beta < 1",
     ),
     "thm33": (
-        ("bessel-derivative",),
+        ("bessel_derivative",),
         0.8,
         0.3,
         "the damped fractional derivative lowers the Lipschitz order by lambda",
     ),
     "thm44": (
-        ("derivative", "bessel-derivative"),
+        ("fractional_derivative", "bessel_derivative"),
         2.3,
         1.5,
         "both fractional derivatives stay bounded between Lipschitz classes "
@@ -455,24 +433,22 @@ _THEOREM_SPECS = {
 }
 
 
+_RUNNERS = {
+    "subordination": _run_subordination,
+    "kernel-mass": _run_kernel_mass,
+    "spectral-vs-kernel": _run_spectral_vs_kernel,
+    "lemma21": _run_lemma21,
+    "prop31": _run_prop31,
+    "prop33": _run_prop33,
+    "fdiff-identities": _run_fdiff,
+}
+
+
 def run_scenario(cfg: ScenarioConfig) -> BoundReport:
     started = time.perf_counter()
-    if cfg.scenario == "subordination":
-        return _run_subordination(cfg, started)
-    if cfg.scenario == "kernel-mass":
-        return _run_kernel_mass(cfg, started)
-    if cfg.scenario == "spectral-vs-kernel":
-        return _run_spectral_vs_kernel(cfg, started)
-    if cfg.scenario == "lemma21":
-        return _run_lemma21(cfg, started)
-    if cfg.scenario == "prop31":
-        return _run_prop31(cfg, started)
-    if cfg.scenario == "prop33":
-        return _run_prop33(cfg, started)
-    if cfg.scenario == "fdiff-identities":
-        return _run_fdiff(cfg, started)
-    ops, b, l, claim = _THEOREM_SPECS[cfg.scenario]
-    return _run_theorem(cfg, started, ops, b, l, claim)
+    if cfg.scenario in _THEOREM_SPECS:
+        return _run_theorem(cfg, started, *_THEOREM_SPECS[cfg.scenario])
+    return _RUNNERS[cfg.scenario](cfg, started)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from .errors import DomainError, OverflowGuardError, QuadratureError
-from .expansion import MultiIndexParams
-from .specfun import log_bessel_i_scaled
+from .expansion import MultiIndexParams, call_on_points, tensor_grid
+from .specfun import gauss_laguerre_rule, log_bessel_i_scaled
 
 __all__ = [
     "KernelQuery",
@@ -192,15 +192,8 @@ def heat_apply_kernel(f, q: KernelQuery, order: int = 12) -> float:
     f is called with a vector of y values (d = 1) or an (m, d) array.
     """
     axes = [_heat_axis_nodes(a, q.t, q.x[j], order) for j, a in enumerate(q.params.alpha)]
-    if q.params.d == 1:
-        y, w = axes[0]
-        return float(np.dot(w, np.asarray(f(y), dtype=float)))
-    grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = axes[0][1]
-    for ax in axes[1:]:
-        w = np.multiply.outer(w, ax[1])
-    return float(np.dot(w.ravel(), np.asarray(f(pts), dtype=float)))
+    y, w = tensor_grid(*zip(*axes))
+    return float(np.dot(w, call_on_points(f, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +303,9 @@ def poisson_kernel_dt(q: KernelQuery, rule: SubordinationRule = DEFAULT_RULE) ->
 
 
 def _mu_mean(f, params, quad_points=200):
-    from .specfun import gauss_laguerre_rule
-
     rules = [gauss_laguerre_rule(a, quad_points) for a in params.alpha]
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = rules[0].weights
-    for r in rules[1:]:
-        w = np.multiply.outer(w, r.weights)
-    fv = f(pts[:, 0]) if params.d == 1 else f(pts)
-    return float(np.dot(w.ravel(), np.asarray(fv, dtype=float)))
+    y, w = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
+    return float(np.dot(w, call_on_points(f, y)))
 
 
 def poisson_apply(
@@ -411,7 +397,7 @@ def poisson_dt_apply(
 
     def integrand(y_vec):
         return _poisson_core(params, t, x, tuple(y_vec), m, rule) * float(
-            f(np.array(y_vec) if params.d > 1 else y_vec[0])
+            call_on_points(f, y_vec)
         )
 
     return _iterated_abs_quad(

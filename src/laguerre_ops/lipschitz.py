@@ -19,9 +19,12 @@ from .errors import DomainError
 from .expansion import (
     LaguerreExpansion,
     MultiIndexParams,
+    call_on_points,
     poisson,
     spectral_apply,
+    synthesize,
     synthesize_many,
+    tensor_grid,
 )
 from .fractional import forward_difference, smallest_integer_above
 from .kernels import DEFAULT_RULE, poisson_dt_apply
@@ -43,10 +46,8 @@ __all__ = [
 def default_x_grid(d: int = 1, points: int = 24):
     """Log-spaced spatial grid in [0.05, 20] per axis."""
     axis = np.geomspace(0.05, 20.0, points)
-    if d == 1:
-        return [(float(v),) for v in axis]
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return [tuple(float(v) for v in p) for p in np.stack(grids, axis=-1).reshape(-1, d)]
+    pts, _ = tensor_grid([axis] * d, [np.ones(points)] * d)
+    return [tuple(p) for p in pts.tolist()]
 
 
 def default_t_grid(levels: int = 11):
@@ -82,33 +83,31 @@ def sup_norm(g, x_grid) -> float:
 
 def poisson_dt_expansion(e: LaguerreExpansion, t: float, n: int) -> LaguerreExpansion:
     """d^n/dt^n P_t e as an expansion: multiplier (-sqrt(m))^n e^(-t sqrt(m))."""
-    coeffs = {}
-    for k, c in e.coeffs.items():
-        m = sum(k)
-        coeffs[k] = c * (-math.sqrt(m)) ** n * math.exp(-t * math.sqrt(m))
-    return LaguerreExpansion(e.params, e.degree, coeffs)
+    root = np.sqrt(e.orders)
+    return e.scaled((-root) ** n * np.exp(-t * root))
 
 
-def _grid_matrix(x_grid):
-    return np.asarray([list(x) for x in x_grid], dtype=float)
+def _points(x_grid, d):
+    """The grid (default_x_grid if None) as an (M, d) array; for d = 1 its
+    points may be plain numbers."""
+    if x_grid is None:
+        x_grid = default_x_grid(d)
+    if len(x_grid) == 0:
+        raise DomainError("grid must be nonempty")
+    xs = np.asarray(x_grid, dtype=float).reshape(len(x_grid), -1)
+    if xs.shape[1] != d:
+        raise DomainError(f"grid points must have {d} coordinates")
+    return xs
 
 
-def _sup_dt(f, params, t, n, x_grid, method, rule):
+def _sup_dt(f, params, t, n, xs, method, rule):
     if method == "spectral":
         if not isinstance(f, LaguerreExpansion):
             raise DomainError("spectral path needs an expansion input")
-        vals = synthesize_many(poisson_dt_expansion(f, t, n), _grid_matrix(x_grid))
-        return float(np.max(np.abs(vals)))
+        return float(np.max(np.abs(synthesize_many(poisson_dt_expansion(f, t, n), xs))))
     if method == "kernel":
-        func = f
-        if isinstance(f, LaguerreExpansion):
-            def func(y):
-                return synthesize_many(f, np.atleast_2d(y))[0] if params.d > 1 else \
-                    float(synthesize_many(f, np.asarray([[y]]))[0])
-        best = 0.0
-        for x in x_grid:
-            best = max(best, abs(poisson_dt_apply(func, params, t, x, n, rule)))
-        return best
+        func = (lambda y: synthesize(f, y)) if isinstance(f, LaguerreExpansion) else f
+        return max(abs(poisson_dt_apply(func, params, t, x, n, rule)) for x in xs)
     raise DomainError(f"unknown method {method!r}")
 
 
@@ -120,27 +119,25 @@ def lipschitz_seminorm(
     x_grid=None,
     method: str = "spectral",
     rule=DEFAULT_RULE,
+    n: int = None,
 ) -> LipschitzEstimate:
-    """Measure A_beta(f) = sup_t t^(n-beta) ||d^n/dt^n P_t f||_inf on grids."""
+    """Measure A_beta(f) = sup_t t^(n-beta) ||d^n/dt^n P_t f||_inf on grids.
+
+    The derivative order n defaults to the smallest integer above beta.
+    """
     if not beta > 0:
         raise DomainError("beta must be positive")
-    n = smallest_integer_above(beta)
+    n = smallest_integer_above(beta) if n is None else n
     t_grid = tuple(default_t_grid() if t_grid is None else t_grid)
-    x_grid = tuple(default_x_grid(params.d) if x_grid is None else
-                   tuple(tuple(np.atleast_1d(x)) for x in x_grid))
-    sup_table = {t: _sup_dt(f, params, t, n, x_grid, method, rule) for t in t_grid}
+    xs = _points(x_grid, params.d)
+    sup_table = {t: _sup_dt(f, params, t, n, xs, method, rule) for t in t_grid}
     a_beta = max(t ** (n - beta) * s for t, s in sup_table.items())
     if isinstance(f, LaguerreExpansion):
-        f_sup = float(np.max(np.abs(synthesize_many(f, _grid_matrix(x_grid)))))
+        f_sup = float(np.max(np.abs(synthesize_many(f, xs))))
     else:
-        f_sup = sup_norm(lambda x: f(np.asarray(x) if params.d > 1 else x[0]), x_grid)
+        f_sup = sup_norm(lambda x: call_on_points(f, x), xs)
+    x_grid = tuple(tuple(x) for x in xs.tolist())
     return LipschitzEstimate(beta, n, t_grid, x_grid, sup_table, a_beta, f_sup)
-
-
-def _seminorm_at_order(f, params, beta, n, t_grid, x_grid, method, rule):
-    """sup_t t^(n-beta) ||d^n_t P_t f|| for a caller-chosen order n > beta."""
-    sup_table = {t: _sup_dt(f, params, t, n, x_grid, method, rule) for t in t_grid}
-    return max(t ** (n - beta) * s for t, s in sup_table.items())
 
 
 def check_equivalence(
@@ -162,10 +159,9 @@ def check_equivalence(
     """
     if k <= beta or l <= beta:
         raise DomainError("both derivative orders must exceed beta")
-    t_grid = tuple(default_t_grid() if t_grid is None else t_grid)
-    x_grid = tuple(default_x_grid(params.d) if x_grid is None else x_grid)
-    a_k = _seminorm_at_order(f, params, beta, k, t_grid, x_grid, method, DEFAULT_RULE)
-    a_l = _seminorm_at_order(f, params, beta, l, t_grid, x_grid, method, DEFAULT_RULE)
+    xs = _points(x_grid, params.d)
+    a_k = lipschitz_seminorm(f, params, beta, t_grid, xs, method, n=k).A_beta
+    a_l = lipschitz_seminorm(f, params, beta, t_grid, xs, method, n=l).A_beta
     if a_k == 0.0 and a_l == 0.0:
         ratio = 1.0
     elif a_l == 0.0:
@@ -201,12 +197,11 @@ def check_approximation(
     """||P_t f - f||_inf against A_beta(f) t^beta on the grids."""
     if not 0 < beta < 1:
         raise DomainError("approximation check needs beta in (0, 1)")
-    t_grid = tuple(default_t_grid() if t_grid is None else t_grid)
-    x_grid = tuple(default_x_grid(params.d) if x_grid is None else x_grid)
-    est = lipschitz_seminorm(f, params, beta, t_grid, x_grid, method=method)
-    xs = _grid_matrix(x_grid)
     if not isinstance(f, LaguerreExpansion):
         raise DomainError("approximation check is defined on expansions")
+    t_grid = tuple(default_t_grid() if t_grid is None else t_grid)
+    xs = _points(x_grid, params.d)
+    est = lipschitz_seminorm(f, params, beta, t_grid, xs, method=method)
     f_vals = synthesize_many(f, xs)
     rows = []
     worst = 0.0
@@ -242,24 +237,17 @@ def check_pminusI_power(
     if not isinstance(f, LaguerreExpansion):
         raise DomainError("this check is defined on expansions")
     t_grid = tuple(default_t_grid() if t_grid is None else t_grid)
-    x_grid = tuple(default_x_grid(params.d) if x_grid is None else x_grid)
-    xs = _grid_matrix(x_grid)
-    est = lipschitz_seminorm(f, params, beta, t_grid, x_grid)
+    xs = _points(x_grid, params.d)
+    est = lipschitz_seminorm(f, params, beta, t_grid, xs)
     f_sup = est.f_sup
     # n-fold simplex integral of v^(beta-n) over [0,t]^n equals
     # C(n, beta) t^beta with C = Delta_1^n(x^beta, 0) / prod_(i<n) (beta-i)
-    denom = 1.0
-    for i in range(n):
-        denom *= beta - i
+    denom = math.prod(beta - i for i in range(n))
     simplex_c = forward_difference(lambda u: u**beta, n, 1.0, 0.0) / denom
     rows = []
     for t in t_grid:
         # (P_t - I)^n acts diagonally with multiplier (e^(-t sqrt(m)) - 1)^n
-        coeffs = {
-            k: c * math.expm1(-t * math.sqrt(sum(k))) ** n
-            for k, c in f.coeffs.items()
-        }
-        g = LaguerreExpansion(f.params, f.degree, coeffs)
+        g = f.scaled(np.expm1(-t * np.sqrt(f.orders)) ** n)
         measured = float(np.max(np.abs(synthesize_many(g, xs))))
         rows.append(ReportRow(f"t={t:.6g},uniform", measured, 2.0**n * f_sup))
         rows.append(

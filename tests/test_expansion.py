@@ -35,7 +35,7 @@ def test_enumerate_counts():
 
 def test_enumerate_graded_order():
     idx = enumerate_indices(2, 2)
-    orders = [k.order for k in idx]
+    orders = [sum(k) for k in idx]
     assert orders == sorted(orders)
 
 
@@ -134,6 +134,36 @@ def test_json_roundtrip_bit_exact():
 
     # serializing again yields the identical document
     assert expansion_to_json(back) == text
+
+
+def test_vector_and_mapping_constructors_agree():
+    p = MultiIndexParams(2, (0.5, -0.25))
+    e = random_expansion(p, 3, seed=9)
+    from_map = LaguerreExpansion(p, 3, dict(e.coeffs))
+    from_vec = LaguerreExpansion(p, 3, list(e.vector))
+    assert from_map == from_vec == e
+    assert list(e.coeffs) == enumerate_indices(2, 3)
+    assert list(e.orders) == [sum(k) for k in enumerate_indices(2, 3)]
+
+
+def test_coeffs_list_every_index_and_are_read_only():
+    p = MultiIndexParams(2, (0.5, 0.5))
+    e = LaguerreExpansion(p, 2, {(1, 0): 2.0})
+    assert dict(e.coeffs) == {k: (2.0 if k == (1, 0) else 0.0) for k in enumerate_indices(2, 2)}
+    with pytest.raises(TypeError):
+        e.coeffs[(0, 0)] = 1.0
+    with pytest.raises(ValueError):
+        e.vector[0] = 1.0
+
+
+def test_constructor_rejects_bad_coefficients():
+    p = MultiIndexParams(1, (0.5,))
+    with pytest.raises(DomainError):
+        LaguerreExpansion(p, 2, [1.0, 2.0])
+    with pytest.raises(DomainError):
+        LaguerreExpansion(p, 2, {(3,): 1.0})
+    with pytest.raises(DomainError):
+        LaguerreExpansion(p, 2, {(1, 0): 1.0})
 
 
 def test_random_expansion_seeded():

@@ -5,8 +5,10 @@ import pytest
 from scipy.special import comb
 from scipy.special import gamma as scipy_gamma
 
+import laguerre_ops
 from laguerre_ops.errors import DomainError, NonzeroMeanError
 from laguerre_ops.expansion import (
+    OPERATORS,
     LaguerreExpansion,
     MultiIndexParams,
     bessel_derivative,
@@ -18,6 +20,7 @@ from laguerre_ops.expansion import (
     spectral_apply,
 )
 from laguerre_ops.fractional import (
+    ROUTES,
     FracOpConfig,
     bessel_derivative_apply,
     bessel_derivative_expansion,
@@ -206,6 +209,26 @@ class TestExpansionRoutes:
         e = LaguerreExpansion(P, 0, {(0,): 2.0})
         out = fractional_derivative_expansion(e, FracOpConfig(0.5))
         assert out.coeffs[(0,)] == 0.0
+
+
+class TestOperatorTable:
+    def test_routes_cover_known_operators(self):
+        assert set(ROUTES) <= set(OPERATORS)
+        assert {kind for kind, op in OPERATORS.items() if op.zero_mean} <= set(ROUTES)
+
+    @pytest.mark.parametrize("kind", list(ROUTES))
+    @pytest.mark.parametrize("lam", [0.3, 1.5])
+    def test_route_matches_symbol(self, kind, lam):
+        factory = getattr(laguerre_ops, kind)
+        expansion_op = getattr(laguerre_ops, kind + "_expansion")
+        assert callable(getattr(laguerre_ops, kind + "_apply"))
+        e = random_expansion(P, 6, seed=3)
+        if OPERATORS[kind].zero_mean:
+            e = pi0(e)
+        got = expansion_op(e, FracOpConfig(lam))
+        want = spectral_apply(factory(lam), e)
+        assert factory(lam).kind == kind
+        np.testing.assert_allclose(got.vector, want.vector, rtol=0.0, atol=1e-10)
 
 
 class TestPointApply:

@@ -79,6 +79,10 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_json('{"scenario": "subordination", "bogus": 1}')
 
+    def test_from_json_rejects_x_points(self):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_json('{"scenario": "prop31", "x_points": 24}')
+
     def test_from_json_roundtrip(self):
         cfg = ScenarioConfig.from_json(
             '{"scenario": "prop31", "alpha": [0.5], "seed": 3, "beta": 0.6}'
@@ -97,6 +101,14 @@ class TestScenarios:
 
     def test_prop31_passes(self):
         assert run_scenario(ScenarioConfig(scenario="prop31")).passed
+
+    def test_spectral_vs_kernel_runs_at_configured_alpha(self):
+        r = run_scenario(ScenarioConfig(scenario="spectral-vs-kernel", alpha=(-0.25,)))
+        assert r.passed
+        assert r.rows and all(",a=-0.25,k=" in row.point for row in r.rows)
+        names = {row.point.split(",")[0] for row in r.rows}
+        assert names == {"heat", "poisson", "potential", "integral", "derivative",
+                         "bessel-derivative"}
 
     def test_report_config_reruns(self):
         r = run_scenario(ScenarioConfig(scenario="subordination", tolerances={"abs": 1e-7}))
@@ -161,6 +173,7 @@ class TestCli:
             {"scenario": "kernel-mass", "d": 2, "alpha": [0.5, 0.5]},
             {"scenario": "lemma21", "d": 2, "alpha": [0.5, 0.5]},
             {"scenario": "prop31", "d": 2},
+            {"scenario": "spectral-vs-kernel", "d": 2, "alpha": [0.5, 0.5]},
         ],
     )
     def test_bad_dimension_is_config_error(self, tmp_path, doc):

@@ -96,12 +96,17 @@ def basis_norm_sq(k, params: MultiIndexParams) -> float:
     return math.exp(log_h)
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class LaguerreExpansion:
     """Finite expansion sum_k c_k L_k^alpha over |k| <= degree.
 
     `coeffs` is a vector in enumerate_indices order, a mapping
     {index tuple: c_k} in which absent indices are zero, or None for zero.
     """
+
+    params: MultiIndexParams
+    degree: int
+    vector: np.ndarray
 
     def __init__(self, params: MultiIndexParams, degree: int, coeffs=None):
         indices, orders, position = _layout(params.d, degree)
@@ -119,8 +124,9 @@ class LaguerreExpansion:
             if vector.shape != orders.shape:
                 raise DomainError(f"coefficient vector must have length {len(indices)}")
         vector.flags.writeable = False
-        self.params, self.degree, self.indices = params, degree, indices
-        self.vector, self.orders = vector, orders
+        # frozen: the fields are set past the dataclass __setattr__
+        self.__dict__.update(
+            params=params, degree=degree, vector=vector, indices=indices, orders=orders)
 
     @cached_property
     def coeffs(self) -> Mapping:
@@ -144,9 +150,6 @@ class LaguerreExpansion:
             return NotImplemented
         return (self.params, self.degree) == (other.params, other.degree) and bool(
             np.array_equal(self.vector, other.vector))
-
-    def __repr__(self):
-        return f"LaguerreExpansion({self.params!r}, {self.degree}, {self.vector.tolist()!r})"
 
 
 class Operator(NamedTuple):

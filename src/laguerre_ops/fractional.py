@@ -195,8 +195,11 @@ def _check_mean(kind: str, mean: float):
 
 def _apply_expansion(kind: str, e: LaguerreExpansion, cfg: FracOpConfig):
     _check_mean(kind, e.mean)
-    mults = [_quad_multiplier(kind, cfg.lam, cfg.k, n) for n in range(e.degree + 1)]
-    return e.scaled(np.array(mults)[e.orders])
+    # one quadrature per order that carries a nonzero coefficient
+    mults = np.zeros(e.degree + 1)
+    for n in np.unique(e.orders[e.vector != 0.0]).tolist():
+        mults[n] = _quad_multiplier(kind, cfg.lam, cfg.k, n)
+    return e.scaled(mults[e.orders])
 
 
 def bessel_potential_expansion(e: LaguerreExpansion, cfg: FracOpConfig):

@@ -337,29 +337,28 @@ def poisson_apply(
     return total + mean * stable_tail_mass(0, t, S_CUTOFF)
 
 
-def _iterated_abs_quad(func_nd, d, breakpoints, epsabs, epsrel, limit):
-    """Iterated adaptive quadrature of func_nd(y_vec) over (0, inf)^d."""
+def _kernel_y_integral(params, t, x, m, rule, integrand, epsabs, epsrel):
+    """Iterated adaptive quadrature over (0, 80)^d of integrand(p, y), where
+    p = d^m/dt^m p_t(x, y), with breakpoints at the coordinates of x."""
+    x = tuple(float(v) for v in np.atleast_1d(x))
     y_max = 80.0
+    points = [p for p in x if 0 < p < y_max]
 
-    def inner(dim, fixed):
-        if dim == d:
-            return func_nd(np.array(fixed))
-
-        def integrand(yj):
-            return inner(dim + 1, fixed + [yj])
-
+    def inner(fixed):
+        if len(fixed) == params.d:
+            return integrand(_poisson_core(params, t, x, fixed, m, rule), fixed)
         val, _ = quad(
-            integrand,
+            lambda yj: inner(fixed + (yj,)),
             0.0,
             y_max,
-            points=[p for p in breakpoints if 0 < p < y_max],
+            points=points,
             epsabs=epsabs,
             epsrel=epsrel,
-            limit=limit,
+            limit=400,
         )
         return val
 
-    return inner(0, [])
+    return inner(())
 
 
 def l1_kernel_derivative(
@@ -372,14 +371,7 @@ def l1_kernel_derivative(
     epsrel: float = 1e-7,
 ) -> float:
     """int over (0, inf)^d of |d^m/dt^m p_t(x, y)| dy."""
-    x = tuple(float(v) for v in np.atleast_1d(x))
-
-    def integrand(y_vec):
-        return abs(_poisson_core(params, t, x, tuple(y_vec), m, rule))
-
-    return _iterated_abs_quad(
-        integrand, params.d, breakpoints=list(x), epsabs=epsabs, epsrel=epsrel, limit=400
-    )
+    return _kernel_y_integral(params, t, x, m, rule, lambda p, y: abs(p), epsabs, epsrel)
 
 
 def poisson_dt_apply(
@@ -393,13 +385,6 @@ def poisson_dt_apply(
     epsrel: float = 1e-8,
 ) -> float:
     """d^m/dt^m P_t f(x) computed through the kernel: int d^m p_t(x,y) f(y) dy."""
-    x = tuple(float(v) for v in np.atleast_1d(x))
-
-    def integrand(y_vec):
-        return _poisson_core(params, t, x, tuple(y_vec), m, rule) * float(
-            call_on_points(f, y_vec)
-        )
-
-    return _iterated_abs_quad(
-        integrand, params.d, breakpoints=list(x), epsabs=epsabs, epsrel=epsrel, limit=400
+    return _kernel_y_integral(
+        params, t, x, m, rule, lambda p, y: p * float(call_on_points(f, y)), epsabs, epsrel
     )

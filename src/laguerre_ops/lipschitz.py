@@ -87,9 +87,10 @@ def poisson_dt_expansion(e: LaguerreExpansion, t: float, n: int) -> LaguerreExpa
     return e.scaled((-root) ** n * np.exp(-t * root))
 
 
-def _points(x_grid, d):
-    """The grid (default_x_grid if None) as an (M, d) array; for d = 1 its
-    points may be plain numbers."""
+def _grids(t_grid, x_grid, d):
+    """The t grid as a tuple and the x grid as an (M, d) array, each taken from
+    default_t_grid/default_x_grid if None; for d = 1 x points may be plain numbers."""
+    t_grid = tuple(default_t_grid() if t_grid is None else t_grid)
     if x_grid is None:
         x_grid = default_x_grid(d)
     if len(x_grid) == 0:
@@ -97,18 +98,25 @@ def _points(x_grid, d):
     xs = np.asarray(x_grid, dtype=float).reshape(len(x_grid), -1)
     if xs.shape[1] != d:
         raise DomainError(f"grid points must have {d} coordinates")
-    return xs
+    return t_grid, xs
 
 
 def _sup_dt(f, params, t, n, xs, method, rule):
     if method == "spectral":
         if not isinstance(f, LaguerreExpansion):
             raise DomainError("spectral path needs an expansion input")
-        return float(np.max(np.abs(synthesize_many(poisson_dt_expansion(f, t, n), xs))))
+        vals = synthesize_many(poisson_dt_expansion(f, t, n), xs)
+        return float(np.max(np.abs(vals)))
     if method == "kernel":
         func = (lambda y: synthesize(f, y)) if isinstance(f, LaguerreExpansion) else f
         return max(abs(poisson_dt_apply(func, params, t, x, n, rule)) for x in xs)
     raise DomainError(f"unknown method {method!r}")
+
+
+def _a_beta(f, params, beta, n, t_grid, xs, method, rule):
+    """(sup_t t^(n-beta) ||d^n_t P_t f||, {t: ||d^n_t P_t f||}) for an order n > beta."""
+    sup_table = {t: _sup_dt(f, params, t, n, xs, method, rule) for t in t_grid}
+    return max(t ** (n - beta) * s for t, s in sup_table.items()), sup_table
 
 
 def lipschitz_seminorm(
@@ -119,19 +127,13 @@ def lipschitz_seminorm(
     x_grid=None,
     method: str = "spectral",
     rule=DEFAULT_RULE,
-    n: int = None,
 ) -> LipschitzEstimate:
-    """Measure A_beta(f) = sup_t t^(n-beta) ||d^n/dt^n P_t f||_inf on grids.
-
-    The derivative order n defaults to the smallest integer above beta.
-    """
+    """Measure A_beta(f) = sup_t t^(n-beta) ||d^n/dt^n P_t f||_inf on grids."""
     if not beta > 0:
         raise DomainError("beta must be positive")
-    n = smallest_integer_above(beta) if n is None else n
-    t_grid = tuple(default_t_grid() if t_grid is None else t_grid)
-    xs = _points(x_grid, params.d)
-    sup_table = {t: _sup_dt(f, params, t, n, xs, method, rule) for t in t_grid}
-    a_beta = max(t ** (n - beta) * s for t, s in sup_table.items())
+    n = smallest_integer_above(beta)
+    t_grid, xs = _grids(t_grid, x_grid, params.d)
+    a_beta, sup_table = _a_beta(f, params, beta, n, t_grid, xs, method, rule)
     if isinstance(f, LaguerreExpansion):
         f_sup = float(np.max(np.abs(synthesize_many(f, xs))))
     else:
@@ -159,9 +161,9 @@ def check_equivalence(
     """
     if k <= beta or l <= beta:
         raise DomainError("both derivative orders must exceed beta")
-    xs = _points(x_grid, params.d)
-    a_k = lipschitz_seminorm(f, params, beta, t_grid, xs, method, n=k).A_beta
-    a_l = lipschitz_seminorm(f, params, beta, t_grid, xs, method, n=l).A_beta
+    t_grid, xs = _grids(t_grid, x_grid, params.d)
+    a_k, _ = _a_beta(f, params, beta, k, t_grid, xs, method, DEFAULT_RULE)
+    a_l, _ = _a_beta(f, params, beta, l, t_grid, xs, method, DEFAULT_RULE)
     if a_k == 0.0 and a_l == 0.0:
         ratio = 1.0
     elif a_l == 0.0:
@@ -199,8 +201,7 @@ def check_approximation(
         raise DomainError("approximation check needs beta in (0, 1)")
     if not isinstance(f, LaguerreExpansion):
         raise DomainError("approximation check is defined on expansions")
-    t_grid = tuple(default_t_grid() if t_grid is None else t_grid)
-    xs = _points(x_grid, params.d)
+    t_grid, xs = _grids(t_grid, x_grid, params.d)
     est = lipschitz_seminorm(f, params, beta, t_grid, xs, method=method)
     f_vals = synthesize_many(f, xs)
     rows = []
@@ -236,13 +237,14 @@ def check_pminusI_power(
         raise DomainError("n must be the smallest integer above beta")
     if not isinstance(f, LaguerreExpansion):
         raise DomainError("this check is defined on expansions")
-    t_grid = tuple(default_t_grid() if t_grid is None else t_grid)
-    xs = _points(x_grid, params.d)
+    t_grid, xs = _grids(t_grid, x_grid, params.d)
     est = lipschitz_seminorm(f, params, beta, t_grid, xs)
     f_sup = est.f_sup
     # n-fold simplex integral of v^(beta-n) over [0,t]^n equals
     # C(n, beta) t^beta with C = Delta_1^n(x^beta, 0) / prod_(i<n) (beta-i)
-    denom = math.prod(beta - i for i in range(n))
+    denom = 1.0
+    for i in range(n):
+        denom *= beta - i
     simplex_c = forward_difference(lambda u: u**beta, n, 1.0, 0.0) / denom
     rows = []
     for t in t_grid:

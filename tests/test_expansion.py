@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -154,6 +155,14 @@ def test_coeffs_list_every_index_and_are_read_only():
         e.coeffs[(0, 0)] = 1.0
     with pytest.raises(ValueError):
         e.vector[0] = 1.0
+
+
+def test_expansion_is_immutable():
+    e = LaguerreExpansion(MultiIndexParams(1, (0.5,)), 2, {(1,): 1.0})
+    for name, value in (("degree", 9), ("coeffs", {(1,): 5.0}), ("vector", np.zeros(3))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(e, name, value)
+    assert e.degree == 2 and e.coeffs[(1,)] == 1.0 and e.vector[1] == 1.0
 
 
 def test_constructor_rejects_bad_coefficients():

@@ -230,6 +230,21 @@ class TestOperatorTable:
         assert factory(lam).kind == kind
         np.testing.assert_allclose(got.vector, want.vector, rtol=0.0, atol=1e-10)
 
+    def test_sparse_expansion_integrates_present_orders_only(self, monkeypatch):
+        orders = []
+        quad_multiplier = laguerre_ops.fractional._quad_multiplier
+
+        def counted(kind, lam, k, n):
+            orders.append(n)
+            return quad_multiplier(kind, lam, k, n)
+
+        monkeypatch.setattr(laguerre_ops.fractional, "_quad_multiplier", counted)
+        e = LaguerreExpansion(P, 4, {(4,): 1.0})
+        out = laguerre_ops.fractional_derivative_expansion(e, FracOpConfig(0.5))
+        assert orders == [4]
+        assert out.coeffs[(4,)] == pytest.approx(math.sqrt(2.0), abs=1e-10)
+        assert out.vector[:4].tolist() == [0.0] * 4
+
 
 class TestPointApply:
     def test_expansion_input_uses_fast_path(self):

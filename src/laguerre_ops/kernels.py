@@ -10,12 +10,28 @@ computed through the one-sided stable-1/2 subordination weight
 whose Laplace transform in s is e^{-t sqrt(n)}: the substitution s = -log r
 turns the unit-interval kernel integral into an integral of g against the
 heat kernel on (0, inf).  Time derivatives differentiate g analytically.
+
+Kernel values are evaluated in blocks: d^m/dt^m p_t(x, y) for a vector of
+last coordinates y (earlier coordinates held fixed) is one (y x s-node)
+array of heat-kernel factors, built at most BLOCK_POINTS entries per
+log_bessel_i_scaled call, and each y is refined on its own by doubling the
+subordination panels.  A single kernel value is a block of one.
+
+The y integrals behind l1_kernel_derivative and poisson_dt_apply use, on
+the last axis, composite Gauss-Legendre panels in v = sqrt(y) on
+(0, sqrt(Y_MAX)): graded geometrically toward v = 0 and dyadically around
+sqrt(x) at scale t.  For the L1 norm the sign changes of d^m p are
+bracketed on the nodes, located by vectorised bisection and made panel
+breaks, so |.| is integrated piecewise smooth.  All panels are halved until
+two successive sums agree, else QuadratureError.  Any earlier axes use
+adaptive quad.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
@@ -44,6 +60,20 @@ __all__ = [
 #: upper subordination cutoff: e^{-s} < 5e-18 for s > 40, so the heat
 #: semigroup is its equilibrium mean beyond it and the tail is analytic.
 S_CUTOFF = 40.0
+
+#: largest (y x s-node) block handed to one log_bessel_i_scaled call
+BLOCK_POINTS = 8192
+
+#: the y integrals run over (0, Y_MAX)^d, in v = sqrt(y) on the last axis:
+#: Y_ORDER Gauss-Legendre nodes per panel, geometric grading toward v = 0
+#: (see _v_breaks), at most Y_HALVINGS halvings of every panel, and sign
+#: changes of the integrand located to ROOT_TOL in v
+Y_MAX = 80.0
+Y_ORDER = 8
+Y_GRADE_BITS = 20.0
+Y_GRADE_MAX = 60
+Y_HALVINGS = 5
+ROOT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,7 +106,7 @@ class KernelQuery:
 class SubordinationRule:
     """Panel scheme for integrals in log-time over (0, inf)."""
 
-    panels: int = 48
+    panels: int = 12
     order: int = 12
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
@@ -90,13 +120,14 @@ class SubordinationRule:
 DEFAULT_RULE = SubordinationRule()
 
 
+def _log_mu_axis(alpha, y):
+    return alpha * np.log(y) - y - math.lgamma(alpha + 1.0)
+
+
 def log_mu_density(params: MultiIndexParams, y) -> float:
     """log of the mu_alpha Lebesgue density at y."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = 0.0
-    for a, yj in zip(params.alpha, y):
-        out += a * math.log(yj) - yj - math.lgamma(a + 1.0)
-    return out
+    return float(sum(_log_mu_axis(a, yj) for a, yj in zip(params.alpha, y)))
 
 
 def _log_heat_axis(alpha, t, x, y):
@@ -260,28 +291,71 @@ def _subordination_breaks(t: float, panels: int) -> np.ndarray:
     return np.exp(np.linspace(math.log(s_lo), math.log(S_CUTOFF), panels + 1))
 
 
-def _poisson_core_once(params, t, x, y, m, panels, order):
-    breaks = _subordination_breaks(t, panels)
-    s, w = _panel_nodes(np.log(breaks), order)
+@lru_cache(maxsize=256)
+def _subordination_nodes(t, m, panels, order):
+    """s nodes of the log-time panel rule on (0, S_CUTOFF) and the weights
+    w_i s_i d^m/dt^m g(t, s_i), so that sum_i weight_i F(s_i) ~ int d^m_t g F ds."""
+    s, w = _panel_nodes(np.log(_subordination_breaks(t, panels)), order)
     s = np.exp(s)
-    log_h = _log_heat_lebesgue(params, s, x, y)
-    val = float(np.dot(w * s, stable_density_dt(m, t, s) * np.exp(log_h)))
-    tail = math.exp(log_mu_density(params, y)) * stable_tail_mass(m, t, S_CUTOFF)
-    return val + tail
+    ws = w * s * stable_density_dt(m, t, s)
+    s.flags.writeable = False
+    ws.flags.writeable = False
+    return s, ws
+
+
+def _poisson_block_once(params, t, x, fixed, y, m, panels, order):
+    """d^m/dt^m p_t(x, (fixed, y_i)) for each y_i, from one subordination rule.
+
+    The heat factors of the fixed axes are one vector over the s nodes; the
+    last axis is an (y x s) block, built BLOCK_POINTS entries at a time so
+    that each chunk is one log_bessel_i_scaled call.  Each row is summed on
+    its own, so a value does not depend on the other y it is evaluated with.
+    """
+    s, ws = _subordination_nodes(t, m, panels, order)
+    log_fixed = 0.0
+    log_mu = 0.0
+    for a, xj, yj in zip(params.alpha, x, fixed):
+        log_fixed = log_fixed + _log_heat_axis(a, s, xj, yj)
+        log_mu += _log_mu_axis(a, yj)
+    a, xl = params.alpha[-1], x[-1]
+    out = np.empty(len(y))
+    step = max(1, BLOCK_POINTS // len(s))
+    for i in range(0, len(y), step):
+        yc = y[i : i + step, None]
+        log_h = _log_heat_axis(a, s, xl, yc) + log_fixed
+        out[i : i + step] = (np.exp(log_h) * ws).sum(axis=1)
+    tail = stable_tail_mass(m, t, S_CUTOFF)
+    return out + np.exp(log_mu + _log_mu_axis(a, y)) * tail
+
+
+def _poisson_block(params, t, x, fixed, y, m, rule: SubordinationRule):
+    """d^m/dt^m p_t(x, (fixed, y_i)) for a vector y of last coordinates.
+
+    Each y_i is refined on its own: the subordination panels double until
+    two successive values agree to max(abs_tol, rel_tol |value|).
+    """
+    y = np.asarray(y, dtype=float)
+    panels = rule.panels
+    prev = _poisson_block_once(params, t, x, fixed, y, m, panels, rule.order)
+    out = np.empty_like(prev)
+    todo = np.arange(len(y))
+    for _ in range(rule.max_refinements):
+        panels *= 2
+        cur = _poisson_block_once(params, t, x, fixed, y[todo], m, panels, rule.order)
+        done = np.abs(cur - prev) <= np.maximum(rule.abs_tol, rule.rel_tol * np.abs(cur))
+        out[todo[done]] = cur[done]
+        todo, prev = todo[~done], cur[~done]
+        if len(todo) == 0:
+            return out
+    bad = (*fixed, float(y[todo[0]]))
+    raise QuadratureError(
+        f"Poisson kernel quadrature did not converge at t={t}, x={x}, y={bad}, m={m}"
+    )
 
 
 def _poisson_core(params, t, x, y, m, rule: SubordinationRule):
-    panels = rule.panels
-    prev = _poisson_core_once(params, t, x, y, m, panels, rule.order)
-    for _ in range(rule.max_refinements):
-        panels *= 2
-        cur = _poisson_core_once(params, t, x, y, m, panels, rule.order)
-        if abs(cur - prev) <= max(rule.abs_tol, rule.rel_tol * abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"Poisson kernel quadrature did not converge at t={t}, x={x}, y={y}, m={m}"
-    )
+    """d^m/dt^m p_t(x, y) at one point y: the block evaluator on one column."""
+    return float(_poisson_block(params, t, x, y[:-1], y[-1:], m, rule)[0])
 
 
 def poisson_kernel(q: KernelQuery, rule: SubordinationRule = DEFAULT_RULE) -> float:
@@ -324,39 +398,121 @@ def poisson_apply(
     if not t > 0:
         raise DomainError("t must be positive")
     mean = _mu_mean(f, params)
-    breaks = _subordination_breaks(t, rule.panels)
-    s_nodes, w = _panel_nodes(np.log(breaks), rule.order)
-    s_nodes = np.exp(s_nodes)
-    g = stable_density(t, s_nodes)
+    s_nodes, ws = _subordination_nodes(t, 0, rule.panels, rule.order)
     total = 0.0
-    for sj, wj, gj in zip(s_nodes, w, g):
-        if wj * gj == 0.0:
+    for sj, wj in zip(s_nodes.tolist(), ws.tolist()):
+        if wj == 0.0:
             continue
-        q = KernelQuery(params, sj, x)
-        total += wj * sj * gj * heat_apply_kernel(f, q, heat_order)
+        total += wj * heat_apply_kernel(f, KernelQuery(params, sj, x), heat_order)
     return total + mean * stable_tail_mass(0, t, S_CUTOFF)
 
 
-def _kernel_y_integral(params, t, x, m, rule, integrand, epsabs, epsrel):
-    """Iterated adaptive quadrature over (0, 80)^d of integrand(p, y), where
-    p = d^m/dt^m p_t(x, y), with breakpoints at the coordinates of x."""
+def _v_breaks(alpha, t, x):
+    """Panel breaks in v = sqrt(y) on (0, sqrt(Y_MAX)).
+
+    p_t(x, .) peaks at v = sqrt(x) with width ~t, so breaks sit at sqrt(x)
+    and at dyadic steps t 2^j away from it.  Near v = 0 the integrand is
+    v^(2 alpha + 1) times a smooth function; below the lowest break, panels
+    halve in width until the first of them holds a share 2^-Y_GRADE_BITS of
+    that power's mass.
+    """
+    v_max = math.sqrt(Y_MAX)
+    v0 = math.sqrt(x)
+    steps = t * 2.0 ** np.arange(math.ceil(math.log2(v_max / t)) + 1)
+    around = np.concatenate((v0 - steps, [v0], v0 + steps))
+    around = around[(around > 0) & (around < v_max)]
+    low = around[0] if len(around) else v_max
+    levels = min(math.ceil(Y_GRADE_BITS / (2.0 * alpha + 2.0)), Y_GRADE_MAX)
+    graded = low * 2.0 ** -np.arange(float(levels), 0.0, -1.0)
+    return np.unique(np.concatenate(([0.0], graded, around, [v_max])))
+
+
+def _sign_changes(sign_of, v, p, known):
+    """Zeros of p between neighbouring nodes v where it changes sign, found by
+    vectorised bisection on sign_of(y) > 0; brackets holding a zero in
+    `known` are skipped."""
+    up = p > 0
+    i = np.flatnonzero(up[:-1] != up[1:])
+    lo, hi, up = v[i], v[i + 1], up[i]
+    new = np.searchsorted(known, lo) == np.searchsorted(known, hi)
+    lo, hi, up = lo[new], hi[new], up[new]
+    while len(lo) and np.max(hi - lo) > ROOT_TOL:
+        mid = 0.5 * (lo + hi)
+        same = (sign_of(mid * mid) > 0) == up
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _v_integral(block, breaks, epsabs, epsrel, weight=None, sign_of=None):
+    """int_0^sqrt(Y_MAX) of p(v^2) weight(v^2) 2v dv, or of |p(v^2)| 2v dv when
+    weight is None, where block(y) = p(y), by composite Gauss-Legendre panels.
+
+    For |p| the sign changes of p, located with sign_of (p to within its
+    discretisation error), become breaks, so every panel integrates a smooth
+    function.  All panels are halved until two successive sums agree to
+    max(epsabs, epsrel |sum|).
+    """
+    zeros = np.empty(0)
+    sums = []
+    for _ in range(Y_HALVINGS + 1):
+        v, w = _panel_nodes(breaks, Y_ORDER)
+        p = block(v * v)
+        if weight is None:
+            new = _sign_changes(sign_of, v, p, zeros)
+            if len(new):
+                zeros = np.union1d(zeros, new)
+                breaks = np.union1d(breaks, new)
+                v, w = _panel_nodes(breaks, Y_ORDER)
+                p = block(v * v)
+            vals = np.abs(p)
+        else:
+            vals = p * weight(v * v)
+        sums.append(float(np.dot(2.0 * v * w, vals)))
+        if len(sums) > 1 and abs(sums[-1] - sums[-2]) <= max(epsabs, epsrel * abs(sums[-1])):
+            return sums[-1]
+        breaks = np.sort(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]))))
+    raise QuadratureError(
+        f"y quadrature did not reach epsabs={epsabs:g}, epsrel={epsrel:g} "
+        f"after {Y_HALVINGS} halvings: last two sums {sums[-2]!r}, {sums[-1]!r}"
+    )
+
+
+def _kernel_y_integral(params, t, x, m, rule, f, epsabs, epsrel):
+    """int over (0, Y_MAX)^d of |p| (f None) or of p f(y), p = d^m/dt^m p_t(x, y).
+
+    The last axis is the v-panel rule of _v_integral on blocks of kernel
+    values; any earlier axes are iterated adaptive quadrature with
+    breakpoints at the coordinates of x.
+    """
     x = tuple(float(v) for v in np.atleast_1d(x))
-    y_max = 80.0
-    points = [p for p in x if 0 < p < y_max]
+    points = [p for p in x if 0 < p < Y_MAX]
+    breaks = _v_breaks(params.alpha[-1], t, x[-1])
 
     def inner(fixed):
-        if len(fixed) == params.d:
-            return integrand(_poisson_core(params, t, x, fixed, m, rule), fixed)
-        val, _ = quad(
-            lambda yj: inner(fixed + (yj,)),
-            0.0,
-            y_max,
-            points=points,
-            epsabs=epsabs,
-            epsrel=epsrel,
-            limit=400,
+        if len(fixed) < params.d - 1:
+            val, _ = quad(
+                lambda yj: inner(fixed + (yj,)),
+                0.0,
+                Y_MAX,
+                points=points,
+                epsabs=epsabs,
+                epsrel=epsrel,
+                limit=400,
+            )
+            return val
+        block = lambda y: _poisson_block(params, t, x, fixed, y, m, rule)
+        if f is None:
+            # bisection only reads signs, so it skips the refinement test,
+            # which cannot pass where p is below its own discretisation error
+            sign_of = lambda y: _poisson_block_once(
+                params, t, x, fixed, y, m, 2 * rule.panels, rule.order
+            )
+            return _v_integral(block, breaks, epsabs, epsrel, sign_of=sign_of)
+        weight = lambda y: call_on_points(
+            f, np.column_stack([np.broadcast_to(fixed, (len(y), len(fixed))), y])
         )
-        return val
+        return _v_integral(block, breaks, epsabs, epsrel, weight=weight)
 
     return inner(())
 
@@ -371,7 +527,7 @@ def l1_kernel_derivative(
     epsrel: float = 1e-7,
 ) -> float:
     """int over (0, inf)^d of |d^m/dt^m p_t(x, y)| dy."""
-    return _kernel_y_integral(params, t, x, m, rule, lambda p, y: abs(p), epsabs, epsrel)
+    return _kernel_y_integral(params, t, x, m, rule, None, epsabs, epsrel)
 
 
 def poisson_dt_apply(
@@ -384,7 +540,8 @@ def poisson_dt_apply(
     epsabs: float = 1e-10,
     epsrel: float = 1e-8,
 ) -> float:
-    """d^m/dt^m P_t f(x) computed through the kernel: int d^m p_t(x,y) f(y) dy."""
-    return _kernel_y_integral(
-        params, t, x, m, rule, lambda p, y: p * float(call_on_points(f, y)), epsabs, epsrel
-    )
+    """d^m/dt^m P_t f(x) computed through the kernel: int d^m p_t(x,y) f(y) dy.
+
+    f is called with a vector of y values (d = 1) or an (n, d) array.
+    """
+    return _kernel_y_integral(params, t, x, m, rule, f, epsabs, epsrel)

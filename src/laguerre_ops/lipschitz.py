@@ -22,7 +22,6 @@ from .expansion import (
     call_on_points,
     poisson,
     spectral_apply,
-    synthesize,
     synthesize_many,
     tensor_grid,
 )
@@ -108,7 +107,7 @@ def _sup_dt(f, params, t, n, xs, method, rule):
         vals = synthesize_many(poisson_dt_expansion(f, t, n), xs)
         return float(np.max(np.abs(vals)))
     if method == "kernel":
-        func = (lambda y: synthesize(f, y)) if isinstance(f, LaguerreExpansion) else f
+        func = (lambda y: synthesize_many(f, y)) if isinstance(f, LaguerreExpansion) else f
         return max(abs(poisson_dt_apply(func, params, t, x, n, rule)) for x in xs)
     raise DomainError(f"unknown method {method!r}")
 
@@ -202,14 +201,15 @@ def check_approximation(
     if not isinstance(f, LaguerreExpansion):
         raise DomainError("approximation check is defined on expansions")
     t_grid, xs = _grids(t_grid, x_grid, params.d)
-    est = lipschitz_seminorm(f, params, beta, t_grid, xs, method=method)
+    n = smallest_integer_above(beta)
+    a_beta, _ = _a_beta(f, params, beta, n, t_grid, xs, method, DEFAULT_RULE)
     f_vals = synthesize_many(f, xs)
     rows = []
     worst = 0.0
     for t in t_grid:
         pt = synthesize_many(spectral_apply(poisson(t), f), xs)
         measured = float(np.max(np.abs(pt - f_vals)))
-        bound = (1.0 + tol) * est.A_beta * t**beta
+        bound = (1.0 + tol) * a_beta * t**beta
         rows.append(ReportRow(f"t={t:.6g}", measured, bound))
         if bound > 0:
             worst = max(worst, measured / bound)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, ive, kve, logsumexp, roots_genlaguerre
@@ -167,12 +168,18 @@ def gauss_laguerre_rule(alpha: float, n: int) -> QuadratureRule:
 
     Nodes are the roots of L_n^alpha; weights are normalized so that they
     sum to 1 (mu_alpha is a probability measure).  Exact for polynomials of
-    degree <= 2n - 1.
+    degree <= 2n - 1.  Rules are solved once per (alpha, n) and shared, so
+    their arrays are read-only.
     """
     if alpha <= -1:
         raise DomainError(f"gauss_laguerre_rule requires alpha > -1, got {alpha}")
     if n < 1:
         raise DomainError("n must be a positive integer")
+    return _gauss_laguerre_rule(float(alpha), n)
+
+
+@lru_cache(maxsize=128)
+def _gauss_laguerre_rule(alpha: float, n: int) -> QuadratureRule:
     try:
         nodes, weights = roots_genlaguerre(n, alpha)
     except Exception as exc:  # pragma: no cover - scipy signals its own failures
@@ -182,4 +189,6 @@ def gauss_laguerre_rule(alpha: float, n: int) -> QuadratureRule:
     # roots_genlaguerre weights integrate against x^alpha e^-x dx; divide by
     # Gamma(alpha+1) to target the probability measure.
     weights = weights / math.gamma(alpha + 1.0)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights, exact_degree=2 * n - 1)

@@ -83,12 +83,12 @@ def test_criterion_4_l1_derivative_sweep():
     start = time.time()
     r = run_scenario(ScenarioConfig(scenario="lemma21"))
     elapsed = time.time() - start
-    ok = r.passed and elapsed < 600.0
+    ok = r.passed and elapsed < 120.0
     announce(4, ok, f"scaled L1 derivative sweep, spreads "
                     f"m1={r.extra['spread_m1']:.2f} m2={r.extra['spread_m2']:.2f}, "
                     f"{elapsed:.0f}s")
     assert r.passed
-    assert elapsed < 600.0
+    assert elapsed < 120.0
 
 
 def test_criterion_5_inverse_pairs_both_paths():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from laguerre_ops.errors import DomainError, OverflowGuardError
+from laguerre_ops.errors import DomainError, OverflowGuardError, QuadratureError
 from laguerre_ops.expansion import MultiIndexParams, basis_norm_sq
 from laguerre_ops.kernels import (
+    DEFAULT_RULE,
     KernelQuery,
     SubordinationRule,
     heat_apply_kernel,
@@ -19,6 +20,7 @@ from laguerre_ops.kernels import (
     stable_density,
     stable_density_dt,
     stable_tail_mass,
+    _poisson_block,
 )
 from laguerre_ops.specfun import laguerre_poly
 
@@ -249,12 +251,52 @@ class TestPoissonApply:
         assert got == pytest.approx(want, abs=1e-8)
 
 
+class TestPoissonBlock:
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("alpha", [-0.25, 0.5, 2.0])
+    def test_matches_scalar_kernel(self, alpha, m):
+        params = MultiIndexParams(1, (alpha,))
+        t, x = 0.3, 1.1
+        y = np.geomspace(1e-4, 30.0, 64)
+        got = _poisson_block(params, t, (x,), (), y, m, DEFAULT_RULE)
+        kernel = poisson_kernel if m == 0 else poisson_kernel_dt
+        want = [
+            kernel(KernelQuery(params, t, (x,), (float(v),), derivative_order=m))
+            for v in y
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_fixed_axes(self):
+        p2 = MultiIndexParams(2, (0.5, -0.25))
+        y = np.array([0.2, 1.0, 3.0])
+        got = _poisson_block(p2, 0.4, (1.0, 2.0), (0.7,), y, 1, DEFAULT_RULE)
+        want = [
+            poisson_kernel_dt(KernelQuery(p2, 0.4, (1.0, 2.0), (0.7, v), derivative_order=1))
+            for v in y
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 class TestL1Derivative:
     def test_finite_and_scales(self):
         a = l1_kernel_derivative(P_HALF, 0.5, (1.0,), 1)
         b = l1_kernel_derivative(P_HALF, 1.0, (1.0,), 1)
         assert math.isfinite(a) and math.isfinite(b)
         assert a > b > 0.0
+
+    def test_integrates_across_sign_changes(self):
+        # d/dt p changes sign at y = 0.37516 and 0.64190; the integral of
+        # |d/dt p| split at both zeros is 2.99207347134469
+        got = l1_kernel_derivative(P_HALF, 0.2, (0.5,), 1)
+        assert got == pytest.approx(2.99207347134469, rel=1e-9)
+
+    def test_mass_is_one(self):
+        # the kernel is nonnegative, so m = 0 gives its total mass
+        assert l1_kernel_derivative(P_NEG, 0.1, (2.0,), 0) == pytest.approx(1.0, abs=1e-9)
+
+    def test_unreachable_tolerance_raises(self):
+        with pytest.raises(QuadratureError):
+            l1_kernel_derivative(P_HALF, 2.0, (1.0,), 1, epsabs=1e-300, epsrel=1e-300)
 
 
 class TestSubordinationRule:

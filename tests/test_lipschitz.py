@@ -130,6 +130,24 @@ class TestChecks:
         with pytest.raises(DomainError):
             check_approximation(L1, P, 1.2)
 
+    def test_approximation_synthesizes_f_once(self, monkeypatch):
+        import laguerre_ops.lipschitz as lip
+
+        f = random_expansion(P, 4, seed=1)
+        want = check_approximation(f, P, 0.5)
+        calls = []
+        original = lip.synthesize_many
+        monkeypatch.setattr(
+            lip, "synthesize_many", lambda e, xs: calls.append(e) or original(e, xs)
+        )
+        got = check_approximation(f, P, 0.5)
+        assert sum(e is f for e in calls) == 1
+        assert got.rows == want.rows and got.max_ratio == want.max_ratio
+        est = lipschitz_seminorm(f, P, 0.5)
+        assert [r.bound for r in got.rows] == [
+            (1.0 + 0.05) * est.A_beta * t**0.5 for t in est.t_grid
+        ]
+
     def test_approximation_rows_scale_down(self):
         # measured ||P_t f - f|| decreases toward small t on the dyadic grid
         r = check_approximation(L1, P, 0.9)

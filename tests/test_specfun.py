@@ -181,3 +181,10 @@ class TestGaussLaguerre:
     def test_bad_node_count(self):
         with pytest.raises((DomainError, QuadratureError)):
             gauss_laguerre_rule(0.5, 0)
+
+    def test_rules_are_shared_and_read_only(self):
+        rule = gauss_laguerre_rule(0.5, 200)
+        assert gauss_laguerre_rule(0.5, 200) is rule
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0

@@ -5,7 +5,8 @@ finite Laguerre expansions, and a quadrature of the defining integral in the
 semigroup time variable.  On an expansion with modes of order n the Poisson
 semigroup contributes e^{-s sqrt(n)}, so the quadrature route reduces to
 numerical Mellin-Laplace integrals evaluated per mode; nothing about the
-eigenvalues is assumed beyond that exponential.
+eigenvalues is assumed beyond that exponential.  On a callable, P_s f(x) at
+every time the route needs comes from one poisson_apply call on one grid.
 
 Sign conventions: (P_s - I)^k f(x) equals the forward difference
 Delta_s^k(u(x, .), 0) of u(x, s) = P_s f(x), and the normalizing constant
@@ -29,7 +30,7 @@ from .expansion import (
     call_on_points,
     synthesize,
 )
-from .kernels import SubordinationRule, _mu_mean, _panel_nodes, poisson_apply
+from .kernels import _mu_mean, _panel_nodes, poisson_apply
 from .specfun import gamma
 
 __all__ = [
@@ -223,14 +224,6 @@ def bessel_derivative_expansion(e: LaguerreExpansion, cfg: FracOpConfig):
 # Pointwise operators: expansion fast path, callable slow path
 # ---------------------------------------------------------------------------
 
-#: coarse rule for the callable path, where every node costs a full
-#: subordinated heat quadrature
-_CALLABLE_RULE = SubordinationRule(panels=16, order=8, abs_tol=1e-8, rel_tol=1e-6)
-
-
-def _poisson_point(f, params, s, x):
-    return poisson_apply(f, params, s, x, rule=_CALLABLE_RULE, heat_order=8)
-
 
 def _callable_laplace_route(f, params, lam, x, shift):
     """(1/Gamma(lam)) int s^(lam-1) e^(-shift s) P_s f(x) ds for a callable f."""
@@ -240,14 +233,9 @@ def _callable_laplace_route(f, params, lam, x, shift):
             np.exp(np.linspace(0.0, math.log(45.0), 9))[1:],
         )
     )
-    s_nodes, w = _panel_nodes(np.unique(breaks), 4)
-    total = 0.0
-    for sj, wj in zip(s_nodes, w):
-        factor = sj ** (lam - 1.0) * math.exp(-shift * sj)
-        if factor == 0.0:
-            continue
-        total += wj * factor * _poisson_point(f, params, sj, x)
-    return total / gamma(lam)
+    s, w = _panel_nodes(np.unique(breaks), 4)
+    factor = w * s ** (lam - 1.0) * np.exp(-shift * s)
+    return float(np.dot(factor, poisson_apply(f, params, s, x))) / gamma(lam)
 
 
 def _callable_difference_route(f, params, lam, k, x, shift, t_floor):
@@ -256,24 +244,21 @@ def _callable_difference_route(f, params, lam, k, x, shift, t_floor):
     Below t_floor the difference is O(s^k); that stretch integrates to
     Delta(t_floor) t_floor^(-lam) / (k - lam) under the O(s^k) model.
     """
-    cache = {0.0: float(call_on_points(f, np.asarray(x)))}
-
-    def u(s):
-        if s not in cache:
-            cache[s] = math.exp(-shift * s) * _poisson_point(f, params, s, x)
-        return cache[s]
-
-    def delta(s):
-        return forward_difference(u, k, s, 0.0)
-
     breaks = np.exp(np.linspace(math.log(t_floor), math.log(45.0), 19))
     s_nodes, w = _panel_nodes(breaks, 4)
-    total = sum(wj * sj ** (-lam - 1.0) * delta(sj) for sj, wj in zip(s_nodes, w))
-    total += delta(t_floor) * t_floor ** (-lam) / (k - lam)
+    s = np.concatenate((s_nodes, [t_floor, 45.0]))
+    # column j holds u(j s), j = 0..k, all from one semigroup evaluation, and
+    # Delta_s^k(u, 0) is the unit-step difference of j -> u(j s)
+    times = np.outer(s, np.arange(1.0, k + 1))
+    u = np.exp(-shift * times) * poisson_apply(f, params, times, x)
+    u = np.column_stack((np.full(len(s), float(call_on_points(f, np.asarray(x)))), u))
+    delta = forward_difference(lambda j: u[:, int(j)], k, 1.0, 0.0)
+    total = np.dot(w * s_nodes ** (-lam - 1.0), delta[:-2])
+    total += delta[-2] * t_floor ** (-lam) / (k - lam)
     # beyond the cutoff every semigroup term has settled, so the difference
     # is the constant delta(45) and the remaining integral is analytic
-    total += delta(45.0) * 45.0 ** (-lam) / lam
-    return total / c_lambda(lam, k)
+    total += delta[-1] * 45.0 ** (-lam) / lam
+    return float(total) / c_lambda(lam, k)
 
 
 def _dispatch(kind, f, params, lam, x, cfg):

@@ -17,6 +17,10 @@ array of heat-kernel factors, built at most BLOCK_POINTS entries per
 log_bessel_i_scaled call, and each y is refined on its own by doubling the
 subordination panels.  A single kernel value is a block of one.
 
+poisson_apply takes a vector of times that share one subordination rule,
+so T_s f(x) is needed once per shared node s; those heat applications are
+one batched evaluation, and heat_apply_kernel is that engine on one time.
+
 The y integrals behind l1_kernel_derivative and poisson_dt_apply use, on
 the last axis, composite Gauss-Legendre panels in v = sqrt(y) on
 (0, sqrt(Y_MAX)): graded geometrically toward v = 0 and dyadically around
@@ -64,6 +68,9 @@ S_CUTOFF = 40.0
 #: largest (y x s-node) block handed to one log_bessel_i_scaled call
 BLOCK_POINTS = 8192
 
+#: Gauss-Legendre nodes per panel of the heat-kernel rule
+HEAT_ORDER = 12
+
 #: the y integrals run over (0, Y_MAX)^d, in v = sqrt(y) on the last axis:
 #: Y_ORDER Gauss-Legendre nodes per panel, geometric grading toward v = 0
 #: (see _v_breaks), at most Y_HALVINGS halvings of every panel, and sign
@@ -89,17 +96,18 @@ class KernelQuery:
     def __post_init__(self):
         if not self.t > 0:
             raise DomainError("time t must be positive")
-        x = tuple(float(v) for v in np.atleast_1d(self.x))
-        if len(x) != self.params.d or any(v <= 0 for v in x):
-            raise DomainError("x must be a point in (0, inf)^d")
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x", _point(self.params, self.x, "x"))
         if self.y is not None:
-            y = tuple(float(v) for v in np.atleast_1d(self.y))
-            if len(y) != self.params.d or any(v <= 0 for v in y):
-                raise DomainError("y must be a point in (0, inf)^d")
-            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "y", _point(self.params, self.y, "y"))
         if self.derivative_order < 0:
             raise DomainError("derivative_order must be nonnegative")
+
+
+def _point(params, p, name):
+    p = tuple(float(v) for v in np.atleast_1d(p))
+    if len(p) != params.d or any(v <= 0 for v in p):
+        raise DomainError(f"{name} must be a point in (0, inf)^d")
+    return p
 
 
 @dataclass(frozen=True)
@@ -124,12 +132,6 @@ def _log_mu_axis(alpha, y):
     return alpha * np.log(y) - y - math.lgamma(alpha + 1.0)
 
 
-def log_mu_density(params: MultiIndexParams, y) -> float:
-    """log of the mu_alpha Lebesgue density at y."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(sum(_log_mu_axis(a, yj) for a, yj in zip(params.alpha, y)))
-
-
 def _log_heat_axis(alpha, t, x, y):
     """log of one Lebesgue heat-kernel factor H_t(x, y); t or y may be an array.
 
@@ -149,22 +151,12 @@ def _log_heat_axis(alpha, t, x, y):
     )
 
 
-def _log_heat_lebesgue(params, t, x, y):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = 0.0
-    for j, a in enumerate(params.alpha):
-        out = out + _log_heat_axis(a, t, x[j], y[j])
-    return out
-
-
 def heat_kernel(q: KernelQuery) -> float:
     """Heat kernel G_t(x, y) against d mu_alpha(y) (Hille-Hardy product)."""
     if q.y is None:
         raise DomainError("heat_kernel requires both x and y")
-    log_g = float(
-        _log_heat_lebesgue(q.params, q.t, q.x, q.y) - log_mu_density(q.params, q.y)
-    )
+    factors = zip(q.params.alpha, q.x, q.y)
+    log_g = float(sum(_log_heat_axis(a, q.t, x, y) - _log_mu_axis(a, y) for a, x, y in factors))
     if abs(log_g) > 700.0:
         raise OverflowGuardError(f"heat kernel log-value {log_g} out of range")
     return math.exp(log_g)
@@ -174,31 +166,28 @@ def heat_kernel(q: KernelQuery) -> float:
 # Quadrature plumbing
 # ---------------------------------------------------------------------------
 
-_LEGGAUSS_CACHE = {}
+_leggauss = lru_cache(maxsize=None)(leggauss)
 
 
-def _leggauss(order):
-    if order not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[order] = leggauss(order)
-    return _LEGGAUSS_CACHE[order]
+def _gauss_panels(a, b, order: int):
+    """Gauss-Legendre nodes/weights on the panels [a_i, b_i], one row per panel."""
+    xg, wg = _leggauss(order)
+    a, b = a[:, None], b[:, None]
+    return 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
 
 
 def _panel_nodes(breaks: np.ndarray, order: int):
     """Gauss-Legendre nodes/weights on each consecutive panel of `breaks`."""
-    xg, wg = _leggauss(order)
-    a = breaks[:-1][:, None]
-    b = breaks[1:][:, None]
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * xg[None, :]
-    weights = 0.5 * (b - a) * wg[None, :]
+    nodes, weights = _gauss_panels(breaks[:-1], breaks[1:], order)
     return nodes.ravel(), weights.ravel()
 
 
-def _heat_axis_nodes(alpha, t, x, order=12):
-    """Quadrature nodes (y_i, W_i) with sum_i W_i f(y_i) ~ int H_t(x,y) f dy.
+def _heat_axis_breaks(t, x):
+    """Panel breaks in v = sqrt(y) for int H_t(x, y) f(y) dy on one axis.
 
-    Works in v = sqrt(y): the kernel is a Gaussian ridge centered at
-    v0 = sqrt(e^-t x) with width ~ sqrt((1-e^-t)/2), resolvable uniformly
-    in t; panels are graded toward v = 0 to absorb the y^alpha endpoint.
+    The kernel is a Gaussian ridge in v centered at v0 = sqrt(e^-t x) with
+    width ~ sqrt((1-e^-t)/2), resolvable uniformly in t; panels are graded
+    toward v = 0 to absorb the y^alpha endpoint.
     """
     one_r = -math.expm1(-t)
     v0 = math.sqrt(math.exp(-t) * x)
@@ -209,22 +198,54 @@ def _heat_axis_nodes(alpha, t, x, order=12):
         # a panel whose distance to v = 0 is below its width resolves the
         # v^(2 alpha + 1) factor poorly; grade geometrically up to sig
         graded = sig * 2.0 ** (-np.arange(30.0, 0.0, -1.0))
-        breaks = np.concatenate(([0.0], graded, [sig], bumps[bumps >= sig]))
-    else:
-        breaks = bumps
-    v, pw = _panel_nodes(np.unique(breaks), order)
+        return np.unique(np.concatenate(([0.0], graded, [sig], bumps[bumps >= sig])))
+    return np.unique(bumps)
+
+
+def _heat_nodes(alpha, t, x, v, pw):
+    """Nodes y = v^2 and weights 2 v pw H_t(x, y) of the v-panel rule; t may
+    hold one time per node."""
     y = v * v
     return y, np.exp(np.log(pw * 2.0 * v) + _log_heat_axis(alpha, t, x, y))
 
 
-def heat_apply_kernel(f, q: KernelQuery, order: int = 12) -> float:
+def _heat_apply_grid(f, params, t, x, order):
+    # one call per time, so that each tensor grid is freed before the next
+    axes = [
+        _heat_nodes(a, t, xj, *_panel_nodes(_heat_axis_breaks(t, xj), order))
+        for a, xj in zip(params.alpha, x)
+    ]
+    y, w = tensor_grid(*zip(*axes))
+    return np.dot(w, call_on_points(f, y))
+
+
+def _heat_apply_times(f, params, times, x, order):
+    """T_s f(x) for each heat time s in `times`.  At d = 1 the panels of all
+    times form one flat list, taken BLOCK_POINTS nodes at a time (one
+    log_bessel_i_scaled call and one call to f per chunk); at d >= 2 each
+    time is one tensor grid of the per-axis rules."""
+    if params.d > 1:
+        return np.array([_heat_apply_grid(f, params, s, x, order) for s in times.tolist()])
+    breaks = [_heat_axis_breaks(s, x[0]) for s in times.tolist()]
+    panels = np.array([len(v) - 1 for v in breaks])
+    lo = np.concatenate([v[:-1] for v in breaks])
+    hi = np.concatenate([v[1:] for v in breaks])
+    s = np.repeat(times, panels)[:, None]
+    sums = np.empty(len(lo))
+    step = max(1, BLOCK_POINTS // order)
+    for i in range(0, len(lo), step):
+        c = slice(i, i + step)
+        y, w = _heat_nodes(params.alpha[0], s[c], x[0], *_gauss_panels(lo[c], hi[c], order))
+        sums[c] = (w * call_on_points(f, y.reshape(-1, 1)).reshape(y.shape)).sum(axis=1)
+    return np.add.reduceat(sums, np.cumsum(panels) - panels)
+
+
+def heat_apply_kernel(f, q: KernelQuery, order: int = HEAT_ORDER) -> float:
     """T_t f(x) by quadrature of the heat kernel against d mu_alpha.
 
     f is called with a vector of y values (d = 1) or an (m, d) array.
     """
-    axes = [_heat_axis_nodes(a, q.t, q.x[j], order) for j, a in enumerate(q.params.alpha)]
-    y, w = tensor_grid(*zip(*axes))
-    return float(np.dot(w, call_on_points(f, y)))
+    return float(_heat_apply_times(f, q.params, np.array([q.t]), q.x, order)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +255,9 @@ def heat_apply_kernel(f, q: KernelQuery, order: int = 12) -> float:
 
 def stable_density(t: float, s) -> float:
     """g(t, s) = (t / 2 sqrt(pi)) e^{-t^2/4s} s^{-3/2}."""
-    if t <= 0:
-        raise DomainError("t must be positive")
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0):
+    if np.any(np.asarray(s, dtype=float) <= 0):
         raise DomainError("s must be positive")
-    out = t / (2.0 * math.sqrt(math.pi)) * np.exp(-t * t / (4.0 * s_arr)) * s_arr**-1.5
-    return out if np.ndim(s) else float(out)
+    return stable_density_dt(0, t, s)
 
 
 def _hermite(m: int, u):
@@ -284,11 +301,14 @@ def stable_tail_mass(m: int, t: float, s_hi: float) -> float:
     )
 
 
-def _subordination_breaks(t: float, panels: int) -> np.ndarray:
+def _s_floor(t):
     # e^{-t^2/4s} < 1e-20 below t^2/184; for large t the subordination mass
     # sits beyond S_CUTOFF and is handled by the analytic erf tail
-    s_lo = min(t * t / 184.0, 0.5 * S_CUTOFF)
-    return np.exp(np.linspace(math.log(s_lo), math.log(S_CUTOFF), panels + 1))
+    return min(t * t / 184.0, 0.5 * S_CUTOFF)
+
+
+def _subordination_breaks(t: float, panels: int) -> np.ndarray:
+    return np.exp(np.linspace(math.log(_s_floor(t)), math.log(S_CUTOFF), panels + 1))
 
 
 @lru_cache(maxsize=256)
@@ -353,27 +373,25 @@ def _poisson_block(params, t, x, fixed, y, m, rule: SubordinationRule):
     )
 
 
-def _poisson_core(params, t, x, y, m, rule: SubordinationRule):
-    """d^m/dt^m p_t(x, y) at one point y: the block evaluator on one column."""
-    return float(_poisson_block(params, t, x, y[:-1], y[-1:], m, rule)[0])
+def _kernel_value(q: KernelQuery, dt: bool, rule: SubordinationRule) -> float:
+    """d^m/dt^m p_t(x, y) at the query's point, m = q.derivative_order: the
+    block evaluator on one column."""
+    if q.y is None:
+        raise DomainError("the Poisson kernel requires both x and y")
+    if (q.derivative_order >= 1) != dt:
+        raise DomainError("poisson_kernel takes derivative_order 0, poisson_kernel_dt >= 1")
+    m = q.derivative_order
+    return float(_poisson_block(q.params, q.t, q.x, q.y[:-1], q.y[-1:], m, rule)[0])
 
 
 def poisson_kernel(q: KernelQuery, rule: SubordinationRule = DEFAULT_RULE) -> float:
     """Poisson kernel p_t(x, y) against Lebesgue dy, via s = -log r."""
-    if q.y is None:
-        raise DomainError("poisson_kernel requires both x and y")
-    if q.derivative_order != 0:
-        raise DomainError("poisson_kernel evaluates derivative_order = 0 only")
-    return _poisson_core(q.params, q.t, q.x, q.y, 0, rule)
+    return _kernel_value(q, False, rule)
 
 
 def poisson_kernel_dt(q: KernelQuery, rule: SubordinationRule = DEFAULT_RULE) -> float:
     """m-th time derivative of p_t(x, y), m = q.derivative_order >= 1."""
-    if q.y is None:
-        raise DomainError("poisson_kernel_dt requires both x and y")
-    if q.derivative_order < 1:
-        raise DomainError("poisson_kernel_dt requires derivative_order >= 1")
-    return _poisson_core(q.params, q.t, q.x, q.y, q.derivative_order, rule)
+    return _kernel_value(q, True, rule)
 
 
 def _mu_mean(f, params, quad_points=200):
@@ -385,26 +403,33 @@ def _mu_mean(f, params, quad_points=200):
 def poisson_apply(
     f,
     params: MultiIndexParams,
-    t: float,
+    t,
     x,
     rule: SubordinationRule = DEFAULT_RULE,
-    heat_order: int = 12,
-) -> float:
+):
     """P_t f(x) by subordination: int_0^inf g(t, s) T_s f(x) ds.
 
-    The s-integral is truncated at S_CUTOFF where T_s f has settled at its
-    mu_alpha-mean; the remainder is the analytic stable tail times the mean.
+    t is one time (a float is returned) or an array of times (an array of
+    that shape is returned).  All times share one rule: Gauss-Legendre
+    panels of the log width rule.panels panels have at t = 1, laid down
+    from S_CUTOFF to the floor of the smallest t, so T_s f(x) is evaluated
+    once per node.  Past S_CUTOFF, T_s f is its mu_alpha-mean, taken once.
     """
-    if not t > 0:
-        raise DomainError("t must be positive")
+    times = np.asarray(t, dtype=float)
+    if times.size == 0 or not np.all((times > 0) & np.isfinite(times)):
+        raise DomainError("t must be positive and finite")
+    x = _point(params, x, "x")
+    h = math.log(S_CUTOFF / _s_floor(1.0)) / rule.panels
+    n = math.ceil(math.log(S_CUTOFF / _s_floor(times.min())) / h - 1e-9)
+    u, w = _panel_nodes(math.log(S_CUTOFF) - h * np.arange(n, -1.0, -1.0), rule.order)
+    s = np.exp(u)
+    ws, heat = w * s, _heat_apply_times(f, params, s, x, HEAT_ORDER)
     mean = _mu_mean(f, params)
-    s_nodes, ws = _subordination_nodes(t, 0, rule.panels, rule.order)
-    total = 0.0
-    for sj, wj in zip(s_nodes.tolist(), ws.tolist()):
-        if wj == 0.0:
-            continue
-        total += wj * heat_apply_kernel(f, KernelQuery(params, sj, x), heat_order)
-    return total + mean * stable_tail_mass(0, t, S_CUTOFF)
+    out = [
+        np.dot(ws * stable_density_dt(0, ti, s), heat) + mean * stable_tail_mass(0, ti, S_CUTOFF)
+        for ti in times.ravel().tolist()
+    ]
+    return np.reshape(out, times.shape) if np.ndim(t) else float(out[0])
 
 
 def _v_breaks(alpha, t, x):

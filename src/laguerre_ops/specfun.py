@@ -87,10 +87,14 @@ def _ive(nu: float, z: np.ndarray) -> np.ndarray:
         return ive(max(nu, 0.0), z)
     # I_nu = I_v + (2/pi) sin(v pi) K_v with v = -nu.  ive applies this
     # reflection with sin(pi nu), which loses every digit as nu -> -1;
-    # sin((1 - v) pi) keeps them, since 1 - v is exact for v >= 1/2.
+    # sin((1 - v) pi) keeps them, since 1 - v is exact for v >= 1/2.  The
+    # K term is below 2 e^(-2z) times ive, under half an ulp from z = 20 on.
     v = -nu
-    k_term = kve(v, z) * np.exp(-2.0 * z)
-    return ive(v, z) + (2.0 / math.pi) * math.sin(math.pi * min(v, 1.0 - v)) * k_term
+    out = ive(v, z)
+    near = z < 20.0
+    k_term = kve(v, z[near]) * np.exp(-2.0 * z[near])
+    out[near] += (2.0 / math.pi) * math.sin(math.pi * min(v, 1.0 - v)) * k_term
+    return out
 
 
 def log_bessel_i_scaled(nu: float, z):

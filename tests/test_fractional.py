@@ -267,6 +267,22 @@ class TestPointApply:
         )
         assert got == pytest.approx(laguerre_poly(1, 0.5, 1.3), abs=1e-4)
 
+    @pytest.mark.parametrize(
+        "alpha,k,lam,x",
+        [
+            (0.5, 3, 0.8276, 2.6302),  # error 1.4e-4 with a subordination rule per s
+            (0.5, 1, 1.1681, 0.8782),  # error 8.0e-2 with a subordination rule per s
+            (-0.25, 4, 1.2041, 2.7938),  # error 2.6e-1 with a subordination rule per s
+        ],
+    )
+    def test_callable_fractional_derivative_on_eigenfunctions(self, alpha, k, lam, x):
+        # the differences of P_s f amplify any noise that varies with s;
+        # every s shares one subordination rule, so there is none
+        params = MultiIndexParams(1, (alpha,))
+        f = lambda y: laguerre_poly(k, alpha, y)
+        got = fractional_derivative_apply(f, params, lam, (x,))
+        assert got == pytest.approx(k ** (lam / 2) * laguerre_poly(k, alpha, x), abs=1e-4)
+
     def test_callable_bessel_derivative_on_constants(self):
         got = bessel_derivative_apply(lambda y: np.ones_like(y), P, 0.5, (1.3,))
         assert got == pytest.approx(1.0, abs=1e-4)

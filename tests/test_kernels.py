@@ -5,7 +5,15 @@ import pytest
 from scipy.integrate import quad
 
 from laguerre_ops.errors import DomainError, OverflowGuardError, QuadratureError
-from laguerre_ops.expansion import MultiIndexParams, basis_norm_sq
+from laguerre_ops.expansion import (
+    MultiIndexParams,
+    basis_norm_sq,
+    poisson,
+    random_expansion,
+    spectral_apply,
+    synthesize,
+    synthesize_many,
+)
 from laguerre_ops.kernels import (
     DEFAULT_RULE,
     KernelQuery,
@@ -20,6 +28,7 @@ from laguerre_ops.kernels import (
     stable_density,
     stable_density_dt,
     stable_tail_mass,
+    _heat_apply_times,
     _poisson_block,
 )
 from laguerre_ops.specfun import laguerre_poly
@@ -135,6 +144,27 @@ class TestHeatApply:
         assert got == pytest.approx(want, abs=1e-11)
 
 
+class TestHeatEngine:
+    @pytest.mark.parametrize("alpha", [-0.25, 0.5, 2.0])
+    def test_batched_times_match_single_times(self, alpha):
+        # 300 times make about 20 BLOCK_POINTS chunks, and a chunk edge can
+        # split the panels of one time between two chunks
+        params = MultiIndexParams(1, (alpha,))
+        f = lambda y: np.exp(-0.3 * y)
+        times = np.geomspace(1e-12, 40.0, 300)
+        got = _heat_apply_times(f, params, times, (1.3,), 12)
+        want = [heat_apply_kernel(f, KernelQuery(params, t, (1.3,))) for t in times]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_batched_times_two_dimensional(self):
+        p2 = MultiIndexParams(2, (0.5, -0.25))
+        g = lambda pts: np.exp(-0.3 * pts[:, 0] - 0.1 * pts[:, 1])
+        times = np.array([1e-3, 0.5, 20.0])
+        got = _heat_apply_times(g, p2, times, (1.2, 0.7), 8)
+        want = [heat_apply_kernel(g, KernelQuery(p2, t, (1.2, 0.7)), order=8) for t in times]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 class TestStableDensity:
     def test_laplace_transform(self):
         # int_0^inf e^{-ns} g(t,s) ds = e^{-t sqrt(n)}
@@ -239,6 +269,38 @@ class TestPoissonApply:
         got = poisson_apply(lambda y: laguerre_poly(3, alpha, y), params, t, (x,))
         want = math.exp(-t * math.sqrt(3)) * laguerre_poly(3, alpha, x)
         assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.5, 2.0])
+    def test_vector_times_match_spectral(self, alpha):
+        # every time shares one subordination rule, from 1e-6 (the callable
+        # difference route's floor) to 135 (three times its cutoff 45)
+        params = MultiIndexParams(1, (alpha,))
+        e = random_expansion(params, 5, seed=4)
+        times = np.array([1e-6, 1e-3, 0.3, 1.0, 10.0, 45.0, 135.0])
+        x = np.array([1.3])
+        got = poisson_apply(lambda y: synthesize_many(e, y), params, times, x)
+        want = [synthesize(spectral_apply(poisson(t), e), x) for t in times]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_vector_times_two_dimensional(self):
+        p2 = MultiIndexParams(2, (0.5, -0.25))
+        g = lambda pts: laguerre_poly(1, 0.5, pts[:, 0]) * laguerre_poly(2, -0.25, pts[:, 1])
+        times = np.array([[1.0], [10.0]])
+        got = poisson_apply(g, p2, times, (1.2, 0.7))
+        want = np.exp(-times * math.sqrt(3)) * g(np.array([[1.2, 0.7]]))
+        assert got.shape == (2, 1)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_scalar_time_is_one_element_vector(self):
+        f = lambda y: laguerre_poly(2, 0.5, y)
+        got = poisson_apply(f, P_HALF, 0.8, (1.3,))
+        assert isinstance(got, float)
+        assert got == poisson_apply(f, P_HALF, np.array([0.8]), (1.3,))[0]
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan, np.array([0.5, 0.0]), []])
+    def test_rejects_bad_times(self, t):
+        with pytest.raises(DomainError):
+            poisson_apply(np.exp, P_HALF, t, (1.0,))
 
     def test_dt_apply_matches_multiplier(self):
         k, m, t, x = 3, 2, 0.7, 1.3

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_genlaguerre, iv
+from scipy.special import eval_genlaguerre, iv, ive, kve
 
 from laguerre_ops.errors import DomainError, PoleError, QuadratureError
 from laguerre_ops.specfun import (
     IVE_Z_MAX,
+    _ive,
     _log_series,
     gamma,
     gauss_laguerre_rule,
@@ -117,6 +118,18 @@ class TestBesselI:
         # sin(nu pi) as nu -> -1; at subnormal z, K_{-nu} overflows
         for z in (5e-324, 1e-12, 1e-6, 1e-3, 1.0, 30.0):
             assert_log_close(log_bessel_i_scaled(nu, z), mp_log_bessel_i_scaled(nu, z))
+
+    @pytest.mark.parametrize("nu", [-0.999, -0.5, -0.25, -1e-9])
+    def test_reflection_drops_vanishing_k_term(self, nu):
+        # the K term is left out from z = 20 on, where it is below half an
+        # ulp of ive: the result must equal the full reflection bit for bit
+        v = -nu
+        z = np.concatenate(
+            (np.geomspace(15.0, 1e4, 4000), np.random.default_rng(1).uniform(15.0, 30.0, 4000))
+        )
+        k_term = kve(v, z) * np.exp(-2.0 * z)
+        full = ive(v, z) + (2.0 / math.pi) * math.sin(math.pi * min(v, 1.0 - v)) * k_term
+        np.testing.assert_array_equal(_ive(nu, z), full)
 
     def test_invalid_order(self):
         with pytest.raises(DomainError):

@@ -11,11 +11,13 @@ whose Laplace transform in s is e^{-t sqrt(n)}: the substitution s = -log r
 turns the unit-interval kernel integral into an integral of g against the
 heat kernel on (0, inf).  Time derivatives differentiate g analytically.
 
-Kernel values are evaluated in blocks: d^m/dt^m p_t(x, y) for a vector of
-last coordinates y (earlier coordinates held fixed) is one (y x s-node)
-array of heat-kernel factors, built at most BLOCK_POINTS entries per
-log_bessel_i_scaled call, and each y is refined on its own by doubling the
-subordination panels.  A single kernel value is a block of one.
+T_s f(x) integrates one heat-axis rule per coordinate: Gauss-Legendre
+panels laid in offsets u from the kernel's Gaussian ridge in v = sqrt(y),
+whose exponent -u^2/2 is exact, and, where the ridge reaches v = sigma, one
+Gauss-Jacobi panel in y on [0, sigma^2] that is exact for the y^alpha
+endpoint.  Kernel values d^m/dt^m p_t(x, y) come in (y x s-node) blocks of
+at most BLOCK_POINTS entries per log_bessel_i_scaled call, each y refined on
+its own by doubling the subordination panels; one value is a block of one.
 
 P_t f(x) and its time derivatives are read off one semigroup table: the
 nodes s of a log-time rule shared by all times, T_s f(x) at each node (one
@@ -40,6 +42,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad  # noqa: F401  (bench/tracing.py patches kernels.quad)
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, OverflowGuardError, QuadratureError
 from .expansion import MultiIndexParams, call_on_points, tensor_grid
@@ -67,7 +70,7 @@ S_CUTOFF = 40.0
 #: largest (y x s-node) block handed to one log_bessel_i_scaled call
 BLOCK_POINTS = 8192
 
-#: Gauss-Legendre nodes per panel of the heat-kernel rule
+#: nodes per panel of the heat-axis rule (Gauss-Legendre and Gauss-Jacobi)
 HEAT_ORDER = 12
 
 #: Gauss-Laguerre nodes per axis of the mu_alpha-mean of f
@@ -171,75 +174,79 @@ def heat_kernel(q: KernelQuery) -> float:
 _leggauss = lru_cache(maxsize=None)(leggauss)
 
 
-def _gauss_panels(a, b, order: int):
-    """Gauss-Legendre nodes/weights on the panels [a_i, b_i], one row per panel."""
-    xg, wg = _leggauss(order)
-    a, b = a[:, None], b[:, None]
-    return 0.5 * (a + b) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg
-
-
 def _panel_nodes(breaks: np.ndarray, order: int):
     """Gauss-Legendre nodes/weights on each consecutive panel of `breaks`."""
-    nodes, weights = _gauss_panels(breaks[:-1], breaks[1:], order)
-    return nodes.ravel(), weights.ravel()
+    xg, wg = _leggauss(order)
+    a, b = breaks[:-1, None], breaks[1:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * xg).ravel(), (0.5 * (b - a) * wg).ravel()
 
 
-def _heat_axis_breaks(t, x):
-    """Panel breaks in v = sqrt(y) for int H_t(x, y) f(y) dy on one axis.
+@lru_cache(maxsize=256)
+def _jacobi_panel(alpha, order):
+    """Nodes g and weights of the heat-axis endpoint panel on g = v / sigma in
+    (0, 1), exact for g^(2 alpha + 1) p(g^2) with deg p < 2 order: Gauss-Jacobi
+    in eta = g^2 with weight eta^alpha (Golub-Welsch).  Solved in eta, not in
+    xi = 2 eta - 1, so the nodes near eta = 0 keep full relative precision."""
+    k = np.arange(1.0, order)
+    c = 2.0 * k + alpha
+    diag = (2.0 * k * (k + alpha + 1.0) + alpha * (alpha + 1.0)) / (c * (c + 2.0))
+    off = k * (k + alpha) / (c * np.sqrt((c + 1.0) * (2.0 * k - 1.0 + alpha)))
+    eta, vec = eigh_tridiagonal(np.append((alpha + 1.0) / (alpha + 2.0), diag), off)
+    g = np.sqrt(eta)
+    w = vec[0] ** 2 / (2.0 * (alpha + 1.0) * eta**alpha * g)
+    g.flags.writeable = w.flags.writeable = False
+    return g, w
 
-    The kernel is a Gaussian ridge in v centered at v0 = sqrt(e^-t x) with
-    width ~ sqrt((1-e^-t)/2), resolvable uniformly in t; panels are graded
-    toward v = 0 to absorb the y^alpha endpoint.
+
+def _heat_axis_rule(alpha, times, x, order):
+    """The heat-axis rule for int H_s(x, y) f(y) dy at each heat time s.
+
+    In v = sqrt(y) the kernel is a ridge e^(-u^2/2) in u = (v - v0) / sigma,
+    v0 = sqrt(e^-s x), sigma = sqrt((1 - e^-s) / 2).  Gauss-Legendre panels 2
+    wide in u cover [-12, 16] above v = sigma, and where the ridge reaches
+    v = sigma the Jacobi panel takes y below sigma^2.  The exponent -u^2/2 is
+    taken from the offsets u.  Returns per panel its time's index, and nodes y
+    and weights 2 v sigma du H_s(x, y) as one row of `order` per panel.
     """
-    one_r = -math.expm1(-t)
-    v0 = math.sqrt(math.exp(-t) * x)
-    sig = math.sqrt(one_r / 2.0)
-    bumps = v0 + sig * np.arange(-12.0, 16.5, 1.0)
-    bumps = bumps[bumps > 0]
-    if len(bumps) == 0 or bumps[0] < sig:
-        # a panel whose distance to v = 0 is below its width resolves the
-        # v^(2 alpha + 1) factor poorly; grade geometrically up to sig
-        graded = sig * 2.0 ** (-np.arange(30.0, 0.0, -1.0))
-        return np.unique(np.concatenate(([0.0], graded, [sig], bumps[bumps >= sig])))
-    return np.unique(bumps)
-
-
-def _heat_nodes(alpha, t, x, v, pw):
-    """Nodes y = v^2 and weights 2 v pw H_t(x, y) of the v-panel rule; t may
-    hold one time per node."""
-    y = v * v
-    return y, np.exp(np.log(pw * 2.0 * v) + _log_heat_axis(alpha, t, x, y))
-
-
-def _heat_apply_grid(f, params, t, x, order):
-    # one call per time, so that each tensor grid is freed before the next
-    axes = [
-        _heat_nodes(a, t, xj, *_panel_nodes(_heat_axis_breaks(t, xj), order))
-        for a, xj in zip(params.alpha, x)
-    ]
-    y, w = tensor_grid(*zip(*axes))
-    return np.dot(w, call_on_points(f, y))
+    one_r = -np.expm1(-times)
+    sig = np.sqrt(0.5 * one_r)
+    v0 = np.sqrt(np.exp(-times) * x)
+    floor = 1.0 - v0 / sig  # u at v = sigma
+    ridge = np.arange(-12.0, 16.5, 2.0)
+    lo = np.column_stack((-v0 / sig, np.maximum(ridge[:-1], floor[:, None])))
+    width = np.column_stack((np.ones_like(v0), ridge[1:] - lo[:, 1:]))
+    used = np.column_stack((floor > ridge[0], width[:, 1:] > 0))
+    idx, col = np.nonzero(used)
+    lo, width, jac = lo[used][:, None], width[used][:, None], (col == 0)[:, None]
+    one_r, sig, v0 = one_r[idx, None], sig[idx, None], v0[idx, None]
+    (xg, wg), (g, wj) = _leggauss(order), _jacobi_panel(alpha, order)
+    unit = np.where(jac, g, 0.5 * (xg + 1.0))
+    u = lo + width * unit
+    v = np.where(jac, sig * unit, v0 + sig * u)
+    log_h = alpha * np.log(v / v0) - 0.5 * u * u + log_bessel_i_scaled(alpha, v0 * v / (sig * sig))
+    pw = np.where(jac, wj, 0.5 * wg) * width * 2.0 * v * sig / one_r
+    return idx, v * v, pw * np.exp(log_h)
 
 
 def _heat_apply_times(f, params, times, x, order):
-    """T_s f(x) for each heat time s in `times`.  At d = 1 the panels of all
-    times form one flat list, taken BLOCK_POINTS nodes at a time (one
-    log_bessel_i_scaled call and one call to f per chunk); at d >= 2 each
-    time is one tensor grid of the per-axis rules."""
+    """T_s f(x) for each heat time s in `times`.  At d = 1 the times are taken
+    in chunks of at most BLOCK_POINTS nodes (one log_bessel_i_scaled call and
+    one call to f per chunk); at d >= 2 each time is one tensor grid of the
+    per-axis rules, freed before the next."""
+    out = np.empty(len(times))
     if params.d > 1:
-        return np.array([_heat_apply_grid(f, params, s, x, order) for s in times.tolist()])
-    breaks = [_heat_axis_breaks(s, x[0]) for s in times.tolist()]
-    panels = np.array([len(v) - 1 for v in breaks])
-    lo = np.concatenate([v[:-1] for v in breaks])
-    hi = np.concatenate([v[1:] for v in breaks])
-    s = np.repeat(times, panels)[:, None]
-    sums = np.empty(len(lo))
-    step = max(1, BLOCK_POINTS // order)
-    for i in range(0, len(lo), step):
-        c = slice(i, i + step)
-        y, w = _heat_nodes(params.alpha[0], s[c], x[0], *_gauss_panels(lo[c], hi[c], order))
-        sums[c] = (w * call_on_points(f, y.reshape(-1, 1)).reshape(y.shape)).sum(axis=1)
-    return np.add.reduceat(sums, np.cumsum(panels) - panels)
+        for i, s in enumerate(times.tolist()):
+            rules = [_heat_axis_rule(a, np.array([s]), xj, order) for a, xj in zip(params.alpha, x)]
+            y, w = tensor_grid([r[1].ravel() for r in rules], [r[2].ravel() for r in rules])
+            out[i] = np.dot(w, call_on_points(f, y))
+        return out
+    step = max(1, BLOCK_POINTS // (15 * order))  # a time has at most 15 panels
+    for i in range(0, len(times), step):
+        chunk = times[i : i + step]
+        idx, y, w = _heat_axis_rule(params.alpha[0], chunk, x[0], order)
+        sums = (w * call_on_points(f, y.reshape(-1, 1)).reshape(y.shape)).sum(axis=1)
+        out[i : i + step] = np.bincount(idx, sums, minlength=len(chunk))
+    return out
 
 
 def heat_apply_kernel(f, q: KernelQuery, order: int = HEAT_ORDER) -> float:

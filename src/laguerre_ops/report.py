@@ -7,7 +7,7 @@ parse(emit(r)) round trip reproduces every value bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 
@@ -51,15 +51,7 @@ class BoundReport:
 
     def same_results(self, other: "BoundReport") -> bool:
         """Field-for-field equality ignoring wall-clock time."""
-        return (
-            self.scenario == other.scenario
-            and self.claim == other.claim
-            and self.config == other.config
-            and self.rows == other.rows
-            and self.max_ratio == other.max_ratio
-            and self.passed == other.passed
-            and self.extra == other.extra
-        )
+        return replace(self, wall_time=0.0) == replace(other, wall_time=0.0)
 
 
 def _config_strings(config: dict) -> dict:

@@ -110,6 +110,12 @@ class TestScenarios:
         assert names == {"heat", "poisson", "potential", "integral", "derivative",
                          "bessel-derivative"}
 
+    @pytest.mark.parametrize("alpha", [-0.9, -0.99])
+    def test_spectral_vs_kernel_negative_alpha(self, alpha):
+        # the heat rule's Jacobi panel is exact for the y^alpha endpoint
+        r = run_scenario(ScenarioConfig(scenario="spectral-vs-kernel", alpha=(alpha,)))
+        assert r.passed
+
     def test_report_config_reruns(self):
         r = run_scenario(ScenarioConfig(scenario="subordination", tolerances={"abs": 1e-7}))
         parsed = parse_report(report_to_json(r))

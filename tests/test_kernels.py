@@ -147,8 +147,8 @@ class TestHeatApply:
 class TestHeatEngine:
     @pytest.mark.parametrize("alpha", [-0.25, 0.5, 2.0])
     def test_batched_times_match_single_times(self, alpha):
-        # 300 times make about 20 BLOCK_POINTS chunks, and a chunk edge can
-        # split the panels of one time between two chunks
+        # 300 times make 7 chunks of at most BLOCK_POINTS nodes; a value must
+        # not depend on the chunk its time falls in or on the other times
         params = MultiIndexParams(1, (alpha,))
         f = lambda y: np.exp(-0.3 * y)
         times = np.geomspace(1e-12, 40.0, 300)
@@ -163,6 +163,52 @@ class TestHeatEngine:
         got = _heat_apply_times(g, p2, times, (1.2, 0.7), 8)
         want = [heat_apply_kernel(g, KernelQuery(p2, t, (1.2, 0.7)), order=8) for t in times]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+class TestHeatAxisRule:
+    """The Gauss-Jacobi endpoint panel and the ridge panels in offsets against
+    the spectral route, on eigenfunctions L_k^alpha down to alpha = -0.99."""
+
+    @pytest.mark.parametrize("alpha", [-0.99, -0.9, -0.75, -0.25, 0.5, 2.0, 25.0])
+    def test_matches_spectral_route(self, alpha):
+        params = MultiIndexParams(1, (alpha,))
+        times = np.array([1e-3, 0.3, 1.0, 10.0])
+        for k in range(4):
+            f = lambda y: laguerre_poly(k, alpha, y)
+            for x in (0.05, 0.7, 3.0, 20.0):
+                fx = laguerre_poly(k, alpha, x)
+                tol = 1e-12 * max(abs(fx), 1.0)
+                for t in (1e-7, *times):
+                    got = heat_apply_kernel(f, KernelQuery(params, t, (x,)))
+                    assert got == pytest.approx(math.exp(-t * k) * fx, abs=tol), (k, x, t)
+                got = poisson_apply(f, params, times, (x,))
+                want = np.exp(-times * math.sqrt(k)) * fx
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=tol, err_msg=f"k={k}, x={x}")
+
+    def test_two_dimensional_negative_alpha(self):
+        p2 = MultiIndexParams(2, (0.5, -0.9))
+        g = lambda pts: laguerre_poly(1, 0.5, pts[:, 0]) * laguerre_poly(2, -0.9, pts[:, 1])
+        x = (1.2, 0.7)
+        gx = float(g(np.array([x]))[0])
+        tol = 1e-12 * max(abs(gx), 1.0)
+        for t in (1e-7, 0.3, 1.0):
+            got = heat_apply_kernel(g, KernelQuery(p2, t, x))
+            assert got == pytest.approx(math.exp(-3.0 * t) * gx, abs=tol), t
+        times = np.array([0.3, 1.0])
+        got = poisson_apply(g, p2, times, x)
+        np.testing.assert_allclose(got, np.exp(-times * math.sqrt(3.0)) * gx, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize(
+        "alpha, x, budget",
+        [((-0.25,), (1.2,), 30_000), ((0.5, -0.25), (1.2, 0.7), 5_000_000)],
+    )
+    def test_points_per_poisson_apply(self, alpha, x, budget):
+        # a deterministic cost bound: the points of f one poisson_apply reads
+        seen = []
+        f = lambda y: seen.append(len(y)) or np.ones(len(y))
+        got = poisson_apply(f, MultiIndexParams(len(alpha), alpha), 1.0, x)
+        assert got == pytest.approx(1.0, abs=1e-12)
+        assert sum(seen) <= budget
 
 
 class TestStableDensity:

@@ -114,6 +114,15 @@ class TestSeminorm:
         for t in a.t_grid:
             assert b.sup_table[t] == pytest.approx(a.sup_table[t], abs=1e-8)
 
+    def test_kernel_path_third_derivative(self):
+        # beta = 2.5 takes d^3/dt^3 down to t = 5 * 2^-10, where the
+        # subordination integral multiplies the heat rule's error by ~5e7
+        f = random_expansion(P, 6, seed=1)
+        a = lipschitz_seminorm(f, P, 2.5, method="spectral")
+        b = lipschitz_seminorm(f, P, 2.5, method="kernel")
+        for t in a.t_grid:
+            assert b.sup_table[t] == pytest.approx(a.sup_table[t], rel=1e-8)
+
     def test_bad_beta(self):
         with pytest.raises(DomainError):
             lipschitz_seminorm(L1, P, 0.0)

@@ -7,6 +7,10 @@ semigroup contributes e^{-s sqrt(n)}, so the quadrature route reduces to
 numerical Mellin-Laplace integrals evaluated per mode; nothing about the
 eigenvalues is assumed beyond that exponential.  On a callable, P_s f(x) at
 every time the route needs comes from one poisson_apply call on one grid.
+The power-law endpoint at s = 0, s^(lam-1) on the Laplace route and
+s^(k-lam-1) on the difference route, is carried exactly by one Gauss-Jacobi
+panel (specfun.gauss_jacobi_rule) in every mode's integral and in the
+callable Laplace route; the callable difference route starts at t_floor.
 
 Sign conventions: (P_s - I)^k f(x) equals the forward difference
 Delta_s^k(u(x, .), 0) of u(x, s) = P_s f(x), and the normalizing constant
@@ -31,7 +35,7 @@ from .expansion import (
     synthesize,
 )
 from .kernels import _mu_mean, _panel_nodes, poisson_apply
-from .specfun import gamma
+from .specfun import gamma, gauss_jacobi_rule
 
 __all__ = [
     "ROUTES",
@@ -78,66 +82,40 @@ class FracOpConfig:
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional integral engines (graded panels toward s = 0)
+# One-dimensional integral engines (one Gauss-Jacobi panel at s = 0)
 # ---------------------------------------------------------------------------
 
 
-def _graded_unit_breaks(levels: int = 40) -> np.ndarray:
-    return np.concatenate(([0.0], 2.0 ** (-np.arange(float(levels), 0.0, -1.0)), [1.0]))
-
-
-def _panel_quad(breaks, func, order=16):
-    s, w = _panel_nodes(np.asarray(breaks, dtype=float), order)
-    return float(np.dot(w, func(s)))
+def _power_integral(p: float, a: float, smooth) -> float:
+    """int_0^(45/a) s^p smooth(s) ds for p > -1, where smooth carries the
+    decay e^(-a s), below 3e-20 past s = 45/a.  A Gauss-Jacobi panel with
+    weight s^p takes (0, h], h = min(1, 32/a), on which e^(-a s) is a
+    polynomial of degree < 64 to double precision; log-spaced Gauss-Legendre
+    panels take the rest."""
+    h = min(1.0, 32.0 / a)
+    body = h ** (p + 1.0) * gauss_jacobi_rule(p, 32).integrate(lambda eta: smooth(h * eta))
+    s, w = _panel_nodes(np.exp(np.linspace(math.log(h), math.log(45.0 / a), 33)), 16)
+    return body + float(np.dot(w, s**p * smooth(s)))
 
 
 def _mellin_laplace(lam: float, a: float) -> float:
-    """int_0^inf s^(lam-1) e^(-a s) ds for a > 0, by quadrature.
-
-    On (0, 1] the substitution s = w^(1/lam) flattens the endpoint weight:
-    the integrand becomes e^(-a w^(1/lam)) / lam, which is bounded.
-    """
+    """int_0^inf s^(lam-1) e^(-a s) ds for a > 0, by quadrature."""
     if a <= 0:
         raise DomainError("decay rate must be positive")
-    body = _panel_quad(
-        np.unique(_graded_unit_breaks()),
-        lambda w: np.exp(-a * w ** (1.0 / lam)) / lam,
-    )
-    s_hi = max(2.0, 45.0 / a)
-    tail = _panel_quad(
-        np.exp(np.linspace(0.0, math.log(s_hi), 33)),
-        lambda s: s ** (lam - 1.0) * np.exp(-a * s),
-    )
-    return body + tail
+    return _power_integral(lam - 1.0, a, lambda s: np.exp(-a * s))
 
 
 def _em1_power_integral(lam: float, k: int, a: float) -> float:
     """int_0^inf s^(-lam-1) (e^(-a s) - 1)^k ds, requiring lam < k.
 
-    Near 0 the integrand behaves like (-a)^k s^(k-lam-1); on (0, 1] the
-    substitution s = w^(1/(k-lam)) removes the endpoint weight exactly,
-    leaving the bounded factor ((e^(-a s) - 1)/s)^k.
+    That is s^(k-lam-1) times the bounded factor ((e^(-a s) - 1)/s)^k, and
+    past s = 45/a, where e^(-a s) has died out, the analytic tail of
+    (-1)^k s^(-lam-1).
     """
     if lam >= k:
         raise DomainError("integral diverges at 0 unless lambda < k")
-
-    def integrand(s):
-        return s ** (-lam - 1.0) * np.expm1(-a * s) ** k
-
-    p = 1.0 / (k - lam)
-
-    def body_integrand(w):
-        s = w**p
-        ratio = np.where(s > 0, np.expm1(-a * s) / np.where(s > 0, s, 1.0), -a)
-        return p * ratio**k
-
-    body = _panel_quad(np.unique(_graded_unit_breaks()), body_integrand)
-    s_hi = max(1.0, 45.0 / a)
-    middle = 0.0
-    if s_hi > 1.0:
-        middle = _panel_quad(np.exp(np.linspace(0.0, math.log(s_hi), 33)), integrand)
-    analytic_tail = (-1.0) ** k * s_hi ** (-lam) / lam
-    return body + middle + analytic_tail
+    body = _power_integral(k - lam - 1.0, a, lambda s: (np.expm1(-a * s) / s) ** k)
+    return body + (-1.0) ** k * (45.0 / a) ** (-lam) / lam
 
 
 @lru_cache(maxsize=None)
@@ -226,15 +204,13 @@ def bessel_derivative_expansion(e: LaguerreExpansion, cfg: FracOpConfig):
 
 
 def _callable_laplace_route(f, params, lam, x, shift):
-    """(1/Gamma(lam)) int s^(lam-1) e^(-shift s) P_s f(x) ds for a callable f."""
-    breaks = np.concatenate(
-        (
-            _graded_unit_breaks(levels=10),
-            np.exp(np.linspace(0.0, math.log(45.0), 9))[1:],
-        )
-    )
-    s, w = _panel_nodes(np.unique(breaks), 4)
-    factor = w * s ** (lam - 1.0) * np.exp(-shift * s)
+    """(1/Gamma(lam)) int s^(lam-1) e^(-shift s) P_s f(x) ds for a callable f:
+    a Gauss-Jacobi panel with weight s^(lam-1) on (0, 1] and Gauss-Legendre
+    panels on [1, 45]."""
+    rule = gauss_jacobi_rule(lam - 1.0, 8)
+    tail, w = _panel_nodes(np.exp(np.linspace(0.0, math.log(45.0), 9)), 4)
+    s = np.concatenate((rule.nodes, tail))
+    factor = np.concatenate((rule.weights, w * tail ** (lam - 1.0))) * np.exp(-shift * s)
     return float(np.dot(factor, poisson_apply(f, params, s, x))) / gamma(lam)
 
 

@@ -35,6 +35,8 @@ from .kernels import (
     _panel_nodes,
     _poisson_block,
     _subordination_breaks,
+    _v_breaks,
+    _v_nodes,
     heat_apply_kernel,
     l1_kernel_derivative,
     poisson_apply,
@@ -172,21 +174,13 @@ def _run_subordination(cfg, started):
 
 def _run_kernel_mass(cfg, started):
     tol = cfg.tol("mass", 1e-6)
-    # y nodes of a graded+log panel rule on (0, 80)
-    breaks = np.concatenate(
-        (
-            [0.0],
-            2.0 ** (-np.arange(20.0, 0.0, -1.0)),
-            np.exp(np.linspace(0.0, math.log(80.0), 41))[1:],
-        )
-    )
-    y, w = _panel_nodes(breaks, 12)
     rows = []
     min_val = math.inf
     for t in (0.25, 1.0):
         for x in (0.5, 1.0, 2.0):
-            vals = _poisson_block(cfg.params, t, (x,), (), y, 0, DEFAULT_RULE)
-            mass = float(np.dot(w, vals))
+            mass = l1_kernel_derivative(cfg.params, t, (x,), 0)
+            v, _ = _v_nodes(cfg.alpha[0], _v_breaks(t, x))
+            vals = _poisson_block(cfg.params, t, (x,), (), v * v, 0, DEFAULT_RULE)
             min_val = min(min_val, float(np.min(vals)))
             rows.append(ReportRow(f"t={t:g},x={x:g}", abs(mass - 1.0), tol))
     rows.append(ReportRow("min-node-value", -min_val, 0.0))

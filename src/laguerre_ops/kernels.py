@@ -13,9 +13,9 @@ heat kernel on (0, inf).  Time derivatives differentiate g analytically.
 
 T_s f(x) integrates one heat-axis rule per coordinate: Gauss-Legendre
 panels laid in offsets u from the kernel's Gaussian ridge in v = sqrt(y),
-whose exponent -u^2/2 is exact, and, where the ridge reaches v = sigma, one
-Gauss-Jacobi panel in y on [0, sigma^2] that is exact for the y^alpha
-endpoint.  Kernel values d^m/dt^m p_t(x, y) come in (y x s-node) blocks of
+whose exponent -u^2/2 is exact, around the square root of the kernel's mean
+in y, and, where they reach v = sigma, one Gauss-Jacobi panel in y on
+[0, sigma^2] that is exact for the y^alpha endpoint.  Kernel values d^m/dt^m p_t(x, y) come in (y x s-node) blocks of
 at most BLOCK_POINTS entries per log_bessel_i_scaled call, each y refined on
 its own by doubling the subordination panels; one value is a block of one.
 
@@ -25,11 +25,12 @@ batched heat evaluation, which heat_apply_kernel runs on one time) and the
 mu_alpha-mean of f, so d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds.
 poisson_dt_apply doubles the subordination panels until two tables agree.
 
-l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on composite
-Gauss-Legendre panels in v = sqrt(y), graded toward v = 0, dyadic around
-the ridge at sqrt(x) and ending past it; sign changes of d^m p are located
-by vectorised bisection and made panel breaks.  All panels are halved until
-two successive sums agree, else QuadratureError.
+l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on panels in
+v = sqrt(y), dyadic around the ridge at sqrt(x) and ending past it: the
+panel at v = 0 is the heat rule's Gauss-Jacobi panel, exact for the y^alpha
+endpoint, and the others are Gauss-Legendre.  Sign changes of d^m p are
+located by vectorised bisection and made panel breaks.  All panels are
+halved until two successive sums agree, else QuadratureError.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad  # noqa: F401  (bench/tracing.py patches kernels.quad)
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, OverflowGuardError, QuadratureError
 from .expansion import MultiIndexParams, call_on_points, tensor_grid
-from .specfun import gauss_laguerre_rule, log_bessel_i_scaled
+from .specfun import gauss_jacobi_rule, gauss_laguerre_rule, log_bessel_i_scaled
 
 __all__ = [
     "KernelQuery",
@@ -77,13 +77,10 @@ HEAT_ORDER = 12
 MEAN_POINTS = 200
 
 #: the L1 y integral runs in v = sqrt(y) up to max(sqrt(Y_MAX), sqrt(x) + 3):
-#: Y_ORDER Gauss-Legendre nodes per panel, geometric grading toward v = 0
-#: (see _v_breaks), at most Y_HALVINGS halvings of every panel, and sign
-#: changes of the integrand located to ROOT_TOL in v
+#: Y_ORDER nodes per panel, at most Y_HALVINGS halvings of every panel, and
+#: sign changes of the integrand located to ROOT_TOL in v
 Y_MAX = 80.0
 Y_ORDER = 8
-Y_GRADE_BITS = 20.0
-Y_GRADE_MAX = 60
 Y_HALVINGS = 5
 ROOT_TOL = 1e-9
 
@@ -183,17 +180,12 @@ def _panel_nodes(breaks: np.ndarray, order: int):
 
 @lru_cache(maxsize=256)
 def _jacobi_panel(alpha, order):
-    """Nodes g and weights of the heat-axis endpoint panel on g = v / sigma in
-    (0, 1), exact for g^(2 alpha + 1) p(g^2) with deg p < 2 order: Gauss-Jacobi
-    in eta = g^2 with weight eta^alpha (Golub-Welsch).  Solved in eta, not in
-    xi = 2 eta - 1, so the nodes near eta = 0 keep full relative precision."""
-    k = np.arange(1.0, order)
-    c = 2.0 * k + alpha
-    diag = (2.0 * k * (k + alpha + 1.0) + alpha * (alpha + 1.0)) / (c * (c + 2.0))
-    off = k * (k + alpha) / (c * np.sqrt((c + 1.0) * (2.0 * k - 1.0 + alpha)))
-    eta, vec = eigh_tridiagonal(np.append((alpha + 1.0) / (alpha + 2.0), diag), off)
-    g = np.sqrt(eta)
-    w = vec[0] ** 2 / (2.0 * (alpha + 1.0) * eta**alpha * g)
+    """Nodes g and weights of the endpoint panel on g = v / b in (0, 1), exact
+    for g^(2 alpha + 1) p(g^2) with deg p < 2 order: the Gauss-Jacobi rule in
+    eta = g^2 with weight eta^alpha, taken in g."""
+    rule = gauss_jacobi_rule(alpha, order)
+    g = np.sqrt(rule.nodes)
+    w = rule.weights / (2.0 * rule.nodes**alpha * g)
     g.flags.writeable = w.flags.writeable = False
     return g, w
 
@@ -202,20 +194,23 @@ def _heat_axis_rule(alpha, times, x, order):
     """The heat-axis rule for int H_s(x, y) f(y) dy at each heat time s.
 
     In v = sqrt(y) the kernel is a ridge e^(-u^2/2) in u = (v - v0) / sigma,
-    v0 = sqrt(e^-s x), sigma = sqrt((1 - e^-s) / 2).  Gauss-Legendre panels 2
-    wide in u cover [-12, 16] above v = sigma, and where the ridge reaches
-    v = sigma the Jacobi panel takes y below sigma^2.  The exponent -u^2/2 is
-    taken from the offsets u.  Returns per panel its time's index, and nodes y
-    and weights 2 v sigma du H_s(x, y) as one row of `order` per panel.
+    v0 = sqrt(e^-s x), sigma = sqrt((1 - e^-s) / 2), times the factor of
+    order alpha that moves its mass out to v ~ sqrt(E y), E y = v0^2 +
+    (2 alpha + 2) sigma^2.  Gauss-Legendre panels 2 wide in u cover [-12, 16]
+    around sqrt(E y) above v = sigma, and where they reach v = sigma the
+    Jacobi panel takes y below sigma^2.  The exponent -u^2/2 is taken from
+    the offsets u.  Returns per panel its time's index, and nodes y and
+    weights 2 v sigma du H_s(x, y) as one row of `order` per panel.
     """
     one_r = -np.expm1(-times)
     sig = np.sqrt(0.5 * one_r)
     v0 = np.sqrt(np.exp(-times) * x)
     floor = 1.0 - v0 / sig  # u at v = sigma
-    ridge = np.arange(-12.0, 16.5, 2.0)
-    lo = np.column_stack((-v0 / sig, np.maximum(ridge[:-1], floor[:, None])))
-    width = np.column_stack((np.ones_like(v0), ridge[1:] - lo[:, 1:]))
-    used = np.column_stack((floor > ridge[0], width[:, 1:] > 0))
+    center = (np.hypot(v0, math.sqrt(2.0 * alpha + 2.0) * sig) - v0) / sig  # u at sqrt(E y)
+    ridge = center[:, None] + np.arange(-12.0, 16.5, 2.0)
+    lo = np.column_stack((-v0 / sig, np.maximum(ridge[:, :-1], floor[:, None])))
+    width = np.column_stack((np.ones_like(v0), ridge[:, 1:] - lo[:, 1:]))
+    used = np.column_stack((floor > ridge[:, 0], width[:, 1:] > 0))
     idx, col = np.nonzero(used)
     lo, width, jac = lo[used][:, None], width[used][:, None], (col == 0)[:, None]
     one_r, sig, v0 = one_r[idx, None], sig[idx, None], v0[idx, None]
@@ -238,7 +233,7 @@ def _heat_apply_times(f, params, times, x, order):
         for i, s in enumerate(times.tolist()):
             rules = [_heat_axis_rule(a, np.array([s]), xj, order) for a, xj in zip(params.alpha, x)]
             y, w = tensor_grid([r[1].ravel() for r in rules], [r[2].ravel() for r in rules])
-            out[i] = np.dot(w, call_on_points(f, y))
+            out[i] = (w * call_on_points(f, y)).sum()
         return out
     step = max(1, BLOCK_POINTS // (15 * order))  # a time has at most 15 panels
     for i in range(0, len(times), step):
@@ -406,7 +401,7 @@ def poisson_kernel_dt(q: KernelQuery, rule: SubordinationRule = DEFAULT_RULE) ->
 def _mu_mean(f, params):
     rules = [gauss_laguerre_rule(a, MEAN_POINTS) for a in params.alpha]
     y, w = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
-    return float(np.dot(w, call_on_points(f, y)))
+    return float((w * call_on_points(f, y)).sum())
 
 
 def _times_and_point(params, t, x):
@@ -485,24 +480,21 @@ def poisson_dt_apply(
     )
 
 
-def _v_breaks(alpha, t, x):
+def _v_breaks(t, x):
     """Panel breaks in v = sqrt(y) on (0, max(sqrt(Y_MAX), sqrt(x) + 3)).
 
     p_t(x, .) peaks at v = sqrt(x) with width ~t, so breaks sit at sqrt(x)
-    and at dyadic steps t 2^j away from it.  Near v = 0 the integrand is
-    v^(2 alpha + 1) times a smooth function; below the lowest break, panels
-    halve in width until the first of them holds a share 2^-Y_GRADE_BITS of
-    that power's mass.
+    and at dyadic steps t 2^j away from it; on its left flank they also sit
+    at (sqrt(x) - t) 2^-j down to v = 1.
     """
     v0 = math.sqrt(x)
     v_max = max(math.sqrt(Y_MAX), v0 + 3.0)
     steps = t * 2.0 ** np.arange(math.ceil(math.log2(v_max / t)) + 1)
-    around = np.concatenate((v0 - steps, [v0], v0 + steps))
+    low = v0 - t
+    flank = low * 0.5 ** np.arange(1.0, math.floor(math.log2(low)) + 1.0) if low > 1.0 else []
+    around = np.concatenate((v0 - steps, [v0], v0 + steps, flank))
     around = around[(around > 0) & (around < v_max)]
-    low = around[0] if len(around) else v_max
-    levels = min(math.ceil(Y_GRADE_BITS / (2.0 * alpha + 2.0)), Y_GRADE_MAX)
-    graded = low * 2.0 ** -np.arange(float(levels), 0.0, -1.0)
-    return np.unique(np.concatenate(([0.0], graded, around, [v_max])))
+    return np.unique(np.concatenate(([0.0], around, [v_max])))
 
 
 def _sign_changes(sign_of, v, p, known):
@@ -522,9 +514,19 @@ def _sign_changes(sign_of, v, p, known):
     return 0.5 * (lo + hi)
 
 
-def _v_integral(block, sign_of, breaks, epsabs, epsrel):
-    """int of |p(v^2)| 2v dv over the panels `breaks`, where block(y) = p(y),
-    by composite Gauss-Legendre panels.
+def _v_nodes(alpha, breaks):
+    """Nodes v and weights of the L1 rule on `breaks`, breaks[0] = 0: the
+    Jacobi panel on [0, breaks[1]], exact for the v^(2 alpha + 1) endpoint of
+    |p(v^2)| 2v, and Gauss-Legendre panels past it."""
+    g, wj = _jacobi_panel(alpha, Y_ORDER)
+    v, w = _panel_nodes(breaks[1:], Y_ORDER)
+    return np.concatenate((breaks[1] * g, v)), np.concatenate((breaks[1] * wj, w))
+
+
+def _v_integral(block, sign_of, alpha, breaks, epsabs, epsrel):
+    """int of |p(v^2)| 2v dv over the panels `breaks`, where block(y) = p(y)
+    and p(y) is y^alpha times a smooth function near y = 0, by the panels of
+    _v_nodes.
 
     The sign changes of p, located with sign_of (p to within its
     discretisation error), become breaks, so every panel integrates a smooth
@@ -534,13 +536,13 @@ def _v_integral(block, sign_of, breaks, epsabs, epsrel):
     zeros = np.empty(0)
     sums = []
     for _ in range(Y_HALVINGS + 1):
-        v, w = _panel_nodes(breaks, Y_ORDER)
+        v, w = _v_nodes(alpha, breaks)
         p = block(v * v)
         new = _sign_changes(sign_of, v, p, zeros)
         if len(new):
             zeros = np.union1d(zeros, new)
             breaks = np.union1d(breaks, new)
-            v, w = _panel_nodes(breaks, Y_ORDER)
+            v, w = _v_nodes(alpha, breaks)
             p = block(v * v)
         sums.append(float(np.dot(2.0 * v * w, np.abs(p))))
         if len(sums) > 1 and abs(sums[-1] - sums[-2]) <= max(epsabs, epsrel * abs(sums[-1])):
@@ -570,4 +572,4 @@ def l1_kernel_derivative(
     # bisection only reads signs, so it skips the refinement test, which
     # cannot pass where p is below its own discretisation error
     sign_of = lambda y: _poisson_block_once(params, t, x, (), y, m, 2 * rule.panels, rule.order)
-    return _v_integral(block, sign_of, _v_breaks(params.alpha[0], t, x[0]), epsabs, epsrel)
+    return _v_integral(block, sign_of, params.alpha[0], _v_breaks(t, x[0]), epsabs, epsrel)

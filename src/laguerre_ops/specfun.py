@@ -4,8 +4,10 @@ Everything downstream consumes these: Gamma, the log of the exponentially
 scaled modified Bessel function I_nu (from scipy.special.ive, with a
 log-space ascending series where ive underflows and the large-argument
 expansion past ive's range), Laguerre polynomials,
-and Gauss-Laguerre rules normalized against the Laguerre probability
-measure mu_alpha (density x^alpha e^-x / Gamma(alpha+1) per axis).
+Gauss-Laguerre rules normalized against the Laguerre probability
+measure mu_alpha (density x^alpha e^-x / Gamma(alpha+1) per axis), and the
+Gauss-Jacobi rule for the weight eta^a on (0, 1) that every power-law
+endpoint of the kernel and time integrals is integrated with.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, ive, kve, logsumexp, roots_genlaguerre
 
 from .errors import DomainError, PoleError, QuadratureError
@@ -26,6 +29,7 @@ __all__ = [
     "log_bessel_i_scaled",
     "laguerre_poly",
     "gauss_laguerre_rule",
+    "gauss_jacobi_rule",
 ]
 
 
@@ -195,4 +199,24 @@ def _gauss_laguerre_rule(alpha: float, n: int) -> QuadratureRule:
     weights = weights / math.gamma(alpha + 1.0)
     nodes.flags.writeable = False
     weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights, exact_degree=2 * n - 1)
+
+
+@lru_cache(maxsize=256)
+def gauss_jacobi_rule(a: float, n: int) -> QuadratureRule:
+    """Gauss rule for int_0^1 eta^a g(eta) d eta, a > -1 (Golub-Welsch),
+    exact for polynomials g of degree <= 2n - 1.  The Jacobi matrix is taken
+    in eta, not in xi = 2 eta - 1 (scipy.special.roots_jacobi), so nodes and
+    weights near eta = 0 keep full relative precision down to a = -0.99.
+    Rules are solved once per (a, n) and shared, so their arrays are read-only.
+    """
+    if a <= -1 or n < 1:
+        raise DomainError(f"gauss_jacobi_rule requires a > -1 and n >= 1, got {a}, {n}")
+    k = np.arange(1.0, n)
+    c = 2.0 * k + a
+    diag = (2.0 * k * (k + a + 1.0) + a * (a + 1.0)) / (c * (c + 2.0))
+    off = k * (k + a) / (c * np.sqrt((c + 1.0) * (2.0 * k - 1.0 + a)))
+    nodes, vec = eigh_tridiagonal(np.append((a + 1.0) / (a + 2.0), diag), off)
+    weights = vec[0] ** 2 / (a + 1.0)
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights, exact_degree=2 * n - 1)

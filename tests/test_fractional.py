@@ -217,7 +217,7 @@ class TestOperatorTable:
         assert {kind for kind, op in OPERATORS.items() if op.zero_mean} <= set(ROUTES)
 
     @pytest.mark.parametrize("kind", list(ROUTES))
-    @pytest.mark.parametrize("lam", [0.3, 1.5])
+    @pytest.mark.parametrize("lam", [0.3, 1.5, 0.995, 1.985])
     def test_route_matches_symbol(self, kind, lam):
         factory = getattr(laguerre_ops, kind)
         expansion_op = getattr(laguerre_ops, kind + "_expansion")
@@ -229,6 +229,17 @@ class TestOperatorTable:
         want = spectral_apply(factory(lam), e)
         assert factory(lam).kind == kind
         np.testing.assert_allclose(got.vector, want.vector, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", list(ROUTES))
+    def test_multipliers_match_symbols_to_order_400(self, kind):
+        # the Jacobi panel at s = 0 carries the weight s^(lam-1) or
+        # s^(k-lam-1) exactly, also as k - lam -> 0
+        for lam in (0.1, 0.3, 1.0, 1.5, 1.9, 0.995, 1.985):
+            m = getattr(laguerre_ops, kind)(lam)
+            k = FracOpConfig(lam).k
+            got = [laguerre_ops.fractional._quad_multiplier(kind, lam, k, n) for n in range(1, 401)]
+            want = [m.value(n) for n in range(1, 401)]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11, err_msg=f"lam={lam}")
 
     def test_sparse_expansion_integrates_present_orders_only(self, monkeypatch):
         orders = []
@@ -282,6 +293,23 @@ class TestPointApply:
         f = lambda y: laguerre_poly(k, alpha, y)
         got = fractional_derivative_apply(f, params, lam, (x,))
         assert got == pytest.approx(k ** (lam / 2) * laguerre_poly(k, alpha, x), abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "kind,alpha,k,lam,x",
+        [
+            ("bessel_potential", 2.0, 3, 0.1909, 1.013),  # error 0.29 on graded panels
+            ("bessel_potential", 0.5, 3, 0.1326, 1.9704),  # error 0.22 on graded panels
+            ("bessel_potential", -0.25, 4, 0.3054, 1.5564),
+            ("fractional_integral", 2.0, 4, 0.4173, 0.8821),
+        ],
+    )
+    def test_callable_laplace_route_small_lambda(self, kind, alpha, k, lam, x):
+        # the weight s^(lam-1) is carried by a Gauss-Jacobi panel on (0, 1]
+        params = MultiIndexParams(1, (alpha,))
+        f = lambda y: laguerre_poly(k, alpha, y)
+        got = getattr(laguerre_ops, kind + "_apply")(f, params, lam, (x,))
+        want = getattr(laguerre_ops, kind)(lam).value(k) * laguerre_poly(k, alpha, x)
+        assert got == pytest.approx(want, abs=1e-6)
 
     def test_callable_bessel_derivative_on_constants(self):
         got = bessel_derivative_apply(lambda y: np.ones_like(y), P, 0.5, (1.3,))

@@ -110,6 +110,14 @@ class TestScenarios:
         assert names == {"heat", "poisson", "potential", "integral", "derivative",
                          "bessel-derivative"}
 
+    @pytest.mark.parametrize("alpha", [-0.5, -0.9, -0.99])
+    def test_kernel_mass_negative_alpha(self, alpha):
+        # each mass is the L1 rule's, whose panel at y = 0 is exact for y^alpha
+        r = run_scenario(ScenarioConfig(scenario="kernel-mass", alpha=(alpha,)))
+        assert r.passed
+        assert all(row.measured <= 1e-9 for row in r.rows[:-1])
+        assert r.extra["min_node_value"] >= 0.0
+
     @pytest.mark.parametrize("alpha", [-0.9, -0.99])
     def test_spectral_vs_kernel_negative_alpha(self, alpha):
         # the heat rule's Jacobi panel is exact for the y^alpha endpoint

@@ -198,6 +198,16 @@ class TestHeatAxisRule:
         got = poisson_apply(g, p2, times, x)
         np.testing.assert_allclose(got, np.exp(-times * math.sqrt(3.0)) * gx, rtol=0.0, atol=tol)
 
+    @pytest.mark.parametrize("alpha", [100.0, 300.0])
+    def test_large_alpha_window(self, alpha):
+        # near y = 0 the kernel is y^alpha e^(-y / 2 sigma^2), whose mass sits
+        # at v ~ sqrt(2 alpha) sigma, many sigma above sqrt(x e^-s) for small x
+        params = MultiIndexParams(1, (alpha,))
+        times = np.geomspace(1e-12, 40.0, 50)
+        for x in (1e-6, 0.05, 3.0, 300.0):
+            got = _heat_apply_times(lambda y: np.ones_like(y), params, times, (x,), 12)
+            np.testing.assert_allclose(got, 1.0, rtol=0.0, atol=1e-12, err_msg=f"x={x}")
+
     @pytest.mark.parametrize(
         "alpha, x, budget",
         [((-0.25,), (1.2,), 30_000), ((0.5, -0.25), (1.2, 0.7), 5_000_000)],
@@ -446,8 +456,9 @@ class TestL1Derivative:
 
     @pytest.mark.parametrize("x", [20.0, 70.0, 79.0, 100.0, 300.0])
     def test_mass_is_one_past_y_max(self, x):
-        # the y range follows the ridge at sqrt(x) instead of stopping at Y_MAX
-        for alpha in (-0.5, 0.5, 5.0):
+        # the y range follows the ridge at sqrt(x) instead of stopping at Y_MAX,
+        # and the Jacobi panel at y = 0 is exact for the y^alpha endpoint
+        for alpha in (-0.9, -0.5, -0.25, 0.5, 5.0):
             params = MultiIndexParams(1, (alpha,))
             for t in (1e-3, 0.1, 1.0, 5.0, 30.0):
                 got = l1_kernel_derivative(params, t, (x,), 0)

@@ -13,6 +13,7 @@ from laguerre_ops.specfun import (
     _ive,
     _log_series,
     gamma,
+    gauss_jacobi_rule,
     gauss_laguerre_rule,
     laguerre_poly,
     log_bessel_i_scaled,
@@ -198,6 +199,31 @@ class TestGaussLaguerre:
     def test_rules_are_shared_and_read_only(self):
         rule = gauss_laguerre_rule(0.5, 200)
         assert gauss_laguerre_rule(0.5, 200) is rule
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("a", [-0.99, -0.5, 0.0, 2.5, 300.0])
+    def test_moments_exact_to_degree(self, a):
+        # int_0^1 eta^(a + j) d eta = 1 / (a + j + 1) for j <= 2n - 1; at
+        # a = -0.99 the lowest node carries 96 % of the j = 0 moment
+        rule = gauss_jacobi_rule(a, 8)
+        assert rule.exact_degree == 15
+        for j in range(16):
+            got = rule.integrate(lambda eta: eta**j)
+            assert got == pytest.approx(1.0 / (a + j + 1.0), rel=1e-13), j
+
+    def test_invalid_parameters(self):
+        with pytest.raises(DomainError):
+            gauss_jacobi_rule(-1.0, 8)
+        with pytest.raises(DomainError):
+            gauss_jacobi_rule(0.5, 0)
+
+    def test_rules_are_shared_and_read_only(self):
+        rule = gauss_jacobi_rule(0.5, 16)
+        assert gauss_jacobi_rule(0.5, 16) is rule
         for arr in (rule.nodes, rule.weights):
             with pytest.raises(ValueError):
                 arr[0] = 1.0

@@ -2,15 +2,14 @@
 
 Each operator has two independent realizations: an exact diagonal action on
 finite Laguerre expansions, and a quadrature of the defining integral in the
-semigroup time variable.  On an expansion with modes of order n the Poisson
-semigroup contributes e^{-s sqrt(n)}, so the quadrature route reduces to
-numerical Mellin-Laplace integrals evaluated per mode; nothing about the
-eigenvalues is assumed beyond that exponential.  On a callable, P_s f(x) at
-every time the route needs comes from one poisson_apply call on one grid.
-The power-law endpoint at s = 0, s^(lam-1) on the Laplace route and
-s^(k-lam-1) on the difference route, is carried exactly by one Gauss-Jacobi
-panel (specfun.gauss_jacobi_rule) in every mode's integral and in the
-callable Laplace route; the callable difference route starts at t_floor.
+semigroup time variable.  Each route (Laplace, difference) has one time rule
+(_time_rule), and every consumer reads it: on an expansion with modes of
+order n the Poisson semigroup contributes e^{-s sqrt(n)}, so each mode's
+multiplier and c_lambda_k are sums over that rule; on a callable, the rule is
+applied to P_s f(x), which comes from one poisson_apply call at every time
+the route needs.  The power-law endpoint at s = 0, s^(lam-1) on the Laplace
+route and s^(k-lam-1) on the difference route, is carried exactly by the
+rule's one Gauss-Jacobi panel (specfun.gauss_jacobi_rule).
 
 Sign conventions: (P_s - I)^k f(x) equals the forward difference
 Delta_s^k(u(x, .), 0) of u(x, s) = P_s f(x), and the normalizing constant
@@ -68,7 +67,6 @@ class FracOpConfig:
 
     lam: float
     k: int = None
-    t_floor: float = 1e-6
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -77,45 +75,43 @@ class FracOpConfig:
             object.__setattr__(self, "k", smallest_integer_above(self.lam))
         if self.k <= self.lam:
             raise DomainError("difference order k must exceed lambda")
-        if not 0 < self.t_floor < 1:
-            raise DomainError("t_floor must lie in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional integral engines (one Gauss-Jacobi panel at s = 0)
+# The time rule of each route
 # ---------------------------------------------------------------------------
 
-
-def _power_integral(p: float, a: float, smooth) -> float:
-    """int_0^(45/a) s^p smooth(s) ds for p > -1, where smooth carries the
-    decay e^(-a s), below 3e-20 past s = 45/a.  A Gauss-Jacobi panel with
-    weight s^p takes (0, h], h = min(1, 32/a), on which e^(-a s) is a
-    polynomial of degree < 64 to double precision; log-spaced Gauss-Legendre
-    panels take the rest."""
-    h = min(1.0, 32.0 / a)
-    body = h ** (p + 1.0) * gauss_jacobi_rule(p, 32).integrate(lambda eta: smooth(h * eta))
-    s, w = _panel_nodes(np.exp(np.linspace(math.log(h), math.log(45.0 / a), 33)), 16)
-    return body + float(np.dot(w, s**p * smooth(s)))
+#: the rule stops at S_END, where e^(-a s) < 3e-20 for every mode a >= 1,
+#: and resolves e^(-a s) on (0, 1] up to the rate A_REF
+S_END = 45.0
+A_REF = 20.0
 
 
-def _mellin_laplace(lam: float, a: float) -> float:
-    """int_0^inf s^(lam-1) e^(-a s) ds for a > 0, by quadrature."""
-    if a <= 0:
-        raise DomainError("decay rate must be positive")
-    return _power_integral(lam - 1.0, a, lambda s: np.exp(-a * s))
+@lru_cache(maxsize=None)
+def _time_rule(route: str, lam: float, k: int):
+    """Nodes s and weights W of the one s-rule of a route.
 
-
-def _em1_power_integral(lam: float, k: int, a: float) -> float:
-    """int_0^inf s^(-lam-1) (e^(-a s) - 1)^k ds, requiring lam < k.
-
-    That is s^(k-lam-1) times the bounded factor ((e^(-a s) - 1)/s)^k, and
-    past s = 45/a, where e^(-a s) has died out, the analytic tail of
-    (-1)^k s^(-lam-1).
+    Laplace: sum W g(s) ~ int_0^inf s^(lam-1) g(s) ds for g that have died
+    out by S_END.  Difference: sum W g(s) ~ int_0^inf s^(-lam-1) g(s) ds for
+    g = O(s^k) at 0 that have settled to a constant by S_END.  The power-law
+    endpoint, s^(lam-1) or s^(k-lam-1) times g / s^k, is carried by one
+    Gauss-Jacobi panel on (0, 1]; log-spaced Gauss-Legendre panels take
+    [1, S_END], and on the difference route a last node at S_END carries the
+    analytic tail S_END^(-lam) / lam.
     """
-    if lam >= k:
-        raise DomainError("integral diverges at 0 unless lambda < k")
-    body = _power_integral(k - lam - 1.0, a, lambda s: (np.expm1(-a * s) / s) ** k)
-    return body + (-1.0) ** k * (45.0 / a) ** (-lam) / lam
+    p = lam - 1.0 if route == "laplace" else k - lam - 1.0
+    body = gauss_jacobi_rule(p, 20)
+    tail, w = _panel_nodes(np.exp(np.linspace(0.0, math.log(S_END), 9)), 8)
+    if route == "laplace":
+        s = np.concatenate((body.nodes, tail))
+        weights = np.concatenate((body.weights, w * tail ** (lam - 1.0)))
+    else:
+        s = np.concatenate((body.nodes, tail, [S_END]))
+        weights = np.concatenate(
+            (body.weights / body.nodes**k, w * tail ** (-lam - 1.0), [S_END ** (-lam) / lam])
+        )
+    s.flags.writeable = weights.flags.writeable = False
+    return s, weights
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +123,7 @@ def c_lambda(lam: float, k: int = 1) -> float:
         raise DomainError("c_lambda diverges for lambda >= k")
     if lam <= 0:
         raise DomainError("lambda must be positive")
-    return _em1_power_integral(lam, k, 1.0)
+    return _route_integral("difference", lam, k, 1.0)
 
 
 def forward_difference(f, k: int, s: float, t: float) -> float:
@@ -155,6 +151,20 @@ ROUTES = {
 }
 
 
+def _route_integral(route: str, lam: float, k: int, a: float) -> float:
+    """int_0^inf s^(lam-1) e^(-a s) ds (Laplace route) or
+    int_0^inf s^(-lam-1) (e^(-a s) - 1)^k ds (difference route), a > 0, on the
+    route's time rule.  Both are homogeneous in a, so an integrand whose
+    fastest rate, a or k a, is above A_REF is taken at that rate A_REF in
+    sigma = scale s and multiplied by scale^(-lam) or scale^lam."""
+    s, w = _time_rule(route, lam, k)
+    if route == "laplace":
+        scale = max(a / A_REF, 1.0)
+        return float(np.dot(w, np.exp(-(a / scale) * s))) * scale ** (-lam)
+    scale = max(k * a / A_REF, 1.0)
+    return float(np.dot(w, np.expm1(-(a / scale) * s) ** k)) * scale**lam
+
+
 def _quad_multiplier(kind: str, lam: float, k: int, n: int) -> float:
     shift, route = ROUTES[kind]
     a = shift + math.sqrt(n)
@@ -162,9 +172,8 @@ def _quad_multiplier(kind: str, lam: float, k: int, n: int) -> float:
         # the mean mode: killed by the derivative, and the integral is only
         # taken on zero-mean inputs
         return 0.0
-    if route == "laplace":
-        return _mellin_laplace(lam, a) / gamma(lam)
-    return _em1_power_integral(lam, k, a) / c_lambda(lam, k)
+    norm = gamma(lam) if route == "laplace" else c_lambda(lam, k)
+    return _route_integral(route, lam, k, a) / norm
 
 
 def _check_mean(kind: str, mean: float):
@@ -203,53 +212,34 @@ def bessel_derivative_expansion(e: LaguerreExpansion, cfg: FracOpConfig):
 # ---------------------------------------------------------------------------
 
 
-def _callable_laplace_route(f, params, lam, x, shift):
-    """(1/Gamma(lam)) int s^(lam-1) e^(-shift s) P_s f(x) ds for a callable f:
-    a Gauss-Jacobi panel with weight s^(lam-1) on (0, 1] and Gauss-Legendre
-    panels on [1, 45]."""
-    rule = gauss_jacobi_rule(lam - 1.0, 8)
-    tail, w = _panel_nodes(np.exp(np.linspace(0.0, math.log(45.0), 9)), 4)
-    s = np.concatenate((rule.nodes, tail))
-    factor = np.concatenate((rule.weights, w * tail ** (lam - 1.0))) * np.exp(-shift * s)
-    return float(np.dot(factor, poisson_apply(f, params, s, x))) / gamma(lam)
-
-
-def _callable_difference_route(f, params, lam, k, x, shift, t_floor):
-    """(1/c_lam_k) int s^(-lam-1) Delta_s^k(u, 0) ds with u(s) = e^(-shift s) P_s f(x).
-
-    Below t_floor the difference is O(s^k); that stretch integrates to
-    Delta(t_floor) t_floor^(-lam) / (k - lam) under the O(s^k) model.
-    """
-    breaks = np.exp(np.linspace(math.log(t_floor), math.log(45.0), 19))
-    s_nodes, w = _panel_nodes(breaks, 4)
-    s = np.concatenate((s_nodes, [t_floor, 45.0]))
-    # column j holds u(j s), j = 0..k, all from one semigroup evaluation, and
-    # Delta_s^k(u, 0) is the unit-step difference of j -> u(j s)
+def _callable_route(kind, f, params, lam, k, x):
+    """The route's time rule applied to u(s) = e^(-shift s) P_s f(x), or on the
+    difference route to Delta_s^k(u, 0), with every P_s f(x) from one
+    poisson_apply call."""
+    shift, route = ROUTES[kind]
+    s, w = _time_rule(route, lam, k)
+    if route == "laplace":
+        u = np.exp(-shift * s) * poisson_apply(f, params, s, x)
+        return float(np.dot(w, u)) / gamma(lam)
+    # column j holds u(j s), j = 0..k, and Delta_s^k(u, 0) is the unit-step
+    # difference of j -> u(j s)
     times = np.outer(s, np.arange(1.0, k + 1))
     u = np.exp(-shift * times) * poisson_apply(f, params, times, x)
     u = np.column_stack((np.full(len(s), float(call_on_points(f, np.asarray(x)))), u))
     delta = forward_difference(lambda j: u[:, int(j)], k, 1.0, 0.0)
-    total = np.dot(w * s_nodes ** (-lam - 1.0), delta[:-2])
-    total += delta[-2] * t_floor ** (-lam) / (k - lam)
-    # beyond the cutoff every semigroup term has settled, so the difference
-    # is the constant delta(45) and the remaining integral is analytic
-    total += delta[-1] * 45.0 ** (-lam) / lam
-    return float(total) / c_lambda(lam, k)
+    return float(np.dot(w, delta)) / c_lambda(lam, k)
 
 
 def _dispatch(kind, f, params, lam, x, cfg):
     cfg = cfg if cfg is not None else FracOpConfig(lam)
-    if abs(cfg.lam - lam) > 0:
-        cfg = FracOpConfig(lam, t_floor=cfg.t_floor)
+    if cfg.lam != lam:
+        raise DomainError(f"cfg.lam = {cfg.lam} does not match the operator order lambda = {lam}")
     x = tuple(float(v) for v in np.atleast_1d(x))
     if isinstance(f, LaguerreExpansion):
         return synthesize(_apply_expansion(kind, f, cfg), np.asarray(x))
     if OPERATORS[kind].zero_mean:
         _check_mean(kind, _mu_mean(f, params))
-    shift, route = ROUTES[kind]
-    if route == "laplace":
-        return _callable_laplace_route(f, params, lam, x, shift)
-    return _callable_difference_route(f, params, lam, cfg.k, x, shift, cfg.t_floor)
+    return _callable_route(kind, f, params, lam, cfg.k, x)
 
 
 def bessel_potential_apply(f, params: MultiIndexParams, lam, x, cfg=None) -> float:

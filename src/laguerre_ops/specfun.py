@@ -33,10 +33,12 @@ __all__ = [
 ]
 
 
-#: terms of the ascending series used where ive leaves the normal range.
-#: That only happens for z far below max(nu, 1), where term m shrinks by
-#: at least (z/2)^2 / (m (m + nu)) per step, so 40 terms are plenty.
-SERIES_TERMS = 40
+#: terms of the ascending series taken past the order m at which the term
+#: ratio (z/2)^2 / (m (m + nu)) falls below 1/2 at the largest z of a call:
+#: from there each term is at most half the last, so the dropped tail is
+#: below 2^-59 of the sum.
+SERIES_TAIL = 60
+SERIES_BLOCK = 128
 
 #: Amos's routines return nan above z = (2^31 - 1) / 2.  Beyond this bound
 #: the terms of the large-argument expansion shrink by (4 nu^2) / (8 z) per
@@ -63,13 +65,20 @@ def log_gamma(x: float) -> float:
 
 def _log_series(nu: float, z: np.ndarray) -> np.ndarray:
     # All series terms are positive for nu > -1, z > 0: logsumexp is exact
-    # in the sense that no cancellation occurs.
-    m = np.arange(SERIES_TERMS, dtype=float)
-    log_fact = gammaln(m + 1.0) + gammaln(m + nu + 1.0)
+    # in the sense that no cancellation occurs.  Terms are summed SERIES_BLOCK
+    # at a time, so memory stays bounded at large orders.
+    z_max = float(np.max(z))
+    m_half = 0.5 * (math.sqrt(nu * nu + 2.0 * z_max * z_max) - nu)
     with np.errstate(divide="ignore"):
         log_half_z = np.atleast_1d(np.log(z) - math.log(2.0))
-    exps = (2.0 * m[:, None] + nu) * log_half_z[None, :] - log_fact[:, None]
-    return logsumexp(exps, axis=0).reshape(np.shape(z))
+    out = np.full(log_half_z.shape, -math.inf)
+    terms = math.ceil(m_half) + SERIES_TAIL
+    for start in range(0, terms, SERIES_BLOCK):
+        m = np.arange(start, min(start + SERIES_BLOCK, terms), dtype=float)
+        log_fact = gammaln(m + 1.0) + gammaln(m + nu + 1.0)
+        exps = (2.0 * m[:, None] + nu) * log_half_z[None, :] - log_fact[:, None]
+        out = np.logaddexp(out, logsumexp(exps, axis=0))
+    return out.reshape(np.shape(z))
 
 
 def _log_hankel(nu: float, z: np.ndarray) -> np.ndarray:
@@ -120,7 +129,7 @@ def log_bessel_i_scaled(nu: float, z):
     scaled = _ive(nu, np.where(big, 1.0, z_arr))
     with np.errstate(divide="ignore"):
         out = np.log(scaled)
-    outside = ~((scaled >= _TINY) & (scaled < math.inf)) & (z_arr > 0)
+    outside = ~((scaled >= _TINY) & (scaled < math.inf)) & (z_arr > 0) & ~big
     if np.any(outside):
         zu = z_arr[outside]
         out[outside] = _log_series(nu, zu) - zu

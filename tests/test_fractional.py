@@ -241,6 +241,18 @@ class TestOperatorTable:
             want = [m.value(n) for n in range(1, 401)]
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11, err_msg=f"lam={lam}")
 
+    @pytest.mark.parametrize("kind", list(ROUTES))
+    def test_high_order_multipliers_use_homogeneity(self, kind):
+        # modes whose fastest rate (a, or k a on the difference route) is
+        # above the rule's reference rate are taken at that rate in a
+        # rescaled time
+        for lam in (0.3, 1.5, 1.9):
+            m = getattr(laguerre_ops, kind)(lam)
+            for k in (FracOpConfig(lam).k, 4):
+                for n in (10**3, 10**4, 10**5, 10**6):
+                    got = laguerre_ops.fractional._quad_multiplier(kind, lam, k, n)
+                    assert got == pytest.approx(m.value(n), rel=1e-13, abs=0.0), (lam, k, n)
+
     def test_sparse_expansion_integrates_present_orders_only(self, monkeypatch):
         orders = []
         quad_multiplier = laguerre_ops.fractional._quad_multiplier
@@ -284,6 +296,8 @@ class TestPointApply:
             (0.5, 3, 0.8276, 2.6302),  # error 1.4e-4 with a subordination rule per s
             (0.5, 1, 1.1681, 0.8782),  # error 8.0e-2 with a subordination rule per s
             (-0.25, 4, 1.2041, 2.7938),  # error 2.6e-1 with a subordination rule per s
+            (2.0, 4, 1.8001, 0.8374),  # error 1.5e-4 with an O(s^k) model below a floor
+            (2.0, 3, 0.8558, 0.5914),  # error 1.1e-4 with an O(s^k) model below a floor
         ],
     )
     def test_callable_fractional_derivative_on_eigenfunctions(self, alpha, k, lam, x):
@@ -292,7 +306,25 @@ class TestPointApply:
         params = MultiIndexParams(1, (alpha,))
         f = lambda y: laguerre_poly(k, alpha, y)
         got = fractional_derivative_apply(f, params, lam, (x,))
-        assert got == pytest.approx(k ** (lam / 2) * laguerre_poly(k, alpha, x), abs=1e-4)
+        assert got == pytest.approx(k ** (lam / 2) * laguerre_poly(k, alpha, x), abs=1e-6)
+
+    @pytest.mark.parametrize("kind", ["fractional_derivative", "bessel_derivative"])
+    @pytest.mark.parametrize("alpha", [-0.25, 0.5, 2.0])
+    @pytest.mark.parametrize("lam", [0.9, 1.5, 1.8, 1.95])
+    def test_callable_difference_route(self, kind, alpha, lam):
+        # the Gauss-Jacobi panel carries s^(k-lam-1) times Delta_s^k / s^k
+        # down to s = 0
+        params = MultiIndexParams(1, (alpha,))
+        f = lambda y: laguerre_poly(3, alpha, y)
+        got = getattr(laguerre_ops, kind + "_apply")(f, params, lam, (1.3,))
+        want = getattr(laguerre_ops, kind)(lam).value(3) * laguerre_poly(3, alpha, 1.3)
+        assert got == pytest.approx(want, abs=1e-6)
+
+    def test_config_order_must_match(self):
+        # a cfg of another order is an error, not silently rebuilt without its k
+        f = lambda y: laguerre_poly(1, 0.5, y)
+        with pytest.raises(DomainError, match="0.5.*0.7"):
+            fractional_derivative_apply(f, P, 0.7, (1.3,), FracOpConfig(0.5, k=3))
 
     @pytest.mark.parametrize(
         "kind,alpha,k,lam,x",

@@ -208,6 +208,16 @@ class TestHeatAxisRule:
             got = _heat_apply_times(lambda y: np.ones_like(y), params, times, (x,), 12)
             np.testing.assert_allclose(got, 1.0, rtol=0.0, atol=1e-12, err_msg=f"x={x}")
 
+    @pytest.mark.parametrize("alpha", [700.0, 1000.0])
+    def test_large_alpha_mass(self, alpha):
+        # at these orders the Bessel factor takes the log-series branch
+        # with its peak hundreds of terms in
+        params = MultiIndexParams(1, (alpha,))
+        times = np.geomspace(1e-12, 40.0, 50)
+        for x in (1e-6, 0.05, 3.0, 300.0):
+            got = _heat_apply_times(lambda y: np.ones_like(y), params, times, (x,), 12)
+            np.testing.assert_allclose(got, 1.0, rtol=0.0, atol=5e-12, err_msg=f"x={x}")
+
     @pytest.mark.parametrize(
         "alpha, x, budget",
         [((-0.25,), (1.2,), 30_000), ((0.5, -0.25), (1.2, 0.7), 5_000_000)],

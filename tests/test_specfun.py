@@ -68,6 +68,15 @@ class TestBesselI:
             assert_log_close(g, mp_log_bessel_i_scaled(nu, zi))
         assert got[0] < math.log(np.finfo(float).tiny)
 
+    @pytest.mark.parametrize("nu,z", [(700.0, 250.0), (1000.0, 400.0), (2000.0, 900.0), (1000.0, 100.0)])
+    def test_series_at_large_order(self, nu, z):
+        # ive underflows here, and the series peaks near term
+        # sqrt((z/2)^2 + (nu/2)^2) - nu/2, far past a fixed 40 terms
+        got = log_bessel_i_scaled(nu, np.array([1e-3, z]))
+        assert got[1] == pytest.approx(mp_log_bessel_i_scaled(nu, z), rel=0.0, abs=1e-12)
+        # a small z in the same call shares the term count of the largest
+        assert_log_close(got[0], mp_log_bessel_i_scaled(nu, 1e-3))
+
     @pytest.mark.parametrize("nu", [-0.25, 0.0, 0.3, 0.5, 1.5, 4.0])
     @pytest.mark.parametrize("z", [1e-6, 0.1, 1.0, 5.0, 14.0])
     def test_series_matches_scipy(self, nu, z):

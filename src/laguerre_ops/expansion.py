@@ -5,8 +5,9 @@ degree N stores them as one read-only vector over every multi-index with
 |k| <= N, in enumerate_indices order, beside the vector of orders |k|.
 Every diagonal operator multiplies c_k by its symbol m(param, |k|); the six
 symbols and their zero-mean requirements are stated once, in OPERATORS.
-This is the oracle path the kernel/quadrature implementations are checked
-against.
+Synthesis builds the per-axis Laguerre tables once per call, for one
+coefficient vector or for a stack of them.  This is the oracle path the
+kernel/quadrature implementations are checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonzeroMeanError
-from .specfun import gauss_laguerre_rule, laguerre_poly, log_gamma
+from .specfun import gauss_laguerre_rule, laguerre_rows, log_gamma
 
 __all__ = [
     "MultiIndexParams",
@@ -259,11 +260,6 @@ def call_on_points(f, pts) -> np.ndarray:
     return np.asarray(f(pts[..., 0] if pts.shape[-1] == 1 else pts), dtype=float)
 
 
-def _laguerre_rows(alpha: float, degree: int, x) -> np.ndarray:
-    """L_0^alpha(x), ..., L_degree^alpha(x) as the rows of one array."""
-    return np.array([laguerre_poly(k, alpha, x) for k in range(degree + 1)])
-
-
 def analyze(
     f, params: MultiIndexParams, degree: int, quad_points: int = None
 ) -> LaguerreExpansion:
@@ -280,7 +276,7 @@ def analyze(
     rules = [gauss_laguerre_rule(a, quad_points) for a in params.alpha]
     pts, w = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
     fv = call_on_points(f, pts)
-    tables = [_laguerre_rows(a, degree, r.nodes) for r, a in zip(rules, params.alpha)]
+    tables = [laguerre_rows(degree, a, r.nodes) for r, a in zip(rules, params.alpha)]
     indices = _layout(params.d, degree)[0]
     coeffs = np.empty(len(indices))
     for i, k in enumerate(indices):
@@ -301,13 +297,30 @@ def synthesize(e: LaguerreExpansion, x) -> float:
 
 def synthesize_many(e: LaguerreExpansion, xs: np.ndarray) -> np.ndarray:
     """Vectorized synthesize over points; xs shape (m,) for d=1 or (m, d)."""
+    return _synthesize(e, e.vector, xs)
+
+
+def _synthesize(e: LaguerreExpansion, coeffs: np.ndarray, xs) -> np.ndarray:
+    """sum_k c_k L_k^alpha at the points xs for coefficients in e's index order.
+
+    coeffs is one vector, shape (ncoef,), giving shape (m,), or a stack of T
+    vectors as columns, shape (ncoef, T), giving shape (T, m).  The per-axis
+    tables are built once for the whole stack.  Each term is
+    ((c_k L_k0) L_k1) ..., added in index order; rows of coeffs that are
+    zero throughout are skipped.
+    """
     pts = np.asarray(xs, dtype=float).reshape(-1, e.params.d)
-    tables = [_laguerre_rows(a, e.degree, pts[:, j]) for j, a in enumerate(e.params.alpha)]
-    total = np.zeros(pts.shape[0])
-    for c, k in zip(e.vector.tolist(), e.indices):
-        if c == 0.0:
+    tables = [laguerre_rows(e.degree, a, pts[:, j]) for j, a in enumerate(e.params.alpha)]
+    if coeffs.ndim == 1:
+        rows = live = coeffs.tolist()  # a float is false exactly when it is zero
+    else:
+        rows, live = coeffs[:, :, None], coeffs.any(axis=1)
+    total = np.zeros(coeffs.shape[1:] + pts.shape[:1])
+    term = np.empty_like(total)
+    for c, k, keep in zip(rows, e.indices, live):
+        if not keep:
             continue
-        term = c * tables[0][k[0]]
+        np.multiply(c, tables[0][k[0]], out=term)
         for j in range(1, e.params.d):
             term *= tables[j][k[j]]
         total += term

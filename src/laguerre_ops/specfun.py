@@ -3,11 +3,11 @@
 Everything downstream consumes these: Gamma, the log of the exponentially
 scaled modified Bessel function I_nu (from scipy.special.ive, with a
 log-space ascending series where ive underflows and the large-argument
-expansion past ive's range), Laguerre polynomials,
-Gauss-Laguerre rules normalized against the Laguerre probability
-measure mu_alpha (density x^alpha e^-x / Gamma(alpha+1) per axis), and the
-Gauss-Jacobi rule for the weight eta^a on (0, 1) that every power-law
-endpoint of the kernel and time integrals is integrated with.
+expansion past ive's range), Laguerre polynomials (every degree up to N
+in one recurrence pass), Gauss-Laguerre rules normalized against the
+Laguerre probability measure mu_alpha (density x^alpha e^-x / Gamma(alpha+1)
+per axis), and the Gauss-Jacobi rule for the weight eta^a on (0, 1) that
+every power-law endpoint of the kernel and time integrals is integrated with.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "log_gamma",
     "log_bessel_i_scaled",
     "laguerre_poly",
+    "laguerre_rows",
     "gauss_laguerre_rule",
     "gauss_jacobi_rule",
 ]
@@ -142,23 +143,30 @@ def log_bessel_i_scaled(nu: float, z):
     return out if np.ndim(z) else float(out)
 
 
-def laguerre_poly(k: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_k^alpha(x) by upward recurrence.
+def laguerre_rows(degree: int, alpha: float, x) -> np.ndarray:
+    """L_0^alpha(x), ..., L_degree^alpha(x) as the rows of one array, in one
+    pass of the upward recurrence
 
     (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1},
     seeded L_0 = 1, L_1 = alpha + 1 - x.
     """
     if alpha <= -1:
-        raise DomainError(f"laguerre_poly requires alpha > -1, got {alpha}")
-    if k < 0:
-        raise DomainError("k must be a nonnegative integer")
+        raise DomainError(f"Laguerre polynomials require alpha > -1, got {alpha}")
+    if degree < 0:
+        raise DomainError("the degree must be a nonnegative integer")
     x_arr = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x_arr)
-    if k == 0:
-        return p_prev if np.ndim(x) else float(p_prev)
-    p = alpha + 1.0 - x_arr
-    for j in range(1, k):
-        p, p_prev = ((2 * j + 1 + alpha - x_arr) * p - (j + alpha) * p_prev) / (j + 1), p
+    rows = np.empty((degree + 1, *x_arr.shape))
+    rows[0] = 1.0
+    if degree:
+        rows[1] = alpha + 1.0 - x_arr
+    for j in range(1, degree):
+        rows[j + 1] = ((2 * j + 1 + alpha - x_arr) * rows[j] - (j + alpha) * rows[j - 1]) / (j + 1)
+    return rows
+
+
+def laguerre_poly(k: int, alpha: float, x):
+    """Generalized Laguerre polynomial L_k^alpha(x): the last of laguerre_rows."""
+    p = laguerre_rows(k, alpha, x)[-1]
     return p if np.ndim(x) else float(p)
 
 

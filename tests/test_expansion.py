@@ -123,6 +123,35 @@ def test_synthesize_single_point():
     )
 
 
+@pytest.mark.parametrize("d, degree", [(1, 8), (2, 6), (3, 4)])
+def test_synthesize_many_sums_terms_in_index_order_bitwise(d, degree):
+    # ((c_k L_k0(x0)) L_k1(x1)) ..., added in index order: the reference the
+    # stacked time-grid synthesis of the lipschitz checks is held to
+    p = MultiIndexParams(d, (0.5, -0.25, 2.0)[:d])
+    e = random_expansion(p, degree, seed=3)
+    xs = np.random.default_rng(0).uniform(0.05, 20.0, (50, d))
+    want = np.zeros(50)
+    for c, k in zip(e.vector.tolist(), e.indices):
+        term = c * laguerre_poly(k[0], p.alpha[0], xs[:, 0])
+        for j in range(1, d):
+            term = term * laguerre_poly(k[j], p.alpha[j], xs[:, j])
+        want += term
+    np.testing.assert_array_equal(synthesize_many(e, xs), want)
+
+
+def test_synthesize_many_zero_expansion_and_degree_zero():
+    p = MultiIndexParams(2, (0.5, -0.25))
+    xs = np.array([[0.1, 2.0], [3.0, 0.5], [7.5, 7.5]])
+    np.testing.assert_array_equal(synthesize_many(LaguerreExpansion(p, 3), xs), np.zeros(3))
+    constant = LaguerreExpansion(p, 0, [-1.75])
+    np.testing.assert_array_equal(synthesize_many(constant, xs), np.full(3, -1.75))
+    p1 = MultiIndexParams(1, (0.5,))
+    np.testing.assert_array_equal(
+        synthesize_many(LaguerreExpansion(p1, 0, [2.5]), np.array([0.2, 9.0])), [2.5, 2.5])
+    np.testing.assert_array_equal(
+        synthesize_many(LaguerreExpansion(p1, 4), np.array([0.2, 9.0])), [0.0, 0.0])
+
+
 def test_json_roundtrip_bit_exact():
     p = MultiIndexParams(2, (0.5, -0.25))
     e = random_expansion(p, 3, seed=9)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from laguerre_ops.errors import DomainError
-from laguerre_ops.expansion import LaguerreExpansion, MultiIndexParams, random_expansion
+from laguerre_ops.expansion import (
+    LaguerreExpansion,
+    MultiIndexParams,
+    poisson,
+    random_expansion,
+    spectral_apply,
+    synthesize_many,
+)
+from laguerre_ops.kernels import poisson_dt_apply
 from laguerre_ops.lipschitz import (
     check_approximation,
     check_equivalence,
@@ -12,6 +20,7 @@ from laguerre_ops.lipschitz import (
     default_t_grid,
     default_x_grid,
     lipschitz_seminorm,
+    poisson_dt_expansion,
     sup_norm,
 )
 from laguerre_ops.specfun import laguerre_poly
@@ -26,6 +35,10 @@ class TestGrids:
         assert len(g) == 24
         assert g[0] == (pytest.approx(0.05),)
         assert g[-1] == (pytest.approx(20.0),)
+
+    def test_x_grid_is_the_tensor_of_one_axis(self):
+        axis = np.geomspace(0.05, 20.0, 24).tolist()
+        assert default_x_grid(3) == [(a, b, c) for a in axis for b in axis for c in axis]
 
     def test_t_grid_dyadic_ascending(self):
         g = default_t_grid()
@@ -190,3 +203,95 @@ class TestChecks:
     def test_pminusI_order_mismatch(self):
         with pytest.raises(DomainError):
             check_pminusI_power(L1, P, 2, 0.5)
+
+
+E4 = random_expansion(P, 4, seed=1)
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize(
+        "t_grid",
+        [[-1.0, 1.0], [], [0.5, math.inf], [math.nan, 1.0], [0.0, 1.0]],
+        ids=["negative", "empty", "inf", "nan", "zero"],
+    )
+    def test_bad_t_grid(self, t_grid):
+        with pytest.raises(DomainError):
+            lipschitz_seminorm(E4, P, 0.5, t_grid=t_grid)
+
+    @pytest.mark.parametrize("x", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_x_point(self, x):
+        with pytest.raises(DomainError):
+            lipschitz_seminorm(E4, P, 0.5, x_grid=[(0.5,), (x,)])
+
+    def test_bad_coordinate_at_d2(self):
+        p = MultiIndexParams(2, (0.5, 0.5))
+        with pytest.raises(DomainError):
+            lipschitz_seminorm(random_expansion(p, 3, seed=1), p, 0.5,
+                               x_grid=[(0.5, 1.0), (1.0, -0.3)])
+
+    def test_approximation_negative_t(self):
+        with pytest.raises(DomainError):
+            check_approximation(E4, P, 0.5, t_grid=[-1.0, 1.0])
+
+    def test_callable_f_sup_takes_one_call(self):
+        calls = []
+
+        def f(y):
+            calls.append(np.shape(y))
+            return laguerre_poly(1, 0.5, y)
+
+        t_grid, x_grid = [0.5, 1.0], [(0.5,), (1.0,), (2.0,)]
+        for x in x_grid:
+            poisson_dt_apply(f, P, np.array(t_grid), x, 1)
+        kernel_calls = len(calls)
+        calls.clear()
+        est = lipschitz_seminorm(f, P, 0.5, t_grid, x_grid, method="kernel")
+        assert len(calls) == kernel_calls + 1
+        assert calls[-1] == (3,)
+        assert est.f_sup == max(abs(laguerre_poly(1, 0.5, x[0])) for x in x_grid)
+
+
+def _params(d):
+    return MultiIndexParams(d, (0.5, -0.25, 2.0)[:d])
+
+
+class TestStackedTimeGrid:
+    """The whole time grid in one synthesis gives the per-t numbers bit for bit."""
+
+    @pytest.mark.parametrize("d, degree", [(1, 8), (2, 6), (3, 4)])
+    @pytest.mark.parametrize("beta", [0.3, 1.5, 2.4])
+    def test_sup_table_matches_per_t_synthesis(self, d, degree, beta):
+        p = _params(d)
+        f = random_expansion(p, degree, seed=5)
+        est = lipschitz_seminorm(f, p, beta)
+        xs = np.asarray(est.x_grid)
+        for t in est.t_grid:
+            want = np.max(np.abs(synthesize_many(poisson_dt_expansion(f, t, est.n), xs)))
+            assert est.sup_table[t] == want
+        assert est.A_beta == max(t ** (est.n - beta) * s for t, s in est.sup_table.items())
+
+    @pytest.mark.parametrize("d, degree", [(1, 8), (2, 6)])
+    def test_approximation_rows_match_per_t_loop(self, d, degree):
+        p = _params(d)
+        f = random_expansion(p, degree, seed=6)
+        r = check_approximation(f, p, 0.6)
+        xs = np.asarray(default_x_grid(d))
+        f_vals = synthesize_many(f, xs)
+        t_grid = default_t_grid()
+        assert len(r.rows) == len(t_grid)
+        for row, t in zip(r.rows, t_grid):
+            pt = synthesize_many(spectral_apply(poisson(t), f), xs)
+            assert row.measured == np.max(np.abs(pt - f_vals))
+
+    @pytest.mark.parametrize("d, degree", [(1, 8), (2, 6)])
+    @pytest.mark.parametrize("n, beta", [(1, 0.5), (2, 1.3), (3, 2.4)])
+    def test_pminusI_rows_match_per_t_loop(self, d, degree, n, beta):
+        p = _params(d)
+        f = random_expansion(p, degree, seed=7)
+        r = check_pminusI_power(f, p, n, beta)
+        xs = np.asarray(default_x_grid(d))
+        t_grid = default_t_grid()
+        assert len(r.rows) == 2 * len(t_grid)
+        for row, t in zip(r.rows[::2], t_grid):
+            g = f.scaled(np.expm1(-t * np.sqrt(f.orders)) ** n)
+            assert row.measured == np.max(np.abs(synthesize_many(g, xs)))

@@ -16,6 +16,7 @@ from laguerre_ops.specfun import (
     gauss_jacobi_rule,
     gauss_laguerre_rule,
     laguerre_poly,
+    laguerre_rows,
     log_bessel_i_scaled,
 )
 
@@ -167,6 +168,28 @@ class TestLaguerrePoly:
     def test_alpha_out_of_range(self):
         with pytest.raises(DomainError):
             laguerre_poly(2, -1.0, 1.0)
+        with pytest.raises(DomainError):
+            laguerre_rows(2, -1.0, 1.0)
+
+    @pytest.mark.parametrize("alpha", [-0.99, -0.25, 0.5, 25.0])
+    def test_rows_match_laguerre_poly_bitwise(self, alpha):
+        # every row of the one-pass table is the polynomial of its own degree,
+        # and both equal the two-term rolling recurrence bit for bit
+        x = np.geomspace(1e-3, 60.0, 17)
+        rows = laguerre_rows(12, alpha, x)
+        assert rows.shape == (13, 17)
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        for k in range(13):
+            np.testing.assert_array_equal(rows[k], laguerre_poly(k, alpha, x))
+            np.testing.assert_array_equal(rows[k], cur)
+            assert laguerre_poly(k, alpha, float(x[5])) == rows[k, 5]
+            if k == 0:
+                prev, cur = cur, alpha + 1.0 - x
+            else:
+                prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+
+    def test_rows_at_degree_zero(self):
+        np.testing.assert_array_equal(laguerre_rows(0, 0.5, np.array([0.1, 4.0])), [[1.0, 1.0]])
 
 
 class TestGaussLaguerre:

@@ -1,0 +1,156 @@
+"""Median per-call cost of each layer of laguerre-ops, written as one JSON file.
+
+    python3 scripts/layer_costs.py --out BENCH.json [--quick]
+
+Run from the repository root; the package is imported from ./src.  Each
+figure is the median wall time of single calls after one warm-up call:
+
+- specfun: log-Bessel per point, the heat-axis rule per node;
+- kernels: one Poisson kernel value, poisson_apply at d = 1 and d = 2,
+  l1_kernel_derivative;
+- expansion: analyze and synthesize;
+- harness: each scenario of the fast set, at its default configuration;
+- tier-1: the wall time of the whole test suite (left out with --quick,
+  which also takes fewer repeats).
+
+Timings depend on the machine, so the file records it beside them.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+import laguerre_ops as lo  # noqa: E402
+from laguerre_ops.kernels import _heat_axis_rule  # noqa: E402
+
+# scenarios that make no Poisson-kernel L1 or mass integrals; the others
+# take seconds each and are covered by tier-1
+FAST_SCENARIOS = (
+    "subordination", "prop31", "prop33", "thm31",
+    "thm42", "thm33", "thm44", "fdiff-identities",
+)
+
+
+def median_s(fn, repeats):
+    """Median wall time of `repeats` calls of fn, after one warm-up call."""
+    fn()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def layer_costs(repeats):
+    p1 = lo.MultiIndexParams(1, (0.5,))
+    p2 = lo.MultiIndexParams(2, (0.5, -0.25))
+    f1 = lambda y: np.exp(-0.3 * y)
+    f2 = lambda pts: np.exp(-0.3 * pts[:, 0] - 0.1 * pts[:, 1])
+    z = np.geomspace(1e-3, 1e3, 4096)
+    heat_times = np.geomspace(1e-3, 40.0, 45)
+    nodes = _heat_axis_rule(0.5, heat_times, 1.3, lo.kernels.HEAT_ORDER)[1].size
+    e = lo.random_expansion(p2, 10, seed=0)
+    pts = np.random.default_rng(0).uniform(0.1, 5.0, (1024, 2))
+    return {
+        "log_bessel_per_point_s": median_s(lambda: lo.log_bessel_i_scaled(0.5, z), repeats) / z.size,
+        "heat_axis_rule_per_node_s": median_s(
+            lambda: _heat_axis_rule(0.5, heat_times, 1.3, lo.kernels.HEAT_ORDER), repeats
+        ) / nodes,
+        "poisson_kernel_value_s": median_s(
+            lambda: lo.poisson_kernel(lo.KernelQuery(p1, 0.5, (1.3,), (1.0,))), repeats
+        ),
+        "poisson_apply_d1_s": median_s(lambda: lo.poisson_apply(f1, p1, 0.7, (1.3,)), repeats),
+        "poisson_apply_d2_s": median_s(lambda: lo.poisson_apply(f2, p2, 0.7, (1.2, 0.7)), repeats),
+        "l1_kernel_derivative_s": median_s(
+            lambda: lo.l1_kernel_derivative(p1, 0.5, (1.3,), 1), max(1, repeats // 4)
+        ),
+        "analyze_d2_degree10_s": median_s(lambda: lo.analyze(f2, p2, 10), repeats),
+        "synthesize_d2_degree10_1024_points_s": median_s(lambda: lo.synthesize_many(e, pts), repeats),
+    }
+
+
+def scenario_costs(repeats):
+    return {
+        name: median_s(lambda: lo.run_scenario(lo.ScenarioConfig(scenario=name)), repeats)
+        for name in FAST_SCENARIOS
+    }
+
+
+def tier1():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    return {
+        "wall_s": time.perf_counter() - start,
+        "exit_code": done.returncode,
+        "summary": lines[-1] if lines else "",
+    }
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def machine():
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
+        ).stdout.strip() or None
+    except OSError:
+        commit = None
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": cpu_model(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "commit": commit,
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="path of the JSON file to write")
+    ap.add_argument("--quick", action="store_true", help="fewer repeats, no tier-1 run")
+    args = ap.parse_args(argv)
+    repeats = 3 if args.quick else 15
+    result = {
+        "machine": machine(),
+        "repeats": repeats,
+        "layers": layer_costs(repeats),
+        "scenarios_s": scenario_costs(1 if args.quick else 5),
+        "tier1": None if args.quick else tier1(),
+    }
+    with open(args.out, "w") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
+    print(json.dumps(result["layers"]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,10 +20,11 @@ at most BLOCK_POINTS entries per log_bessel_i_scaled call, each y refined on
 its own by doubling the subordination panels; one value is a block of one.
 
 P_t f(x) and its time derivatives are read off one semigroup table: the
-nodes s of a log-time rule shared by all times, T_s f(x) at each node (one
-batched heat evaluation, which heat_apply_kernel runs on one time) and the
-mu_alpha-mean of f, so d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds.
-poisson_dt_apply doubles the subordination panels until two tables agree.
+nodes s of a log-time rule shared by all times, T_s f(x) at each node (in
+chunks of times, one heat-axis rule per axis and chunk) and the mu_alpha-mean
+of f, so d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds, read in blocks of
+times.  poisson_dt_apply doubles the subordination panels until two tables
+agree.
 
 l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on panels in
 v = sqrt(y), dyadic around the ridge at sqrt(x) and ending past it: the
@@ -224,23 +225,26 @@ def _heat_axis_rule(alpha, times, x, order):
 
 
 def _heat_apply_times(f, params, times, x, order):
-    """T_s f(x) for each heat time s in `times`.  At d = 1 the times are taken
-    in chunks of at most BLOCK_POINTS nodes (one log_bessel_i_scaled call and
-    one call to f per chunk); at d >= 2 each time is one tensor grid of the
-    per-axis rules, freed before the next."""
+    """T_s f(x) for each heat time s in `times`, taken in chunks of at most
+    BLOCK_POINTS nodes per axis: one heat-axis rule (one log_bessel_i_scaled
+    call) per axis and chunk.  At d = 1 a chunk is one call to f; at d >= 2
+    each time is one tensor grid of its rows of the per-axis rules."""
     out = np.empty(len(times))
-    if params.d > 1:
-        for i, s in enumerate(times.tolist()):
-            rules = [_heat_axis_rule(a, np.array([s]), xj, order) for a, xj in zip(params.alpha, x)]
-            y, w = tensor_grid([r[1].ravel() for r in rules], [r[2].ravel() for r in rules])
-            out[i] = (w * call_on_points(f, y)).sum()
-        return out
     step = max(1, BLOCK_POINTS // (15 * order))  # a time has at most 15 panels
     for i in range(0, len(times), step):
         chunk = times[i : i + step]
-        idx, y, w = _heat_axis_rule(params.alpha[0], chunk, x[0], order)
-        sums = (w * call_on_points(f, y.reshape(-1, 1)).reshape(y.shape)).sum(axis=1)
-        out[i : i + step] = np.bincount(idx, sums, minlength=len(chunk))
+        rules = [_heat_axis_rule(a, chunk, xj, order) for a, xj in zip(params.alpha, x)]
+        if params.d == 1:
+            idx, y, w = rules[0]
+            sums = (w * call_on_points(f, y.reshape(-1, 1)).reshape(y.shape)).sum(axis=1)
+            out[i : i + step] = np.bincount(idx, sums, minlength=len(chunk))
+            continue
+        # idx is sorted, so the rows of each time are one run of them
+        starts = [np.searchsorted(idx, np.arange(1, len(chunk))) for idx, _, _ in rules]
+        axes = [zip(np.split(y, c), np.split(w, c)) for (_, y, w), c in zip(rules, starts)]
+        for j, rows in enumerate(zip(*axes)):
+            y, w = tensor_grid([y.ravel() for y, _ in rows], [w.ravel() for _, w in rows])
+            out[i + j] = (w * call_on_points(f, y)).sum()
     return out
 
 
@@ -257,52 +261,60 @@ def heat_apply_kernel(f, q: KernelQuery, order: int = HEAT_ORDER) -> float:
 # ---------------------------------------------------------------------------
 
 
-def stable_density(t: float, s) -> float:
+def stable_density(t, s):
     """g(t, s) = (t / 2 sqrt(pi)) e^{-t^2/4s} s^{-3/2}."""
-    if np.any(np.asarray(s, dtype=float) <= 0):
-        raise DomainError("s must be positive")
     return stable_density_dt(0, t, s)
 
 
-def _hermite(m: int, u):
-    if m < 0:
-        return np.zeros_like(np.asarray(u, dtype=float))
-    coef = [0.0] * m + [1.0]
-    return hermval(u, coef)
+def _check_stable(m, t, s):
+    """DomainError unless m is an integer >= 0 and t and s are finite, > 0
+    and broadcast against each other."""
+    if not isinstance(m, (int, np.integer)) or m < 0:
+        raise DomainError(f"m must be an integer >= 0, got {m!r}")
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    try:
+        ok = ((t > 0) & (t < math.inf) & (s > 0) & (s < math.inf)).all()
+    except ValueError:
+        raise DomainError("t must be a scalar or an array that broadcasts against s") from None
+    if not ok:
+        raise DomainError("t and s must be finite and > 0")
 
 
-def stable_density_dt(m: int, t: float, s) -> np.ndarray:
-    """m-th partial derivative of g(t, s) in t, analytic via Hermite polynomials.
+def stable_density_dt(m: int, t, s):
+    """m-th partial derivative of g(t, s) in t, analytic via Hermite polynomials,
+    at t and s broadcast against each other.
 
     With a = 1/(4s) and phi(t) = e^{-a t^2}:
     d^m/dt^m [t phi] = t phi^(m) + m phi^(m-1),
     phi^(j)(t) = (-sqrt(a))^j H_j(sqrt(a) t) phi(t).
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_stable(m, t, s)
     s_arr = np.asarray(s, dtype=float)
     ra = 1.0 / (2.0 * np.sqrt(s_arr))  # sqrt(a)
     phi = np.exp(-(ra * t) ** 2)
-    term = t * (-ra) ** m * _hermite(m, ra * t)
+    term = t * (-ra) ** m * hermval(ra * t, [0.0] * m + [1.0])
     if m >= 1:
-        term = term + m * (-ra) ** (m - 1) * _hermite(m - 1, ra * t)
+        term = term + m * (-ra) ** (m - 1) * hermval(ra * t, [0.0] * (m - 1) + [1.0])
     out = term * phi * s_arr**-1.5 / (2.0 * math.sqrt(math.pi))
-    return out if np.ndim(s) else float(out)
+    return out if np.ndim(out) else float(out)
 
 
-def stable_tail_mass(m: int, t: float, s_hi: float) -> float:
-    """d^m/dt^m of int_{s_hi}^inf g(t, s) ds = d^m/dt^m erf(t / (2 sqrt(s_hi)))."""
+def stable_tail_mass(m: int, t, s_hi: float):
+    """d^m/dt^m of int_{s_hi}^inf g(t, s) ds = d^m/dt^m erf(t / (2 sqrt(s_hi))),
+    at a scalar s_hi and t a scalar or an array.  erf and exp come from math,
+    so each time of an array gets the value of its scalar call."""
+    _check_stable(m, t, s_hi)
+    if np.ndim(s_hi):
+        raise DomainError("s_hi must be a scalar")
     b = 1.0 / (2.0 * math.sqrt(s_hi))
+    u = b * np.asarray(t, dtype=float)
     if m == 0:
-        return math.erf(b * t)
-    u = b * t
-    return float(
-        (2.0 / math.sqrt(math.pi))
-        * b**m
-        * (-1.0) ** (m - 1)
-        * _hermite(m - 1, u)
-        * math.exp(-u * u)
-    )
+        out = np.frompyfunc(math.erf, 1, 1)(u)
+    else:
+        gauss = np.frompyfunc(lambda v: math.exp(-v * v), 1, 1)(u)
+        h = hermval(u, [0.0] * (m - 1) + [1.0])
+        out = (2.0 / math.sqrt(math.pi)) * b**m * (-1.0) ** (m - 1) * h * gauss
+    return np.asarray(out, dtype=float) if np.ndim(out) else float(out)
 
 
 def _s_floor(t):
@@ -317,14 +329,15 @@ def _subordination_breaks(t: float, panels: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _subordination_nodes(t, m, panels, order):
-    """s nodes of the log-time panel rule on (0, S_CUTOFF) and the weights
-    w_i s_i d^m/dt^m g(t, s_i), so that sum_i weight_i F(s_i) ~ int d^m_t g F ds."""
+    """s nodes of the log-time panel rule on (0, S_CUTOFF), the weights
+    w_i s_i d^m/dt^m g(t, s_i), so that sum_i weight_i F(s_i) ~ int d^m_t g F ds,
+    and the d^m/dt^m mass of g past S_CUTOFF."""
     s, w = _panel_nodes(np.log(_subordination_breaks(t, panels)), order)
     s = np.exp(s)
     ws = w * s * stable_density_dt(m, t, s)
     s.flags.writeable = False
     ws.flags.writeable = False
-    return s, ws
+    return s, ws, stable_tail_mass(m, t, S_CUTOFF)
 
 
 def _poisson_block_once(params, t, x, fixed, y, m, panels, order):
@@ -335,7 +348,7 @@ def _poisson_block_once(params, t, x, fixed, y, m, panels, order):
     that each chunk is one log_bessel_i_scaled call.  Each row is summed on
     its own, so a value does not depend on the other y it is evaluated with.
     """
-    s, ws = _subordination_nodes(t, m, panels, order)
+    s, ws, tail = _subordination_nodes(t, m, panels, order)
     log_fixed = 0.0
     log_mu = 0.0
     for a, xj, yj in zip(params.alpha, x, fixed):
@@ -348,7 +361,6 @@ def _poisson_block_once(params, t, x, fixed, y, m, panels, order):
         yc = y[i : i + step, None]
         log_h = _log_heat_axis(a, s, xl, yc) + log_fixed
         out[i : i + step] = (np.exp(log_h) * ws).sum(axis=1)
-    tail = stable_tail_mass(m, t, S_CUTOFF)
     return out + np.exp(log_mu + _log_mu_axis(a, y)) * tail
 
 
@@ -424,14 +436,19 @@ def _semigroup_table(f, params, t_min, x, panels, order):
 
 
 def _read_table(table, times, m):
-    """int d^m_t g(t, s) T_s f(x) ds = d^m/dt^m P_t f(x) for each time."""
+    """int d^m_t g(t, s) T_s f(x) ds = d^m/dt^m P_t f(x) for each time: the
+    density on blocks of BLOCK_POINTS // len(s) times at once, each time's
+    integral one dot product of its row (a matrix product would sum in
+    another order, and the difference route amplifies that rounding)."""
     s, ws, heat, mean = table
-    return np.array(
-        [
-            np.dot(ws * stable_density_dt(m, ti, s), heat) + mean * stable_tail_mass(m, ti, S_CUTOFF)
-            for ti in times.ravel().tolist()
-        ]
-    )
+    times, out = times.ravel(), []
+    step = max(1, BLOCK_POINTS // len(s))
+    for i in range(0, len(times), step):
+        block = times[i : i + step]
+        rows = ws * stable_density_dt(m, block[:, None], s)
+        tails = stable_tail_mass(m, block, S_CUTOFF)
+        out += [np.dot(row, heat) + mean * tail for row, tail in zip(rows, tails)]
+    return np.array(out)
 
 
 def poisson_apply(

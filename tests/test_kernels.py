@@ -15,7 +15,9 @@ from laguerre_ops.expansion import (
     synthesize_many,
 )
 from laguerre_ops.kernels import (
+    BLOCK_POINTS,
     DEFAULT_RULE,
+    S_CUTOFF,
     KernelQuery,
     SubordinationRule,
     heat_apply_kernel,
@@ -30,6 +32,8 @@ from laguerre_ops.kernels import (
     stable_tail_mass,
     _heat_apply_times,
     _poisson_block,
+    _read_table,
+    _semigroup_table,
 )
 from laguerre_ops.specfun import laguerre_poly
 
@@ -164,6 +168,32 @@ class TestHeatEngine:
         want = [heat_apply_kernel(g, KernelQuery(p2, t, (1.2, 0.7)), order=8) for t in times]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("alpha", [-0.25, 0.5])
+    def test_chunks_are_bit_identical_to_single_times(self, d, alpha):
+        # 100 times are three chunks of one heat-axis rule per axis; each
+        # value must be exactly the one of its time taken alone
+        params = MultiIndexParams(d, (alpha,) * d)
+        x = (1.3, 0.6)[:d]
+        f = lambda y: np.exp(-0.3 * y) if d == 1 else np.exp(-0.3 * y[:, 0] - 0.1 * y[:, 1])
+        times = np.geomspace(1e-6, 40.0, 100)
+        got = _heat_apply_times(f, params, times, x, 8)
+        want = [heat_apply_kernel(f, KernelQuery(params, t, x), order=8) for t in times]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_table_blocks_are_bit_identical_to_single_times(self, m):
+        # more times than one block of BLOCK_POINTS // len(s); each must
+        # equal the scalar formula at that time exactly
+        f = lambda y: np.exp(-0.3 * y)
+        s, ws, heat, mean = table = _semigroup_table(f, P_HALF, 0.05, (1.3,), 12, 12)
+        times = np.geomspace(0.05, 8.0, 3 * (BLOCK_POINTS // len(s)) + 5)
+        want = [
+            np.dot(ws * stable_density_dt(m, t, s), heat) + mean * stable_tail_mass(m, t, S_CUTOFF)
+            for t in times.tolist()
+        ]
+        assert _read_table(table, times, m).tolist() == want
+
 
 class TestHeatAxisRule:
     """The Gauss-Jacobi endpoint panel and the ridge panels in offsets against
@@ -279,6 +309,63 @@ class TestStableDensity:
             stable_density(-1.0, 1.0)
         with pytest.raises(DomainError):
             stable_density(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "m, t, s",
+        [
+            (-1, 0.5, np.array([0.2, 1.0])),  # returned -0
+            (1.5, 0.5, np.array([0.2, 1.0])),  # raw TypeError after a RuntimeWarning
+            (1, math.nan, np.array([0.2, 1.0])),  # returned nan
+            (1, math.inf, 1.0),
+            (1, 0.0, 1.0),
+            (1, 0.5, np.array([0.2, -0.1])),  # returned nan and warned
+            (1, 0.5, np.array([0.2, math.nan])),
+            (1, 0.5, math.inf),
+            (0, np.array([0.5, -1.0]), 1.0),
+            (0, np.array([0.5, 1.0, 2.0]), np.array([0.2, 1.0])),  # does not broadcast
+        ],
+    )
+    def test_density_rejects_bad_arguments(self, m, t, s):
+        with pytest.raises(DomainError):
+            stable_density_dt(m, t, s)
+
+    @pytest.mark.parametrize(
+        "m, t, s_hi",
+        [
+            (-1, 0.5, 40.0),  # returned 0.0
+            (1.5, 0.5, 40.0),
+            (1, -0.5, 40.0),  # returned 0.089
+            (1, math.nan, 40.0),
+            (1, 0.5, 0.0),
+            (1, 0.5, -40.0),
+            (0, 0.5, math.inf),
+            (0, 0.5, math.nan),
+            (0, 0.5, np.array([4.0, 40.0])),  # s_hi is a scalar
+            (0, np.array([0.5, -1.0]), 40.0),
+        ],
+    )
+    def test_tail_mass_rejects_bad_arguments(self, m, t, s_hi):
+        with pytest.raises(DomainError):
+            stable_tail_mass(m, t, s_hi)
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_density_broadcasts_times_against_s(self, m):
+        t = np.array([0.05, 0.5, 3.0])
+        s = np.geomspace(1e-3, 40.0, 7)
+        got = stable_density_dt(m, t[:, None], s)
+        assert got.shape == (3, 7)
+        for row, ti in zip(got, t.tolist()):
+            assert row.tolist() == stable_density_dt(m, ti, s).tolist()
+        assert stable_density_dt(m, t, 0.7).tolist() == [stable_density_dt(m, ti, 0.7) for ti in t]
+        assert stable_density_dt(np.int64(m), 0.5, 0.7) == stable_density_dt(m, 0.5, 0.7)
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_tail_mass_takes_an_array_of_times(self, m):
+        t = np.array([[0.05, 0.5], [3.0, 30.0]])
+        got = stable_tail_mass(m, t, S_CUTOFF)
+        assert got.shape == (2, 2)
+        assert got.ravel().tolist() == [stable_tail_mass(m, ti, S_CUTOFF) for ti in t.ravel().tolist()]
+        assert isinstance(stable_tail_mass(m, 0.5, S_CUTOFF), float)
 
 
 class TestPoissonKernel:

@@ -7,7 +7,8 @@ figure is the median wall time of single calls after one warm-up call:
 
 - specfun: log-Bessel per point, the heat-axis rule per node;
 - kernels: one Poisson kernel value, poisson_apply at d = 1 and d = 2,
-  l1_kernel_derivative;
+  l1_kernel_derivative at t = 0.5 and at t = 0.05 (where the subordination
+  rule, laid down to the floor of t, has the most panels);
 - expansion: analyze and synthesize;
 - harness: each scenario of the fast set, at its default configuration;
 - tier-1: the wall time of the whole test suite (left out with --quick,
@@ -76,6 +77,9 @@ def layer_costs(repeats):
         "poisson_apply_d2_s": median_s(lambda: lo.poisson_apply(f2, p2, 0.7, (1.2, 0.7)), repeats),
         "l1_kernel_derivative_s": median_s(
             lambda: lo.l1_kernel_derivative(p1, 0.5, (1.3,), 1), max(1, repeats // 4)
+        ),
+        "l1_kernel_derivative_t005_s": median_s(
+            lambda: lo.l1_kernel_derivative(p1, 0.05, (1.3,), 1), max(1, repeats // 4)
         ),
         "analyze_d2_degree10_s": median_s(lambda: lo.analyze(f2, p2, 10), repeats),
         "synthesize_d2_degree10_1024_points_s": median_s(lambda: lo.synthesize_many(e, pts), repeats),

@@ -47,9 +47,7 @@ from .fractional import (
 )
 from .harness import ScenarioConfig, SCENARIOS, main, run_scenario
 from .kernels import (
-    DEFAULT_RULE,
     KernelQuery,
-    SubordinationRule,
     heat_apply_kernel,
     heat_kernel,
     l1_kernel_derivative,

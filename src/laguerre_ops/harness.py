@@ -29,12 +29,11 @@ from .expansion import (
 )
 from .fractional import ROUTES, FracOpConfig, _apply_expansion, forward_difference
 from .kernels import (
-    DEFAULT_RULE,
     KernelQuery,
     S_CUTOFF,
     _panel_nodes,
     _poisson_block,
-    _subordination_breaks,
+    _s_floor,
     _v_breaks,
     _v_nodes,
     heat_apply_kernel,
@@ -151,13 +150,15 @@ def _run_subordination(cfg, started):
     tol = cfg.tol("abs", 1e-8)
     rows = []
     for t in (0.1, 1.0, 5.0):
-        breaks = _subordination_breaks(t, 96)
+        # 96 Gauss-Legendre panels in log s from the floor of t to S_CUTOFF
+        breaks = np.exp(np.linspace(math.log(_s_floor(t)), math.log(S_CUTOFF), 97))
         s, w = _panel_nodes(np.log(breaks), 12)
         s = np.exp(s)
         g = stable_density(t, s) * s
+        mass_past = stable_tail_mass(0, t, S_CUTOFF)
         for n in range(11):
             body = float(np.dot(w, g * np.exp(-n * s)))
-            tail = math.exp(-n * S_CUTOFF) * stable_tail_mass(0, t, S_CUTOFF)
+            tail = math.exp(-n * S_CUTOFF) * mass_past
             err = abs(body + tail - math.exp(-t * math.sqrt(n)))
             rows.append(ReportRow(f"t={t:g},n={n}", err, tol))
     worst = max(r.measured for r in rows)
@@ -180,7 +181,7 @@ def _run_kernel_mass(cfg, started):
         for x in (0.5, 1.0, 2.0):
             mass = l1_kernel_derivative(cfg.params, t, (x,), 0)
             v, _ = _v_nodes(cfg.alpha[0], _v_breaks(t, x))
-            vals = _poisson_block(cfg.params, t, (x,), (), v * v, 0, DEFAULT_RULE)
+            vals = _poisson_block(cfg.params, t, (x,), (), v * v, 0)
             min_val = min(min_val, float(np.min(vals)))
             rows.append(ReportRow(f"t={t:g},x={x:g}", abs(mass - 1.0), tol))
     rows.append(ReportRow("min-node-value", -min_val, 0.0))

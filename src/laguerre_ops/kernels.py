@@ -15,16 +15,22 @@ T_s f(x) integrates one heat-axis rule per coordinate: Gauss-Legendre
 panels laid in offsets u from the kernel's Gaussian ridge in v = sqrt(y),
 whose exponent -u^2/2 is exact, around the square root of the kernel's mean
 in y, and, where they reach v = sigma, one Gauss-Jacobi panel in y on
-[0, sigma^2] that is exact for the y^alpha endpoint.  Kernel values d^m/dt^m p_t(x, y) come in (y x s-node) blocks of
-at most BLOCK_POINTS entries per log_bessel_i_scaled call, each y refined on
-its own by doubling the subordination panels; one value is a block of one.
+[0, sigma^2] that is exact for the y^alpha endpoint.
+
+Every integral int d^m_t g(t, s) F(s) ds over (0, S_CUTOFF) takes one
+subordination rule (_subordination_rule): Gauss-Legendre panels in log s of
+one width, laid down from S_CUTOFF to the floor of the smallest time, and
+the analytic erf tail past S_CUTOFF.  Kernel values d^m/dt^m p_t(x, y) read
+it at that t, in (y x s-node) blocks of at most BLOCK_POINTS entries per
+log_bessel_i_scaled call, each y refined on its own by doubling the panels
+from KERNEL_PANELS; one value is a block of one.
 
 P_t f(x) and its time derivatives are read off one semigroup table: the
-nodes s of a log-time rule shared by all times, T_s f(x) at each node (in
-chunks of times, one heat-axis rule per axis and chunk) and the mu_alpha-mean
-of f, so d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds, read in blocks of
-times.  poisson_dt_apply doubles the subordination panels until two tables
-agree.
+rule's nodes s at the smallest time, T_s f(x) at each node (in chunks of
+times, one heat-axis rule per axis and chunk) and the mu_alpha-mean of f,
+so d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds, read in blocks of
+times.  poisson_dt_apply doubles the panels from SUB_PANELS until two
+tables agree.
 
 l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on panels in
 v = sqrt(y), dyadic around the ridge at sqrt(x) and ending past it: the
@@ -51,7 +57,6 @@ from .specfun import gauss_jacobi_rule, gauss_laguerre_rule, log_bessel_i_scaled
 
 __all__ = [
     "KernelQuery",
-    "SubordinationRule",
     "heat_kernel",
     "heat_apply_kernel",
     "stable_density",
@@ -67,6 +72,17 @@ __all__ = [
 #: upper subordination cutoff: e^{-s} < 5e-18 for s > 40, so the heat
 #: semigroup is its equilibrium mean beyond it and the tail is analytic.
 S_CUTOFF = 40.0
+
+#: the subordination rule: Gauss-Legendre panels of SUB_ORDER nodes in log s,
+#: as wide as SUB_PANELS panels are at t = 1.  A semigroup table starts at
+#: SUB_PANELS panels and kernel values at KERNEL_PANELS; both double them at
+#: most SUB_DOUBLINGS times, until two values agree to max(SUB_ABS, SUB_REL |value|)
+SUB_PANELS = 12
+KERNEL_PANELS = 8
+SUB_ORDER = 12
+SUB_ABS = 1e-10
+SUB_REL = 1e-8
+SUB_DOUBLINGS = 4
 
 #: largest (y x s-node) block handed to one log_bessel_i_scaled call
 BLOCK_POINTS = 8192
@@ -97,8 +113,7 @@ class KernelQuery:
     derivative_order: int = 0
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise DomainError("time t must be positive")
+        _check_time(self.t)
         object.__setattr__(self, "x", _point(self.params, self.x, "x"))
         if self.y is not None:
             object.__setattr__(self, "y", _point(self.params, self.y, "y"))
@@ -106,29 +121,16 @@ class KernelQuery:
             raise DomainError("derivative_order must be nonnegative")
 
 
+def _check_time(t):
+    if not 0 < t < math.inf:
+        raise DomainError(f"time t must be finite and > 0, got {t!r}")
+
+
 def _point(params, p, name):
     p = tuple(float(v) for v in np.atleast_1d(p))
-    if len(p) != params.d or any(v <= 0 for v in p):
+    if len(p) != params.d or not all(0 < v < math.inf for v in p):
         raise DomainError(f"{name} must be a point in (0, inf)^d")
     return p
-
-
-@dataclass(frozen=True)
-class SubordinationRule:
-    """Panel scheme for integrals in log-time over (0, inf)."""
-
-    panels: int = 12
-    order: int = 12
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_refinements: int = 4
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
-
-
-DEFAULT_RULE = SubordinationRule()
 
 
 def _log_mu_axis(alpha, y):
@@ -323,24 +325,35 @@ def _s_floor(t):
     return min(t * t / 184.0, 0.5 * S_CUTOFF)
 
 
-def _subordination_breaks(t: float, panels: int) -> np.ndarray:
-    return np.exp(np.linspace(math.log(_s_floor(t)), math.log(S_CUTOFF), panels + 1))
+def _subordination_rule(t_min, panels):
+    """Nodes s and weights w s of the subordination rule for every time >=
+    t_min, so that sum_i (w s)_i F(s_i) ~ int_0^S_CUTOFF F(s) ds for F
+    smooth in log s: Gauss-Legendre panels in log s of the width `panels`
+    panels have at t = 1, laid down from S_CUTOFF to the floor of t_min."""
+    h = math.log(S_CUTOFF / _s_floor(1.0)) / panels
+    n = math.ceil(math.log(S_CUTOFF / _s_floor(t_min)) / h - 1e-9)
+    u, w = _panel_nodes(math.log(S_CUTOFF) - h * np.arange(n, -1.0, -1.0), SUB_ORDER)
+    s = np.exp(u)
+    return s, w * s
+
+
+def _settled(cur, prev):
+    return np.abs(cur - prev) <= np.maximum(SUB_ABS, SUB_REL * np.abs(cur))
 
 
 @lru_cache(maxsize=256)
-def _subordination_nodes(t, m, panels, order):
-    """s nodes of the log-time panel rule on (0, S_CUTOFF), the weights
-    w_i s_i d^m/dt^m g(t, s_i), so that sum_i weight_i F(s_i) ~ int d^m_t g F ds,
+def _subordination_nodes(t, m, panels):
+    """s nodes of the subordination rule at t, the weights w_i s_i
+    d^m/dt^m g(t, s_i), so that sum_i weight_i F(s_i) ~ int d^m_t g F ds,
     and the d^m/dt^m mass of g past S_CUTOFF."""
-    s, w = _panel_nodes(np.log(_subordination_breaks(t, panels)), order)
-    s = np.exp(s)
-    ws = w * s * stable_density_dt(m, t, s)
+    s, ws = _subordination_rule(t, panels)
+    ws = ws * stable_density_dt(m, t, s)
     s.flags.writeable = False
     ws.flags.writeable = False
     return s, ws, stable_tail_mass(m, t, S_CUTOFF)
 
 
-def _poisson_block_once(params, t, x, fixed, y, m, panels, order):
+def _poisson_block_once(params, t, x, fixed, y, m, panels):
     """d^m/dt^m p_t(x, (fixed, y_i)) for each y_i, from one subordination rule.
 
     The heat factors of the fixed axes are one vector over the s nodes; the
@@ -348,7 +361,7 @@ def _poisson_block_once(params, t, x, fixed, y, m, panels, order):
     that each chunk is one log_bessel_i_scaled call.  Each row is summed on
     its own, so a value does not depend on the other y it is evaluated with.
     """
-    s, ws, tail = _subordination_nodes(t, m, panels, order)
+    s, ws, tail = _subordination_nodes(t, m, panels)
     log_fixed = 0.0
     log_mu = 0.0
     for a, xj, yj in zip(params.alpha, x, fixed):
@@ -364,21 +377,21 @@ def _poisson_block_once(params, t, x, fixed, y, m, panels, order):
     return out + np.exp(log_mu + _log_mu_axis(a, y)) * tail
 
 
-def _poisson_block(params, t, x, fixed, y, m, rule: SubordinationRule):
+def _poisson_block(params, t, x, fixed, y, m):
     """d^m/dt^m p_t(x, (fixed, y_i)) for a vector y of last coordinates.
 
-    Each y_i is refined on its own: the subordination panels double until
-    two successive values agree to max(abs_tol, rel_tol |value|).
+    Each y_i is refined on its own: the subordination panels double from
+    KERNEL_PANELS until two successive values agree.
     """
     y = np.asarray(y, dtype=float)
-    panels = rule.panels
-    prev = _poisson_block_once(params, t, x, fixed, y, m, panels, rule.order)
+    panels = KERNEL_PANELS
+    prev = _poisson_block_once(params, t, x, fixed, y, m, panels)
     out = np.empty_like(prev)
     todo = np.arange(len(y))
-    for _ in range(rule.max_refinements):
+    for _ in range(SUB_DOUBLINGS):
         panels *= 2
-        cur = _poisson_block_once(params, t, x, fixed, y[todo], m, panels, rule.order)
-        done = np.abs(cur - prev) <= np.maximum(rule.abs_tol, rule.rel_tol * np.abs(cur))
+        cur = _poisson_block_once(params, t, x, fixed, y[todo], m, panels)
+        done = _settled(cur, prev)
         out[todo[done]] = cur[done]
         todo, prev = todo[~done], cur[~done]
         if len(todo) == 0:
@@ -389,7 +402,7 @@ def _poisson_block(params, t, x, fixed, y, m, rule: SubordinationRule):
     )
 
 
-def _kernel_value(q: KernelQuery, dt: bool, rule: SubordinationRule) -> float:
+def _kernel_value(q: KernelQuery, dt: bool) -> float:
     """d^m/dt^m p_t(x, y) at the query's point, m = q.derivative_order: the
     block evaluator on one column."""
     if q.y is None:
@@ -397,17 +410,17 @@ def _kernel_value(q: KernelQuery, dt: bool, rule: SubordinationRule) -> float:
     if (q.derivative_order >= 1) != dt:
         raise DomainError("poisson_kernel takes derivative_order 0, poisson_kernel_dt >= 1")
     m = q.derivative_order
-    return float(_poisson_block(q.params, q.t, q.x, q.y[:-1], q.y[-1:], m, rule)[0])
+    return float(_poisson_block(q.params, q.t, q.x, q.y[:-1], q.y[-1:], m)[0])
 
 
-def poisson_kernel(q: KernelQuery, rule: SubordinationRule = DEFAULT_RULE) -> float:
+def poisson_kernel(q: KernelQuery) -> float:
     """Poisson kernel p_t(x, y) against Lebesgue dy, via s = -log r."""
-    return _kernel_value(q, False, rule)
+    return _kernel_value(q, False)
 
 
-def poisson_kernel_dt(q: KernelQuery, rule: SubordinationRule = DEFAULT_RULE) -> float:
+def poisson_kernel_dt(q: KernelQuery) -> float:
     """m-th time derivative of p_t(x, y), m = q.derivative_order >= 1."""
-    return _kernel_value(q, True, rule)
+    return _kernel_value(q, True)
 
 
 def _mu_mean(f, params):
@@ -423,16 +436,12 @@ def _times_and_point(params, t, x):
     return times, _point(params, x, "x")
 
 
-def _semigroup_table(f, params, t_min, x, panels, order):
-    """Nodes s, weights w s, T_s f(x) and the mu_alpha-mean of f (T_s f past
-    S_CUTOFF) of one subordination rule shared by every time >= t_min:
-    Gauss-Legendre panels of the log width `panels` panels have at t = 1,
-    laid down from S_CUTOFF to the floor of t_min."""
-    h = math.log(S_CUTOFF / _s_floor(1.0)) / panels
-    n = math.ceil(math.log(S_CUTOFF / _s_floor(t_min)) / h - 1e-9)
-    u, w = _panel_nodes(math.log(S_CUTOFF) - h * np.arange(n, -1.0, -1.0), order)
-    s = np.exp(u)
-    return s, w * s, _heat_apply_times(f, params, s, x, HEAT_ORDER), _mu_mean(f, params)
+def _semigroup_table(f, params, t_min, x, panels):
+    """Nodes s and weights w s of the subordination rule for every time >=
+    t_min, T_s f(x) at each node and the mu_alpha-mean of f (T_s f past
+    S_CUTOFF)."""
+    s, ws = _subordination_rule(t_min, panels)
+    return s, ws, _heat_apply_times(f, params, s, x, HEAT_ORDER), _mu_mean(f, params)
 
 
 def _read_table(table, times, m):
@@ -451,49 +460,37 @@ def _read_table(table, times, m):
     return np.array(out)
 
 
-def poisson_apply(
-    f,
-    params: MultiIndexParams,
-    t,
-    x,
-    rule: SubordinationRule = DEFAULT_RULE,
-):
+def poisson_apply(f, params: MultiIndexParams, t, x):
     """P_t f(x) by subordination: int_0^inf g(t, s) T_s f(x) ds.
 
     t is one time (a float is returned) or an array of times (an array of
-    that shape is returned), all read off one semigroup table.
+    that shape is returned), all read off one semigroup table of SUB_PANELS
+    panels.
     """
     times, x = _times_and_point(params, t, x)
-    out = _read_table(_semigroup_table(f, params, times.min(), x, rule.panels, rule.order), times, 0)
+    out = _read_table(_semigroup_table(f, params, times.min(), x, SUB_PANELS), times, 0)
     return out.reshape(times.shape) if np.ndim(t) else float(out[0])
 
 
-def poisson_dt_apply(
-    f,
-    params: MultiIndexParams,
-    t,
-    x,
-    m: int,
-    rule: SubordinationRule = DEFAULT_RULE,
-):
+def poisson_dt_apply(f, params: MultiIndexParams, t, x, m: int):
     """d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds, for t as in poisson_apply.
 
-    The subordination panels double until every time agrees with the
-    previous table to max(abs_tol, rel_tol |value|), else QuadratureError.
+    The subordination panels double from SUB_PANELS until every time agrees
+    with the previous table, else QuadratureError.
     """
     times, x = _times_and_point(params, t, x)
     if m < 0:
         raise DomainError("m must be nonnegative")
     prev = None
-    for j in range(rule.max_refinements + 1):
-        table = _semigroup_table(f, params, times.min(), x, rule.panels * 2**j, rule.order)
+    for j in range(SUB_DOUBLINGS + 1):
+        table = _semigroup_table(f, params, times.min(), x, SUB_PANELS * 2**j)
         cur = _read_table(table, times, m)
-        if j and np.all(np.abs(cur - prev) <= np.maximum(rule.abs_tol, rule.rel_tol * np.abs(cur))):
+        if j and np.all(_settled(cur, prev)):
             return cur.reshape(times.shape) if np.ndim(t) else float(cur[0])
         prev = cur
     raise QuadratureError(
         f"d^{m}/dt^{m} P_t f(x) at x={x}, t >= {times.min():g} did not converge "
-        f"in {rule.max_refinements} doublings of the subordination panels"
+        f"in {SUB_DOUBLINGS} doublings of the subordination panels"
     )
 
 
@@ -576,7 +573,6 @@ def l1_kernel_derivative(
     t: float,
     x,
     m: int,
-    rule: SubordinationRule = DEFAULT_RULE,
     epsabs: float = 1e-9,
     epsrel: float = 1e-7,
 ) -> float:
@@ -584,9 +580,10 @@ def l1_kernel_derivative(
     rule of _v_integral on blocks of kernel values."""
     if params.d != 1:
         raise DomainError("l1_kernel_derivative is one-dimensional; d must be 1")
+    _check_time(t)
     x = _point(params, x, "x")
-    block = lambda y: _poisson_block(params, t, x, (), y, m, rule)
+    block = lambda y: _poisson_block(params, t, x, (), y, m)
     # bisection only reads signs, so it skips the refinement test, which
     # cannot pass where p is below its own discretisation error
-    sign_of = lambda y: _poisson_block_once(params, t, x, (), y, m, 2 * rule.panels, rule.order)
+    sign_of = lambda y: _poisson_block_once(params, t, x, (), y, m, 2 * KERNEL_PANELS)
     return _v_integral(block, sign_of, params.alpha[0], _v_breaks(t, x[0]), epsabs, epsrel)

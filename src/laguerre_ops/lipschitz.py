@@ -32,7 +32,7 @@ from .expansion import (
     tensor_grid,
 )
 from .fractional import forward_difference, smallest_integer_above
-from .kernels import DEFAULT_RULE, poisson_dt_apply
+from .kernels import poisson_dt_apply
 from .report import BoundReport, ReportRow
 
 __all__ = [
@@ -135,7 +135,7 @@ def _grids(t_grid, x_grid, d):
     return t_grid, xs
 
 
-def _a_beta(f, params, beta, n, t_grid, xs, method, rule):
+def _a_beta(f, params, beta, n, t_grid, xs, method):
     """(sup_t t^(n-beta) ||d^n_t P_t f||, {t: ||d^n_t P_t f||}) for an order n > beta."""
     if method == "spectral":
         if not isinstance(f, LaguerreExpansion):
@@ -145,7 +145,7 @@ def _a_beta(f, params, beta, n, t_grid, xs, method, rule):
     elif method == "kernel":
         func = (lambda y: synthesize_many(f, y)) if isinstance(f, LaguerreExpansion) else f
         # one semigroup table per x serves the whole t grid
-        vals = [poisson_dt_apply(func, params, np.array(t_grid), x, n, rule) for x in xs]
+        vals = [poisson_dt_apply(func, params, np.array(t_grid), x, n) for x in xs]
         sups = np.max(np.abs(vals), axis=0)
     else:
         raise DomainError(f"unknown method {method!r}")
@@ -160,14 +160,13 @@ def lipschitz_seminorm(
     t_grid=None,
     x_grid=None,
     method: str = "spectral",
-    rule=DEFAULT_RULE,
 ) -> LipschitzEstimate:
     """Measure A_beta(f) = sup_t t^(n-beta) ||d^n/dt^n P_t f||_inf on grids."""
     if not beta > 0:
         raise DomainError("beta must be positive")
     n = smallest_integer_above(beta)
     t_grid, xs = _grids(t_grid, x_grid, params.d)
-    a_beta, sup_table = _a_beta(f, params, beta, n, t_grid, xs, method, rule)
+    a_beta, sup_table = _a_beta(f, params, beta, n, t_grid, xs, method)
     f_vals = synthesize_many(f, xs) if isinstance(f, LaguerreExpansion) else call_on_points(f, xs)
     f_sup = float(np.max(np.abs(f_vals)))
     points = _default_grid(params.d, 24)[1] if x_grid is None else tuple(map(tuple, xs.tolist()))
@@ -194,8 +193,8 @@ def check_equivalence(
     if k <= beta or l <= beta:
         raise DomainError("both derivative orders must exceed beta")
     t_grid, xs = _grids(t_grid, x_grid, params.d)
-    a_k, _ = _a_beta(f, params, beta, k, t_grid, xs, method, DEFAULT_RULE)
-    a_l, _ = _a_beta(f, params, beta, l, t_grid, xs, method, DEFAULT_RULE)
+    a_k, _ = _a_beta(f, params, beta, k, t_grid, xs, method)
+    a_l, _ = _a_beta(f, params, beta, l, t_grid, xs, method)
     if a_k == 0.0 and a_l == 0.0:
         ratio = 1.0
     elif a_l == 0.0:
@@ -235,7 +234,7 @@ def check_approximation(
         raise DomainError("approximation check is defined on expansions")
     t_grid, xs = _grids(t_grid, x_grid, params.d)
     n = smallest_integer_above(beta)
-    a_beta, _ = _a_beta(f, params, beta, n, t_grid, xs, method, DEFAULT_RULE)
+    a_beta, _ = _a_beta(f, params, beta, n, t_grid, xs, method)
     poisson_factors = OPERATORS["poisson"].symbol(np.asarray(t_grid, float), f.orders[:, None])
     sups = _sups_over_t(f, poisson_factors, xs, minus=synthesize_many(f, xs))
     rows = []

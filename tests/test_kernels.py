@@ -16,10 +16,11 @@ from laguerre_ops.expansion import (
 )
 from laguerre_ops.kernels import (
     BLOCK_POINTS,
-    DEFAULT_RULE,
+    KERNEL_PANELS,
     S_CUTOFF,
+    SUB_DOUBLINGS,
+    SUB_PANELS,
     KernelQuery,
-    SubordinationRule,
     heat_apply_kernel,
     heat_kernel,
     l1_kernel_derivative,
@@ -34,6 +35,7 @@ from laguerre_ops.kernels import (
     _poisson_block,
     _read_table,
     _semigroup_table,
+    _subordination_rule,
 )
 from laguerre_ops.specfun import laguerre_poly
 
@@ -103,6 +105,29 @@ class TestHeatKernel:
             KernelQuery(P_HALF, 1.0, (0.0,))
         with pytest.raises(DomainError):
             KernelQuery(P_HALF, 1.0, (1.0, 2.0))
+
+    @pytest.mark.parametrize("t, x, y", [
+        (math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0),
+        (0.5, math.inf, 1.0), (0.5, math.nan, 1.0),
+        (0.5, 1.0, math.inf), (0.5, 1.0, math.nan),
+    ])
+    def test_query_rejects_non_finite(self, t, x, y):
+        with pytest.raises(DomainError):
+            KernelQuery(P_HALF, t, (x,), (y,))
+
+    @pytest.mark.parametrize("t, x", [(math.inf, 1.0), (0.5, math.inf), (0.5, math.nan)])
+    def test_kernels_reject_non_finite(self, t, x):
+        # a point off (0, inf)^d or an infinite time has no kernel value, so
+        # each entry point raises instead of returning a number or nan
+        f = lambda y: np.exp(-0.3 * y)
+        with pytest.raises(DomainError):
+            heat_kernel(KernelQuery(P_HALF, t, (x,), (1.0,)))
+        with pytest.raises(DomainError):
+            heat_apply_kernel(f, KernelQuery(P_HALF, t, (x,)))
+        with pytest.raises(DomainError):
+            poisson_kernel(KernelQuery(P_HALF, t, (x,), (1.0,)))
+        with pytest.raises(DomainError):
+            poisson_apply(f, P_HALF, t, (x,))
 
 
 class TestHeatApply:
@@ -186,7 +211,7 @@ class TestHeatEngine:
         # more times than one block of BLOCK_POINTS // len(s); each must
         # equal the scalar formula at that time exactly
         f = lambda y: np.exp(-0.3 * y)
-        s, ws, heat, mean = table = _semigroup_table(f, P_HALF, 0.05, (1.3,), 12, 12)
+        s, ws, heat, mean = table = _semigroup_table(f, P_HALF, 0.05, (1.3,), 12)
         times = np.geomspace(0.05, 8.0, 3 * (BLOCK_POINTS // len(s)) + 5)
         want = [
             np.dot(ws * stable_density_dt(m, t, s), heat) + mean * stable_tail_mass(m, t, S_CUTOFF)
@@ -515,7 +540,7 @@ class TestPoissonBlock:
         params = MultiIndexParams(1, (alpha,))
         t, x = 0.3, 1.1
         y = np.geomspace(1e-4, 30.0, 64)
-        got = _poisson_block(params, t, (x,), (), y, m, DEFAULT_RULE)
+        got = _poisson_block(params, t, (x,), (), y, m)
         kernel = poisson_kernel if m == 0 else poisson_kernel_dt
         want = [
             kernel(KernelQuery(params, t, (x,), (float(v),), derivative_order=m))
@@ -526,7 +551,7 @@ class TestPoissonBlock:
     def test_fixed_axes(self):
         p2 = MultiIndexParams(2, (0.5, -0.25))
         y = np.array([0.2, 1.0, 3.0])
-        got = _poisson_block(p2, 0.4, (1.0, 2.0), (0.7,), y, 1, DEFAULT_RULE)
+        got = _poisson_block(p2, 0.4, (1.0, 2.0), (0.7,), y, 1)
         want = [
             poisson_kernel_dt(KernelQuery(p2, 0.4, (1.0, 2.0), (0.7, v), derivative_order=1))
             for v in y
@@ -569,8 +594,30 @@ class TestL1Derivative:
         with pytest.raises(QuadratureError):
             l1_kernel_derivative(P_HALF, 2.0, (1.0,), 1, epsabs=1e-300, epsrel=1e-300)
 
+    @pytest.mark.parametrize("t, x", [
+        (0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+        (0.5, math.inf), (0.5, math.nan),
+    ])
+    def test_rejects_bad_arguments(self, t, x):
+        # t and x are checked before the v breaks are built from them
+        with pytest.raises(DomainError):
+            l1_kernel_derivative(P_HALF, t, (x,), 1)
+
 
 class TestSubordinationRule:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SubordinationRule(abs_tol=0.0)
+    """The one s-rule of kernel values, the L1 norm and the semigroup table."""
+
+    @pytest.mark.parametrize(
+        "panels",
+        [base * 2**j for base in (KERNEL_PANELS, SUB_PANELS) for j in range(SUB_DOUBLINGS + 1)],
+    )
+    def test_laplace_transform(self, panels):
+        # sum_i (w s)_i g(t, s_i) e^{-n s_i} plus the tail past S_CUTOFF is
+        # e^{-t sqrt(n)} at every panel count kernel values and tables read
+        for t in (1e-4, 1e-3, 0.05, 0.25, 1.0, 5.0, 30.0):
+            s, ws = _subordination_rule(t, panels)
+            g = ws * stable_density(t, s)
+            tail = stable_tail_mass(0, t, S_CUTOFF)
+            for n in range(11):
+                got = np.dot(g, np.exp(-n * s)) + math.exp(-n * S_CUTOFF) * tail
+                assert abs(got - math.exp(-t * math.sqrt(n))) <= 1e-14, (t, n)

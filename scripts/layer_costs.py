@@ -12,7 +12,8 @@ figure is the median wall time of single calls after one warm-up call:
 - expansion: analyze and synthesize;
 - harness: each scenario of the fast set, at its default configuration;
 - tier-1: the wall time of the whole test suite (left out with --quick,
-  which also takes fewer repeats).
+  which also takes fewer repeats);
+- src_lines: the lines of each module of src/laguerre_ops and their total.
 
 Timings depend on the machine, so the file records it beside them.
 """
@@ -108,6 +109,16 @@ def tier1():
     }
 
 
+def src_lines():
+    pkg = os.path.join(SRC, "laguerre_ops")
+    lines = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                lines[name] = sum(1 for _ in fh)
+    return {**lines, "total": sum(lines.values())}
+
+
 def cpu_model():
     try:
         with open("/proc/cpuinfo") as fh:
@@ -148,6 +159,7 @@ def main(argv=None):
         "layers": layer_costs(repeats),
         "scenarios_s": scenario_costs(1 if args.quick else 5),
         "tier1": None if args.quick else tier1(),
+        "src_lines": src_lines(),
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)

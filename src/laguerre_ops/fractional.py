@@ -33,7 +33,7 @@ from .expansion import (
     call_on_points,
     synthesize,
 )
-from .kernels import _mu_mean, _panel_nodes, poisson_apply
+from .kernels import S_CUTOFF, KernelQuery, _panel_nodes, heat_apply_kernel, poisson_apply
 from .specfun import gamma, gauss_jacobi_rule
 
 __all__ = [
@@ -238,7 +238,8 @@ def _dispatch(kind, f, params, lam, x, cfg):
     if isinstance(f, LaguerreExpansion):
         return synthesize(_apply_expansion(kind, f, cfg), np.asarray(x))
     if OPERATORS[kind].zero_mean:
-        _check_mean(kind, _mu_mean(f, params))
+        # T_s f(x) has reached the mu_alpha-mean of f by S_CUTOFF
+        _check_mean(kind, heat_apply_kernel(f, KernelQuery(params, S_CUTOFF, x)))
     return _callable_route(kind, f, params, lam, cfg.k, x)
 
 

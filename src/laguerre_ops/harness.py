@@ -93,18 +93,20 @@ class ScenarioConfig:
         if self.scenario in ("kernel-mass", "spectral-vs-kernel", "lemma21") and self.d != 1:
             raise ConfigError(f"scenario {self.scenario} is one-dimensional; d must be 1")
         if self.scenario == "thm42" or self.scenario == "thm33":
-            b, l = self._beta_lam(0.8, 0.3)
+            b, l = self._beta_lam()
             if not 0 < l < b < 1:
                 raise ConfigError("this scenario requires 0 < lambda < beta < 1")
         if self.scenario == "thm44":
-            b, l = self._beta_lam(2.3, 1.5)
+            b, l = self._beta_lam()
             if not 1 <= l < b:
                 raise ConfigError("this scenario requires 1 <= lambda < beta")
 
-    def _beta_lam(self, default_beta, default_lam):
+    def _beta_lam(self):
+        """(beta, lambda) of a theorem scenario: the config's, else its spec's."""
+        _, beta, lam, _ = _THEOREM_SPECS[self.scenario]
         return (
-            default_beta if self.beta is None else self.beta,
-            default_lam if self.lam is None else self.lam,
+            beta if self.beta is None else self.beta,
+            lam if self.lam is None else self.lam,
         )
 
     @property
@@ -181,7 +183,7 @@ def _run_kernel_mass(cfg, started):
         for x in (0.5, 1.0, 2.0):
             mass = l1_kernel_derivative(cfg.params, t, (x,), 0)
             v, _ = _v_nodes(cfg.alpha[0], _v_breaks(t, x))
-            vals = _poisson_block(cfg.params, t, (x,), (), v * v, 0)
+            vals = _poisson_block(cfg.params, t, (x,), (v * v)[:, None], 0)
             min_val = min(min_val, float(np.min(vals)))
             rows.append(ReportRow(f"t={t:g},x={x:g}", abs(mass - 1.0), tol))
     rows.append(ReportRow("min-node-value", -min_val, 0.0))
@@ -321,8 +323,9 @@ def _theorem_ratios(cfg, kind, beta, lam):
     return ratios
 
 
-def _run_theorem(cfg, started, kinds, default_beta, default_lam, claim):
-    beta, lam = cfg._beta_lam(default_beta, default_lam)
+def _run_theorem(cfg, started):
+    kinds, _, _, claim = _THEOREM_SPECS[cfg.scenario]
+    beta, lam = cfg._beta_lam()
     drift_tol = cfg.tol("drift", 0.10)
     rows = []
     worst_drift = 0.0
@@ -441,13 +444,12 @@ _RUNNERS = {
     "prop31": _run_prop31,
     "prop33": _run_prop33,
     "fdiff-identities": _run_fdiff,
+    **dict.fromkeys(_THEOREM_SPECS, _run_theorem),
 }
 
 
 def run_scenario(cfg: ScenarioConfig) -> BoundReport:
     started = time.perf_counter()
-    if cfg.scenario in _THEOREM_SPECS:
-        return _run_theorem(cfg, started, *_THEOREM_SPECS[cfg.scenario])
     return _RUNNERS[cfg.scenario](cfg, started)
 
 

@@ -20,17 +20,20 @@ in y, and, where they reach v = sigma, one Gauss-Jacobi panel in y on
 Every integral int d^m_t g(t, s) F(s) ds over (0, S_CUTOFF) takes one
 subordination rule (_subordination_rule): Gauss-Legendre panels in log s of
 one width, laid down from S_CUTOFF to the floor of the smallest time, and
-the analytic erf tail past S_CUTOFF.  Kernel values d^m/dt^m p_t(x, y) read
-it at that t, in (y x s-node) blocks of at most BLOCK_POINTS entries per
-log_bessel_i_scaled call, each y refined on its own by doubling the panels
-from KERNEL_PANELS; one value is a block of one.
+the analytic erf tail past S_CUTOFF.  One doubling rule (_doubled) refines
+it: each value doubles the panels on its own until two successive values
+agree, else QuadratureError.  Kernel values d^m/dt^m p_t(x, y) at an (n, d)
+array of points y read the rule at that t in (y x s-node) blocks of at most
+BLOCK_POINTS entries per log_bessel_i_scaled call, doubled from
+KERNEL_PANELS; one value is a block of one point.
 
 P_t f(x) and its time derivatives are read off one semigroup table: the
-rule's nodes s at the smallest time, T_s f(x) at each node (in chunks of
-times, one heat-axis rule per axis and chunk) and the mu_alpha-mean of f,
-so d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds, read in blocks of
-times.  poisson_dt_apply doubles the panels from SUB_PANELS until two
-tables agree.
+rule's nodes s at the smallest time, and T_s f(x) at each node and at
+S_CUTOFF, which stands for T_s f(x) past it, all from one chunked heat-apply
+call (one heat-axis rule per axis and chunk of times).  d^m/dt^m P_t f(x) =
+int d^m_t g(t, s) T_s f(x) ds is read in blocks of times; poisson_apply
+reads one table of SUB_PANELS panels, and poisson_dt_apply doubles each
+time from there.
 
 l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on panels in
 v = sqrt(y), dyadic around the ridge at sqrt(x) and ending past it: the
@@ -53,7 +56,7 @@ from scipy.integrate import quad  # noqa: F401  (bench/tracing.py patches kernel
 
 from .errors import DomainError, OverflowGuardError, QuadratureError
 from .expansion import MultiIndexParams, call_on_points, tensor_grid
-from .specfun import gauss_jacobi_rule, gauss_laguerre_rule, log_bessel_i_scaled
+from .specfun import gauss_jacobi_rule, log_bessel_i_scaled
 
 __all__ = [
     "KernelQuery",
@@ -89,9 +92,6 @@ BLOCK_POINTS = 8192
 
 #: nodes per panel of the heat-axis rule (Gauss-Legendre and Gauss-Jacobi)
 HEAT_ORDER = 12
-
-#: Gauss-Laguerre nodes per axis of the mu_alpha-mean of f
-MEAN_POINTS = 200
 
 #: the L1 y integral runs in v = sqrt(y) up to max(sqrt(Y_MAX), sqrt(x) + 3):
 #: Y_ORDER nodes per panel, at most Y_HALVINGS halvings of every panel, and
@@ -337,8 +337,26 @@ def _subordination_rule(t_min, panels):
     return s, w * s
 
 
-def _settled(cur, prev):
-    return np.abs(cur - prev) <= np.maximum(SUB_ABS, SUB_REL * np.abs(cur))
+def _doubled(value, n, panels, where):
+    """value(i, panels) for the indices i of range(n), each refined on its
+    own: the subordination panels double from `panels` at most SUB_DOUBLINGS
+    times, and an index keeps the first value that agrees with the one
+    before it, else QuadratureError naming where(i)."""
+    todo = np.arange(n)
+    prev = value(todo, panels)
+    out = np.empty(n)
+    for _ in range(SUB_DOUBLINGS):
+        panels *= 2
+        cur = value(todo, panels)
+        done = np.abs(cur - prev) <= np.maximum(SUB_ABS, SUB_REL * np.abs(cur))
+        out[todo[done]] = cur[done]
+        todo, prev = todo[~done], cur[~done]
+        if len(todo) == 0:
+            return out
+    raise QuadratureError(
+        f"{where(todo[0])} did not converge in {SUB_DOUBLINGS} doublings of the "
+        "subordination panels"
+    )
 
 
 @lru_cache(maxsize=256)
@@ -353,52 +371,32 @@ def _subordination_nodes(t, m, panels):
     return s, ws, stable_tail_mass(m, t, S_CUTOFF)
 
 
-def _poisson_block_once(params, t, x, fixed, y, m, panels):
-    """d^m/dt^m p_t(x, (fixed, y_i)) for each y_i, from one subordination rule.
-
-    The heat factors of the fixed axes are one vector over the s nodes; the
-    last axis is an (y x s) block, built BLOCK_POINTS entries at a time so
-    that each chunk is one log_bessel_i_scaled call.  Each row is summed on
-    its own, so a value does not depend on the other y it is evaluated with.
-    """
+def _poisson_block_once(params, t, x, y, m, panels):
+    """d^m/dt^m p_t(x, y_i) for each row y_i of an (n, d) array of points,
+    from one subordination rule: (y x s-node) blocks of at most BLOCK_POINTS
+    entries, one log_bessel_i_scaled call per axis and block.  Each row is
+    summed on its own, so a value does not depend on the other points it is
+    evaluated with."""
     s, ws, tail = _subordination_nodes(t, m, panels)
-    log_fixed = 0.0
-    log_mu = 0.0
-    for a, xj, yj in zip(params.alpha, x, fixed):
-        log_fixed = log_fixed + _log_heat_axis(a, s, xj, yj)
-        log_mu += _log_mu_axis(a, yj)
-    a, xl = params.alpha[-1], x[-1]
     out = np.empty(len(y))
     step = max(1, BLOCK_POINTS // len(s))
     for i in range(0, len(y), step):
-        yc = y[i : i + step, None]
-        log_h = _log_heat_axis(a, s, xl, yc) + log_fixed
+        log_h = 0.0
+        for a, xj, yj in zip(params.alpha, x, y[i : i + step].T):
+            log_h = log_h + _log_heat_axis(a, s, xj, yj[:, None])
         out[i : i + step] = (np.exp(log_h) * ws).sum(axis=1)
-    return out + np.exp(log_mu + _log_mu_axis(a, y)) * tail
+    log_mu = sum(_log_mu_axis(a, yj) for a, yj in zip(params.alpha, y.T))
+    return out + np.exp(log_mu) * tail
 
 
-def _poisson_block(params, t, x, fixed, y, m):
-    """d^m/dt^m p_t(x, (fixed, y_i)) for a vector y of last coordinates.
-
-    Each y_i is refined on its own: the subordination panels double from
-    KERNEL_PANELS until two successive values agree.
-    """
-    y = np.asarray(y, dtype=float)
-    panels = KERNEL_PANELS
-    prev = _poisson_block_once(params, t, x, fixed, y, m, panels)
-    out = np.empty_like(prev)
-    todo = np.arange(len(y))
-    for _ in range(SUB_DOUBLINGS):
-        panels *= 2
-        cur = _poisson_block_once(params, t, x, fixed, y[todo], m, panels)
-        done = _settled(cur, prev)
-        out[todo[done]] = cur[done]
-        todo, prev = todo[~done], cur[~done]
-        if len(todo) == 0:
-            return out
-    bad = (*fixed, float(y[todo[0]]))
-    raise QuadratureError(
-        f"Poisson kernel quadrature did not converge at t={t}, x={x}, y={bad}, m={m}"
+def _poisson_block(params, t, x, y, m):
+    """d^m/dt^m p_t(x, y_i) for each row y_i of an (n, d) array of points,
+    doubled from KERNEL_PANELS."""
+    return _doubled(
+        lambda i, panels: _poisson_block_once(params, t, x, y[i], m, panels),
+        len(y),
+        KERNEL_PANELS,
+        lambda i: f"the Poisson kernel at t={t}, x={x}, y={tuple(y[i].tolist())}, m={m}",
     )
 
 
@@ -409,8 +407,7 @@ def _kernel_value(q: KernelQuery, dt: bool) -> float:
         raise DomainError("the Poisson kernel requires both x and y")
     if (q.derivative_order >= 1) != dt:
         raise DomainError("poisson_kernel takes derivative_order 0, poisson_kernel_dt >= 1")
-    m = q.derivative_order
-    return float(_poisson_block(q.params, q.t, q.x, q.y[:-1], q.y[-1:], m)[0])
+    return float(_poisson_block(q.params, q.t, q.x, np.array([q.y]), q.derivative_order)[0])
 
 
 def poisson_kernel(q: KernelQuery) -> float:
@@ -423,12 +420,6 @@ def poisson_kernel_dt(q: KernelQuery) -> float:
     return _kernel_value(q, True)
 
 
-def _mu_mean(f, params):
-    rules = [gauss_laguerre_rule(a, MEAN_POINTS) for a in params.alpha]
-    y, w = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
-    return float((w * call_on_points(f, y)).sum())
-
-
 def _times_and_point(params, t, x):
     times = np.asarray(t, dtype=float)
     if times.size == 0 or not np.all((times > 0) & np.isfinite(times)):
@@ -438,10 +429,11 @@ def _times_and_point(params, t, x):
 
 def _semigroup_table(f, params, t_min, x, panels):
     """Nodes s and weights w s of the subordination rule for every time >=
-    t_min, T_s f(x) at each node and the mu_alpha-mean of f (T_s f past
-    S_CUTOFF)."""
+    t_min, T_s f(x) at each node, and T_S_CUTOFF f(x), which stands for T_s
+    f(x) past S_CUTOFF: all from one _heat_apply_times call."""
     s, ws = _subordination_rule(t_min, panels)
-    return s, ws, _heat_apply_times(f, params, s, x, HEAT_ORDER), _mu_mean(f, params)
+    heat = _heat_apply_times(f, params, np.append(s, S_CUTOFF), x, HEAT_ORDER)
+    return s, ws, heat[:-1], heat[-1]
 
 
 def _read_table(table, times, m):
@@ -449,14 +441,14 @@ def _read_table(table, times, m):
     density on blocks of BLOCK_POINTS // len(s) times at once, each time's
     integral one dot product of its row (a matrix product would sum in
     another order, and the difference route amplifies that rounding)."""
-    s, ws, heat, mean = table
+    s, ws, heat, past = table
     times, out = times.ravel(), []
     step = max(1, BLOCK_POINTS // len(s))
     for i in range(0, len(times), step):
         block = times[i : i + step]
         rows = ws * stable_density_dt(m, block[:, None], s)
         tails = stable_tail_mass(m, block, S_CUTOFF)
-        out += [np.dot(row, heat) + mean * tail for row, tail in zip(rows, tails)]
+        out += [np.dot(row, heat) + past * tail for row, tail in zip(rows, tails)]
     return np.array(out)
 
 
@@ -475,23 +467,20 @@ def poisson_apply(f, params: MultiIndexParams, t, x):
 def poisson_dt_apply(f, params: MultiIndexParams, t, x, m: int):
     """d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds, for t as in poisson_apply.
 
-    The subordination panels double from SUB_PANELS until every time agrees
-    with the previous table, else QuadratureError.
+    Every table is laid down to the smallest time, and each time is doubled
+    from SUB_PANELS on its own.
     """
     times, x = _times_and_point(params, t, x)
     if m < 0:
         raise DomainError("m must be nonnegative")
-    prev = None
-    for j in range(SUB_DOUBLINGS + 1):
-        table = _semigroup_table(f, params, times.min(), x, SUB_PANELS * 2**j)
-        cur = _read_table(table, times, m)
-        if j and np.all(_settled(cur, prev)):
-            return cur.reshape(times.shape) if np.ndim(t) else float(cur[0])
-        prev = cur
-    raise QuadratureError(
-        f"d^{m}/dt^{m} P_t f(x) at x={x}, t >= {times.min():g} did not converge "
-        f"in {SUB_DOUBLINGS} doublings of the subordination panels"
+    flat = times.ravel()
+    out = _doubled(
+        lambda i, p: _read_table(_semigroup_table(f, params, flat.min(), x, p), flat[i], m),
+        flat.size,
+        SUB_PANELS,
+        lambda i: f"d^{m}/dt^{m} P_t f(x) at x={x}, t={flat[i]:g}",
     )
+    return out.reshape(times.shape) if np.ndim(t) else float(out[0])
 
 
 def _v_breaks(t, x):
@@ -582,8 +571,8 @@ def l1_kernel_derivative(
         raise DomainError("l1_kernel_derivative is one-dimensional; d must be 1")
     _check_time(t)
     x = _point(params, x, "x")
-    block = lambda y: _poisson_block(params, t, x, (), y, m)
+    block = lambda y: _poisson_block(params, t, x, y[:, None], m)
     # bisection only reads signs, so it skips the refinement test, which
     # cannot pass where p is below its own discretisation error
-    sign_of = lambda y: _poisson_block_once(params, t, x, (), y, m, 2 * KERNEL_PANELS)
+    sign_of = lambda y: _poisson_block_once(params, t, x, y[:, None], m, 2 * KERNEL_PANELS)
     return _v_integral(block, sign_of, params.alpha[0], _v_breaks(t, x[0]), epsabs, epsrel)

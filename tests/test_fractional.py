@@ -343,6 +343,17 @@ class TestPointApply:
         want = getattr(laguerre_ops, kind)(lam).value(k) * laguerre_poly(k, alpha, x)
         assert got == pytest.approx(want, abs=1e-6)
 
+    @pytest.mark.parametrize("kind", ["fractional_integral", "bessel_potential"])
+    @pytest.mark.parametrize("lam", [0.5, 1.5])
+    def test_callable_laplace_route_at_alpha_300(self, kind, lam):
+        # the zero-mean check and P_s f past the cutoff come from the heat
+        # rule, which holds at this alpha
+        params = MultiIndexParams(1, (300.0,))
+        f = lambda y: laguerre_poly(2, 300.0, y)
+        got = getattr(laguerre_ops, kind + "_apply")(f, params, lam, (250.0,))
+        want = getattr(laguerre_ops, kind)(lam).value(2) * laguerre_poly(2, 300.0, 250.0)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_callable_bessel_derivative_on_constants(self):
         got = bessel_derivative_apply(lambda y: np.ones_like(y), P, 0.5, (1.3,))
         assert got == pytest.approx(1.0, abs=1e-4)

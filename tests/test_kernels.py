@@ -460,6 +460,16 @@ class TestPoissonApply:
         want = [synthesize(spectral_apply(poisson(t), e), x) for t in times]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
+    def test_alpha_300(self):
+        # T_s f past S_CUTOFF comes from the heat-axis rule, which holds to
+        # alpha = 1000; a 200-node Gauss-Laguerre mean is non-finite here
+        params = MultiIndexParams(1, (300.0,))
+        times = np.array([1e-3, 0.3, 1.0, 10.0])
+        fx = laguerre_poly(3, 300.0, 250.0)
+        got = poisson_apply(lambda y: laguerre_poly(3, 300.0, y), params, times, (250.0,))
+        want = np.exp(-times * math.sqrt(3.0)) * fx
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * abs(fx))
+
     def test_vector_times_two_dimensional(self):
         p2 = MultiIndexParams(2, (0.5, -0.25))
         g = lambda pts: laguerre_poly(1, 0.5, pts[:, 0]) * laguerre_poly(2, -0.25, pts[:, 1])
@@ -527,6 +537,14 @@ class TestPoissonDtApply:
         with pytest.raises(QuadratureError):
             poisson_dt_apply(lambda y: laguerre_poly(3, 0.5, y), P_HALF, 1e-4, (1.3,), 3)
 
+    def test_unresolved_time_is_named(self):
+        # each time is doubled on its own: t = 0.5 settles, and the error
+        # names the time that does not
+        f = lambda y: laguerre_poly(3, 0.5, y)
+        with pytest.raises(QuadratureError) as err:
+            poisson_dt_apply(f, P_HALF, np.array([0.5, 1e-4]), (1.3,), 3)
+        assert "t=0.0001 " in str(err.value)
+
     @pytest.mark.parametrize("t, m", [(0.0, 1), (np.array([]), 1), (0.5, -1)])
     def test_rejects_bad_arguments(self, t, m):
         with pytest.raises(DomainError):
@@ -540,7 +558,7 @@ class TestPoissonBlock:
         params = MultiIndexParams(1, (alpha,))
         t, x = 0.3, 1.1
         y = np.geomspace(1e-4, 30.0, 64)
-        got = _poisson_block(params, t, (x,), (), y, m)
+        got = _poisson_block(params, t, (x,), y[:, None], m)
         kernel = poisson_kernel if m == 0 else poisson_kernel_dt
         want = [
             kernel(KernelQuery(params, t, (x,), (float(v),), derivative_order=m))
@@ -549,11 +567,12 @@ class TestPoissonBlock:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_fixed_axes(self):
+        # rows are points of (0, inf)^2 that vary on every axis
         p2 = MultiIndexParams(2, (0.5, -0.25))
-        y = np.array([0.2, 1.0, 3.0])
-        got = _poisson_block(p2, 0.4, (1.0, 2.0), (0.7,), y, 1)
+        y = np.array([[0.7, 0.2], [0.7, 1.0], [1.5, 3.0], [0.1, 0.4]])
+        got = _poisson_block(p2, 0.4, (1.0, 2.0), y, 1)
         want = [
-            poisson_kernel_dt(KernelQuery(p2, 0.4, (1.0, 2.0), (0.7, v), derivative_order=1))
+            poisson_kernel_dt(KernelQuery(p2, 0.4, (1.0, 2.0), tuple(v), derivative_order=1))
             for v in y
         ]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -6,7 +6,9 @@ Run from the repository root; the package is imported from ./src.  Each
 figure is the median wall time of single calls after one warm-up call:
 
 - specfun: log-Bessel per point, the heat-axis rule per node;
-- kernels: one Poisson kernel value, poisson_apply at d = 1 and d = 2,
+- kernels: one Poisson kernel value, the 720 values of one kernel-mass
+  integral (the y rule of the kernel-mass scenario at alpha = 0.5,
+  t = 0.25, x = 1), poisson_apply at d = 1 and d = 2,
   l1_kernel_derivative at t = 0.5 and at t = 0.05 (where the subordination
   rule, laid down to the floor of t, has the most panels);
 - expansion: analyze and synthesize;
@@ -33,6 +35,7 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
+from numpy.polynomial.legendre import leggauss  # noqa: E402
 
 import laguerre_ops as lo  # noqa: E402
 from laguerre_ops.kernels import _heat_axis_rule  # noqa: E402
@@ -56,6 +59,17 @@ def median_s(fn, repeats):
     return statistics.median(times)
 
 
+def mass_y_nodes():
+    """y nodes of the kernel-mass scenario's rule on (0, 80): 12-node
+    Gauss-Legendre panels, 20 with dyadic breaks up to 1/2 and 40 with
+    log-spaced breaks from there to 80 (720 nodes)."""
+    breaks = np.concatenate(
+        ([0.0], 2.0 ** -np.arange(20.0, 0.0, -1.0), np.exp(np.linspace(0.0, np.log(80.0), 41))[1:])
+    )
+    a, b = breaks[:-1, None], breaks[1:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * leggauss(12)[0]).ravel()
+
+
 def layer_costs(repeats):
     p1 = lo.MultiIndexParams(1, (0.5,))
     p2 = lo.MultiIndexParams(2, (0.5, -0.25))
@@ -66,6 +80,7 @@ def layer_costs(repeats):
     nodes = _heat_axis_rule(0.5, heat_times, 1.3, lo.kernels.HEAT_ORDER)[1].size
     e = lo.random_expansion(p2, 10, seed=0)
     pts = np.random.default_rng(0).uniform(0.1, 5.0, (1024, 2))
+    mass_queries = [lo.KernelQuery(p1, 0.25, (1.0,), (float(y),)) for y in mass_y_nodes()]
     return {
         "log_bessel_per_point_s": median_s(lambda: lo.log_bessel_i_scaled(0.5, z), repeats) / z.size,
         "heat_axis_rule_per_node_s": median_s(
@@ -73,6 +88,9 @@ def layer_costs(repeats):
         ) / nodes,
         "poisson_kernel_value_s": median_s(
             lambda: lo.poisson_kernel(lo.KernelQuery(p1, 0.5, (1.3,), (1.0,))), repeats
+        ),
+        "poisson_kernel_mass_720_s": median_s(
+            lambda: [lo.poisson_kernel(q) for q in mass_queries], max(1, repeats // 4)
         ),
         "poisson_apply_d1_s": median_s(lambda: lo.poisson_apply(f1, p1, 0.7, (1.3,)), repeats),
         "poisson_apply_d2_s": median_s(lambda: lo.poisson_apply(f2, p2, 0.7, (1.2, 0.7)), repeats),

@@ -22,10 +22,11 @@ subordination rule (_subordination_rule): Gauss-Legendre panels in log s of
 one width, laid down from S_CUTOFF to the floor of the smallest time, and
 the analytic erf tail past S_CUTOFF.  One doubling rule (_doubled) refines
 it: each value doubles the panels on its own until two successive values
-agree, else QuadratureError.  Kernel values d^m/dt^m p_t(x, y) at an (n, d)
-array of points y read the rule at that t in (y x s-node) blocks of at most
-BLOCK_POINTS entries per log_bessel_i_scaled call, doubled from
-KERNEL_PANELS; one value is a block of one point.
+agree, or both are zero to rounding, else QuadratureError.  Kernel values
+d^m/dt^m p_t(x, y) at an (n, d) array of points y read the rules of
+KERNEL_PANELS and twice that many panels side by side in one pass of
+(y x s-node) blocks, with one log_bessel_i_scaled call per block of at most
+BLOCK_POINTS entries and the y-free factors cached per (t, m, levels, x).
 
 P_t f(x) and its time derivatives are read off one semigroup table: the
 rule's nodes s at the smallest time, and T_s f(x) at each node and at
@@ -80,11 +81,13 @@ S_CUTOFF = 40.0
 #: as wide as SUB_PANELS panels are at t = 1.  A semigroup table starts at
 #: SUB_PANELS panels and kernel values at KERNEL_PANELS; both double them at
 #: most SUB_DOUBLINGS times, until two values agree to max(SUB_ABS, SUB_REL |value|)
+#: or both are below SUB_ROUND sum |terms| (a zero derivative's terms cancel)
 SUB_PANELS = 12
 KERNEL_PANELS = 8
 SUB_ORDER = 12
 SUB_ABS = 1e-10
 SUB_REL = 1e-8
+SUB_ROUND = 8 * np.finfo(float).eps
 SUB_DOUBLINGS = 4
 
 #: largest (y x s-node) block handed to one log_bessel_i_scaled call
@@ -137,19 +140,25 @@ def _log_mu_axis(alpha, y):
     return alpha * np.log(y) - y - math.lgamma(alpha + 1.0)
 
 
-def _log_heat_axis(alpha, t, x, y):
-    """log of one Lebesgue heat-kernel factor H_t(x, y); t or y may be an array.
+def _heat_axis_pieces(t, x):
+    """The y-free factors of log H_t(x, y), r = e^-t: 1 - r, r x, sqrt(r x), -log(1 - r)."""
+    one_r, rx = -np.expm1(-t), np.exp(-t) * x
+    return one_r, rx, np.sqrt(rx), -np.log(one_r)
+
+
+def _log_heat_axis(alpha, t, x, y, pieces):
+    """log of one Lebesgue heat-kernel factor H_t(x, y), from the pieces
+    _heat_axis_pieces(t, x); t or y may be an array.
 
     H integrates functions of y against plain dy.  The exponent is grouped
     as -(sqrt(rx) - sqrt(y))^2 / (1-r) so that no large cancellation occurs
     for small times.
     """
-    t = np.asarray(t, dtype=float)
-    one_r = -np.expm1(-t)
-    z = 2.0 * np.sqrt(np.exp(-t) * x * y) / one_r
-    sq = (np.sqrt(np.exp(-t) * x) - np.sqrt(y)) ** 2
+    one_r, rx, root_rx, log_c = pieces
+    z = 2.0 * np.sqrt(rx * y) / one_r
+    sq = (root_rx - np.sqrt(y)) ** 2
     return (
-        -np.log(one_r)
+        log_c
         + 0.5 * alpha * (np.log(y) - math.log(x) + t)
         - sq / one_r
         + log_bessel_i_scaled(alpha, z)
@@ -160,8 +169,9 @@ def heat_kernel(q: KernelQuery) -> float:
     """Heat kernel G_t(x, y) against d mu_alpha(y) (Hille-Hardy product)."""
     if q.y is None:
         raise DomainError("heat_kernel requires both x and y")
-    factors = zip(q.params.alpha, q.x, q.y)
-    log_g = float(sum(_log_heat_axis(a, q.t, x, y) - _log_mu_axis(a, y) for a, x, y in factors))
+    log_g = 0.0
+    for a, x, y in zip(q.params.alpha, q.x, q.y):
+        log_g += _log_heat_axis(a, q.t, x, y, _heat_axis_pieces(q.t, x)) - _log_mu_axis(a, y)
     if abs(log_g) > 700.0:
         raise OverflowGuardError(f"heat kernel log-value {log_g} out of range")
     return math.exp(log_g)
@@ -338,17 +348,19 @@ def _subordination_rule(t_min, panels):
 
 
 def _doubled(value, n, panels, where):
-    """value(i, panels) for the indices i of range(n), each refined on its
-    own: the subordination panels double from `panels` at most SUB_DOUBLINGS
-    times, and an index keeps the first value that agrees with the one
-    before it, else QuadratureError naming where(i)."""
-    todo = np.arange(n)
-    prev = value(todo, panels)
-    out = np.empty(n)
-    for _ in range(SUB_DOUBLINGS):
-        panels *= 2
-        cur = value(todo, panels)
+    """value(i, levels) for the indices i of range(n), each refined on its
+    own: per panel count in `levels`, a row of values and one of the sums of
+    their terms' magnitudes.  The first call reads `panels` and twice that,
+    each later one the next of at most SUB_DOUBLINGS doublings; an index
+    keeps the first value that settles, else QuadratureError naming where(i)."""
+    todo, out = np.arange(n), np.empty(n)
+    (prev, cur), (_, size) = value(todo, (panels, 2 * panels))
+    for doubling in range(SUB_DOUBLINGS):
+        if doubling:
+            panels *= 2
+            (cur,), (size,) = value(todo, (2 * panels,))
         done = np.abs(cur - prev) <= np.maximum(SUB_ABS, SUB_REL * np.abs(cur))
+        done |= np.maximum(np.abs(cur), np.abs(prev)) <= SUB_ROUND * size
         out[todo[done]] = cur[done]
         todo, prev = todo[~done], cur[~done]
         if len(todo) == 0:
@@ -359,41 +371,48 @@ def _doubled(value, n, panels, where):
     )
 
 
-@lru_cache(maxsize=256)
-def _subordination_nodes(t, m, panels):
-    """s nodes of the subordination rule at t, the weights w_i s_i
-    d^m/dt^m g(t, s_i), so that sum_i weight_i F(s_i) ~ int d^m_t g F ds,
-    and the d^m/dt^m mass of g past S_CUTOFF."""
-    s, ws = _subordination_rule(t, panels)
-    ws = ws * stable_density_dt(m, t, s)
-    s.flags.writeable = False
-    ws.flags.writeable = False
-    return s, ws, stable_tail_mass(m, t, S_CUTOFF)
+@lru_cache(maxsize=16)
+def _kernel_nodes(t, m, levels, x):
+    """The subordination rules at t of the panel counts in `levels` side by
+    side, shared by every y of one kernel integral: s nodes, weights w_i s_i
+    d^m/dt^m g(t, s_i), each rule's slice, the d^m/dt^m mass of g past
+    S_CUTOFF, and _heat_axis_pieces(s, x_j) per coordinate."""
+    rules = [_subordination_rule(t, panels) for panels in levels]
+    s = np.concatenate([r[0] for r in rules])
+    ws = np.concatenate([r[1] for r in rules]) * stable_density_dt(m, t, s)
+    pieces = [_heat_axis_pieces(s, xj) for xj in x]
+    for a in (s, ws, *sum(pieces, ())):
+        a.flags.writeable = False
+    bounds = np.cumsum([0] + [len(r[0]) for r in rules])
+    return s, ws, list(zip(bounds, bounds[1:])), stable_tail_mass(m, t, S_CUTOFF), pieces
 
 
-def _poisson_block_once(params, t, x, y, m, panels):
-    """d^m/dt^m p_t(x, y_i) for each row y_i of an (n, d) array of points,
-    from one subordination rule: (y x s-node) blocks of at most BLOCK_POINTS
-    entries, one log_bessel_i_scaled call per axis and block.  Each row is
-    summed on its own, so a value does not depend on the other points it is
-    evaluated with."""
-    s, ws, tail = _subordination_nodes(t, m, panels)
-    out = np.empty(len(y))
+def _poisson_block_once(params, t, x, y, m, levels):
+    """d^m/dt^m p_t(x, y_i) for each row y_i of an (n, d) array of points and the
+    sums of its terms' magnitudes, a row each per panel count in `levels`, from
+    their rules side by side: (y x s-node) blocks of at most BLOCK_POINTS entries,
+    one log_bessel_i_scaled call per axis and block.  Each level's slice of a row is
+    summed on its own, so a value does not depend on the other points or levels."""
+    s, ws, slices, tail, pieces = _kernel_nodes(t, m, levels, x)
+    out = np.empty((2, len(levels), len(y)))
     step = max(1, BLOCK_POINTS // len(s))
     for i in range(0, len(y), step):
         log_h = 0.0
-        for a, xj, yj in zip(params.alpha, x, y[i : i + step].T):
-            log_h = log_h + _log_heat_axis(a, s, xj, yj[:, None])
-        out[i : i + step] = (np.exp(log_h) * ws).sum(axis=1)
-    log_mu = sum(_log_mu_axis(a, yj) for a, yj in zip(params.alpha, y.T))
-    return out + np.exp(log_mu) * tail
+        for a, xj, yj, pj in zip(params.alpha, x, y[i : i + step].T, pieces):
+            log_h = log_h + _log_heat_axis(a, s, xj, yj[:, None], pj)
+        terms = np.exp(log_h) * ws
+        for k, (lo, hi) in enumerate(slices):
+            part = terms[:, lo:hi]
+            out[:, k, i : i + step] = part.sum(axis=1), np.abs(part).sum(axis=1)
+    past = np.exp(sum(_log_mu_axis(a, yj) for a, yj in zip(params.alpha, y.T))) * tail
+    return out + np.array([past, np.abs(past)])[:, None]
 
 
 def _poisson_block(params, t, x, y, m):
     """d^m/dt^m p_t(x, y_i) for each row y_i of an (n, d) array of points,
     doubled from KERNEL_PANELS."""
     return _doubled(
-        lambda i, panels: _poisson_block_once(params, t, x, y[i], m, panels),
+        lambda i, levels: _poisson_block_once(params, t, x, y[i], m, levels),
         len(y),
         KERNEL_PANELS,
         lambda i: f"the Poisson kernel at t={t}, x={x}, y={tuple(y[i].tolist())}, m={m}",
@@ -437,19 +456,20 @@ def _semigroup_table(f, params, t_min, x, panels):
 
 
 def _read_table(table, times, m):
-    """int d^m_t g(t, s) T_s f(x) ds = d^m/dt^m P_t f(x) for each time: the
-    density on blocks of BLOCK_POINTS // len(s) times at once, each time's
-    integral one dot product of its row (a matrix product would sum in
-    another order, and the difference route amplifies that rounding)."""
+    """int d^m_t g(t, s) T_s f(x) ds = d^m/dt^m P_t f(x) for each time, and
+    the sum of the magnitudes of its terms: the density on blocks of
+    BLOCK_POINTS // len(s) times at once, each time's integral one dot
+    product of its row (a matrix product would sum in another order, and the
+    difference route amplifies that rounding)."""
     s, ws, heat, past = table
-    times, out = times.ravel(), []
+    times, out, mag = times.ravel(), [], np.abs(heat)
     step = max(1, BLOCK_POINTS // len(s))
     for i in range(0, len(times), step):
         block = times[i : i + step]
         rows = ws * stable_density_dt(m, block[:, None], s)
-        tails = stable_tail_mass(m, block, S_CUTOFF)
-        out += [np.dot(row, heat) + past * tail for row, tail in zip(rows, tails)]
-    return np.array(out)
+        tails = past * stable_tail_mass(m, block, S_CUTOFF)
+        out += [(np.dot(r, heat) + c, np.dot(abs(r), mag) + abs(c)) for r, c in zip(rows, tails)]
+    return np.array(out).T
 
 
 def poisson_apply(f, params: MultiIndexParams, t, x):
@@ -460,7 +480,7 @@ def poisson_apply(f, params: MultiIndexParams, t, x):
     panels.
     """
     times, x = _times_and_point(params, t, x)
-    out = _read_table(_semigroup_table(f, params, times.min(), x, SUB_PANELS), times, 0)
+    out = _read_table(_semigroup_table(f, params, times.min(), x, SUB_PANELS), times, 0)[0]
     return out.reshape(times.shape) if np.ndim(t) else float(out[0])
 
 
@@ -474,8 +494,9 @@ def poisson_dt_apply(f, params: MultiIndexParams, t, x, m: int):
     if m < 0:
         raise DomainError("m must be nonnegative")
     flat = times.ravel()
+    table = lambda panels: _semigroup_table(f, params, flat.min(), x, panels)
     out = _doubled(
-        lambda i, p: _read_table(_semigroup_table(f, params, flat.min(), x, p), flat[i], m),
+        lambda i, levels: np.stack([_read_table(table(p), flat[i], m) for p in levels], axis=1),
         flat.size,
         SUB_PANELS,
         lambda i: f"d^{m}/dt^{m} P_t f(x) at x={x}, t={flat[i]:g}",
@@ -574,5 +595,7 @@ def l1_kernel_derivative(
     block = lambda y: _poisson_block(params, t, x, y[:, None], m)
     # bisection only reads signs, so it skips the refinement test, which
     # cannot pass where p is below its own discretisation error
-    sign_of = lambda y: _poisson_block_once(params, t, x, y[:, None], m, 2 * KERNEL_PANELS)
+    sign_of = lambda y: _poisson_block_once(
+        params, t, x, y[:, None], m, (2 * KERNEL_PANELS,)
+    )[0, 0]
     return _v_integral(block, sign_of, params.alpha[0], _v_breaks(t, x[0]), epsabs, epsrel)

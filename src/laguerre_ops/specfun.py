@@ -112,7 +112,7 @@ def _ive(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def log_bessel_i_scaled(nu: float, z):
-    """log(I_nu(z) e^{-z}) for nu > -1, z >= 0.
+    """log(I_nu(z) e^{-z}) for a finite nu > -1 and z >= 0 (z = inf gives -inf).
 
     Computed as log(ive(nu, z)) (Amos, ACM TOMS 644), with negative
     orders reflected to positive ones here.  Where that value leaves the
@@ -121,24 +121,28 @@ def log_bessel_i_scaled(nu: float, z):
     Above IVE_Z_MAX, where Amos's code gives up, the large-argument
     expansion is used.
     """
-    if nu <= -1:
-        raise DomainError(f"log_bessel_i_scaled requires nu > -1, got {nu}")
+    if not -1 < nu < math.inf:
+        raise DomainError(f"log_bessel_i_scaled requires a finite nu > -1, got {nu}")
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr < 0):
-        raise DomainError("log_bessel_i_scaled requires z >= 0")
-    big = z_arr > IVE_Z_MAX
-    scaled = _ive(nu, np.where(big, 1.0, z_arr))
-    with np.errstate(divide="ignore"):
-        out = np.log(scaled)
-    outside = ~((scaled >= _TINY) & (scaled < math.inf)) & (z_arr > 0) & ~big
-    if np.any(outside):
-        zu = z_arr[outside]
-        out[outside] = _log_series(nu, zu) - zu
-    if np.any(big):
-        out[big] = _log_hankel(nu, z_arr[big])
-    zero = z_arr == 0
-    if np.any(zero):
-        out[zero] = -math.inf if nu > 0 else (0.0 if nu == 0 else math.inf)
+    if not z_arr.min(initial=math.inf) >= 0:
+        raise DomainError("log_bessel_i_scaled requires z >= 0, not nan")
+    in_range = z_arr.max(initial=0.0) <= IVE_Z_MAX
+    scaled = _ive(nu, z_arr if in_range else np.where(z_arr > IVE_Z_MAX, 1.0, z_arr))
+    if in_range and scaled.min(initial=math.inf) >= _TINY and scaled.max(initial=0.0) < math.inf:
+        out = np.log(scaled)  # every value normal: no fallback applies
+    else:
+        big = z_arr > IVE_Z_MAX
+        with np.errstate(divide="ignore"):
+            out = np.log(scaled)
+        outside = ~((scaled >= _TINY) & (scaled < math.inf)) & (z_arr > 0) & ~big
+        if np.any(outside):
+            zu = z_arr[outside]
+            out[outside] = _log_series(nu, zu) - zu
+        if np.any(big):
+            out[big] = _log_hankel(nu, z_arr[big])
+        zero = z_arr == 0
+        if np.any(zero):
+            out[zero] = -math.inf if nu > 0 else (0.0 if nu == 0 else math.inf)
     out = out.reshape(np.shape(z))
     return out if np.ndim(z) else float(out)
 

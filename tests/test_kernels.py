@@ -33,6 +33,7 @@ from laguerre_ops.kernels import (
     stable_tail_mass,
     _heat_apply_times,
     _poisson_block,
+    _poisson_block_once,
     _read_table,
     _semigroup_table,
     _subordination_rule,
@@ -208,16 +209,17 @@ class TestHeatEngine:
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_table_blocks_are_bit_identical_to_single_times(self, m):
-        # more times than one block of BLOCK_POINTS // len(s); each must
-        # equal the scalar formula at that time exactly
+        # more times than one block of BLOCK_POINTS // len(s); each value and
+        # the sum of its terms' magnitudes must equal the scalar formula at
+        # that time exactly
         f = lambda y: np.exp(-0.3 * y)
         s, ws, heat, mean = table = _semigroup_table(f, P_HALF, 0.05, (1.3,), 12)
         times = np.geomspace(0.05, 8.0, 3 * (BLOCK_POINTS // len(s)) + 5)
-        want = [
-            np.dot(ws * stable_density_dt(m, t, s), heat) + mean * stable_tail_mass(m, t, S_CUTOFF)
-            for t in times.tolist()
-        ]
-        assert _read_table(table, times, m).tolist() == want
+        rows = [(ws * stable_density_dt(m, t, s), mean * stable_tail_mass(m, t, S_CUTOFF))
+                for t in times.tolist()]
+        values, sizes = _read_table(table, times, m)
+        assert values.tolist() == [np.dot(row, heat) + tail for row, tail in rows]
+        assert sizes.tolist() == [np.dot(abs(row), abs(heat)) + abs(tail) for row, tail in rows]
 
 
 class TestHeatAxisRule:
@@ -531,6 +533,12 @@ class TestPoissonDtApply:
         want = dt_multiplier(3, m, t) * laguerre_poly(3, 0.5, x)
         assert got == pytest.approx(want, abs=1e-8)
 
+    def test_zero_derivative_at_small_time(self):
+        # d^2/dt^2 P_t 1 = 0: its terms grow like t^-2 and cancel, so the
+        # doublings differ by their rounding (up to 6.4e-10), above SUB_ABS
+        got = poisson_dt_apply(lambda y: np.ones_like(y), P_HALF, 1e-3, (1.3,), 2)
+        assert abs(got) <= 1e-8
+
     def test_unresolved_time_raises(self):
         # the quadrature error grows like t^-m; at t = 1e-4, m = 3 doubling
         # the subordination panels does not settle the value
@@ -565,6 +573,19 @@ class TestPoissonBlock:
             for v in y
         ]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_levels_side_by_side_are_bit_identical(self, d, m):
+        # more points than one block of (8, 16) panels holds; each level's
+        # row must equal the call that reads that level alone
+        params = MultiIndexParams(d, (0.5, -0.25)[:d])
+        x = (1.3, 0.6)[:d]
+        y = np.random.default_rng(3).uniform(0.01, 6.0, (200, d))
+        both = _poisson_block_once(params, 0.25, x, y, m, (8, 16))
+        for k, panels in enumerate((8, 16)):
+            alone = _poisson_block_once(params, 0.25, x, y, m, (panels,))
+            assert both[:, k].tolist() == alone[:, 0].tolist()
 
     def test_fixed_axes(self):
         # rows are points of (0, inf)^2 that vary on every axis

@@ -150,6 +150,27 @@ class TestBesselI:
         with pytest.raises(DomainError):
             log_bessel_i_scaled(0.5, np.array([1.0, -1e-3]))
 
+    @pytest.mark.parametrize("nu, z", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, np.array([1.0, math.nan])),
+    ])
+    def test_rejects_nan_and_infinite_order(self, nu, z):
+        with pytest.raises(DomainError):
+            log_bessel_i_scaled(nu, z)
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 2.0])
+    def test_infinite_argument(self, nu):
+        # I_nu(z) e^{-z} ~ (2 pi z)^{-1/2} -> 0
+        assert log_bessel_i_scaled(nu, math.inf) == -math.inf
+
+    @pytest.mark.parametrize("nu", [-0.99, -0.25, 0.0, 0.5, 2.0, 300.0])
+    def test_mixed_arrays_equal_scalar_calls(self, nu):
+        # arrays that mix the fast path's z with those of the zero, series
+        # and large-argument branches give each z its scalar value exactly
+        z = np.array([0.0, 5e-324, 1e-300, 1e-3, 20.0, 2e9])
+        for order in (z, z[::-1], np.roll(z, 3)):
+            want = [log_bessel_i_scaled(nu, float(v)) for v in order]
+            assert log_bessel_i_scaled(nu, order).tolist() == want
+
 
 class TestLaguerrePoly:
     @pytest.mark.parametrize("k", range(7))

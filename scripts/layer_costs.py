@@ -77,14 +77,14 @@ def layer_costs(repeats):
     f2 = lambda pts: np.exp(-0.3 * pts[:, 0] - 0.1 * pts[:, 1])
     z = np.geomspace(1e-3, 1e3, 4096)
     heat_times = np.geomspace(1e-3, 40.0, 45)
-    nodes = _heat_axis_rule(0.5, heat_times, 1.3, lo.kernels.HEAT_ORDER)[1].size
+    nodes = _heat_axis_rule(0.5, heat_times, 1.3)[1].size
     e = lo.random_expansion(p2, 10, seed=0)
     pts = np.random.default_rng(0).uniform(0.1, 5.0, (1024, 2))
     mass_queries = [lo.KernelQuery(p1, 0.25, (1.0,), (float(y),)) for y in mass_y_nodes()]
     return {
         "log_bessel_per_point_s": median_s(lambda: lo.log_bessel_i_scaled(0.5, z), repeats) / z.size,
         "heat_axis_rule_per_node_s": median_s(
-            lambda: _heat_axis_rule(0.5, heat_times, 1.3, lo.kernels.HEAT_ORDER), repeats
+            lambda: _heat_axis_rule(0.5, heat_times, 1.3), repeats
         ) / nodes,
         "poisson_kernel_value_s": median_s(
             lambda: lo.poisson_kernel(lo.KernelQuery(p1, 0.5, (1.3,), (1.0,))), repeats

@@ -260,20 +260,15 @@ def call_on_points(f, pts) -> np.ndarray:
     return np.asarray(f(pts[..., 0] if pts.shape[-1] == 1 else pts), dtype=float)
 
 
-def analyze(
-    f, params: MultiIndexParams, degree: int, quad_points: int = None
-) -> LaguerreExpansion:
-    """Forward Laguerre transform by tensor Gauss-Laguerre quadrature.
+def analyze(f, params: MultiIndexParams, degree: int) -> LaguerreExpansion:
+    """Forward Laguerre transform by tensor Gauss-Laguerre quadrature on
+    max(2 degree + 8, 24) nodes per axis.
 
     c_k = (integral of f * L_k^alpha d mu_alpha) / ||L_k^alpha||^2.
     Exact (to rounding) when f is a polynomial of low enough degree.
     f is called as call_on_points describes.
     """
-    if quad_points is None:
-        quad_points = max(2 * degree + 8, 24)
-    if quad_points < degree + 1:
-        raise DomainError("quad_points must be at least degree + 1 per axis")
-    rules = [gauss_laguerre_rule(a, quad_points) for a in params.alpha]
+    rules = [gauss_laguerre_rule(a, max(2 * degree + 8, 24)) for a in params.alpha]
     pts, w = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
     fv = call_on_points(f, pts)
     tables = [laguerre_rows(degree, a, r.nodes) for r, a in zip(rules, params.alpha)]

@@ -19,6 +19,7 @@ c_lambda_k = int_0^inf u^{-lambda-1} (e^{-u} - 1)^k du carries sign (-1)^k.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,7 +55,9 @@ __all__ = [
 
 
 def smallest_integer_above(lam: float) -> int:
-    """Smallest integer strictly greater than lam (so 1.0 -> 2)."""
+    """Smallest integer strictly greater than lam (so 1.0 -> 2); lam finite."""
+    if not math.isfinite(lam):
+        raise DomainError(f"order must be finite, got {lam!r}")
     k = math.floor(lam) + 1
     if k <= lam:  # lam sits exactly on an integer due to floor rounding
         k += 1
@@ -63,18 +66,14 @@ def smallest_integer_above(lam: float) -> int:
 
 @dataclass(frozen=True)
 class FracOpConfig:
-    """Order and quadrature parameters for a fractional operator."""
+    """Order lambda of a fractional operator.  The difference route takes
+    k = smallest_integer_above(lambda); its value does not depend on k."""
 
     lam: float
-    k: int = None
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise DomainError("operator order lambda must be positive")
-        if self.k is None:
-            object.__setattr__(self, "k", smallest_integer_above(self.lam))
-        if self.k <= self.lam:
-            raise DomainError("difference order k must exceed lambda")
+        if not 0 < self.lam < math.inf:
+            raise DomainError("operator order lambda must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +113,25 @@ def _time_rule(route: str, lam: float, k: int):
     return s, weights
 
 
+def _check_k(k):
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise DomainError(f"k must be a positive integer, got {k!r}")
+
+
 @lru_cache(maxsize=None)
 def c_lambda(lam: float, k: int = 1) -> float:
     """c_lambda_k = int_0^inf u^(-lam-1) (e^(-u) - 1)^k du (cached)."""
-    if k < 1:
-        raise DomainError("k must be a positive integer")
+    _check_k(k)
     if lam >= k:
         raise DomainError("c_lambda diverges for lambda >= k")
-    if lam <= 0:
+    if not lam > 0:
         raise DomainError("lambda must be positive")
     return _route_integral("difference", lam, k, 1.0)
 
 
 def forward_difference(f, k: int, s: float, t: float) -> float:
     """Delta_s^k(f, t) = sum_j C(k,j) (-1)^j f(t + (k-j) s)."""
-    if k < 1:
-        raise DomainError("k must be a positive integer")
+    _check_k(k)
     total = 0.0
     for j in range(k + 1):
         total += comb(k, j, exact=True) * (-1.0) ** j * f(t + (k - j) * s)
@@ -183,10 +185,11 @@ def _check_mean(kind: str, mean: float):
 
 def _apply_expansion(kind: str, e: LaguerreExpansion, cfg: FracOpConfig):
     _check_mean(kind, e.mean)
+    k = smallest_integer_above(cfg.lam)
     # one quadrature per order that carries a nonzero coefficient
     mults = np.zeros(e.degree + 1)
     for n in np.unique(e.orders[e.vector != 0.0]).tolist():
-        mults[n] = _quad_multiplier(kind, cfg.lam, cfg.k, n)
+        mults[n] = _quad_multiplier(kind, cfg.lam, k, n)
     return e.scaled(mults[e.orders])
 
 
@@ -230,34 +233,32 @@ def _callable_route(kind, f, params, lam, k, x):
     return float(np.dot(w, delta)) / c_lambda(lam, k)
 
 
-def _dispatch(kind, f, params, lam, x, cfg):
-    cfg = cfg if cfg is not None else FracOpConfig(lam)
-    if cfg.lam != lam:
-        raise DomainError(f"cfg.lam = {cfg.lam} does not match the operator order lambda = {lam}")
+def _dispatch(kind, f, params, lam, x):
+    cfg = FracOpConfig(lam)
     x = tuple(float(v) for v in np.atleast_1d(x))
     if isinstance(f, LaguerreExpansion):
         return synthesize(_apply_expansion(kind, f, cfg), np.asarray(x))
     if OPERATORS[kind].zero_mean:
         # T_s f(x) has reached the mu_alpha-mean of f by S_CUTOFF
         _check_mean(kind, heat_apply_kernel(f, KernelQuery(params, S_CUTOFF, x)))
-    return _callable_route(kind, f, params, lam, cfg.k, x)
+    return _callable_route(kind, f, params, lam, smallest_integer_above(lam), x)
 
 
-def bessel_potential_apply(f, params: MultiIndexParams, lam, x, cfg=None) -> float:
+def bessel_potential_apply(f, params: MultiIndexParams, lam, x) -> float:
     """J_lam f(x) = (1/Gamma(lam)) int_0^inf s^(lam-1) e^(-s) P_s f(x) ds."""
-    return _dispatch("bessel_potential", f, params, lam, x, cfg)
+    return _dispatch("bessel_potential", f, params, lam, x)
 
 
-def fractional_integral_apply(f, params: MultiIndexParams, lam, x, cfg=None) -> float:
+def fractional_integral_apply(f, params: MultiIndexParams, lam, x) -> float:
     """I_lam f(x) = (1/Gamma(lam)) int_0^inf s^(lam-1) P_s f(x) ds, zero-mean f."""
-    return _dispatch("fractional_integral", f, params, lam, x, cfg)
+    return _dispatch("fractional_integral", f, params, lam, x)
 
 
-def fractional_derivative_apply(f, params: MultiIndexParams, lam, x, cfg=None) -> float:
+def fractional_derivative_apply(f, params: MultiIndexParams, lam, x) -> float:
     """D_lam f(x) = (1/c_lam_k) int_0^inf s^(-lam-1) (P_s - I)^k f(x) ds."""
-    return _dispatch("fractional_derivative", f, params, lam, x, cfg)
+    return _dispatch("fractional_derivative", f, params, lam, x)
 
 
-def bessel_derivative_apply(f, params: MultiIndexParams, lam, x, cfg=None) -> float:
+def bessel_derivative_apply(f, params: MultiIndexParams, lam, x) -> float:
     """Same as the fractional derivative with P_s replaced by e^(-s) P_s."""
-    return _dispatch("bessel_derivative", f, params, lam, x, cfg)
+    return _dispatch("bessel_derivative", f, params, lam, x)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -82,23 +83,28 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}"
-            )
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+            raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         try:
+            object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
             MultiIndexParams(self.d, self.alpha)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        except (DomainError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad d or alpha: {exc}") from exc
+        for name, low in (("d", 1), ("seed", 0), ("degree", 0), ("t_levels", 1)):
+            if not (_number(getattr(self, name), numbers.Integral) and getattr(self, name) >= low):
+                raise ConfigError(f"{name} must be an integer >= {low}")
+        if not (isinstance(self.tolerances, dict) and all(map(_number, self.tolerances.values()))):
+            raise ConfigError("tolerances must map names to finite numbers")
+        if not all(v is None or (_number(v) and v > 0) for v in (self.beta, self.lam)):
+            raise ConfigError("beta and lam must be finite numbers > 0")
         if self.scenario in ("kernel-mass", "spectral-vs-kernel", "lemma21") and self.d != 1:
             raise ConfigError(f"scenario {self.scenario} is one-dimensional; d must be 1")
-        if self.scenario == "thm42" or self.scenario == "thm33":
+        if self.scenario == "prop33" and self.beta is not None and not self.beta < 1:
+            raise ConfigError("prop33 requires 0 < beta < 1")
+        if self.scenario in ("thm42", "thm33", "thm44"):
             b, l = self._beta_lam()
-            if not 0 < l < b < 1:
+            if self.scenario != "thm44" and not 0 < l < b < 1:
                 raise ConfigError("this scenario requires 0 < lambda < beta < 1")
-        if self.scenario == "thm44":
-            b, l = self._beta_lam()
-            if not 1 <= l < b:
+            if self.scenario == "thm44" and not 1 <= l < b:
                 raise ConfigError("this scenario requires 1 <= lambda < beta")
 
     def _beta_lam(self):
@@ -118,16 +124,24 @@ class ScenarioConfig:
 
     @staticmethod
     def from_json(text: str) -> "ScenarioConfig":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not JSON: {exc}") from exc
+        if not isinstance(doc, dict) or "scenario" not in doc:
+            raise ConfigError("config must be a JSON object with a scenario")
         bad = set(doc) - {f.name for f in fields(ScenarioConfig)}
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        if "alpha" in doc:
-            doc["alpha"] = tuple(doc["alpha"])
         return ScenarioConfig(**doc)
 
     def as_dict(self) -> dict:
         return {**asdict(self), "alpha": list(self.alpha)}
+
+
+def _number(v, kind=numbers.Real) -> bool:
+    """v is a finite number of the given kind (a bool is not a number here)."""
+    return isinstance(v, kind) and not isinstance(v, bool) and -math.inf < v < math.inf
 
 
 def _report(cfg, claim, rows, max_ratio, passed, started, extra=None):
@@ -379,7 +393,6 @@ def _run_fdiff(cfg, started):
         rhs = forward_difference(poly.deriv(j), k, s, t)
         rows.append(ReportRow(f"commute,j={j},k={k}", abs(lhs - rhs), tol_exact))
     # ratio bound for power functions
-    bound_ok = True
     for delta in (0.3, 0.7):
         for k in (1, 2):
             cap = 1.0
@@ -391,10 +404,7 @@ def _run_fdiff(cfg, started):
                     val = abs(forward_difference(lambda u: u**delta, k, s, t))
                     worst = max(worst, val / (s**k * t ** (delta - k)))
             rows.append(ReportRow(f"power,delta={delta:g},k={k}", worst, cap))
-            bound_ok = bound_ok and worst <= cap
-    passed = bound_ok and all(
-        r.measured <= r.bound for r in rows if math.isfinite(r.bound)
-    )
+    passed = all(r.measured <= r.bound for r in rows if math.isfinite(r.bound))
     return _report(
         cfg,
         "forward differences obey the iteration, integral, and "

@@ -97,11 +97,14 @@ BLOCK_POINTS = 8192
 HEAT_ORDER = 12
 
 #: the L1 y integral runs in v = sqrt(y) up to max(sqrt(Y_MAX), sqrt(x) + 3):
-#: Y_ORDER nodes per panel, at most Y_HALVINGS halvings of every panel, and
-#: sign changes of the integrand located to ROOT_TOL in v
+#: Y_ORDER nodes per panel, at most Y_HALVINGS halvings of every panel until
+#: two sums agree to max(L1_ABS, L1_REL |sum|), and sign changes of the
+#: integrand located to ROOT_TOL in v
 Y_MAX = 80.0
 Y_ORDER = 8
 Y_HALVINGS = 5
+L1_ABS = 1e-9
+L1_REL = 1e-7
 ROOT_TOL = 1e-9
 
 
@@ -203,7 +206,7 @@ def _jacobi_panel(alpha, order):
     return g, w
 
 
-def _heat_axis_rule(alpha, times, x, order):
+def _heat_axis_rule(alpha, times, x):
     """The heat-axis rule for int H_s(x, y) f(y) dy at each heat time s.
 
     In v = sqrt(y) the kernel is a ridge e^(-u^2/2) in u = (v - v0) / sigma,
@@ -213,7 +216,7 @@ def _heat_axis_rule(alpha, times, x, order):
     around sqrt(E y) above v = sigma, and where they reach v = sigma the
     Jacobi panel takes y below sigma^2.  The exponent -u^2/2 is taken from
     the offsets u.  Returns per panel its time's index, and nodes y and
-    weights 2 v sigma du H_s(x, y) as one row of `order` per panel.
+    weights 2 v sigma du H_s(x, y) as one row of HEAT_ORDER per panel.
     """
     one_r = -np.expm1(-times)
     sig = np.sqrt(0.5 * one_r)
@@ -227,7 +230,7 @@ def _heat_axis_rule(alpha, times, x, order):
     idx, col = np.nonzero(used)
     lo, width, jac = lo[used][:, None], width[used][:, None], (col == 0)[:, None]
     one_r, sig, v0 = one_r[idx, None], sig[idx, None], v0[idx, None]
-    (xg, wg), (g, wj) = _leggauss(order), _jacobi_panel(alpha, order)
+    (xg, wg), (g, wj) = _leggauss(HEAT_ORDER), _jacobi_panel(alpha, HEAT_ORDER)
     unit = np.where(jac, g, 0.5 * (xg + 1.0))
     u = lo + width * unit
     v = np.where(jac, sig * unit, v0 + sig * u)
@@ -236,16 +239,16 @@ def _heat_axis_rule(alpha, times, x, order):
     return idx, v * v, pw * np.exp(log_h)
 
 
-def _heat_apply_times(f, params, times, x, order):
+def _heat_apply_times(f, params, times, x):
     """T_s f(x) for each heat time s in `times`, taken in chunks of at most
     BLOCK_POINTS nodes per axis: one heat-axis rule (one log_bessel_i_scaled
     call) per axis and chunk.  At d = 1 a chunk is one call to f; at d >= 2
     each time is one tensor grid of its rows of the per-axis rules."""
     out = np.empty(len(times))
-    step = max(1, BLOCK_POINTS // (15 * order))  # a time has at most 15 panels
+    step = max(1, BLOCK_POINTS // (15 * HEAT_ORDER))  # a time has at most 15 panels
     for i in range(0, len(times), step):
         chunk = times[i : i + step]
-        rules = [_heat_axis_rule(a, chunk, xj, order) for a, xj in zip(params.alpha, x)]
+        rules = [_heat_axis_rule(a, chunk, xj) for a, xj in zip(params.alpha, x)]
         if params.d == 1:
             idx, y, w = rules[0]
             sums = (w * call_on_points(f, y.reshape(-1, 1)).reshape(y.shape)).sum(axis=1)
@@ -260,12 +263,12 @@ def _heat_apply_times(f, params, times, x, order):
     return out
 
 
-def heat_apply_kernel(f, q: KernelQuery, order: int = HEAT_ORDER) -> float:
+def heat_apply_kernel(f, q: KernelQuery) -> float:
     """T_t f(x) by quadrature of the heat kernel against d mu_alpha.
 
     f is called with a vector of y values (d = 1) or an (m, d) array.
     """
-    return float(_heat_apply_times(f, q.params, np.array([q.t]), q.x, order)[0])
+    return float(_heat_apply_times(f, q.params, np.array([q.t]), q.x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +454,7 @@ def _semigroup_table(f, params, t_min, x, panels):
     t_min, T_s f(x) at each node, and T_S_CUTOFF f(x), which stands for T_s
     f(x) past S_CUTOFF: all from one _heat_apply_times call."""
     s, ws = _subordination_rule(t_min, panels)
-    heat = _heat_apply_times(f, params, np.append(s, S_CUTOFF), x, HEAT_ORDER)
+    heat = _heat_apply_times(f, params, np.append(s, S_CUTOFF), x)
     return s, ws, heat[:-1], heat[-1]
 
 
@@ -547,7 +550,7 @@ def _v_nodes(alpha, breaks):
     return np.concatenate((breaks[1] * g, v)), np.concatenate((breaks[1] * wj, w))
 
 
-def _v_integral(block, sign_of, alpha, breaks, epsabs, epsrel):
+def _v_integral(block, sign_of, alpha, breaks):
     """int of |p(v^2)| 2v dv over the panels `breaks`, where block(y) = p(y)
     and p(y) is y^alpha times a smooth function near y = 0, by the panels of
     _v_nodes.
@@ -555,7 +558,7 @@ def _v_integral(block, sign_of, alpha, breaks, epsabs, epsrel):
     The sign changes of p, located with sign_of (p to within its
     discretisation error), become breaks, so every panel integrates a smooth
     function.  All panels are halved until two successive sums agree to
-    max(epsabs, epsrel |sum|).
+    max(L1_ABS, L1_REL |sum|).
     """
     zeros = np.empty(0)
     sums = []
@@ -569,23 +572,16 @@ def _v_integral(block, sign_of, alpha, breaks, epsabs, epsrel):
             v, w = _v_nodes(alpha, breaks)
             p = block(v * v)
         sums.append(float(np.dot(2.0 * v * w, np.abs(p))))
-        if len(sums) > 1 and abs(sums[-1] - sums[-2]) <= max(epsabs, epsrel * abs(sums[-1])):
+        if len(sums) > 1 and abs(sums[-1] - sums[-2]) <= max(L1_ABS, L1_REL * abs(sums[-1])):
             return sums[-1]
         breaks = np.sort(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]))))
     raise QuadratureError(
-        f"y quadrature did not reach epsabs={epsabs:g}, epsrel={epsrel:g} "
+        f"y quadrature did not reach L1_ABS={L1_ABS:g}, L1_REL={L1_REL:g} "
         f"after {Y_HALVINGS} halvings: last two sums {sums[-2]!r}, {sums[-1]!r}"
     )
 
 
-def l1_kernel_derivative(
-    params: MultiIndexParams,
-    t: float,
-    x,
-    m: int,
-    epsabs: float = 1e-9,
-    epsrel: float = 1e-7,
-) -> float:
+def l1_kernel_derivative(params: MultiIndexParams, t: float, x, m: int) -> float:
     """int over (0, inf) of |d^m/dt^m p_t(x, y)| dy, at d = 1, by the v-panel
     rule of _v_integral on blocks of kernel values."""
     if params.d != 1:
@@ -598,4 +594,4 @@ def l1_kernel_derivative(
     sign_of = lambda y: _poisson_block_once(
         params, t, x, y[:, None], m, (2 * KERNEL_PANELS,)
     )[0, 0]
-    return _v_integral(block, sign_of, params.alpha[0], _v_breaks(t, x[0]), epsabs, epsrel)
+    return _v_integral(block, sign_of, params.alpha[0], _v_breaks(t, x[0]))

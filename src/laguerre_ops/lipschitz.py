@@ -181,31 +181,31 @@ def check_equivalence(
     l: int,
     t_grid=None,
     x_grid=None,
-    ratio_window=(1.0 / 50.0, 50.0),
-    method: str = "spectral",
 ) -> BoundReport:
-    """Compare the order-k and order-l versions of the seminorm.
+    """Compare the order-k and order-l versions of the seminorm (spectral path).
 
     Both are finite for smooth inputs; the measured ratio is recorded, with
     PASS meaning finite values inside the declared comparability window
-    (the underlying equivalence provides no explicit constant).
+    [1/50, 50] (the underlying equivalence provides no explicit constant).
     """
+    if not beta > 0:
+        raise DomainError("beta must be positive")
     if k <= beta or l <= beta:
         raise DomainError("both derivative orders must exceed beta")
     t_grid, xs = _grids(t_grid, x_grid, params.d)
-    a_k, _ = _a_beta(f, params, beta, k, t_grid, xs, method)
-    a_l, _ = _a_beta(f, params, beta, l, t_grid, xs, method)
+    a_k, _ = _a_beta(f, params, beta, k, t_grid, xs, "spectral")
+    a_l, _ = _a_beta(f, params, beta, l, t_grid, xs, "spectral")
     if a_k == 0.0 and a_l == 0.0:
         ratio = 1.0
     elif a_l == 0.0:
         ratio = math.inf
     else:
         ratio = a_k / a_l
-    ok = math.isfinite(ratio) and ratio_window[0] <= ratio <= ratio_window[1]
+    ok = math.isfinite(ratio) and 1.0 / 50.0 <= ratio <= 50.0
     rows = (
         ReportRow(f"order={k}", a_k, math.inf),
         ReportRow(f"order={l}", a_l, math.inf),
-        ReportRow("ratio", ratio, ratio_window[1]),
+        ReportRow("ratio", ratio, 50.0),
     )
     return BoundReport(
         scenario="prop31",
@@ -225,16 +225,15 @@ def check_approximation(
     t_grid=None,
     x_grid=None,
     tol: float = 0.05,
-    method: str = "spectral",
 ) -> BoundReport:
-    """||P_t f - f||_inf against A_beta(f) t^beta on the grids."""
+    """||P_t f - f||_inf against A_beta(f) t^beta on the grids (spectral path)."""
     if not 0 < beta < 1:
         raise DomainError("approximation check needs beta in (0, 1)")
     if not isinstance(f, LaguerreExpansion):
         raise DomainError("approximation check is defined on expansions")
     t_grid, xs = _grids(t_grid, x_grid, params.d)
     n = smallest_integer_above(beta)
-    a_beta, _ = _a_beta(f, params, beta, n, t_grid, xs, method)
+    a_beta, _ = _a_beta(f, params, beta, n, t_grid, xs, "spectral")
     poisson_factors = OPERATORS["poisson"].symbol(np.asarray(t_grid, float), f.orders[:, None])
     sups = _sups_over_t(f, poisson_factors, xs, minus=synthesize_many(f, xs))
     rows = []
@@ -258,19 +257,17 @@ def check_approximation(
 def check_pminusI_power(
     f,
     params: MultiIndexParams,
-    n: int,
     beta: float,
     t_grid=None,
     x_grid=None,
 ) -> BoundReport:
-    """Grid sup of |(P_t - I)^n f| against 2^n ||f||_inf and A_beta t^beta."""
-    if n != smallest_integer_above(beta):
-        raise DomainError("n must be the smallest integer above beta")
+    """Grid sup of |(P_t - I)^n f| against 2^n ||f||_inf and A_beta t^beta,
+    n = smallest_integer_above(beta)."""
     if not isinstance(f, LaguerreExpansion):
         raise DomainError("this check is defined on expansions")
     t_grid, xs = _grids(t_grid, x_grid, params.d)
     est = lipschitz_seminorm(f, params, beta, t_grid, x_grid)
-    f_sup = est.f_sup
+    f_sup, n = est.f_sup, est.n
     # n-fold simplex integral of v^(beta-n) over [0,t]^n equals
     # C(n, beta) t^beta with C = Delta_1^n(x^beta, 0) / prod_(i<n) (beta-i)
     denom = 1.0

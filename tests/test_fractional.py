@@ -54,11 +54,28 @@ class TestKSelection:
         assert smallest_integer_above(2.3) == 3
 
     def test_config(self):
-        assert FracOpConfig(1.0).k == 2
         with pytest.raises(DomainError):
             FracOpConfig(-0.5)
+
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (smallest_integer_above, (math.inf,)),
+            (smallest_integer_above, (math.nan,)),
+            (FracOpConfig, (math.inf,)),
+            (c_lambda, (0.5, 1.5)),
+            (c_lambda, (math.nan, 1)),
+            (forward_difference, (math.exp, 1.5, 0.1, 0.2)),
+            (forward_difference, (math.exp, True, 0.1, 0.2)),
+            (fractional_derivative_apply, (lambda y: y, P, math.inf, (1.3,))),
+        ],
+    )
+    def test_bad_orders_raise_domain_error(self, call, args):
+        # an order that is not finite, or a difference order k that is not a
+        # positive integer, is a DomainError, not an OverflowError, a
+        # TypeError or a nan
         with pytest.raises(DomainError):
-            FracOpConfig(1.5, k=1)
+            call(*args)
 
 
 class TestCLambda:
@@ -236,7 +253,7 @@ class TestOperatorTable:
         # s^(k-lam-1) exactly, also as k - lam -> 0
         for lam in (0.1, 0.3, 1.0, 1.5, 1.9, 0.995, 1.985):
             m = getattr(laguerre_ops, kind)(lam)
-            k = FracOpConfig(lam).k
+            k = smallest_integer_above(lam)
             got = [laguerre_ops.fractional._quad_multiplier(kind, lam, k, n) for n in range(1, 401)]
             want = [m.value(n) for n in range(1, 401)]
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11, err_msg=f"lam={lam}")
@@ -248,7 +265,7 @@ class TestOperatorTable:
         # rescaled time
         for lam in (0.3, 1.5, 1.9):
             m = getattr(laguerre_ops, kind)(lam)
-            for k in (FracOpConfig(lam).k, 4):
+            for k in (smallest_integer_above(lam), 4):
                 for n in (10**3, 10**4, 10**5, 10**6):
                     got = laguerre_ops.fractional._quad_multiplier(kind, lam, k, n)
                     assert got == pytest.approx(m.value(n), rel=1e-13, abs=0.0), (lam, k, n)
@@ -319,12 +336,6 @@ class TestPointApply:
         got = getattr(laguerre_ops, kind + "_apply")(f, params, lam, (1.3,))
         want = getattr(laguerre_ops, kind)(lam).value(3) * laguerre_poly(3, alpha, 1.3)
         assert got == pytest.approx(want, abs=1e-6)
-
-    def test_config_order_must_match(self):
-        # a cfg of another order is an error, not silently rebuilt without its k
-        f = lambda y: laguerre_poly(1, 0.5, y)
-        with pytest.raises(DomainError, match="0.5.*0.7"):
-            fractional_derivative_apply(f, P, 0.7, (1.3,), FracOpConfig(0.5, k=3))
 
     @pytest.mark.parametrize(
         "kind,alpha,k,lam,x",

@@ -199,9 +199,26 @@ class TestCli:
             {"scenario": "lemma21", "d": 2, "alpha": [0.5, 0.5]},
             {"scenario": "prop31", "d": 2},
             {"scenario": "spectral-vs-kernel", "d": 2, "alpha": [0.5, 0.5]},
+            {"scenario": "prop33", "beta": 1.5},
+            {"scenario": "prop31", "beta": -1},
+            {"scenario": "prop31", "beta": 1e400},
+            {"scenario": "thm31", "lam": math.nan},
+            {"scenario": "thm44", "beta": math.inf},
+            {"scenario": "thm31", "t_levels": 0},
+            {"scenario": "thm31", "degree": -1},
+            {"scenario": "subordination", "tolerances": {"abs": "x"}},
+            {"scenario": "prop31", "alpha": 0.5},
+            {"scenario": "prop31", "seed": -1},
+            {"scenario": "prop31", "seed": 1.5},
+            {"d": 1},
+            "not json",
+            "5",
         ],
     )
-    def test_bad_dimension_is_config_error(self, tmp_path, doc):
+    def test_bad_config_is_config_error(self, tmp_path, capsys, doc):
+        # a text document is run as prop31; every one exits 2 with "error:"
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps(doc))
-        assert main(["run", "--scenario", doc["scenario"], "--config", str(cfgfile)]) == 2
+        cfgfile.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        scenario = "prop31" if isinstance(doc, str) else doc.get("scenario", "prop31")
+        assert main(["run", "--scenario", scenario, "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -191,18 +191,31 @@ class TestChecks:
 
     def test_pminusI_uniform_bound(self):
         e = random_expansion(P, 6, seed=2)
-        r = check_pminusI_power(e, P, 1, 0.5)
+        r = check_pminusI_power(e, P, 0.5)
         assert r.passed
         uniform_rows = [row for row in r.rows if row.point.endswith("uniform")]
         assert all(row.measured <= row.bound for row in uniform_rows)
 
     def test_pminusI_higher_order(self):
         e = random_expansion(P, 6, seed=2)
-        assert check_pminusI_power(e, P, 2, 1.3).passed
+        assert check_pminusI_power(e, P, 1.3).passed
 
-    def test_pminusI_order_mismatch(self):
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (lipschitz_seminorm, (L1, P, math.inf)),
+            (check_equivalence, (L1, P, 0.0, 1, 2)),
+            (check_equivalence, (L1, P, -1.0, 1, 2)),
+            (check_equivalence, (L1, P, math.nan, 1, 2)),
+            (check_pminusI_power, (L1, P, math.inf)),
+            (check_pminusI_power, (L1, P, -0.5)),
+        ],
+    )
+    def test_bad_beta_raises_domain_error(self, call, args):
+        # beta must be finite and > 0 (an infinite beta raised a raw
+        # OverflowError, and check_equivalence accepted beta <= 0)
         with pytest.raises(DomainError):
-            check_pminusI_power(L1, P, 2, 0.5)
+            call(*args)
 
 
 E4 = random_expansion(P, 4, seed=1)
@@ -288,7 +301,7 @@ class TestStackedTimeGrid:
     def test_pminusI_rows_match_per_t_loop(self, d, degree, n, beta):
         p = _params(d)
         f = random_expansion(p, degree, seed=7)
-        r = check_pminusI_power(f, p, n, beta)
+        r = check_pminusI_power(f, p, beta)
         xs = np.asarray(default_x_grid(d))
         t_grid = default_t_grid()
         assert len(r.rows) == 2 * len(t_grid)

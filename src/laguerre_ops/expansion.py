@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -22,9 +21,10 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import DomainError, NonzeroMeanError
-from .specfun import gauss_laguerre_rule, laguerre_rows, log_gamma
+from .specfun import gauss_laguerre_rule, laguerre_rows
 
 __all__ = [
     "MultiIndexParams",
@@ -89,12 +89,13 @@ def enumerate_indices(d: int, degree: int) -> list:
     return list(_layout(d, degree)[0])
 
 
-def basis_norm_sq(k, params: MultiIndexParams) -> float:
-    """Squared mu_alpha-norm of L_k^alpha: prod binom(k_j + alpha_j, k_j)."""
+def basis_norm_sq(k, params: MultiIndexParams):
+    """Squared mu_alpha-norm of L_k^alpha: prod binom(k_j + alpha_j, k_j), for
+    one multi-index k, or elementwise for an array of them of shape (d, M)."""
     log_h = 0.0
-    for kj, aj in zip(k, params.alpha):
-        log_h += log_gamma(kj + aj + 1.0) - log_gamma(kj + 1.0) - log_gamma(aj + 1.0)
-    return math.exp(log_h)
+    for kj, aj in zip(np.asarray(k, dtype=float), params.alpha):
+        log_h += gammaln(kj + aj + 1.0) - gammaln(kj + 1.0) - gammaln(aj + 1.0)
+    return np.exp(log_h)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -266,20 +267,17 @@ def analyze(f, params: MultiIndexParams, degree: int) -> LaguerreExpansion:
 
     c_k = (integral of f * L_k^alpha d mu_alpha) / ||L_k^alpha||^2.
     Exact (to rounding) when f is a polynomial of low enough degree.
-    f is called as call_on_points describes.
+    f is called as call_on_points describes.  Its values on the grid are
+    contracted one axis at a time with that axis's weighted Laguerre rows.
     """
     rules = [gauss_laguerre_rule(a, max(2 * degree + 8, 24)) for a in params.alpha]
-    pts, w = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
-    fv = call_on_points(f, pts)
-    tables = [laguerre_rows(degree, a, r.nodes) for r, a in zip(rules, params.alpha)]
-    indices = _layout(params.d, degree)[0]
-    coeffs = np.empty(len(indices))
-    for i, k in enumerate(indices):
-        basis = tables[0][k[0]]
-        for ax in range(1, params.d):
-            basis = np.multiply.outer(basis, tables[ax][k[ax]])
-        coeffs[i] = float(np.dot(w, fv * basis.ravel())) / basis_norm_sq(k, params)
-    return LaguerreExpansion(params, degree, coeffs)
+    pts, _ = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
+    sums = np.broadcast_to(call_on_points(f, pts), len(pts)).reshape([len(r.nodes) for r in rules])
+    for r, a in zip(rules, params.alpha):  # the leading axis is the next grid axis
+        sums = np.tensordot(sums, laguerre_rows(degree, a, r.nodes) * r.weights, (0, 1))
+    indices = np.array(_layout(params.d, degree)[0]).T
+    return LaguerreExpansion(
+        params, degree, sums[tuple(indices)] / basis_norm_sq(indices, params))
 
 
 def synthesize(e: LaguerreExpansion, x) -> float:

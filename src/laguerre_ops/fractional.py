@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import comb
@@ -86,7 +85,6 @@ S_END = 45.0
 A_REF = 20.0
 
 
-@lru_cache(maxsize=None)
 def _time_rule(route: str, lam: float, k: int):
     """Nodes s and weights W of the one s-rule of a route.
 
@@ -118,19 +116,19 @@ def _check_k(k):
         raise DomainError(f"k must be a positive integer, got {k!r}")
 
 
-@lru_cache(maxsize=None)
 def c_lambda(lam: float, k: int = 1) -> float:
-    """c_lambda_k = int_0^inf u^(-lam-1) (e^(-u) - 1)^k du (cached)."""
+    """c_lambda_k = int_0^inf u^(-lam-1) (e^(-u) - 1)^k du."""
     _check_k(k)
     if lam >= k:
         raise DomainError("c_lambda diverges for lambda >= k")
     if not lam > 0:
         raise DomainError("lambda must be positive")
-    return _route_integral("difference", lam, k, 1.0)
+    return float(_route_integral("difference", lam, k, 1.0))
 
 
-def forward_difference(f, k: int, s: float, t: float) -> float:
-    """Delta_s^k(f, t) = sum_j C(k,j) (-1)^j f(t + (k-j) s)."""
+def forward_difference(f, k: int, s, t):
+    """Delta_s^k(f, t) = sum_j C(k,j) (-1)^j f(t + (k-j) s).  s and t may be
+    arrays that broadcast, for an f that acts elementwise on them."""
     _check_k(k)
     total = 0.0
     for j in range(k + 1):
@@ -153,29 +151,20 @@ ROUTES = {
 }
 
 
-def _route_integral(route: str, lam: float, k: int, a: float) -> float:
+def _route_integral(route: str, lam: float, k: int, a):
     """int_0^inf s^(lam-1) e^(-a s) ds (Laplace route) or
-    int_0^inf s^(-lam-1) (e^(-a s) - 1)^k ds (difference route), a > 0, on the
-    route's time rule.  Both are homogeneous in a, so an integrand whose
-    fastest rate, a or k a, is above A_REF is taken at that rate A_REF in
+    int_0^inf s^(-lam-1) (e^(-a s) - 1)^k ds (difference route) on the
+    route's time rule, for one rate a > 0 or, in one pass, for every rate of
+    an array a.  Both are homogeneous in a, so an integrand whose fastest
+    rate, a or k a, is above A_REF is taken at that rate A_REF in
     sigma = scale s and multiplied by scale^(-lam) or scale^lam."""
     s, w = _time_rule(route, lam, k)
+    a = np.asarray(a, dtype=float)
     if route == "laplace":
-        scale = max(a / A_REF, 1.0)
-        return float(np.dot(w, np.exp(-(a / scale) * s))) * scale ** (-lam)
-    scale = max(k * a / A_REF, 1.0)
-    return float(np.dot(w, np.expm1(-(a / scale) * s) ** k)) * scale**lam
-
-
-def _quad_multiplier(kind: str, lam: float, k: int, n: int) -> float:
-    shift, route = ROUTES[kind]
-    a = shift + math.sqrt(n)
-    if a == 0.0:
-        # the mean mode: killed by the derivative, and the integral is only
-        # taken on zero-mean inputs
-        return 0.0
-    norm = gamma(lam) if route == "laplace" else c_lambda(lam, k)
-    return _route_integral(route, lam, k, a) / norm
+        scale = np.maximum(a / A_REF, 1.0)
+        return np.exp(-np.multiply.outer(a / scale, s)) @ w * scale ** (-lam)
+    scale = np.maximum(k * a / A_REF, 1.0)
+    return np.expm1(-np.multiply.outer(a / scale, s)) ** k @ w * scale**lam
 
 
 def _check_mean(kind: str, mean: float):
@@ -185,16 +174,20 @@ def _check_mean(kind: str, mean: float):
 
 def _apply_expansion(kind: str, e: LaguerreExpansion, cfg: FracOpConfig):
     _check_mean(kind, e.mean)
+    shift, route = ROUTES[kind]
     k = smallest_integer_above(cfg.lam)
-    # one quadrature per order that carries a nonzero coefficient
+    # one pass over the orders that carry a nonzero coefficient, bar the mean
+    # mode (rate 0): the derivative kills it, the integral is taken on zero mean
+    rates = shift + np.sqrt(np.arange(e.degree + 1.0))
+    live = (np.bincount(e.orders[e.vector != 0.0], minlength=e.degree + 1) > 0) & (rates > 0)
+    norm = gamma(cfg.lam) if route == "laplace" else c_lambda(cfg.lam, k)
     mults = np.zeros(e.degree + 1)
-    for n in np.unique(e.orders[e.vector != 0.0]).tolist():
-        mults[n] = _quad_multiplier(kind, cfg.lam, k, n)
+    mults[live] = _route_integral(route, cfg.lam, k, rates[live]) / norm
     return e.scaled(mults[e.orders])
 
 
 def bessel_potential_expansion(e: LaguerreExpansion, cfg: FracOpConfig):
-    """J_lam e via numerical s-quadrature per mode."""
+    """J_lam e via numerical s-quadrature of every mode in one pass."""
     return _apply_expansion("bessel_potential", e, cfg)
 
 

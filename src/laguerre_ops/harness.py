@@ -92,6 +92,11 @@ class ScenarioConfig:
         for name, low in (("d", 1), ("seed", 0), ("degree", 0), ("t_levels", 1)):
             if not (_number(getattr(self, name), numbers.Integral) and getattr(self, name) >= low):
                 raise ConfigError(f"{name} must be an integer >= {low}")
+        # the first time of the theorem grids to underflow as t_levels grows is
+        # _refined_t_grid's first midpoint sqrt(a * 2a), a = 5 * 2^-(t_levels-1)
+        a = math.ldexp(5.0, 1 - self.t_levels)
+        if not math.sqrt(a * (2.0 * a)) >= sys.float_info.min:
+            raise ConfigError("t_levels is so large that the smallest grid times underflow")
         if not (isinstance(self.tolerances, dict) and all(map(_number, self.tolerances.values()))):
             raise ConfigError("tolerances must map names to finite numbers")
         if not all(v is None or (_number(v) and v > 0) for v in (self.beta, self.lam)):
@@ -398,11 +403,11 @@ def _run_fdiff(cfg, started):
             cap = 1.0
             for i in range(k):
                 cap *= abs(delta - i)
-            worst = 0.0
-            for t in np.linspace(0.1, 2.0, 16):
-                for s in np.linspace(1e-3, t, 16):
-                    val = abs(forward_difference(lambda u: u**delta, k, s, t))
-                    worst = max(worst, val / (s**k * t ** (delta - k)))
+            # 16 values of s in [1e-3, t] down each column of the t grid
+            t = np.linspace(0.1, 2.0, 16)
+            s = np.linspace(1e-3, t, 16)
+            val = np.abs(forward_difference(lambda u: u**delta, k, s, t))
+            worst = float(np.max(val / (s**k * t ** (delta - k))))
             rows.append(ReportRow(f"power,delta={delta:g},k={k}", worst, cap))
     passed = all(r.measured <= r.bound for r in rows if math.isfinite(r.bound))
     return _report(
@@ -502,7 +507,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = ScenarioConfig(**{**cfg.__dict__, "seed": args.seed})
         report = run_scenario(cfg)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError
 from .expansion import (
-    OPERATORS,
     LaguerreExpansion,
     MultiIndexParams,
     _synthesize,
@@ -95,9 +94,19 @@ def sup_norm(g, x_grid) -> float:
 
 
 def _dt_multiplier(m, t, n):
-    """(-sqrt(m))^n e^(-t sqrt(m)), the symbol of d^n/dt^n P_t; m and t broadcast."""
+    """(-sqrt(m))^n e^(-t sqrt(m)), the symbol of d^n/dt^n P_t; m and t broadcast.
+    Raises DomainError where it is not a finite float (a huge order n)."""
     root = np.sqrt(m)
-    return (-root) ** n * np.exp(-t * root)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = (-root) ** n * np.exp(-t * root)
+    if not np.all(np.isfinite(factors)):
+        raise DomainError("the multiplier of d^n/dt^n P_t overflows a float: n is too large")
+    return factors
+
+
+def _pminusI_multiplier(m, t_grid, n):
+    """(e^(-t sqrt(m)) - 1)^n, the symbol of (P_t - I)^n; orders m by times t."""
+    return np.expm1(-np.asarray(t_grid, float) * np.sqrt(m)[:, None]) ** n
 
 
 def poisson_dt_expansion(e: LaguerreExpansion, t: float, n: int) -> LaguerreExpansion:
@@ -105,13 +114,10 @@ def poisson_dt_expansion(e: LaguerreExpansion, t: float, n: int) -> LaguerreExpa
     return e.scaled(_dt_multiplier(e.orders, t, n))
 
 
-def _sups_over_t(f: LaguerreExpansion, factors, xs, minus=None) -> np.ndarray:
-    """max over xs of |g_i - minus| for each column i of factors, where g_i has
-    the coefficients f.vector * factors[:, i]: one stacked synthesis."""
-    vals = _synthesize(f, f.vector[:, None] * factors, xs)
-    if minus is not None:
-        vals -= minus
-    return np.max(np.abs(vals), axis=1)
+def _sups_over_t(f: LaguerreExpansion, factors, xs) -> np.ndarray:
+    """max over xs of |g_i| for each column i of factors, where g_i has the
+    coefficients f.vector * factors[:, i]: one stacked synthesis."""
+    return np.max(np.abs(_synthesize(f, f.vector[:, None] * factors, xs)), axis=1)
 
 
 def _grids(t_grid, x_grid, d):
@@ -234,8 +240,7 @@ def check_approximation(
     t_grid, xs = _grids(t_grid, x_grid, params.d)
     n = smallest_integer_above(beta)
     a_beta, _ = _a_beta(f, params, beta, n, t_grid, xs, "spectral")
-    poisson_factors = OPERATORS["poisson"].symbol(np.asarray(t_grid, float), f.orders[:, None])
-    sups = _sups_over_t(f, poisson_factors, xs, minus=synthesize_many(f, xs))
+    sups = _sups_over_t(f, _pminusI_multiplier(f.orders, t_grid, 1), xs)
     rows = []
     worst = 0.0
     for t, measured in zip(t_grid, sups.tolist()):
@@ -268,14 +273,16 @@ def check_pminusI_power(
     t_grid, xs = _grids(t_grid, x_grid, params.d)
     est = lipschitz_seminorm(f, params, beta, t_grid, x_grid)
     f_sup, n = est.f_sup, est.n
+    if float(beta).is_integer():
+        raise DomainError(
+            f"at the integer beta = {beta} the n-fold simplex integral of v^(beta-n) diverges")
     # n-fold simplex integral of v^(beta-n) over [0,t]^n equals
     # C(n, beta) t^beta with C = Delta_1^n(x^beta, 0) / prod_(i<n) (beta-i)
     denom = 1.0
     for i in range(n):
         denom *= beta - i
     simplex_c = forward_difference(lambda u: u**beta, n, 1.0, 0.0) / denom
-    # (P_t - I)^n acts diagonally with multiplier (e^(-t sqrt(m)) - 1)^n
-    factors = np.expm1(-np.asarray(t_grid, float) * np.sqrt(f.orders)[:, None]) ** n
+    factors = _pminusI_multiplier(f.orders, t_grid, n)
     rows = []
     for t, measured in zip(t_grid, _sups_over_t(f, factors, xs).tolist()):
         rows.append(ReportRow(f"t={t:.6g},uniform", measured, 2.0**n * f_sup))

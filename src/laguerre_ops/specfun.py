@@ -25,7 +25,6 @@ from .errors import DomainError, PoleError, QuadratureError
 __all__ = [
     "QuadratureRule",
     "gamma",
-    "log_gamma",
     "log_bessel_i_scaled",
     "laguerre_poly",
     "laguerre_rows",
@@ -55,13 +54,6 @@ def gamma(x: float) -> float:
     if x <= 0 and x == math.floor(x):
         raise PoleError(f"Gamma pole at x={x}")
     return math.gamma(x)
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 (overflow-safe norm ratios need this)."""
-    if x <= 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _log_series(nu: float, z: np.ndarray) -> np.ndarray:

@@ -66,7 +66,7 @@ def test_analyze_linear_function():
     assert abs(e.coeff((2,))) < 1e-12
 
 
-@pytest.mark.parametrize("d,alpha", [(1, (0.5,)), (2, (0.5, -0.25))])
+@pytest.mark.parametrize("d,alpha", [(1, (0.5,)), (2, (0.5, -0.25)), (3, (0.5, -0.25, 2.0))])
 def test_analyze_synthesize_roundtrip(d, alpha):
     p = MultiIndexParams(d, alpha)
     e = random_expansion(p, 4, seed=11)

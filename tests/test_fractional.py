@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from laguerre_ops.expansion import (
 )
 from laguerre_ops.fractional import (
     ROUTES,
+    _route_integral,
     FracOpConfig,
     bessel_derivative_apply,
     bessel_derivative_expansion,
@@ -157,6 +159,19 @@ class TestForwardDifference:
             forward_difference(poly.deriv(j), k, s, t), abs=5e-12
         )
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_arrays_match_scalar_calls(self, k):
+        # s and t broadcast; each element is the scalar call's value, bit for
+        # bit, for an f that computes the same on arrays as on scalars (numpy's
+        # array power need not round as the scalar one does)
+        t = np.linspace(0.1, 2.0, 16)
+        s = np.linspace(1e-3, t, 16)
+        f = np.polynomial.Polynomial(np.random.default_rng(3).uniform(-1, 1, 6))
+        got = forward_difference(f, k, s, t)
+        want = [[forward_difference(f, k, sv, tv) for sv, tv in zip(row_s, t.tolist())]
+                for row_s in s.tolist()]
+        assert got.tolist() == want
+
     @pytest.mark.parametrize("delta", [0.3, 0.7])
     @pytest.mark.parametrize("k", [1, 2])
     def test_power_ratio_bound(self, delta, k):
@@ -251,11 +266,14 @@ class TestOperatorTable:
     def test_multipliers_match_symbols_to_order_400(self, kind):
         # the Jacobi panel at s = 0 carries the weight s^(lam-1) or
         # s^(k-lam-1) exactly, also as k - lam -> 0
+        shift, route = ROUTES[kind]
+        n = np.arange(1, 401)
         for lam in (0.1, 0.3, 1.0, 1.5, 1.9, 0.995, 1.985):
             m = getattr(laguerre_ops, kind)(lam)
             k = smallest_integer_above(lam)
-            got = [laguerre_ops.fractional._quad_multiplier(kind, lam, k, n) for n in range(1, 401)]
-            want = [m.value(n) for n in range(1, 401)]
+            norm = scipy_gamma(lam) if route == "laplace" else c_lambda(lam, k)
+            got = _route_integral(route, lam, k, shift + np.sqrt(n)) / norm
+            want = [m.value(v) for v in n.tolist()]
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11, err_msg=f"lam={lam}")
 
     @pytest.mark.parametrize("kind", list(ROUTES))
@@ -263,27 +281,49 @@ class TestOperatorTable:
         # modes whose fastest rate (a, or k a on the difference route) is
         # above the rule's reference rate are taken at that rate in a
         # rescaled time
+        shift, route = ROUTES[kind]
+        n = np.array([10**3, 10**4, 10**5, 10**6])
         for lam in (0.3, 1.5, 1.9):
             m = getattr(laguerre_ops, kind)(lam)
             for k in (smallest_integer_above(lam), 4):
-                for n in (10**3, 10**4, 10**5, 10**6):
-                    got = laguerre_ops.fractional._quad_multiplier(kind, lam, k, n)
-                    assert got == pytest.approx(m.value(n), rel=1e-13, abs=0.0), (lam, k, n)
+                norm = scipy_gamma(lam) if route == "laplace" else c_lambda(lam, k)
+                got = _route_integral(route, lam, k, shift + np.sqrt(n)) / norm
+                for g, v in zip(got.tolist(), n.tolist()):
+                    assert g == pytest.approx(m.value(v), rel=1e-13, abs=0.0), (lam, k, v)
 
     def test_sparse_expansion_integrates_present_orders_only(self, monkeypatch):
-        orders = []
-        quad_multiplier = laguerre_ops.fractional._quad_multiplier
+        rates = []
+        route_integral = laguerre_ops.fractional._route_integral
 
-        def counted(kind, lam, k, n):
-            orders.append(n)
-            return quad_multiplier(kind, lam, k, n)
+        def counted(route, lam, k, a):
+            rates.append(np.asarray(a, dtype=float).tolist())
+            return route_integral(route, lam, k, a)
 
-        monkeypatch.setattr(laguerre_ops.fractional, "_quad_multiplier", counted)
+        monkeypatch.setattr(laguerre_ops.fractional, "_route_integral", counted)
         e = LaguerreExpansion(P, 4, {(4,): 1.0})
         out = laguerre_ops.fractional_derivative_expansion(e, FracOpConfig(0.5))
-        assert orders == [4]
+        # c_lambda's rate 1, then one pass over the one present order's rate sqrt(4)
+        assert rates == [1.0, [2.0]]
         assert out.coeffs[(4,)] == pytest.approx(math.sqrt(2.0), abs=1e-10)
         assert out.vector[:4].tolist() == [0.0] * 4
+
+    def test_distinct_orders_leave_no_memory_behind(self):
+        # no time rule or c_lambda_k is kept per lambda; the first 300 fill
+        # the 256 Jacobi panels of specfun.gauss_jacobi_rule's cache, under
+        # tracing, so the panels it evicts later count as freed
+        e = random_expansion(P, 8, seed=4)
+        lams = np.random.default_rng(12).uniform(0.05, 1.95, 900).tolist()
+        tracemalloc.start()
+        try:
+            for lam in lams[:300]:
+                fractional_derivative_expansion(e, FracOpConfig(lam))
+            before = tracemalloc.get_traced_memory()[0]
+            for lam in lams[300:]:
+                fractional_derivative_expansion(e, FracOpConfig(lam))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 100_000
 
 
 class TestPointApply:

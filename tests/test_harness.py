@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import sys
 
 import pytest
 
 from laguerre_ops.errors import ConfigError
-from laguerre_ops.harness import SCENARIOS, ScenarioConfig, main, run_scenario
+from laguerre_ops.harness import SCENARIOS, ScenarioConfig, _refined_t_grid, main, run_scenario
+from laguerre_ops.lipschitz import default_t_grid
 from laguerre_ops.report import (
     BoundReport,
     CSV_HEADER,
@@ -74,6 +76,17 @@ class TestScenarioConfig:
     def test_constraint_thm44(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="thm44", beta=1.2, lam=0.5)
+
+    @pytest.mark.parametrize("levels", [1, 11, 541, 542])
+    def test_t_levels_accepted_iff_grid_times_are_normal(self, levels):
+        # the largest t_levels whose dyadic and refined grids hold only
+        # positive normal floats is 541; at 542 a midpoint underflows to 0
+        times = default_t_grid(levels) + _refined_t_grid(levels)
+        if min(times) >= sys.float_info.min:
+            assert ScenarioConfig(scenario="thm31", t_levels=levels).t_levels == levels
+        else:
+            with pytest.raises(ConfigError):
+                ScenarioConfig(scenario="thm31", t_levels=levels)
 
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -205,6 +218,11 @@ class TestCli:
             {"scenario": "thm31", "lam": math.nan},
             {"scenario": "thm44", "beta": math.inf},
             {"scenario": "thm31", "t_levels": 0},
+            {"scenario": "thm31", "t_levels": 542},
+            {"scenario": "thm31", "t_levels": 600},
+            {"scenario": "thm31", "t_levels": 10**400},
+            {"scenario": "prop31", "beta": 800},
+            {"scenario": "thm44", "beta": 1e300},
             {"scenario": "thm31", "degree": -1},
             {"scenario": "subordination", "tolerances": {"abs": "x"}},
             {"scenario": "prop31", "alpha": 0.5},
@@ -216,7 +234,8 @@ class TestCli:
         ],
     )
     def test_bad_config_is_config_error(self, tmp_path, capsys, doc):
-        # a text document is run as prop31; every one exits 2 with "error:"
+        # a text document is run as prop31; every one exits 2 with "error:",
+        # also where the run leaves an operator's domain (a DomainError)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         scenario = "prop31" if isinstance(doc, str) else doc.get("scenario", "prop31")

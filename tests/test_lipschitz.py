@@ -161,18 +161,22 @@ class TestChecks:
         with pytest.raises(DomainError):
             check_approximation(L1, P, 1.2)
 
-    def test_approximation_synthesizes_f_once(self, monkeypatch):
+    def test_approximation_rows_take_one_synthesis(self, monkeypatch):
+        # P_t f - f of every t comes from one stacked synthesis through the
+        # multiplier e^(-t sqrt(m)) - 1, beside the one that A_beta takes;
+        # f itself is not synthesized apart
         import laguerre_ops.lipschitz as lip
 
         f = random_expansion(P, 4, seed=1)
         want = check_approximation(f, P, 0.5)
         calls = []
-        original = lip.synthesize_many
+        stacked, single = lip._synthesize, lip.synthesize_many
         monkeypatch.setattr(
-            lip, "synthesize_many", lambda e, xs: calls.append(e) or original(e, xs)
-        )
+            lip, "_synthesize", lambda e, c, xs: calls.append(c.shape) or stacked(e, c, xs))
+        monkeypatch.setattr(
+            lip, "synthesize_many", lambda e, xs: calls.append(e) or single(e, xs))
         got = check_approximation(f, P, 0.5)
-        assert sum(e is f for e in calls) == 1
+        assert calls == [(f.vector.size, 11), (f.vector.size, 11)]
         assert got.rows == want.rows and got.max_ratio == want.max_ratio
         est = lipschitz_seminorm(f, P, 0.5)
         assert [r.bound for r in got.rows] == [
@@ -209,11 +213,19 @@ class TestChecks:
             (check_equivalence, (L1, P, math.nan, 1, 2)),
             (check_pminusI_power, (L1, P, math.inf)),
             (check_pminusI_power, (L1, P, -0.5)),
+            (check_pminusI_power, (random_expansion(P, 6, seed=2), P, 1.0)),
+            (check_pminusI_power, (random_expansion(P, 6, seed=2), P, 2.0)),
+            (lipschitz_seminorm, (random_expansion(P, 6, seed=2), P, 800.0)),
+            (check_equivalence, (random_expansion(P, 6, seed=2), P, 800.0, 801, 802)),
+            (check_pminusI_power, (random_expansion(P, 6, seed=2), P, 800.5)),
         ],
     )
     def test_bad_beta_raises_domain_error(self, call, args):
         # beta must be finite and > 0 (an infinite beta raised a raw
-        # OverflowError, and check_equivalence accepted beta <= 0)
+        # OverflowError, and check_equivalence accepted beta <= 0); at an
+        # integer beta the simplex constant of (P_t - I)^n diverges (a raw
+        # ZeroDivisionError); at beta = 800 the multiplier (-sqrt(m))^801 of
+        # the time derivative overflows (a RuntimeWarning and nan)
         with pytest.raises(DomainError):
             call(*args)
 
@@ -293,8 +305,11 @@ class TestStackedTimeGrid:
         t_grid = default_t_grid()
         assert len(r.rows) == len(t_grid)
         for row, t in zip(r.rows, t_grid):
+            # P_t - I through its multiplier e^(-t sqrt(m)) - 1, and as P_t f - f
+            g = f.scaled(np.expm1(-t * np.sqrt(f.orders)))
+            assert row.measured == np.max(np.abs(synthesize_many(g, xs)))
             pt = synthesize_many(spectral_apply(poisson(t), f), xs)
-            assert row.measured == np.max(np.abs(pt - f_vals))
+            assert row.measured == pytest.approx(np.max(np.abs(pt - f_vals)), rel=1e-12)
 
     @pytest.mark.parametrize("d, degree", [(1, 8), (2, 6)])
     @pytest.mark.parametrize("n, beta", [(1, 0.5), (2, 1.3), (3, 2.4)])

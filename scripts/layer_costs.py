@@ -15,6 +15,9 @@ figure is the median wall time of single calls after one warm-up call:
 - harness: each scenario of the fast set, at its default configuration;
 - tier-1: the wall time of the whole test suite (left out with --quick,
   which also takes fewer repeats);
+- counts: the log-Bessel points that one Poisson kernel value (alpha = 0.5,
+  t = 1) and one l1_kernel_derivative (alpha = 0.5, x = 1, m = 1,
+  t = 0.05) evaluate; they depend only on the code, not on the machine;
 - src_lines: the lines of each module of src/laguerre_ops and their total.
 
 Timings depend on the machine, so the file records it beside them.
@@ -38,6 +41,7 @@ import scipy  # noqa: E402
 from numpy.polynomial.legendre import leggauss  # noqa: E402
 
 import laguerre_ops as lo  # noqa: E402
+from laguerre_ops import kernels  # noqa: E402
 from laguerre_ops.kernels import _heat_axis_rule  # noqa: E402
 
 # scenarios that make no Poisson-kernel L1 or mass integrals; the others
@@ -102,6 +106,35 @@ def layer_costs(repeats):
         ),
         "analyze_d2_degree10_s": median_s(lambda: lo.analyze(f2, p2, 10), repeats),
         "synthesize_d2_degree10_1024_points_s": median_s(lambda: lo.synthesize_many(e, pts), repeats),
+    }
+
+
+def bessel_points(fn):
+    """The points at which one call of fn evaluates log_bessel_i_scaled
+    through the kernel layer's binding of it."""
+    original, points = kernels.log_bessel_i_scaled, [0]
+
+    def counted(nu, z):
+        points[0] += int(np.size(z))
+        return original(nu, z)
+
+    kernels.log_bessel_i_scaled = counted
+    try:
+        fn()
+    finally:
+        kernels.log_bessel_i_scaled = original
+    return points[0]
+
+
+def counts():
+    p1 = lo.MultiIndexParams(1, (0.5,))
+    return {
+        "poisson_kernel_value_bessel_points": bessel_points(
+            lambda: lo.poisson_kernel(lo.KernelQuery(p1, 1.0, (1.3,), (1.0,)))
+        ),
+        "l1_kernel_derivative_t005_bessel_points": bessel_points(
+            lambda: lo.l1_kernel_derivative(p1, 0.05, (1.0,), 1)
+        ),
     }
 
 
@@ -175,6 +208,7 @@ def main(argv=None):
         "machine": machine(),
         "repeats": repeats,
         "layers": layer_costs(repeats),
+        "counts": counts(),
         "scenarios_s": scenario_costs(1 if args.quick else 5),
         "tier1": None if args.quick else tier1(),
         "src_lines": src_lines(),
@@ -182,7 +216,7 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    print(json.dumps(result["layers"]))
+    print(json.dumps({**result["layers"], **result["counts"]}))
     return 0
 
 

@@ -177,12 +177,13 @@ def _apply_expansion(kind: str, e: LaguerreExpansion, cfg: FracOpConfig):
     shift, route = ROUTES[kind]
     k = smallest_integer_above(cfg.lam)
     # one pass over the orders that carry a nonzero coefficient, bar the mean
-    # mode (rate 0): the derivative kills it, the integral is taken on zero mean
+    # mode (rate 0): the derivative kills it, the integral is taken on zero
+    # mean; a last rate 1 gives c_lambda_k on the difference route
     rates = shift + np.sqrt(np.arange(e.degree + 1.0))
     live = (np.bincount(e.orders[e.vector != 0.0], minlength=e.degree + 1) > 0) & (rates > 0)
-    norm = gamma(cfg.lam) if route == "laplace" else c_lambda(cfg.lam, k)
+    values = _route_integral(route, cfg.lam, k, np.append(rates[live], 1.0))
     mults = np.zeros(e.degree + 1)
-    mults[live] = _route_integral(route, cfg.lam, k, rates[live]) / norm
+    mults[live] = values[:-1] / (gamma(cfg.lam) if route == "laplace" else values[-1])
     return e.scaled(mults[e.orders])
 
 
@@ -223,7 +224,7 @@ def _callable_route(kind, f, params, lam, k, x):
     u = np.exp(-shift * times) * poisson_apply(f, params, times, x)
     u = np.column_stack((np.full(len(s), float(call_on_points(f, np.asarray(x)))), u))
     delta = forward_difference(lambda j: u[:, int(j)], k, 1.0, 0.0)
-    return float(np.dot(w, delta)) / c_lambda(lam, k)
+    return float(np.dot(w, delta)) / (np.expm1(-s) ** k @ w)  # c_lambda(lam, k)
 
 
 def _dispatch(kind, f, params, lam, x):

@@ -18,23 +18,23 @@ in y, and, where they reach v = sigma, one Gauss-Jacobi panel in y on
 [0, sigma^2] that is exact for the y^alpha endpoint.
 
 Every integral int d^m_t g(t, s) F(s) ds over (0, S_CUTOFF) takes one
-subordination rule (_subordination_rule): Gauss-Legendre panels in log s of
+subordination rule (_subordination_rule): Gauss-Kronrod panels in log s of
 one width, laid down from S_CUTOFF to the floor of the smallest time, and
 the analytic erf tail past S_CUTOFF.  One doubling rule (_doubled) refines
-it: each value doubles the panels on its own until two successive values
-agree, or both are zero to rounding, else QuadratureError.  Kernel values
-d^m/dt^m p_t(x, y) at an (n, d) array of points y read the rules of
-KERNEL_PANELS and twice that many panels side by side in one pass of
-(y x s-node) blocks, with one log_bessel_i_scaled call per block of at most
-BLOCK_POINTS entries and the y-free factors cached per (t, m, levels, x).
+it: a value settles where its Kronrod sum agrees with its embedded Gauss sum
+(or with the last panel count's), else its panels double, SUB_DOUBLINGS at most.
+Kernel values d^m/dt^m p_t(x, y) at an (n, d) array of points y read the
+rule of KERNEL_PANELS panels in one pass of (y x s-node) blocks, with one
+log_bessel_i_scaled call per block of at most BLOCK_POINTS entries and the
+y-free factors cached per (t, m, panels, x).
 
-P_t f(x) and its time derivatives are read off one semigroup table: the
-rule's nodes s at the smallest time, and T_s f(x) at each node and at
+P_t f(x) and its time derivatives are read off one semigroup table: nodes
+s of the rule at the smallest time, and T_s f(x) at each node and at
 S_CUTOFF, which stands for T_s f(x) past it, all from one chunked heat-apply
 call (one heat-axis rule per axis and chunk of times).  d^m/dt^m P_t f(x) =
 int d^m_t g(t, s) T_s f(x) ds is read in blocks of times; poisson_apply
-reads one table of SUB_PANELS panels, and poisson_dt_apply doubles each
-time from there.
+reads the embedded Gauss nodes of SUB_PANELS panels, and poisson_dt_apply
+all their Kronrod nodes, doubling each time from there.
 
 l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on panels in
 v = sqrt(y), dyadic around the ridge at sqrt(x) and ending past it: the
@@ -57,7 +57,7 @@ from scipy.integrate import quad  # noqa: F401  (bench/tracing.py patches kernel
 
 from .errors import DomainError, OverflowGuardError, QuadratureError
 from .expansion import MultiIndexParams, call_on_points, tensor_grid
-from .specfun import gauss_jacobi_rule, log_bessel_i_scaled
+from .specfun import gauss_jacobi_rule, gauss_kronrod_rule, log_bessel_i_scaled
 
 __all__ = [
     "KernelQuery",
@@ -77,17 +77,18 @@ __all__ = [
 #: semigroup is its equilibrium mean beyond it and the tail is analytic.
 S_CUTOFF = 40.0
 
-#: the subordination rule: Gauss-Legendre panels of SUB_ORDER nodes in log s,
-#: as wide as SUB_PANELS panels are at t = 1.  A semigroup table starts at
-#: SUB_PANELS panels and kernel values at KERNEL_PANELS; both double them at
-#: most SUB_DOUBLINGS times, until two values agree to max(SUB_ABS, SUB_REL |value|)
-#: or both are below SUB_ROUND sum |terms| (a zero derivative's terms cancel)
+#: the subordination rule: Gauss-Kronrod panels in log s around SUB_ORDER
+#: Gauss nodes, as wide as SUB_PANELS panels are at t = 1.  A semigroup table
+#: starts at SUB_PANELS panels and kernel values at KERNEL_PANELS; both double
+#: them at most SUB_DOUBLINGS times, until a value settles to max(SUB_ABS,
+#: SUB_REL |value|) or to SUB_ROUND sum |terms| (a zero derivative's terms cancel)
 SUB_PANELS = 12
 KERNEL_PANELS = 8
 SUB_ORDER = 12
 SUB_ABS = 1e-10
 SUB_REL = 1e-8
-SUB_ROUND = 8 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+SUB_ROUND = 8 * _EPS
 SUB_DOUBLINGS = 4
 
 #: largest (y x s-node) block handed to one log_bessel_i_scaled call
@@ -339,33 +340,34 @@ def _s_floor(t):
 
 
 def _subordination_rule(t_min, panels):
-    """Nodes s and weights w s of the subordination rule for every time >=
-    t_min, so that sum_i (w s)_i F(s_i) ~ int_0^S_CUTOFF F(s) ds for F
-    smooth in log s: Gauss-Legendre panels in log s of the width `panels`
-    panels have at t = 1, laid down from S_CUTOFF to the floor of t_min."""
+    """Nodes s, Kronrod weights w s and Gauss weights (0 off the columns
+    [:, 1::2]) so that sum_i (w s)_i F(s_i) ~ int_0^S_CUTOFF F(s) ds for F smooth
+    in log s: a row per Gauss-Kronrod panel in log s, as wide as `panels` are at
+    t = 1, laid down from S_CUTOFF to the floor of t_min, for every t >= t_min."""
     h = math.log(S_CUTOFF / _s_floor(1.0)) / panels
     n = math.ceil(math.log(S_CUTOFF / _s_floor(t_min)) / h - 1e-9)
-    u, w = _panel_nodes(math.log(S_CUTOFF) - h * np.arange(n, -1.0, -1.0), SUB_ORDER)
-    s = np.exp(u)
-    return s, w * s
+    breaks = math.log(S_CUTOFF) - h * np.arange(n, -1.0, -1.0)
+    a, b = breaks[:-1, None], breaks[1:, None]
+    u, wk, wg = gauss_kronrod_rule(SUB_ORDER)
+    s = np.exp(0.5 * (a + b) + 0.5 * (b - a) * u)
+    return s, 0.5 * (b - a) * wk * s, 0.5 * (b - a) * wg * s
 
 
 def _doubled(value, n, panels, where):
-    """value(i, levels) for the indices i of range(n), each refined on its
-    own: per panel count in `levels`, a row of values and one of the sums of
-    their terms' magnitudes.  The first call reads `panels` and twice that,
-    each later one the next of at most SUB_DOUBLINGS doublings; an index
-    keeps the first value that settles, else QuadratureError naming where(i)."""
-    todo, out = np.arange(n), np.empty(n)
-    (prev, cur), (_, size) = value(todo, (panels, 2 * panels))
-    for doubling in range(SUB_DOUBLINGS):
-        if doubling:
-            panels *= 2
-            (cur,), (size,) = value(todo, (2 * panels,))
-        done = np.abs(cur - prev) <= np.maximum(SUB_ABS, SUB_REL * np.abs(cur))
-        done |= np.maximum(np.abs(cur), np.abs(prev)) <= SUB_ROUND * size
-        out[todo[done]] = cur[done]
-        todo, prev = todo[~done], cur[~done]
+    """value(i, panels) for the indices i of range(n), each refined on its
+    own: rows of Kronrod values, embedded Gauss values and sums of the terms'
+    magnitudes.  An index keeps the first Kronrod value its Gauss value meets
+    to tol = max(SUB_ABS, SUB_REL |value|) with eps sum |terms| <= tol (their
+    shared nodes hide that rounding), or the last panel count's value meets,
+    or where both are below SUB_ROUND sum |terms|; else QuadratureError."""
+    todo, out, prev = np.arange(n), np.empty(n), math.inf
+    for doubling in range(SUB_DOUBLINGS + 1):
+        kron, gauss, size = value(todo, panels * 2**doubling)
+        tol = np.maximum(SUB_ABS, SUB_REL * np.abs(kron))
+        done = (np.maximum(np.abs(kron - gauss), _EPS * size) <= tol) | (np.abs(kron - prev) <= tol)
+        done |= np.maximum(np.abs(kron), np.abs(gauss)) <= SUB_ROUND * size
+        out[todo[done]] = kron[done]
+        todo, prev = todo[~done], kron[~done]
         if len(todo) == 0:
             return out
     raise QuadratureError(
@@ -375,47 +377,42 @@ def _doubled(value, n, panels, where):
 
 
 @lru_cache(maxsize=16)
-def _kernel_nodes(t, m, levels, x):
-    """The subordination rules at t of the panel counts in `levels` side by
-    side, shared by every y of one kernel integral: s nodes, weights w_i s_i
-    d^m/dt^m g(t, s_i), each rule's slice, the d^m/dt^m mass of g past
-    S_CUTOFF, and _heat_axis_pieces(s, x_j) per coordinate."""
-    rules = [_subordination_rule(t, panels) for panels in levels]
-    s = np.concatenate([r[0] for r in rules])
-    ws = np.concatenate([r[1] for r in rules]) * stable_density_dt(m, t, s)
+def _kernel_nodes(t, m, panels, x):
+    """The subordination rule at t, shared by every y of one kernel
+    integral: s nodes, its two weights times d^m/dt^m g(t, s_i), the d^m/dt^m
+    mass of g past S_CUTOFF, and _heat_axis_pieces(s, x_j) per coordinate."""
+    s, wk, wg = (a.ravel() for a in _subordination_rule(t, panels))
+    wk, wg = (w * stable_density_dt(m, t, s) for w in (wk, wg))
     pieces = [_heat_axis_pieces(s, xj) for xj in x]
-    for a in (s, ws, *sum(pieces, ())):
+    for a in (s, wk, wg, *sum(pieces, ())):
         a.flags.writeable = False
-    bounds = np.cumsum([0] + [len(r[0]) for r in rules])
-    return s, ws, list(zip(bounds, bounds[1:])), stable_tail_mass(m, t, S_CUTOFF), pieces
+    return s, wk, wg, stable_tail_mass(m, t, S_CUTOFF), pieces
 
 
-def _poisson_block_once(params, t, x, y, m, levels):
-    """d^m/dt^m p_t(x, y_i) for each row y_i of an (n, d) array of points and the
-    sums of its terms' magnitudes, a row each per panel count in `levels`, from
-    their rules side by side: (y x s-node) blocks of at most BLOCK_POINTS entries,
-    one log_bessel_i_scaled call per axis and block.  Each level's slice of a row is
-    summed on its own, so a value does not depend on the other points or levels."""
-    s, ws, slices, tail, pieces = _kernel_nodes(t, m, levels, x)
-    out = np.empty((2, len(levels), len(y)))
+def _poisson_block_once(params, t, x, y, m, panels):
+    """d^m/dt^m p_t(x, y_i) for each row y_i of an (n, d) array of points, as
+    the rows _doubled reads, from one pass of (y x s-node) blocks of at most
+    BLOCK_POINTS entries, one log_bessel_i_scaled call per axis and block.
+    Each point's row is summed on its own, so it does not depend on the others."""
+    s, wk, wg, tail, pieces = _kernel_nodes(t, m, panels, x)
+    out = np.empty((3, len(y)))
     step = max(1, BLOCK_POINTS // len(s))
     for i in range(0, len(y), step):
         log_h = 0.0
         for a, xj, yj, pj in zip(params.alpha, x, y[i : i + step].T, pieces):
             log_h = log_h + _log_heat_axis(a, s, xj, yj[:, None], pj)
-        terms = np.exp(log_h) * ws
-        for k, (lo, hi) in enumerate(slices):
-            part = terms[:, lo:hi]
-            out[:, k, i : i + step] = part.sum(axis=1), np.abs(part).sum(axis=1)
+        heat = np.exp(log_h)
+        terms = heat * wk
+        out[:, i : i + step] = terms.sum(axis=1), (heat * wg).sum(axis=1), np.abs(terms).sum(axis=1)
     past = np.exp(sum(_log_mu_axis(a, yj) for a, yj in zip(params.alpha, y.T))) * tail
-    return out + np.array([past, np.abs(past)])[:, None]
+    return out + np.array([past, past, np.abs(past)])
 
 
 def _poisson_block(params, t, x, y, m):
     """d^m/dt^m p_t(x, y_i) for each row y_i of an (n, d) array of points,
     doubled from KERNEL_PANELS."""
     return _doubled(
-        lambda i, levels: _poisson_block_once(params, t, x, y[i], m, levels),
+        lambda i, panels: _poisson_block_once(params, t, x, y[i], m, panels),
         len(y),
         KERNEL_PANELS,
         lambda i: f"the Poisson kernel at t={t}, x={x}, y={tuple(y[i].tolist())}, m={m}",
@@ -449,29 +446,23 @@ def _times_and_point(params, t, x):
     return times, _point(params, x, "x")
 
 
-def _semigroup_table(f, params, t_min, x, panels):
-    """Nodes s and weights w s of the subordination rule for every time >=
-    t_min, T_s f(x) at each node, and T_S_CUTOFF f(x), which stands for T_s
-    f(x) past S_CUTOFF: all from one _heat_apply_times call."""
-    s, ws = _subordination_rule(t_min, panels)
+def _read_table(f, params, x, times, m, s, *weights):
+    """d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds per time, a row per
+    weight vector of a rule of nodes s, and the sums of the first one's terms'
+    magnitudes; T_s f(x) at the nodes and at S_CUTOFF (for s past it) from one
+    _heat_apply_times call, each time's integral one dot product of its row (a
+    matrix product sums in another order, which the difference route amplifies)."""
+    s, weights = s.ravel(), [w.ravel() for w in weights]
     heat = _heat_apply_times(f, params, np.append(s, S_CUTOFF), x)
-    return s, ws, heat[:-1], heat[-1]
-
-
-def _read_table(table, times, m):
-    """int d^m_t g(t, s) T_s f(x) ds = d^m/dt^m P_t f(x) for each time, and
-    the sum of the magnitudes of its terms: the density on blocks of
-    BLOCK_POINTS // len(s) times at once, each time's integral one dot
-    product of its row (a matrix product would sum in another order, and the
-    difference route amplifies that rounding)."""
-    s, ws, heat, past = table
-    times, out, mag = times.ravel(), [], np.abs(heat)
-    step = max(1, BLOCK_POINTS // len(s))
+    heat, past, times, out = heat[:-1], heat[-1], times.ravel(), []
+    step, mag = max(1, BLOCK_POINTS // len(s)), np.abs(heat)
     for i in range(0, len(times), step):
         block = times[i : i + step]
-        rows = ws * stable_density_dt(m, block[:, None], s)
+        density = stable_density_dt(m, block[:, None], s)
+        rows = [w * density for w in weights]
         tails = past * stable_tail_mass(m, block, S_CUTOFF)
-        out += [(np.dot(r, heat) + c, np.dot(abs(r), mag) + abs(c)) for r, c in zip(rows, tails)]
+        out += zip(*[[np.dot(r, heat) + c for r, c in zip(w, tails)] for w in rows],
+                   [np.dot(abs(r), mag) + abs(c) for r, c in zip(rows[0], tails)])
     return np.array(out).T
 
 
@@ -479,27 +470,27 @@ def poisson_apply(f, params: MultiIndexParams, t, x):
     """P_t f(x) by subordination: int_0^inf g(t, s) T_s f(x) ds.
 
     t is one time (a float is returned) or an array of times (an array of
-    that shape is returned), all read off one semigroup table of SUB_PANELS
-    panels.
+    that shape is returned), all read off the embedded Gauss nodes of one
+    subordination rule of SUB_PANELS panels.
     """
     times, x = _times_and_point(params, t, x)
-    out = _read_table(_semigroup_table(f, params, times.min(), x, SUB_PANELS), times, 0)[0]
+    s, _, wg = _subordination_rule(times.min(), SUB_PANELS)
+    out = _read_table(f, params, x, times, 0, s[:, 1::2], wg[:, 1::2])[0]
     return out.reshape(times.shape) if np.ndim(t) else float(out[0])
 
 
 def poisson_dt_apply(f, params: MultiIndexParams, t, x, m: int):
     """d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds, for t as in poisson_apply.
 
-    Every table is laid down to the smallest time, and each time is doubled
-    from SUB_PANELS on its own.
+    Every rule is laid down to the smallest time and read with its Kronrod
+    and Gauss weights, and each time is doubled from SUB_PANELS on its own.
     """
     times, x = _times_and_point(params, t, x)
     if m < 0:
         raise DomainError("m must be nonnegative")
     flat = times.ravel()
-    table = lambda panels: _semigroup_table(f, params, flat.min(), x, panels)
     out = _doubled(
-        lambda i, levels: np.stack([_read_table(table(p), flat[i], m) for p in levels], axis=1),
+        lambda i, n: _read_table(f, params, x, flat[i], m, *_subordination_rule(flat.min(), n)),
         flat.size,
         SUB_PANELS,
         lambda i: f"d^{m}/dt^{m} P_t f(x) at x={x}, t={flat[i]:g}",
@@ -591,7 +582,5 @@ def l1_kernel_derivative(params: MultiIndexParams, t: float, x, m: int) -> float
     block = lambda y: _poisson_block(params, t, x, y[:, None], m)
     # bisection only reads signs, so it skips the refinement test, which
     # cannot pass where p is below its own discretisation error
-    sign_of = lambda y: _poisson_block_once(
-        params, t, x, y[:, None], m, (2 * KERNEL_PANELS,)
-    )[0, 0]
+    sign_of = lambda y: _poisson_block_once(params, t, x, y[:, None], m, KERNEL_PANELS)[0]
     return _v_integral(block, sign_of, params.alpha[0], _v_breaks(t, x[0]))

@@ -6,8 +6,9 @@ log-space ascending series where ive underflows and the large-argument
 expansion past ive's range), Laguerre polynomials (every degree up to N
 in one recurrence pass), Gauss-Laguerre rules normalized against the
 Laguerre probability measure mu_alpha (density x^alpha e^-x / Gamma(alpha+1)
-per axis), and the Gauss-Jacobi rule for the weight eta^a on (0, 1) that
-every power-law endpoint of the kernel and time integrals is integrated with.
+per axis), the Gauss-Jacobi rule for the weight eta^a on (0, 1) that
+every power-law endpoint of the kernel and time integrals is integrated with,
+and the Gauss-Kronrod rule of the subordination integrals.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, ive, kve, logsumexp, roots_genlaguerre
 
@@ -30,6 +32,7 @@ __all__ = [
     "laguerre_rows",
     "gauss_laguerre_rule",
     "gauss_jacobi_rule",
+    "gauss_kronrod_rule",
 ]
 
 
@@ -233,3 +236,35 @@ def gauss_jacobi_rule(a: float, n: int) -> QuadratureRule:
     weights = vec[0] ** 2 / (a + 1.0)
     nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights, exact_degree=2 * n - 1)
+
+
+@lru_cache(maxsize=8)
+def gauss_kronrod_rule(n: int):
+    """Nodes on [-1, 1], Kronrod weights and Gauss weights (0 off the Gauss
+    nodes, the odd-indexed ones) of the 2n+1-node Kronrod extension of
+    leggauss(n), whose nodes and weights it embeds as they are; exact to degree
+    3n + 1 and symmetrised like them.  Built once per n in plain floats and
+    shared, so the arrays are read-only."""
+    if n < 1:
+        raise DomainError(f"gauss_kronrod_rule requires n >= 1, got {n}")
+    # Laurie (Math. Comp. 66, 1997): keep Legendre's b_k up to k = ceil(3n/2), a_k = 0
+    b = [2.0] + [k * k / (4.0 * k * k - 1.0) for k in range(1, 2 * n + 1)]
+    s, t = [0.0] * (n // 2 + 2), [0.0, b[n + 1]] + [0.0] * (n // 2)
+    for m in range(n - 1):
+        acc = 0.0
+        for j in range((m + 1) // 2, -1, -1):
+            acc = s[j + 1] = acc + (b[j + n + 1] * s[j] - b[m - j] * s[j + 1])
+        s, t = t, s
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        acc = 0.0
+        for j in range(n - m + (m - 1) // 2):
+            acc = s[j + 1] = acc + (b[n - 1 - j] * s[j + 2] - b[j + m + 2] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    nodes, vec = eigh_tridiagonal([0.0] * (2 * n + 1), [math.sqrt(v) for v in b[1:]])
+    x, wk, wg = 0.5 * (nodes - nodes[::-1]), vec[0] ** 2 + vec[0, ::-1] ** 2, np.zeros(2 * n + 1)
+    x[1::2], wg[1::2] = leggauss(n)
+    x.flags.writeable = wk.flags.writeable = wg.flags.writeable = False
+    return x, wk, wg

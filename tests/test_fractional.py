@@ -302,8 +302,8 @@ class TestOperatorTable:
         monkeypatch.setattr(laguerre_ops.fractional, "_route_integral", counted)
         e = LaguerreExpansion(P, 4, {(4,): 1.0})
         out = laguerre_ops.fractional_derivative_expansion(e, FracOpConfig(0.5))
-        # c_lambda's rate 1, then one pass over the one present order's rate sqrt(4)
-        assert rates == [1.0, [2.0]]
+        # one pass over the one present order's rate sqrt(4) and c_lambda's rate 1
+        assert rates == [[2.0, 1.0]]
         assert out.coeffs[(4,)] == pytest.approx(math.sqrt(2.0), abs=1e-10)
         assert out.vector[:4].tolist() == [0.0] * 4
 

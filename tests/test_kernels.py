@@ -20,6 +20,7 @@ from laguerre_ops.kernels import (
     KERNEL_PANELS,
     S_CUTOFF,
     SUB_DOUBLINGS,
+    SUB_ORDER,
     SUB_PANELS,
     KernelQuery,
     heat_apply_kernel,
@@ -33,10 +34,10 @@ from laguerre_ops.kernels import (
     stable_density_dt,
     stable_tail_mass,
     _heat_apply_times,
+    _panel_nodes,
     _poisson_block,
     _poisson_block_once,
     _read_table,
-    _semigroup_table,
     _subordination_rule,
 )
 from laguerre_ops.specfun import laguerre_poly
@@ -214,13 +215,18 @@ class TestHeatEngine:
         # the sum of its terms' magnitudes must equal the scalar formula at
         # that time exactly
         f = lambda y: np.exp(-0.3 * y)
-        s, ws, heat, mean = table = _semigroup_table(f, P_HALF, 0.05, (1.3,), 12)
+        s, wk, wg = (a.ravel() for a in _subordination_rule(0.05, 12))
+        heat = _heat_apply_times(f, P_HALF, np.append(s, S_CUTOFF), (1.3,))
+        heat, mean = heat[:-1], heat[-1]
         times = np.geomspace(0.05, 8.0, 3 * (BLOCK_POINTS // len(s)) + 5)
-        rows = [(ws * stable_density_dt(m, t, s), mean * stable_tail_mass(m, t, S_CUTOFF))
-                for t in times.tolist()]
-        values, sizes = _read_table(table, times, m)
-        assert values.tolist() == [np.dot(row, heat) + tail for row, tail in rows]
-        assert sizes.tolist() == [np.dot(abs(row), abs(heat)) + abs(tail) for row, tail in rows]
+        density = [stable_density_dt(m, t, s) for t in times.tolist()]
+        tails = [mean * stable_tail_mass(m, t, S_CUTOFF) for t in times.tolist()]
+        kron, gauss, sizes = _read_table(f, P_HALF, (1.3,), times, m, s, wk, wg)
+        for got, w in ((kron, wk), (gauss, wg)):
+            assert got.tolist() == [np.dot(w * g, heat) + c for g, c in zip(density, tails)]
+        assert sizes.tolist() == [
+            np.dot(abs(wk * g), abs(heat)) + abs(c) for g, c in zip(density, tails)
+        ]
 
 
 class TestHeatAxisRule:
@@ -546,6 +552,14 @@ class TestPoissonDtApply:
         with pytest.raises(QuadratureError):
             poisson_dt_apply(lambda y: laguerre_poly(3, 0.5, y), P_HALF, 1e-4, (1.3,), 3)
 
+    def test_rounding_above_tolerance_raises(self):
+        # at t = 1e-3, m = 3 the terms sum to 5.6e9, so rounding in the heat
+        # values moves the value by ~1e-6; the Kronrod and Gauss sums share
+        # those values and agree to 1e-9 at 24 panels, so only the floor
+        # eps sum |terms| shows that the value is not settled to SUB_REL
+        with pytest.raises(QuadratureError):
+            poisson_dt_apply(lambda y: laguerre_poly(3, 0.5, y), P_HALF, 1e-3, (1.3,), 3)
+
     def test_unresolved_time_is_named(self):
         # each time is doubled on its own: t = 0.5 settles, and the error
         # names the time that does not
@@ -577,16 +591,29 @@ class TestPoissonBlock:
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_levels_side_by_side_are_bit_identical(self, d, m):
-        # more points than one block of (8, 16) panels holds; each level's
-        # row must equal the call that reads that level alone
+    def test_point_alone_equals_its_row_in_a_block(self, d, m):
+        # 200 points are several blocks of (y x s-node) entries; each point's
+        # Kronrod value, Gauss value and magnitude sum must equal the call
+        # that reads that point alone
         params = MultiIndexParams(d, (0.5, -0.25)[:d])
         x = (1.3, 0.6)[:d]
         y = np.random.default_rng(3).uniform(0.01, 6.0, (200, d))
-        both = _poisson_block_once(params, 0.25, x, y, m, (8, 16))
-        for k, panels in enumerate((8, 16)):
-            alone = _poisson_block_once(params, 0.25, x, y, m, (panels,))
-            assert both[:, k].tolist() == alone[:, 0].tolist()
+        block = _poisson_block_once(params, 0.25, x, y, m, KERNEL_PANELS)
+        assert len(y) * len(_subordination_rule(0.25, KERNEL_PANELS)[0].ravel()) > BLOCK_POINTS
+        for i in range(len(y)):
+            alone = _poisson_block_once(params, 0.25, x, y[i : i + 1], m, KERNEL_PANELS)
+            assert alone[:, 0].tolist() == block[:, i].tolist()
+
+    def test_unsettled_value_is_named(self, monkeypatch):
+        # the Kronrod and Gauss values of this point differ by 1e-10 to 5e-9 at
+        # every panel count, so no doubling meets these tolerances, and the
+        # error names the point
+        monkeypatch.setattr(kernels, "SUB_ABS", 1e-300)
+        monkeypatch.setattr(kernels, "SUB_REL", 1e-300)
+        monkeypatch.setattr(kernels, "SUB_ROUND", 0.0)
+        with pytest.raises(QuadratureError) as err:
+            poisson_kernel_dt(KernelQuery(P_HALF, 1e-3, (1.3,), (1.31,), derivative_order=2))
+        assert "t=0.001, x=(1.3,), y=(1.31,), m=2 did not" in str(err.value)
 
     def test_fixed_axes(self):
         # rows are points of (0, inf)^2 that vary on every axis
@@ -650,17 +677,30 @@ class TestL1Derivative:
 class TestSubordinationRule:
     """The one s-rule of kernel values, the L1 norm and the semigroup table."""
 
+    def test_gauss_columns_are_the_gauss_legendre_rule(self):
+        # poisson_apply reads the embedded Gauss nodes: bit for bit the
+        # SUB_ORDER-node Gauss-Legendre panels in log s on the same breaks
+        for t, panels in ((1e-3, SUB_PANELS), (0.7, SUB_PANELS), (0.05, KERNEL_PANELS)):
+            s, wk, wg = _subordination_rule(t, panels)
+            h = math.log(S_CUTOFF / kernels._s_floor(1.0)) / panels
+            u, w = _panel_nodes(math.log(S_CUTOFF) - h * np.arange(len(s), -1.0, -1.0), SUB_ORDER)
+            assert s[:, 1::2].ravel().tolist() == np.exp(u).tolist()
+            assert wg[:, 1::2].ravel().tolist() == (w * np.exp(u)).tolist()
+            assert not wg[:, ::2].any() and np.all(wk > 0)
+
     @pytest.mark.parametrize(
         "panels",
         [base * 2**j for base in (KERNEL_PANELS, SUB_PANELS) for j in range(SUB_DOUBLINGS + 1)],
     )
     def test_laplace_transform(self, panels):
         # sum_i (w s)_i g(t, s_i) e^{-n s_i} plus the tail past S_CUTOFF is
-        # e^{-t sqrt(n)} at every panel count kernel values and tables read
+        # e^{-t sqrt(n)} at every panel count kernel values and tables read,
+        # with the Kronrod weights and with the embedded Gauss weights
         for t in (1e-4, 1e-3, 0.05, 0.25, 1.0, 5.0, 30.0):
-            s, ws = _subordination_rule(t, panels)
-            g = ws * stable_density(t, s)
+            s, wk, wg = (a.ravel() for a in _subordination_rule(t, panels))
             tail = stable_tail_mass(0, t, S_CUTOFF)
-            for n in range(11):
-                got = np.dot(g, np.exp(-n * s)) + math.exp(-n * S_CUTOFF) * tail
-                assert abs(got - math.exp(-t * math.sqrt(n))) <= 1e-14, (t, n)
+            for ws in (wk, wg):
+                g = ws * stable_density(t, s)
+                for n in range(11):
+                    got = np.dot(g, np.exp(-n * s)) + math.exp(-n * S_CUTOFF) * tail
+                    assert abs(got - math.exp(-t * math.sqrt(n))) <= 1e-14, (t, n)

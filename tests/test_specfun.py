@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, iv, ive, kve
@@ -14,6 +15,7 @@ from laguerre_ops.specfun import (
     _log_series,
     gamma,
     gauss_jacobi_rule,
+    gauss_kronrod_rule,
     gauss_laguerre_rule,
     laguerre_poly,
     laguerre_rows,
@@ -280,3 +282,65 @@ class TestGaussJacobi:
         for arr in (rule.nodes, rule.weights):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+
+#: QUADPACK's 15-point Kronrod rule (dqk15): nodes from 1 down to 0, their
+#: Kronrod weights, and the 7-point Gauss weights of the even-numbered nodes
+K15_NODES = [
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+]
+K15_WEIGHTS = [
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+]
+G7_WEIGHTS = [
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+]
+
+
+class TestGaussKronrod:
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 12, 20])
+    def test_embeds_leggauss(self, n):
+        # the odd-indexed nodes and their Gauss weights are leggauss(n)'s
+        # own, bit for bit, and the Gauss weights are 0 elsewhere
+        x, wk, wg = gauss_kronrod_rule(n)
+        xg, wgl = leggauss(n)
+        assert len(x) == len(wk) == len(wg) == 2 * n + 1
+        assert x[1::2].tolist() == xg.tolist()
+        assert wg[1::2].tolist() == wgl.tolist()
+        assert not wg[::2].any()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 12, 20])
+    def test_exact_to_degree(self, n):
+        # int_-1^1 x^j dx = 2 / (j + 1) for even j and 0 for odd j, to degree
+        # 3n + 1 with the Kronrod weights; nodes increase, weights are positive
+        x, wk, _ = gauss_kronrod_rule(n)
+        assert np.all(np.diff(x) > 0) and np.all(wk > 0)
+        for j in range(3 * n + 2):
+            want = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+            assert abs(np.dot(wk, x**j) - want) <= 1e-14, j
+
+    def test_matches_quadpack_k15(self):
+        x, wk, wg = gauss_kronrod_rule(7)
+        np.testing.assert_allclose(x[:8], -np.array(K15_NODES), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(x[7:], K15_NODES[::-1], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(wk[:8], K15_WEIGHTS, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(wk[7:], K15_WEIGHTS[::-1], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(wg[1:8:2], G7_WEIGHTS, rtol=0.0, atol=1e-15)
+
+    def test_rules_are_shared_and_read_only(self):
+        rule = gauss_kronrod_rule(12)
+        assert gauss_kronrod_rule(12) is rule
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_invalid_order(self):
+        with pytest.raises(DomainError):
+            gauss_kronrod_rule(0)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-argument check."""
+
+import numbers
 
 
 class LaguerreOpsError(Exception):
@@ -27,3 +29,9 @@ class OverflowGuardError(LaguerreOpsError, OverflowError):
 
 class ConfigError(LaguerreOpsError, ValueError):
     """A scenario or operator configuration violates its constraints."""
+
+
+def check_integer(value, low: int, name: str) -> None:
+    """DomainError unless value is an integer >= low (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")

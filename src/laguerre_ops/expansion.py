@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, NonzeroMeanError
+from .errors import DomainError, NonzeroMeanError, check_integer
 from .specfun import gauss_laguerre_rule, laguerre_rows
 
 __all__ = [
@@ -55,13 +56,12 @@ class MultiIndexParams:
     alpha: tuple
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError("dimension d must be >= 1")
+        check_integer(self.d, 1, "dimension d")
         alpha = tuple(float(a) for a in self.alpha)
         if len(alpha) != self.d:
             raise DomainError("alpha must have length d")
-        if any(a <= -1 for a in alpha):
-            raise DomainError("every alpha_j must exceed -1")
+        if not all(-1 < a < math.inf for a in alpha):
+            raise DomainError("every alpha_j must be finite and exceed -1")
         object.__setattr__(self, "alpha", alpha)
 
     @property
@@ -70,11 +70,11 @@ class MultiIndexParams:
         return min(self.alpha) > -0.5
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _layout(d: int, degree: int):
-    """(indices, orders, position) of the coefficient vector for (d, degree)."""
-    if degree < 0:
-        raise DomainError("degree must be >= 0")
+    """(indices, orders, position) of the coefficient vector for (d, degree).
+    Typed, so a float degree misses the cache and reaches the check."""
+    check_integer(degree, 0, "degree")
     indices = tuple(sorted(
         (k for k in itertools.product(range(degree + 1), repeat=d) if sum(k) <= degree),
         key=lambda k: (sum(k), k),
@@ -324,6 +324,7 @@ def random_expansion(
     params: MultiIndexParams, degree: int, seed: int
 ) -> LaguerreExpansion:
     """Seeded expansion with coefficients uniform in [-1, 1] on |k| <= degree."""
+    check_integer(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     return LaguerreExpansion(
         params, degree, rng.uniform(-1.0, 1.0, len(_layout(params.d, degree)[0])))

@@ -19,13 +19,12 @@ c_lambda_k = int_0^inf u^{-lambda-1} (e^{-u} - 1)^k du carries sign (-1)^k.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import comb
 
-from .errors import DomainError, NonzeroMeanError
+from .errors import DomainError, NonzeroMeanError, check_integer
 from .expansion import (
     OPERATORS,
     LaguerreExpansion,
@@ -111,14 +110,9 @@ def _time_rule(route: str, lam: float, k: int):
     return s, weights
 
 
-def _check_k(k):
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-
-
 def c_lambda(lam: float, k: int = 1) -> float:
     """c_lambda_k = int_0^inf u^(-lam-1) (e^(-u) - 1)^k du."""
-    _check_k(k)
+    check_integer(k, 1, "k")
     if lam >= k:
         raise DomainError("c_lambda diverges for lambda >= k")
     if not lam > 0:
@@ -129,7 +123,7 @@ def c_lambda(lam: float, k: int = 1) -> float:
 def forward_difference(f, k: int, s, t):
     """Delta_s^k(f, t) = sum_j C(k,j) (-1)^j f(t + (k-j) s).  s and t may be
     arrays that broadcast, for an f that acts elementwise on them."""
-    _check_k(k)
+    check_integer(k, 1, "k")
     total = 0.0
     for j in range(k + 1):
         total += comb(k, j, exact=True) * (-1.0) ** j * f(t + (k - j) * s)

@@ -1,9 +1,12 @@
 """Scenario runner and command-line interface for the verification suite.
 
 Each scenario measures one family of semigroup or fractional-operator
-claims and emits a BoundReport.  Bounds with explicit tolerances PASS or
-FAIL outright; existence-only claims report measured constants and PASS by
-finiteness plus stability under grid refinement.
+claims.  Its runner returns (claim, rows, max_ratio, passed[, extra]), and
+run_scenario alone builds and times the BoundReport from them.  Every
+tolerance is a fixed literal that the row checked against it carries as
+its bound: bounds with explicit tolerances PASS or FAIL outright;
+existence-only claims report measured constants and PASS by finiteness
+plus stability under grid refinement.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+from scipy.special import comb
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_integer
 from .expansion import (
     OPERATORS,
     LaguerreExpansion,
@@ -52,20 +56,6 @@ from .lipschitz import (
 from .report import BoundReport, ReportRow, emit_report
 from .specfun import laguerre_poly
 
-SCENARIOS = (
-    "subordination",
-    "kernel-mass",
-    "spectral-vs-kernel",
-    "lemma21",
-    "prop31",
-    "prop33",
-    "thm31",
-    "thm42",
-    "thm33",
-    "thm44",
-    "fdiff-identities",
-)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -79,27 +69,23 @@ class ScenarioConfig:
     seed: int = 0
     degree: int = 6
     t_levels: int = 11
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         try:
+            for name, low in (("seed", 0), ("degree", 0), ("t_levels", 1)):
+                check_integer(getattr(self, name), low, name)
             object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
             MultiIndexParams(self.d, self.alpha)
         except (DomainError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad d or alpha: {exc}") from exc
-        for name, low in (("d", 1), ("seed", 0), ("degree", 0), ("t_levels", 1)):
-            if not (_number(getattr(self, name), numbers.Integral) and getattr(self, name) >= low):
-                raise ConfigError(f"{name} must be an integer >= {low}")
+            raise ConfigError(f"bad config: {exc}") from exc
         # the first time of the theorem grids to underflow as t_levels grows is
         # _refined_t_grid's first midpoint sqrt(a * 2a), a = 5 * 2^-(t_levels-1)
         a = math.ldexp(5.0, 1 - self.t_levels)
         if not math.sqrt(a * (2.0 * a)) >= sys.float_info.min:
             raise ConfigError("t_levels is so large that the smallest grid times underflow")
-        if not (isinstance(self.tolerances, dict) and all(map(_number, self.tolerances.values()))):
-            raise ConfigError("tolerances must map names to finite numbers")
-        if not all(v is None or (_number(v) and v > 0) for v in (self.beta, self.lam)):
+        if not all(v is None or _positive(v) for v in (self.beta, self.lam)):
             raise ConfigError("beta and lam must be finite numbers > 0")
         if self.scenario in ("kernel-mass", "spectral-vs-kernel", "lemma21") and self.d != 1:
             raise ConfigError(f"scenario {self.scenario} is one-dimensional; d must be 1")
@@ -124,9 +110,6 @@ class ScenarioConfig:
     def params(self) -> MultiIndexParams:
         return MultiIndexParams(self.d, self.alpha)
 
-    def tol(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
-
     @staticmethod
     def from_json(text: str) -> "ScenarioConfig":
         try:
@@ -140,26 +123,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
         return ScenarioConfig(**doc)
 
-    def as_dict(self) -> dict:
-        return {**asdict(self), "alpha": list(self.alpha)}
 
-
-def _number(v, kind=numbers.Real) -> bool:
-    """v is a finite number of the given kind (a bool is not a number here)."""
-    return isinstance(v, kind) and not isinstance(v, bool) and -math.inf < v < math.inf
-
-
-def _report(cfg, claim, rows, max_ratio, passed, started, extra=None):
-    return BoundReport(
-        scenario=cfg.scenario,
-        claim=claim,
-        config=cfg.as_dict(),
-        rows=tuple(rows),
-        max_ratio=max_ratio,
-        passed=passed,
-        wall_time=time.perf_counter() - started,
-        extra=extra or {},
-    )
+def _positive(v) -> bool:
+    """v is a finite real number > 0 (a bool is not a number here)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +134,8 @@ def _report(cfg, claim, rows, max_ratio, passed, started, extra=None):
 # ---------------------------------------------------------------------------
 
 
-def _run_subordination(cfg, started):
-    tol = cfg.tol("abs", 1e-8)
+def _run_subordination(cfg):
+    tol = 1e-8
     rows = []
     for t in (0.1, 1.0, 5.0):
         # 96 Gauss-Legendre panels in log s from the floor of t to S_CUTOFF
@@ -182,20 +149,17 @@ def _run_subordination(cfg, started):
             tail = math.exp(-n * S_CUTOFF) * mass_past
             err = abs(body + tail - math.exp(-t * math.sqrt(n)))
             rows.append(ReportRow(f"t={t:g},n={n}", err, tol))
-    worst = max(r.measured for r in rows)
-    return _report(
-        cfg,
+    return (
         "the one-sided stable-1/2 weight Laplace-transforms to the "
         "square-root exponential",
         rows,
-        worst / tol,
+        max(r.measured for r in rows) / tol,
         all(r.measured <= r.bound for r in rows),
-        started,
     )
 
 
-def _run_kernel_mass(cfg, started):
-    tol = cfg.tol("mass", 1e-6)
+def _run_kernel_mass(cfg):
+    tol = 1e-6
     rows = []
     min_val = math.inf
     for t in (0.25, 1.0):
@@ -207,15 +171,13 @@ def _run_kernel_mass(cfg, started):
             rows.append(ReportRow(f"t={t:g},x={x:g}", abs(mass - 1.0), tol))
     rows.append(ReportRow("min-node-value", -min_val, 0.0))
     passed = all(r.measured <= r.bound for r in rows[:-1]) and min_val >= 0.0
-    return _report(
-        cfg,
+    return (
         "the Poisson kernel integrates to one in y and is nonnegative at "
         "the quadrature nodes",
         rows,
         max(r.measured for r in rows[:-1]) / tol,
         passed,
-        started,
-        extra={"min_node_value": min_val},
+        {"min_node_value": min_val},
     )
 
 
@@ -229,8 +191,8 @@ _FRACTIONAL_ROWS = {
 }
 
 
-def _run_spectral_vs_kernel(cfg, started):
-    tol = cfg.tol("rel", 1e-6)
+def _run_spectral_vs_kernel(cfg):
+    tol = 1e-6
     params = cfg.params
     (alpha,) = cfg.alpha
     heat_t, poisson_t, x, degree = 0.5, 0.75, 1.3, 6
@@ -258,44 +220,36 @@ def _run_spectral_vs_kernel(cfg, started):
             if k > 0 or not OPERATORS[kind].zero_mean:
                 name = _FRACTIONAL_ROWS[kind][0]
                 rows.append(ReportRow(f"{name},a={alpha:g},k={k}", err[k], tol))
-    worst = max(r.measured for r in rows)
-    return _report(
-        cfg,
+    return (
         "kernel and time-integral quadratures reproduce the diagonal "
         "eigenvalues of every operator",
         rows,
-        worst / tol,
+        max(r.measured for r in rows) / tol,
         all(r.measured <= r.bound for r in rows),
-        started,
     )
 
 
-def _run_lemma21(cfg, started):
-    window = cfg.tol("spread", 50.0)
-    params = cfg.params
+def _run_lemma21(cfg):
     # dyadic points 0.05 * 2^j inside [0.05, 5]
     t_grid = [0.05 * 2.0**j for j in range(7)]
-    x_vals = (0.5, 1.0, 2.0)
     rows = []
     ratios = {}
     for m in (1, 2):
         for t in t_grid:
-            for x in x_vals:
-                q = t**m * l1_kernel_derivative(params, t, (x,), m)
+            for x in (0.5, 1.0, 2.0):
+                q = t**m * l1_kernel_derivative(cfg.params, t, (x,), m)
                 rows.append(ReportRow(f"m={m},t={t:g},x={x:g}", q, math.inf))
                 ratios.setdefault(m, []).append(q)
     spreads = {m: max(v) / min(v) for m, v in ratios.items()}
     worst = max(spreads.values())
-    passed = all(math.isfinite(v) for v in spreads.values()) and worst < window
-    return _report(
-        cfg,
+    passed = all(math.isfinite(v) for v in spreads.values()) and worst < 50.0
+    return (
         "scaled L1 norms of Poisson kernel time derivatives stay uniformly "
         "comparable across times and centers",
         rows,
         worst,
         passed,
-        started,
-        extra={f"spread_m{m}": v for m, v in spreads.items()},
+        {f"spread_m{m}": v for m, v in spreads.items()},
     )
 
 
@@ -303,18 +257,16 @@ def _seeded_function(cfg):
     return random_expansion(cfg.params, cfg.degree, seed=cfg.seed)
 
 
-def _run_prop31(cfg, started):
+def _run_prop31(cfg):
     beta = cfg.beta if cfg.beta is not None else 0.5
-    f = _seeded_function(cfg)
-    r = check_equivalence(f, cfg.params, beta, 1 + int(beta), 2 + int(beta))
-    return _report(cfg, r.claim, r.rows, r.max_ratio, r.passed, started)
+    r = check_equivalence(_seeded_function(cfg), cfg.params, beta, 1 + int(beta), 2 + int(beta))
+    return r.claim, r.rows, r.max_ratio, r.passed
 
 
-def _run_prop33(cfg, started):
+def _run_prop33(cfg):
     beta = cfg.beta if cfg.beta is not None else 0.9
-    f = _seeded_function(cfg)
-    r = check_approximation(f, cfg.params, beta, tol=cfg.tol("slack", 0.05))
-    return _report(cfg, r.claim, r.rows, r.max_ratio, r.passed, started)
+    r = check_approximation(_seeded_function(cfg), cfg.params, beta)
+    return r.claim, r.rows, r.max_ratio, r.passed
 
 
 def _refined_t_grid(levels):
@@ -327,30 +279,26 @@ def _refined_t_grid(levels):
     return out
 
 
-def _theorem_ratios(cfg, kind, beta, lam):
-    """A_beta' of the operator's output over the Lipschitz norm of its input,
+def _run_theorem(cfg):
+    """Per operator, A_beta' of its output over the Lipschitz norm of its input,
     where beta' = beta + lam for a potential and beta - lam for a derivative,
-    on the dyadic t-grid and on the refined one."""
-    f = _seeded_function(cfg)
-    g = _apply_expansion(kind, f, FracOpConfig(lam))
-    beta_out = beta + lam if ROUTES[kind][1] == "laplace" else beta - lam
-    ratios = []
-    for t_grid in (default_t_grid(cfg.t_levels), _refined_t_grid(cfg.t_levels)):
-        est_in = lipschitz_seminorm(f, cfg.params, beta, t_grid=t_grid)
-        est_out = lipschitz_seminorm(g, cfg.params, beta_out, t_grid=t_grid)
-        ratios.append(est_out.A_beta / (est_in.f_sup + est_in.A_beta))
-    return ratios
-
-
-def _run_theorem(cfg, started):
+    on the dyadic t-grid and on the refined one, and the drift between them."""
     kinds, _, _, claim = _THEOREM_SPECS[cfg.scenario]
     beta, lam = cfg._beta_lam()
-    drift_tol = cfg.tol("drift", 0.10)
+    f = _seeded_function(cfg)
+    grids = (default_t_grid(cfg.t_levels), _refined_t_grid(cfg.t_levels))
+    norms_in = [lipschitz_seminorm(f, cfg.params, beta, t_grid=t) for t in grids]
+    drift_tol = 0.10
     rows = []
     worst_drift = 0.0
     finite = True
     for kind in kinds:
-        coarse, fine = _theorem_ratios(cfg, kind, beta, lam)
+        g = _apply_expansion(kind, f, FracOpConfig(lam))
+        beta_out = beta + lam if ROUTES[kind][1] == "laplace" else beta - lam
+        coarse, fine = (
+            lipschitz_seminorm(g, cfg.params, beta_out, t_grid=t).A_beta / (est.f_sup + est.A_beta)
+            for t, est in zip(grids, norms_in)
+        )
         drift = abs(fine - coarse) / coarse if coarse > 0 else math.inf
         finite = finite and math.isfinite(coarse) and math.isfinite(fine)
         worst_drift = max(worst_drift, drift)
@@ -358,16 +306,15 @@ def _run_theorem(cfg, started):
         rows.append(ReportRow(f"{name},ratio", coarse, math.inf))
         rows.append(ReportRow(f"{name},refined", fine, math.inf))
         rows.append(ReportRow(f"{name},drift", drift, drift_tol))
-    passed = finite and worst_drift <= drift_tol
-    return _report(cfg, claim, rows, worst_drift, passed, started)
+    return claim, rows, worst_drift, finite and worst_drift <= drift_tol
 
 
-def _run_fdiff(cfg, started):
+def _run_fdiff(cfg):
     rows = []
     rng = np.random.default_rng(cfg.seed)
     coeffs = rng.uniform(-1.0, 1.0, 5)
     poly = np.polynomial.Polynomial(coeffs)
-    tol_exact = cfg.tol("exact", 5e-13)
+    tol_exact = 5e-13
     # iteration identity
     for k in (2, 3, 4):
         s, t = 0.37, 0.6
@@ -385,8 +332,6 @@ def _run_fdiff(cfg, started):
     # commutation with d/dt on polynomials: build Delta_s^k(poly, .) as a
     # polynomial in t by composition, differentiate, compare with the
     # difference of the derivative polynomial
-    from scipy.special import comb
-
     for j, k in ((1, 2), (2, 2)):
         s, t = 0.45, 0.8
         shift = np.polynomial.Polynomial([0.0, 1.0])
@@ -400,9 +345,7 @@ def _run_fdiff(cfg, started):
     # ratio bound for power functions
     for delta in (0.3, 0.7):
         for k in (1, 2):
-            cap = 1.0
-            for i in range(k):
-                cap *= abs(delta - i)
+            cap = math.prod(abs(delta - i) for i in range(k))
             # 16 values of s in [1e-3, t] down each column of the t grid
             t = np.linspace(0.1, 2.0, 16)
             s = np.linspace(1e-3, t, 16)
@@ -410,14 +353,12 @@ def _run_fdiff(cfg, started):
             worst = float(np.max(val / (s**k * t ** (delta - k))))
             rows.append(ReportRow(f"power,delta={delta:g},k={k}", worst, cap))
     passed = all(r.measured <= r.bound for r in rows if math.isfinite(r.bound))
-    return _report(
-        cfg,
+    return (
         "forward differences obey the iteration, integral, and "
         "derivative-commutation identities and the power-function ratio bound",
         rows,
         max(r.measured / r.bound for r in rows if r.bound > 0),
         passed,
-        started,
     )
 
 
@@ -451,6 +392,7 @@ _THEOREM_SPECS = {
 }
 
 
+#: the runner of each scenario, in the order list-scenarios prints them
 _RUNNERS = {
     "subordination": _run_subordination,
     "kernel-mass": _run_kernel_mass,
@@ -458,14 +400,26 @@ _RUNNERS = {
     "lemma21": _run_lemma21,
     "prop31": _run_prop31,
     "prop33": _run_prop33,
-    "fdiff-identities": _run_fdiff,
     **dict.fromkeys(_THEOREM_SPECS, _run_theorem),
+    "fdiff-identities": _run_fdiff,
 }
+SCENARIOS = tuple(_RUNNERS)
 
 
 def run_scenario(cfg: ScenarioConfig) -> BoundReport:
+    """Run cfg's scenario and report its rows, verdict and wall time."""
     started = time.perf_counter()
-    return _RUNNERS[cfg.scenario](cfg, started)
+    claim, rows, max_ratio, passed, *extra = _RUNNERS[cfg.scenario](cfg)
+    return BoundReport(
+        scenario=cfg.scenario,
+        claim=claim,
+        config={**asdict(cfg), "alpha": list(cfg.alpha)},
+        rows=tuple(rows),
+        max_ratio=max_ratio,
+        passed=passed,
+        wall_time=time.perf_counter() - started,
+        extra=extra[0] if extra else {},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ from numpy.polynomial.hermite import hermval
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad  # noqa: F401  (bench/tracing.py patches kernels.quad)
 
-from .errors import DomainError, OverflowGuardError, QuadratureError
+from .errors import DomainError, OverflowGuardError, QuadratureError, check_integer
 from .expansion import MultiIndexParams, call_on_points, tensor_grid
 from .specfun import gauss_jacobi_rule, gauss_kronrod_rule, log_bessel_i_scaled
 
@@ -124,8 +124,7 @@ class KernelQuery:
         object.__setattr__(self, "x", _point(self.params, self.x, "x"))
         if self.y is not None:
             object.__setattr__(self, "y", _point(self.params, self.y, "y"))
-        if self.derivative_order < 0:
-            raise DomainError("derivative_order must be nonnegative")
+        check_integer(self.derivative_order, 0, "derivative_order")
 
 
 def _check_time(t):
@@ -171,8 +170,8 @@ def _log_heat_axis(alpha, t, x, y, pieces):
 
 def heat_kernel(q: KernelQuery) -> float:
     """Heat kernel G_t(x, y) against d mu_alpha(y) (Hille-Hardy product)."""
-    if q.y is None:
-        raise DomainError("heat_kernel requires both x and y")
+    if q.y is None or q.derivative_order:
+        raise DomainError("heat_kernel requires both x and y, and derivative_order 0")
     log_g = 0.0
     for a, x, y in zip(q.params.alpha, q.x, q.y):
         log_g += _log_heat_axis(a, q.t, x, y, _heat_axis_pieces(q.t, x)) - _log_mu_axis(a, y)
@@ -269,6 +268,8 @@ def heat_apply_kernel(f, q: KernelQuery) -> float:
 
     f is called with a vector of y values (d = 1) or an (m, d) array.
     """
+    if q.y is not None or q.derivative_order:
+        raise DomainError("heat_apply_kernel takes a query with no y and derivative_order 0")
     return float(_heat_apply_times(f, q.params, np.array([q.t]), q.x)[0])
 
 
@@ -285,8 +286,7 @@ def stable_density(t, s):
 def _check_stable(m, t, s):
     """DomainError unless m is an integer >= 0 and t and s are finite, > 0
     and broadcast against each other."""
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise DomainError(f"m must be an integer >= 0, got {m!r}")
+    check_integer(m, 0, "m")
     t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
     try:
         ok = ((t > 0) & (t < math.inf) & (s > 0) & (s < math.inf)).all()

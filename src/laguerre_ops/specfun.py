@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, ive, kve, logsumexp, roots_genlaguerre
 
-from .errors import DomainError, PoleError, QuadratureError
+from .errors import DomainError, PoleError, QuadratureError, check_integer
 
 __all__ = [
     "QuadratureRule",
@@ -151,8 +151,7 @@ def laguerre_rows(degree: int, alpha: float, x) -> np.ndarray:
     """
     if alpha <= -1:
         raise DomainError(f"Laguerre polynomials require alpha > -1, got {alpha}")
-    if degree < 0:
-        raise DomainError("the degree must be a nonnegative integer")
+    check_integer(degree, 0, "the degree")
     x_arr = np.asarray(x, dtype=float)
     rows = np.empty((degree + 1, *x_arr.shape))
     rows[0] = 1.0
@@ -197,8 +196,7 @@ def gauss_laguerre_rule(alpha: float, n: int) -> QuadratureRule:
     """
     if alpha <= -1:
         raise DomainError(f"gauss_laguerre_rule requires alpha > -1, got {alpha}")
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    check_integer(n, 1, "n")
     return _gauss_laguerre_rule(float(alpha), n)
 
 
@@ -226,8 +224,9 @@ def gauss_jacobi_rule(a: float, n: int) -> QuadratureRule:
     weights near eta = 0 keep full relative precision down to a = -0.99.
     Rules are solved once per (a, n) and shared, so their arrays are read-only.
     """
-    if a <= -1 or n < 1:
-        raise DomainError(f"gauss_jacobi_rule requires a > -1 and n >= 1, got {a}, {n}")
+    if a <= -1:
+        raise DomainError(f"gauss_jacobi_rule requires a > -1, got {a}")
+    check_integer(n, 1, "n")
     k = np.arange(1.0, n)
     c = 2.0 * k + a
     diag = (2.0 * k * (k + a + 1.0) + a * (a + 1.0)) / (c * (c + 2.0))
@@ -245,8 +244,7 @@ def gauss_kronrod_rule(n: int):
     leggauss(n), whose nodes and weights it embeds as they are; exact to degree
     3n + 1 and symmetrised like them.  Built once per n in plain floats and
     shared, so the arrays are read-only."""
-    if n < 1:
-        raise DomainError(f"gauss_kronrod_rule requires n >= 1, got {n}")
+    check_integer(n, 1, "n")
     # Laurie (Math. Comp. 66, 1997): keep Legendre's b_k up to k = ceil(3n/2), a_k = 0
     b = [2.0] + [k * k / (4.0 * k * k - 1.0) for k in range(1, 2 * n + 1)]
     s, t = [0.0] * (n // 2 + 2), [0.0, b[n + 1]] + [0.0] * (n // 2)

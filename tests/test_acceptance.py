@@ -133,7 +133,7 @@ def test_criterion_6_approximation_bound():
     ok = True
     detail = []
     for beta in (0.5, 0.9):
-        r = check_approximation(f, P, beta, tol=0.05)
+        r = check_approximation(f, P, beta)
         detail.append(f"beta={beta}: max ratio {r.max_ratio:.3f}")
         ok = ok and r.passed
     announce(6, ok, "semigroup approximation bound, " + "; ".join(detail))

@@ -45,6 +45,12 @@ def test_params_validation():
         MultiIndexParams(1, (-1.0,))
     with pytest.raises(DomainError):
         MultiIndexParams(2, (0.5,))
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            MultiIndexParams(1, (alpha,))
+    for d in (1.0, True, 0):
+        with pytest.raises(DomainError):
+            MultiIndexParams(d, (0.5,))
     assert MultiIndexParams(1, (0.5,)).half_regime
     assert not MultiIndexParams(1, (-0.6,)).half_regime
 
@@ -202,6 +208,9 @@ def test_constructor_rejects_bad_coefficients():
         LaguerreExpansion(p, 2, {(3,): 1.0})
     with pytest.raises(DomainError):
         LaguerreExpansion(p, 2, {(1, 0): 1.0})
+    for degree in (2.5, 2.0, -1):
+        with pytest.raises(DomainError):
+            LaguerreExpansion(p, degree)
 
 
 def test_random_expansion_seeded():
@@ -210,3 +219,6 @@ def test_random_expansion_seeded():
     b = random_expansion(p, 5, seed=4)
     assert a.coeffs == b.coeffs
     assert all(-1.0 <= c <= 1.0 for c in a.coeffs.values())
+    for seed in (-1, 1.5):
+        with pytest.raises(DomainError):
+            random_expansion(p, 3, seed=seed)

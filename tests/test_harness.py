@@ -138,9 +138,9 @@ class TestScenarios:
         assert r.passed
 
     def test_report_config_reruns(self):
-        r = run_scenario(ScenarioConfig(scenario="subordination", tolerances={"abs": 1e-7}))
+        r = run_scenario(ScenarioConfig(scenario="prop33", beta=0.7))
         parsed = parse_report(report_to_json(r))
-        assert parsed.config["tolerances"] == {"abs": 1e-7}
+        assert parsed.config["beta"] == 0.7
         assert run_scenario(ScenarioConfig(**parsed.config)).same_results(r)
 
     def test_determinism(self):
@@ -231,6 +231,8 @@ class TestCli:
             {"d": 1},
             "not json",
             "5",
+            {"scenario": "prop31", "alpha": [math.nan]},
+            {"scenario": "thm31", "alpha": [math.inf]},
         ],
     )
     def test_bad_config_is_config_error(self, tmp_path, capsys, doc):

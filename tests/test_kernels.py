@@ -109,6 +109,22 @@ class TestHeatKernel:
         with pytest.raises(DomainError):
             KernelQuery(P_HALF, 1.0, (1.0, 2.0))
 
+    @pytest.mark.parametrize("m", [1.5, True, -1, "1"])
+    def test_query_rejects_non_integer_order(self, m):
+        with pytest.raises(DomainError):
+            KernelQuery(P_HALF, 1.0, (1.0,), (2.0,), derivative_order=m)
+
+    def test_heat_entry_points_reject_unused_query_fields(self):
+        # neither heat route has a time derivative, and T_t f(x) has no y:
+        # a query that asks for either is an error, not a silent order-0 value
+        f = lambda y: np.exp(-0.3 * y)
+        with pytest.raises(DomainError):
+            heat_kernel(KernelQuery(P_HALF, 0.7, (1.2,), (3.4,), derivative_order=2))
+        with pytest.raises(DomainError):
+            heat_apply_kernel(f, KernelQuery(P_HALF, 0.7, (1.2,), derivative_order=1))
+        with pytest.raises(DomainError):
+            heat_apply_kernel(f, KernelQuery(P_HALF, 0.7, (1.2,), (3.4,)))
+
     @pytest.mark.parametrize("t, x, y", [
         (math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0),
         (0.5, math.inf, 1.0), (0.5, math.nan, 1.0),

@@ -194,6 +194,11 @@ class TestLaguerrePoly:
         with pytest.raises(DomainError):
             laguerre_rows(2, -1.0, 1.0)
 
+    @pytest.mark.parametrize("degree", [2.5, -1, True])
+    def test_non_integer_degree(self, degree):
+        with pytest.raises(DomainError):
+            laguerre_rows(degree, 0.5, 1.0)
+
     @pytest.mark.parametrize("alpha", [-0.99, -0.25, 0.5, 25.0])
     def test_rows_match_laguerre_poly_bitwise(self, alpha):
         # every row of the one-pass table is the polynomial of its own degree,
@@ -251,6 +256,11 @@ class TestGaussLaguerre:
         with pytest.raises((DomainError, QuadratureError)):
             gauss_laguerre_rule(0.5, 0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_non_integer_node_count(self, n):
+        with pytest.raises(DomainError):
+            gauss_laguerre_rule(0.5, n)
+
     def test_rules_are_shared_and_read_only(self):
         rule = gauss_laguerre_rule(0.5, 200)
         assert gauss_laguerre_rule(0.5, 200) is rule
@@ -275,6 +285,8 @@ class TestGaussJacobi:
             gauss_jacobi_rule(-1.0, 8)
         with pytest.raises(DomainError):
             gauss_jacobi_rule(0.5, 0)
+        with pytest.raises(DomainError):
+            gauss_jacobi_rule(0.5, 2.5)
 
     def test_rules_are_shared_and_read_only(self):
         rule = gauss_jacobi_rule(0.5, 16)
@@ -344,3 +356,5 @@ class TestGaussKronrod:
     def test_invalid_order(self):
         with pytest.raises(DomainError):
             gauss_kronrod_rule(0)
+        with pytest.raises(DomainError):
+            gauss_kronrod_rule(2.5)

@@ -17,7 +17,9 @@ figure is the median wall time of single calls after one warm-up call:
   which also takes fewer repeats);
 - counts: the log-Bessel points that one Poisson kernel value (alpha = 0.5,
   t = 1) and one l1_kernel_derivative (alpha = 0.5, x = 1, m = 1,
-  t = 0.05) evaluate; they depend only on the code, not on the machine;
+  t = 0.05) evaluate, and the kernel values that L1 rule reads (the points
+  handed to the block evaluator, not those of the sign-change bisection);
+  they depend only on the code, not on the machine;
 - src_lines: the lines of each module of src/laguerre_ops and their total.
 
 Timings depend on the machine, so the file records it beside them.
@@ -109,31 +111,33 @@ def layer_costs(repeats):
     }
 
 
-def bessel_points(fn):
-    """The points at which one call of fn evaluates log_bessel_i_scaled
-    through the kernel layer's binding of it."""
-    original, points = kernels.log_bessel_i_scaled, [0]
+def counted_points(fn, name, points_of):
+    """The points that one call of fn hands to the kernel layer's binding
+    `name`, points_of(*args) per call of it."""
+    original, points = getattr(kernels, name), [0]
 
-    def counted(nu, z):
-        points[0] += int(np.size(z))
-        return original(nu, z)
+    def counted(*args):
+        points[0] += points_of(*args)
+        return original(*args)
 
-    kernels.log_bessel_i_scaled = counted
+    setattr(kernels, name, counted)
     try:
         fn()
     finally:
-        kernels.log_bessel_i_scaled = original
+        setattr(kernels, name, original)
     return points[0]
 
 
 def counts():
     p1 = lo.MultiIndexParams(1, (0.5,))
+    value = lambda: lo.poisson_kernel(lo.KernelQuery(p1, 1.0, (1.3,), (1.0,)))
+    l1 = lambda: lo.l1_kernel_derivative(p1, 0.05, (1.0,), 1)
+    bessel = lambda nu, z: int(np.size(z))
     return {
-        "poisson_kernel_value_bessel_points": bessel_points(
-            lambda: lo.poisson_kernel(lo.KernelQuery(p1, 1.0, (1.3,), (1.0,)))
-        ),
-        "l1_kernel_derivative_t005_bessel_points": bessel_points(
-            lambda: lo.l1_kernel_derivative(p1, 0.05, (1.0,), 1)
+        "poisson_kernel_value_bessel_points": counted_points(value, "log_bessel_i_scaled", bessel),
+        "l1_kernel_derivative_t005_bessel_points": counted_points(l1, "log_bessel_i_scaled", bessel),
+        "l1_kernel_derivative_t005_kernel_values": counted_points(
+            l1, "_poisson_block", lambda params, t, x, y, m: len(y)
         ),
     }
 

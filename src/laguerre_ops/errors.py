@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the integer-argument check."""
+"""Exception types shared across the package, and the argument checks."""
 
+import math
 import numbers
+
+import numpy as np
 
 
 class LaguerreOpsError(Exception):
@@ -35,3 +38,12 @@ def check_integer(value, low: int, name: str) -> None:
     """DomainError unless value is an integer >= low (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+#: the types a real argument may have (a bool is an int, and is not one)
+_REAL = (int, float, np.integer, np.floating)
+
+
+def is_positive_number(v) -> bool:
+    """v is a Python or numpy int or float, not a bool, in (0, inf)."""
+    return isinstance(v, _REAL) and not isinstance(v, bool) and 0 < v < math.inf

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -22,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.special import comb
 
-from .errors import ConfigError, DomainError, check_integer
+from .errors import ConfigError, DomainError, check_integer, is_positive_number
 from .expansion import (
     OPERATORS,
     LaguerreExpansion,
@@ -85,8 +84,13 @@ class ScenarioConfig:
         a = math.ldexp(5.0, 1 - self.t_levels)
         if not math.sqrt(a * (2.0 * a)) >= sys.float_info.min:
             raise ConfigError("t_levels is so large that the smallest grid times underflow")
-        if not all(v is None or _positive(v) for v in (self.beta, self.lam)):
+        if not all(v is None or is_positive_number(v) for v in (self.beta, self.lam)):
             raise ConfigError("beta and lam must be finite numbers > 0")
+        defaults = {f.name: f.default for f in fields(self)}
+        unread = [n for n in ("beta", "lam", "degree", "t_levels")
+                  if n not in _READS.get(self.scenario, ()) and getattr(self, n) != defaults[n]]
+        if unread:
+            raise ConfigError(f"scenario {self.scenario} does not read {', '.join(unread)}")
         if self.scenario in ("kernel-mass", "spectral-vs-kernel", "lemma21") and self.d != 1:
             raise ConfigError(f"scenario {self.scenario} is one-dimensional; d must be 1")
         if self.scenario == "prop33" and self.beta is not None and not self.beta < 1:
@@ -122,11 +126,6 @@ class ScenarioConfig:
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
         return ScenarioConfig(**doc)
-
-
-def _positive(v) -> bool:
-    """v is a finite real number > 0 (a bool is not a number here)."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +388,15 @@ _THEOREM_SPECS = {
         "both fractional derivatives stay bounded between Lipschitz classes "
         "for 1 <= lambda < beta",
     ),
+}
+
+
+#: the fields among beta, lam, degree and t_levels that each scenario's runner
+#: reads; the others must keep their defaults
+_READS = {
+    "prop31": ("beta", "degree"),
+    "prop33": ("beta", "degree"),
+    **dict.fromkeys(_THEOREM_SPECS, ("beta", "lam", "degree", "t_levels")),
 }
 
 

@@ -26,7 +26,8 @@ it: a value settles where its Kronrod sum agrees with its embedded Gauss sum
 Kernel values d^m/dt^m p_t(x, y) at an (n, d) array of points y read the
 rule of KERNEL_PANELS panels in one pass of (y x s-node) blocks, with one
 log_bessel_i_scaled call per block of at most BLOCK_POINTS entries and the
-y-free factors cached per (t, m, panels, x).
+weights and y-free heat factors cached per (t, m, panels, x, alpha); a
+scalar value is a block of one point.
 
 P_t f(x) and its time derivatives are read off one semigroup table: nodes
 s of the rule at the smallest time, and T_s f(x) at each node and at
@@ -40,8 +41,9 @@ l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on panels in
 v = sqrt(y), dyadic around the ridge at sqrt(x) and ending past it: the
 panel at v = 0 is the heat rule's Gauss-Jacobi panel, exact for the y^alpha
 endpoint, and the others are Gauss-Legendre.  Sign changes of d^m p are
-located by vectorised bisection and made panel breaks.  All panels are
-halved until two successive sums agree, else QuadratureError.
+located by vectorised bisection and made panel breaks; only the panels a
+new break splits are read again.  All panels are halved until two
+successive sums agree, else QuadratureError.
 """
 
 from __future__ import annotations
@@ -55,7 +57,13 @@ from numpy.polynomial.hermite import hermval
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad  # noqa: F401  (bench/tracing.py patches kernels.quad)
 
-from .errors import DomainError, OverflowGuardError, QuadratureError, check_integer
+from .errors import (
+    DomainError,
+    OverflowGuardError,
+    QuadratureError,
+    check_integer,
+    is_positive_number,
+)
 from .expansion import MultiIndexParams, call_on_points, tensor_grid
 from .specfun import gauss_jacobi_rule, gauss_kronrod_rule, log_bessel_i_scaled
 
@@ -81,9 +89,12 @@ S_CUTOFF = 40.0
 #: Gauss nodes, as wide as SUB_PANELS panels are at t = 1.  A semigroup table
 #: starts at SUB_PANELS panels and kernel values at KERNEL_PANELS; both double
 #: them at most SUB_DOUBLINGS times, until a value settles to max(SUB_ABS,
-#: SUB_REL |value|) or to SUB_ROUND sum |terms| (a zero derivative's terms cancel)
+#: SUB_REL |value|) or to SUB_ROUND sum |terms| (a zero derivative's terms
+#: cancel).  KERNEL_PANELS is the least count at which the rule's Laplace
+#: transform e^{-t sqrt(n)} holds to 1e-14 at every t in [1e-4, 30] (worst
+#: 5.6e-16 at 6 panels, 1.0e-14 at 5, 1.3e-12 at 4)
 SUB_PANELS = 12
-KERNEL_PANELS = 8
+KERNEL_PANELS = 6
 SUB_ORDER = 12
 SUB_ABS = 1e-10
 SUB_REL = 1e-8
@@ -128,43 +139,46 @@ class KernelQuery:
 
 
 def _check_time(t):
-    if not 0 < t < math.inf:
-        raise DomainError(f"time t must be finite and > 0, got {t!r}")
+    if not is_positive_number(t):
+        raise DomainError(f"time t must be a finite number > 0, got {t!r}")
 
 
 def _point(params, p, name):
-    p = tuple(float(v) for v in np.atleast_1d(p))
-    if len(p) != params.d or not all(0 < v < math.inf for v in p):
-        raise DomainError(f"{name} must be a point in (0, inf)^d")
-    return p
+    """p as a tuple of d floats in (0, inf): p is one number, or a tuple,
+    list or 1-d array of them, else DomainError."""
+    p = p.tolist() if isinstance(p, np.ndarray) else p
+    p = p if isinstance(p, (tuple, list)) else (p,)
+    if len(p) != params.d or not all(map(is_positive_number, p)):
+        raise DomainError(f"{name} must be a point in (0, inf)^d, got {p!r}")
+    return tuple(map(float, p))
 
 
-def _log_mu_axis(alpha, y):
-    return alpha * np.log(y) - y - math.lgamma(alpha + 1.0)
+def _log_mu_axis(alpha, y, log_y):
+    return alpha * log_y - y - math.lgamma(alpha + 1.0)
 
 
-def _heat_axis_pieces(t, x):
-    """The y-free factors of log H_t(x, y), r = e^-t: 1 - r, r x, sqrt(r x), -log(1 - r)."""
-    one_r, rx = -np.expm1(-t), np.exp(-t) * x
-    return one_r, rx, np.sqrt(rx), -np.log(one_r)
+def _heat_axis_pieces(alpha, t, x):
+    """The y-free factors of log H_t(x, y), r = e^-t: -log(1 - r) +
+    alpha/2 (t - log x), 1/(1 - r), sqrt(r x) and 2 sqrt(r x)/(1 - r)."""
+    one_r, root_rx = -np.expm1(-t), np.sqrt(np.exp(-t) * x)
+    c = -np.log(one_r) + 0.5 * alpha * (t - math.log(x))
+    return c, 1.0 / one_r, root_rx, 2.0 * root_rx / one_r
 
 
-def _log_heat_axis(alpha, t, x, y, pieces):
-    """log of one Lebesgue heat-kernel factor H_t(x, y), from the pieces
-    _heat_axis_pieces(t, x); t or y may be an array.
+def _log_heat_axis(alpha, root_y, log_y, pieces):
+    """log of one Lebesgue heat-kernel factor H_t(x, y) at sqrt(y) and log(y),
+    from the pieces _heat_axis_pieces(alpha, t, x); t or y may be an array.
 
     H integrates functions of y against plain dy.  The exponent is grouped
     as -(sqrt(rx) - sqrt(y))^2 / (1-r) so that no large cancellation occurs
     for small times.
     """
-    one_r, rx, root_rx, log_c = pieces
-    z = 2.0 * np.sqrt(rx * y) / one_r
-    sq = (root_rx - np.sqrt(y)) ** 2
+    c, inv_one_r, root_rx, z_per_root_y = pieces
     return (
-        log_c
-        + 0.5 * alpha * (np.log(y) - math.log(x) + t)
-        - sq / one_r
-        + log_bessel_i_scaled(alpha, z)
+        c
+        + 0.5 * alpha * log_y
+        - (root_rx - root_y) ** 2 * inv_one_r
+        + log_bessel_i_scaled(alpha, z_per_root_y * root_y)
     )
 
 
@@ -174,7 +188,8 @@ def heat_kernel(q: KernelQuery) -> float:
         raise DomainError("heat_kernel requires both x and y, and derivative_order 0")
     log_g = 0.0
     for a, x, y in zip(q.params.alpha, q.x, q.y):
-        log_g += _log_heat_axis(a, q.t, x, y, _heat_axis_pieces(q.t, x)) - _log_mu_axis(a, y)
+        pieces, log_y = _heat_axis_pieces(a, q.t, x), math.log(y)
+        log_g += _log_heat_axis(a, math.sqrt(y), log_y, pieces) - _log_mu_axis(a, y, log_y)
     if abs(log_g) > 700.0:
         raise OverflowGuardError(f"heat kernel log-value {log_g} out of range")
     return math.exp(log_g)
@@ -359,14 +374,23 @@ def _doubled(value, n, panels, where):
     magnitudes.  An index keeps the first Kronrod value its Gauss value meets
     to tol = max(SUB_ABS, SUB_REL |value|) with eps sum |terms| <= tol (their
     shared nodes hide that rounding), or the last panel count's value meets,
-    or where both are below SUB_ROUND sum |terms|; else QuadratureError."""
-    todo, out, prev = np.arange(n), np.empty(n), math.inf
+    or where both are below SUB_ROUND sum |terms|; else QuadratureError.  The
+    first read takes i = slice(None), and where every index settles on it,
+    its Kronrod row is returned as it is."""
+    todo, out = slice(None), None
     for doubling in range(SUB_DOUBLINGS + 1):
-        kron, gauss, size = value(todo, panels * 2**doubling)
-        tol = np.maximum(SUB_ABS, SUB_REL * np.abs(kron))
-        done = (np.maximum(np.abs(kron - gauss), _EPS * size) <= tol) | (np.abs(kron - prev) <= tol)
-        done |= np.maximum(np.abs(kron), np.abs(gauss)) <= SUB_ROUND * size
-        out[todo[done]] = kron[done]
+        rows = value(todo, panels * 2**doubling)
+        kron, (mag, mag_gauss, size) = rows[0], np.abs(rows)
+        tol = np.maximum(SUB_ABS, SUB_REL * mag)
+        done = np.maximum(np.abs(kron - rows[1]), _EPS * size) <= tol
+        done |= np.maximum(mag, mag_gauss) <= SUB_ROUND * size
+        if out is None:
+            if done.all():
+                return kron
+            todo, out = np.arange(n), kron
+        else:
+            done |= np.abs(kron - prev) <= tol
+            out[todo[done]] = kron[done]
         todo, prev = todo[~done], kron[~done]
         if len(todo) == 0:
             return out
@@ -377,35 +401,40 @@ def _doubled(value, n, panels, where):
 
 
 @lru_cache(maxsize=16)
-def _kernel_nodes(t, m, panels, x):
+def _kernel_nodes(t, m, panels, x, alpha):
     """The subordination rule at t, shared by every y of one kernel
-    integral: s nodes, its two weights times d^m/dt^m g(t, s_i), the d^m/dt^m
-    mass of g past S_CUTOFF, and _heat_axis_pieces(s, x_j) per coordinate."""
+    integral: one array whose rows are its Kronrod weights, its embedded
+    Gauss weights and the Kronrod weights' magnitudes, each times
+    d^m/dt^m g(t, s_i); the same three of the d^m/dt^m mass of g past
+    S_CUTOFF; and the y-free heat factors _heat_axis_pieces(alpha_j, s, x_j)
+    per coordinate."""
     s, wk, wg = (a.ravel() for a in _subordination_rule(t, panels))
-    wk, wg = (w * stable_density_dt(m, t, s) for w in (wk, wg))
-    pieces = [_heat_axis_pieces(s, xj) for xj in x]
-    for a in (s, wk, wg, *sum(pieces, ())):
+    density = stable_density_dt(m, t, s)
+    weights = np.stack((wk * density, wg * density, np.abs(wk * density)))
+    tail = stable_tail_mass(m, t, S_CUTOFF)
+    tails = np.array([tail, tail, abs(tail)])
+    pieces = [_heat_axis_pieces(a, s, xj) for a, xj in zip(alpha, x)]
+    for a in (weights, tails, *sum(pieces, ())):
         a.flags.writeable = False
-    return s, wk, wg, stable_tail_mass(m, t, S_CUTOFF), pieces
+    return weights, tails, pieces
 
 
 def _poisson_block_once(params, t, x, y, m, panels):
     """d^m/dt^m p_t(x, y_i) for each row y_i of an (n, d) array of points, as
-    the rows _doubled reads, from one pass of (y x s-node) blocks of at most
-    BLOCK_POINTS entries, one log_bessel_i_scaled call per axis and block.
-    Each point's row is summed on its own, so it does not depend on the others."""
-    s, wk, wg, tail, pieces = _kernel_nodes(t, m, panels, x)
-    out = np.empty((3, len(y)))
-    step = max(1, BLOCK_POINTS // len(s))
+    the (3, n) rows _doubled reads, from one pass of (y x s-node) blocks of
+    at most BLOCK_POINTS entries, one log_bessel_i_scaled call per axis and
+    block.  Each point's row is summed on its own, so it does not depend on
+    the others."""
+    weights, tails, pieces = _kernel_nodes(t, m, panels, x, params.alpha)
+    root_y, log_y = np.sqrt(y), np.log(y)
+    rows = np.empty((len(y), 3))
+    step = max(1, BLOCK_POINTS // weights.shape[1])
     for i in range(0, len(y), step):
-        log_h = 0.0
-        for a, xj, yj, pj in zip(params.alpha, x, y[i : i + step].T, pieces):
-            log_h = log_h + _log_heat_axis(a, s, xj, yj[:, None], pj)
-        heat = np.exp(log_h)
-        terms = heat * wk
-        out[:, i : i + step] = terms.sum(axis=1), (heat * wg).sum(axis=1), np.abs(terms).sum(axis=1)
-    past = np.exp(sum(_log_mu_axis(a, yj) for a, yj in zip(params.alpha, y.T))) * tail
-    return out + np.array([past, past, np.abs(past)])
+        axes = zip(params.alpha, root_y[i : i + step].T, log_y[i : i + step].T, pieces)
+        log_h = sum(_log_heat_axis(a, ry[:, None], ly[:, None], pj) for a, ry, ly, pj in axes)
+        rows[i : i + step] = (np.exp(log_h)[:, None, :] * weights).sum(axis=2)
+    past = np.exp(sum(_log_mu_axis(a, yj, lj) for a, yj, lj in zip(params.alpha, y.T, log_y.T)))
+    return (rows + past[:, None] * tails).T
 
 
 def _poisson_block(params, t, x, y, m):
@@ -421,7 +450,7 @@ def _poisson_block(params, t, x, y, m):
 
 def _kernel_value(q: KernelQuery, dt: bool) -> float:
     """d^m/dt^m p_t(x, y) at the query's point, m = q.derivative_order: the
-    block evaluator on one column."""
+    block evaluator on a block of one point."""
     if q.y is None:
         raise DomainError("the Poisson kernel requires both x and y")
     if (q.derivative_order >= 1) != dt:
@@ -548,8 +577,9 @@ def _v_integral(block, sign_of, alpha, breaks):
 
     The sign changes of p, located with sign_of (p to within its
     discretisation error), become breaks, so every panel integrates a smooth
-    function.  All panels are halved until two successive sums agree to
-    max(L1_ABS, L1_REL |sum|).
+    function; a panel that no new break splits keeps its nodes, so its
+    values are kept too.  All panels are halved until two successive sums
+    agree to max(L1_ABS, L1_REL |sum|).
     """
     zeros = np.empty(0)
     sums = []
@@ -558,10 +588,14 @@ def _v_integral(block, sign_of, alpha, breaks):
         p = block(v * v)
         new = _sign_changes(sign_of, v, p, zeros)
         if len(new):
-            zeros = np.union1d(zeros, new)
-            breaks = np.union1d(breaks, new)
+            zeros, old, breaks = np.union1d(zeros, new), breaks, np.union1d(breaks, new)
             v, w = _v_nodes(alpha, breaks)
-            p = block(v * v)
+            kept = np.isin(breaks[:-1], old) & np.isin(breaks[1:], old)
+            rows = np.empty((len(breaks) - 1, Y_ORDER))
+            rows[kept] = p.reshape(-1, Y_ORDER)[np.searchsorted(old, breaks[:-1][kept])]
+            split = v.reshape(-1, Y_ORDER)[~kept]
+            rows[~kept] = block((split * split).ravel()).reshape(-1, Y_ORDER)
+            p = rows.ravel()
         sums.append(float(np.dot(2.0 * v * w, np.abs(p))))
         if len(sums) > 1 and abs(sums[-1] - sums[-2]) <= max(L1_ABS, L1_REL * abs(sums[-1])):
             return sums[-1]

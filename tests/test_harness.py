@@ -88,6 +88,20 @@ class TestScenarioConfig:
             with pytest.raises(ConfigError):
                 ScenarioConfig(scenario="thm31", t_levels=levels)
 
+    def test_rejects_fields_the_scenario_does_not_read(self):
+        # prop31 reads beta and degree, not lam or t_levels; a field the
+        # runner never reads would be echoed in the report and ignored
+        with pytest.raises(ConfigError, match="does not read lam, t_levels"):
+            ScenarioConfig("prop31", lam=0.3, t_levels=3)
+        for scenario in ("subordination", "kernel-mass", "lemma21", "fdiff-identities"):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(scenario, beta=0.5)
+        # the defaults, the fields a scenario reads, and d, alpha and seed pass
+        ScenarioConfig("subordination", degree=6, t_levels=11)
+        ScenarioConfig("prop31", beta=0.6, degree=3, seed=2)
+        ScenarioConfig("thm31", beta=0.4, lam=0.5, degree=3, t_levels=4)
+        ScenarioConfig("subordination", d=2, alpha=(0.5, 0.5), seed=4)
+
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_json('{"scenario": "subordination", "bogus": 1}')
@@ -233,6 +247,10 @@ class TestCli:
             "5",
             {"scenario": "prop31", "alpha": [math.nan]},
             {"scenario": "thm31", "alpha": [math.inf]},
+            {"scenario": "prop31", "lam": 0.3},
+            {"scenario": "prop33", "t_levels": 3},
+            {"scenario": "subordination", "beta": 0.3},
+            {"scenario": "fdiff-identities", "degree": 2},
         ],
     )
     def test_bad_config_is_config_error(self, tmp_path, capsys, doc):

@@ -108,6 +108,25 @@ class TestHeatKernel:
             KernelQuery(P_HALF, 1.0, (0.0,))
         with pytest.raises(DomainError):
             KernelQuery(P_HALF, 1.0, (1.0, 2.0))
+        # a coordinate or time that is not a real number (a complex one
+        # included) and a nested or 2-d point are domain errors, not raw
+        # TypeErrors or ValueErrors
+        for x in (("a",), (None,), ((1.0,),), [[1.0]], np.array([[1.0]]),
+                  [1 + 1j], np.array([1 + 1j]), None):
+            with pytest.raises(DomainError):
+                KernelQuery(P_HALF, 1.0, x)
+        for t in ("1", None, 1 + 1j):
+            with pytest.raises(DomainError):
+                KernelQuery(P_HALF, t, (1.0,))
+
+    def test_query_accepts_numbers_and_flat_arrays(self):
+        want = KernelQuery(P_HALF, 2.0, (1.0,), (3.0,))
+        for x, y in ((1, 3), (np.float64(1.0), np.int64(3)),
+                     (np.array([1.0]), np.array(3.0)), ([1], (3.0,))):
+            q = KernelQuery(P_HALF, np.int32(2), x, y)
+            assert (q.x, q.y) == (want.x, want.y)
+            assert all(type(v) is float for v in q.x + q.y)
+            assert poisson_kernel(q) == poisson_kernel(want)
 
     @pytest.mark.parametrize("m", [1.5, True, -1, "1"])
     def test_query_rejects_non_integer_order(self, m):
@@ -631,6 +650,43 @@ class TestPoissonBlock:
             poisson_kernel_dt(KernelQuery(P_HALF, 1e-3, (1.3,), (1.31,), derivative_order=2))
         assert "t=0.001, x=(1.3,), y=(1.31,), m=2 did not" in str(err.value)
 
+    @pytest.mark.parametrize("m, y, panels", [
+        (0, 0.9624, [KERNEL_PANELS]),
+        (4, 0.96, [KERNEL_PANELS]),
+        (4, 0.9624, [KERNEL_PANELS, 2 * KERNEL_PANELS]),
+    ])
+    def test_scalar_value_is_its_row_of_a_block(self, monkeypatch, m, y, panels):
+        # a scalar value is the block evaluator on a block of one, so it equals
+        # its row of a block bit for bit, whether it settles on its first read
+        # or doubles: at m = 4, y = 0.9624 lies near a zero of d^4 p, where
+        # |K - G| = 1.14e-10 at 6 panels exceeds max(SUB_ABS, SUB_REL |K|)
+        ys = [0.5, 0.96, 0.9624, 2.0]
+        block = _poisson_block(P_HALF, 1.0, (1.3,), np.array(ys)[:, None], m)
+        reads, once = [], kernels._poisson_block_once
+
+        def spy(params, t, x, y, m, panels):
+            reads.append(panels)
+            return once(params, t, x, y, m, panels)
+
+        monkeypatch.setattr(kernels, "_poisson_block_once", spy)
+        kernel = poisson_kernel_dt if m else poisson_kernel
+        got = kernel(KernelQuery(P_HALF, 1.0, (1.3,), (y,), derivative_order=m))
+        assert reads == panels
+        assert got == block[ys.index(y)]
+
+    def test_value_reads_one_level_of_bessel_points(self, monkeypatch):
+        # at t = 1 the rule is KERNEL_PANELS = 6 Kronrod panels of
+        # 2 SUB_ORDER + 1 = 25 nodes: one log_bessel_i_scaled call on 150 points
+        points, bessel = [], kernels.log_bessel_i_scaled
+
+        def counted(nu, z):
+            points.append(np.size(z))
+            return bessel(nu, z)
+
+        monkeypatch.setattr(kernels, "log_bessel_i_scaled", counted)
+        poisson_kernel(KernelQuery(P_HALF, 1.0, (1.3,), (1.0,)))
+        assert points == [150]
+
     def test_fixed_axes(self):
         # rows are points of (0, inf)^2 that vary on every axis
         p2 = MultiIndexParams(2, (0.5, -0.25))
@@ -655,6 +711,25 @@ class TestL1Derivative:
         # |d/dt p| split at both zeros is 2.99207347134469
         got = l1_kernel_derivative(P_HALF, 0.2, (0.5,), 1)
         assert got == pytest.approx(2.99207347134469, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha, t, x, m", [
+        (0.5, 0.2, 0.5, 1), (0.5, 0.05, 1.0, 1), (2.0, 3.2, 0.5, 2),
+    ])
+    def test_reads_no_node_twice(self, monkeypatch, alpha, t, x, m):
+        # the panels that a new sign-change break does not split keep their
+        # nodes and the values read at them; only the split ones are read
+        # again, and each halving reads new nodes
+        reads, block = [], kernels._poisson_block
+
+        def spy(params, t, x, y, m):
+            reads.append(y[:, 0].copy())
+            return block(params, t, x, y, m)
+
+        monkeypatch.setattr(kernels, "_poisson_block", spy)
+        l1_kernel_derivative(MultiIndexParams(1, (alpha,)), t, (x,), m)
+        nodes = np.concatenate(reads)
+        assert len(reads) >= 3 and len(reads[1]) < len(reads[0])
+        assert len(np.unique(nodes)) == len(nodes)
 
     def test_mass_is_one(self):
         # the kernel is nonnegative, so m = 0 gives its total mass
@@ -683,6 +758,7 @@ class TestL1Derivative:
     @pytest.mark.parametrize("t, x", [
         (0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
         (0.5, math.inf), (0.5, math.nan),
+        ("1", 1.0), (None, 1.0), (0.5, "a"), (0.5, None), (0.5, 1 + 1j),
     ])
     def test_rejects_bad_arguments(self, t, x):
         # t and x are checked before the v breaks are built from them
@@ -706,7 +782,10 @@ class TestSubordinationRule:
 
     @pytest.mark.parametrize(
         "panels",
-        [base * 2**j for base in (KERNEL_PANELS, SUB_PANELS) for j in range(SUB_DOUBLINGS + 1)],
+        # every count kernel values and tables read, KERNEL_PANELS 2^j and
+        # SUB_PANELS 2^j, and the counts 8 2^j between them
+        sorted({b * 2**j for b in (KERNEL_PANELS, 8, SUB_PANELS)
+                for j in range(SUB_DOUBLINGS + 1)}),
     )
     def test_laplace_transform(self, panels):
         # sum_i (w s)_i g(t, s_i) e^{-n s_i} plus the tail past S_CUTOFF is

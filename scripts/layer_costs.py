@@ -6,7 +6,9 @@ Run from the repository root; the package is imported from ./src.  Each
 figure is the median wall time of single calls after one warm-up call:
 
 - specfun: log-Bessel per point, the heat-axis rule per node;
-- kernels: one Poisson kernel value, the 720 values of one kernel-mass
+- kernels: one KernelQuery build (d = 1, with x and y; the median of
+  batches of 1000, divided by 1000), one Poisson kernel value, the 720
+  values of one kernel-mass
   integral (the y rule of the kernel-mass scenario at alpha = 0.5,
   t = 0.25, x = 1), poisson_apply at d = 1 and d = 2,
   l1_kernel_derivative at t = 0.5 and at t = 0.05 (where the subordination
@@ -92,6 +94,9 @@ def layer_costs(repeats):
         "heat_axis_rule_per_node_s": median_s(
             lambda: _heat_axis_rule(0.5, heat_times, 1.3), repeats
         ) / nodes,
+        "kernel_query_s": median_s(
+            lambda: [lo.KernelQuery(p1, 0.5, (1.3,), (1.0,)) for _ in range(1000)], repeats
+        ) / 1000,
         "poisson_kernel_value_s": median_s(
             lambda: lo.poisson_kernel(lo.KernelQuery(p1, 0.5, (1.3,), (1.0,))), repeats
         ),

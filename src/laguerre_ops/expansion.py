@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -24,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, NonzeroMeanError, check_integer
+from .errors import DomainError, NonzeroMeanError, check_above, check_integer
 from .specfun import gauss_laguerre_rule, laguerre_rows
 
 __all__ = [
@@ -57,17 +56,29 @@ class MultiIndexParams:
 
     def __post_init__(self):
         check_integer(self.d, 1, "dimension d")
-        alpha = tuple(float(a) for a in self.alpha)
-        if len(alpha) != self.d:
-            raise DomainError("alpha must have length d")
-        if not all(-1 < a < math.inf for a in alpha):
-            raise DomainError("every alpha_j must be finite and exceed -1")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _coordinates("alpha", self.alpha, -1.0, self.d))
+
+    def point(self, x, name: str = "x") -> tuple:
+        """x as a point of (0, inf)^d, a tuple of d floats; x may also be one
+        number, or a 0-d array."""
+        p = x if isinstance(x, (tuple, list, np.ndarray)) else (x,)
+        return _coordinates(name, p, 0.0, self.d)
 
     @property
     def half_regime(self) -> bool:
         """True iff every alpha_j > -1/2 (hypothesis of the L1 kernel bounds)."""
         return min(self.alpha) > -0.5
+
+
+def _coordinates(name, value, low, d):
+    """value as a tuple of d floats above low (check_above): a tuple, list or
+    1-d array of d numbers, else DomainError."""
+    p = check_above(name, value, low)
+    if isinstance(p, np.ndarray):
+        p = tuple(p.ravel().tolist()) if p.ndim <= 1 else ()
+    if not isinstance(p, tuple) or len(p) != d:
+        raise DomainError(f"{name} must be {d} coordinates, got {value!r}")
+    return p
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -184,8 +195,7 @@ class SpectralMultiplier:
     def __post_init__(self):
         if self.kind not in OPERATORS:
             raise DomainError(f"unknown multiplier kind {self.kind!r}")
-        if not self.param > 0:
-            raise DomainError("multiplier parameter must be positive")
+        object.__setattr__(self, "param", check_above("parameter", (self.param,))[0])
 
     @property
     def zero_mean(self) -> bool:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import comb
 
-from .errors import DomainError, NonzeroMeanError, check_integer
+from .errors import DomainError, NonzeroMeanError, check_above, check_integer
 from .expansion import (
     OPERATORS,
     LaguerreExpansion,
@@ -54,8 +54,7 @@ __all__ = [
 
 def smallest_integer_above(lam: float) -> int:
     """Smallest integer strictly greater than lam (so 1.0 -> 2); lam finite."""
-    if not math.isfinite(lam):
-        raise DomainError(f"order must be finite, got {lam!r}")
+    lam = check_above("order", (lam,), -math.inf)[0]
     k = math.floor(lam) + 1
     if k <= lam:  # lam sits exactly on an integer due to floor rounding
         k += 1
@@ -70,8 +69,7 @@ class FracOpConfig:
     lam: float
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise DomainError("operator order lambda must be finite and positive")
+        object.__setattr__(self, "lam", check_above("lambda", (self.lam,))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +111,9 @@ def _time_rule(route: str, lam: float, k: int):
 def c_lambda(lam: float, k: int = 1) -> float:
     """c_lambda_k = int_0^inf u^(-lam-1) (e^(-u) - 1)^k du."""
     check_integer(k, 1, "k")
+    lam = check_above("lambda", (lam,))[0]
     if lam >= k:
         raise DomainError("c_lambda diverges for lambda >= k")
-    if not lam > 0:
-        raise DomainError("lambda must be positive")
     return float(_route_integral("difference", lam, k, 1.0))
 
 
@@ -222,8 +219,7 @@ def _callable_route(kind, f, params, lam, k, x):
 
 
 def _dispatch(kind, f, params, lam, x):
-    cfg = FracOpConfig(lam)
-    x = tuple(float(v) for v in np.atleast_1d(x))
+    cfg, x = FracOpConfig(lam), params.point(x)
     if isinstance(f, LaguerreExpansion):
         return synthesize(_apply_expansion(kind, f, cfg), np.asarray(x))
     if OPERATORS[kind].zero_mean:

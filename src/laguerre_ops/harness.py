@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 from scipy.special import comb
 
-from .errors import ConfigError, DomainError, check_integer, is_positive_number
+from .errors import ConfigError, DomainError, check_above, check_integer
 from .expansion import (
     OPERATORS,
     LaguerreExpansion,
@@ -75,17 +75,17 @@ class ScenarioConfig:
         try:
             for name, low in (("seed", 0), ("degree", 0), ("t_levels", 1)):
                 check_integer(getattr(self, name), low, name)
-            object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-            MultiIndexParams(self.d, self.alpha)
-        except (DomainError, TypeError, ValueError) as exc:
+            object.__setattr__(self, "alpha", MultiIndexParams(self.d, self.alpha).alpha)
+            for name in ("beta", "lam"):
+                if getattr(self, name) is not None:
+                    check_above(name, (getattr(self, name),))
+        except DomainError as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         # the first time of the theorem grids to underflow as t_levels grows is
         # _refined_t_grid's first midpoint sqrt(a * 2a), a = 5 * 2^-(t_levels-1)
         a = math.ldexp(5.0, 1 - self.t_levels)
         if not math.sqrt(a * (2.0 * a)) >= sys.float_info.min:
             raise ConfigError("t_levels is so large that the smallest grid times underflow")
-        if not all(v is None or is_positive_number(v) for v in (self.beta, self.lam)):
-            raise ConfigError("beta and lam must be finite numbers > 0")
         defaults = {f.name: f.default for f in fields(self)}
         unread = [n for n in ("beta", "lam", "degree", "t_levels")
                   if n not in _READS.get(self.scenario, ()) and getattr(self, n) != defaults[n]]

@@ -57,13 +57,7 @@ from numpy.polynomial.hermite import hermval
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad  # noqa: F401  (bench/tracing.py patches kernels.quad)
 
-from .errors import (
-    DomainError,
-    OverflowGuardError,
-    QuadratureError,
-    check_integer,
-    is_positive_number,
-)
+from .errors import DomainError, OverflowGuardError, QuadratureError, check_above, check_integer
 from .expansion import MultiIndexParams, call_on_points, tensor_grid
 from .specfun import gauss_jacobi_rule, gauss_kronrod_rule, log_bessel_i_scaled
 
@@ -131,26 +125,11 @@ class KernelQuery:
     derivative_order: int = 0
 
     def __post_init__(self):
-        _check_time(self.t)
-        object.__setattr__(self, "x", _point(self.params, self.x, "x"))
+        object.__setattr__(self, "t", check_above("t", (self.t,))[0])
+        object.__setattr__(self, "x", self.params.point(self.x))
         if self.y is not None:
-            object.__setattr__(self, "y", _point(self.params, self.y, "y"))
+            object.__setattr__(self, "y", self.params.point(self.y, "y"))
         check_integer(self.derivative_order, 0, "derivative_order")
-
-
-def _check_time(t):
-    if not is_positive_number(t):
-        raise DomainError(f"time t must be a finite number > 0, got {t!r}")
-
-
-def _point(params, p, name):
-    """p as a tuple of d floats in (0, inf): p is one number, or a tuple,
-    list or 1-d array of them, else DomainError."""
-    p = p.tolist() if isinstance(p, np.ndarray) else p
-    p = p if isinstance(p, (tuple, list)) else (p,)
-    if len(p) != params.d or not all(map(is_positive_number, p)):
-        raise DomainError(f"{name} must be a point in (0, inf)^d, got {p!r}")
-    return tuple(map(float, p))
 
 
 def _log_mu_axis(alpha, y, log_y):
@@ -298,19 +277,6 @@ def stable_density(t, s):
     return stable_density_dt(0, t, s)
 
 
-def _check_stable(m, t, s):
-    """DomainError unless m is an integer >= 0 and t and s are finite, > 0
-    and broadcast against each other."""
-    check_integer(m, 0, "m")
-    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-    try:
-        ok = ((t > 0) & (t < math.inf) & (s > 0) & (s < math.inf)).all()
-    except ValueError:
-        raise DomainError("t must be a scalar or an array that broadcasts against s") from None
-    if not ok:
-        raise DomainError("t and s must be finite and > 0")
-
-
 def stable_density_dt(m: int, t, s):
     """m-th partial derivative of g(t, s) in t, analytic via Hermite polynomials,
     at t and s broadcast against each other.
@@ -319,14 +285,18 @@ def stable_density_dt(m: int, t, s):
     d^m/dt^m [t phi] = t phi^(m) + m phi^(m-1),
     phi^(j)(t) = (-sqrt(a))^j H_j(sqrt(a) t) phi(t).
     """
-    _check_stable(m, t, s)
-    s_arr = np.asarray(s, dtype=float)
-    ra = 1.0 / (2.0 * np.sqrt(s_arr))  # sqrt(a)
+    check_integer(m, 0, "m")
+    t, s = np.asarray(check_above("t", t)), np.asarray(check_above("s", s))
+    try:
+        np.broadcast_shapes(t.shape, s.shape)
+    except ValueError:
+        raise DomainError("t must be a scalar or an array that broadcasts against s") from None
+    ra = 1.0 / (2.0 * np.sqrt(s))  # sqrt(a)
     phi = np.exp(-(ra * t) ** 2)
     term = t * (-ra) ** m * hermval(ra * t, [0.0] * m + [1.0])
     if m >= 1:
         term = term + m * (-ra) ** (m - 1) * hermval(ra * t, [0.0] * (m - 1) + [1.0])
-    out = term * phi * s_arr**-1.5 / (2.0 * math.sqrt(math.pi))
+    out = term * phi * s**-1.5 / (2.0 * math.sqrt(math.pi))
     return out if np.ndim(out) else float(out)
 
 
@@ -334,11 +304,9 @@ def stable_tail_mass(m: int, t, s_hi: float):
     """d^m/dt^m of int_{s_hi}^inf g(t, s) ds = d^m/dt^m erf(t / (2 sqrt(s_hi))),
     at a scalar s_hi and t a scalar or an array.  erf and exp come from math,
     so each time of an array gets the value of its scalar call."""
-    _check_stable(m, t, s_hi)
-    if np.ndim(s_hi):
-        raise DomainError("s_hi must be a scalar")
-    b = 1.0 / (2.0 * math.sqrt(s_hi))
-    u = b * np.asarray(t, dtype=float)
+    check_integer(m, 0, "m")
+    b = 1.0 / (2.0 * math.sqrt(check_above("s_hi", (s_hi,))[0]))
+    u = b * np.asarray(check_above("t", t))
     if m == 0:
         out = np.frompyfunc(math.erf, 1, 1)(u)
     else:
@@ -468,13 +436,6 @@ def poisson_kernel_dt(q: KernelQuery) -> float:
     return _kernel_value(q, True)
 
 
-def _times_and_point(params, t, x):
-    times = np.asarray(t, dtype=float)
-    if times.size == 0 or not np.all((times > 0) & np.isfinite(times)):
-        raise DomainError("t must be positive and finite")
-    return times, _point(params, x, "x")
-
-
 def _read_table(f, params, x, times, m, s, *weights):
     """d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds per time, a row per
     weight vector of a rule of nodes s, and the sums of the first one's terms'
@@ -502,7 +463,7 @@ def poisson_apply(f, params: MultiIndexParams, t, x):
     that shape is returned), all read off the embedded Gauss nodes of one
     subordination rule of SUB_PANELS panels.
     """
-    times, x = _times_and_point(params, t, x)
+    times, x = np.asarray(check_above("t", t)), params.point(x)
     s, _, wg = _subordination_rule(times.min(), SUB_PANELS)
     out = _read_table(f, params, x, times, 0, s[:, 1::2], wg[:, 1::2])[0]
     return out.reshape(times.shape) if np.ndim(t) else float(out[0])
@@ -514,9 +475,8 @@ def poisson_dt_apply(f, params: MultiIndexParams, t, x, m: int):
     Every rule is laid down to the smallest time and read with its Kronrod
     and Gauss weights, and each time is doubled from SUB_PANELS on its own.
     """
-    times, x = _times_and_point(params, t, x)
-    if m < 0:
-        raise DomainError("m must be nonnegative")
+    times, x = np.asarray(check_above("t", t)), params.point(x)
+    check_integer(m, 0, "m")
     flat = times.ravel()
     out = _doubled(
         lambda i, n: _read_table(f, params, x, flat[i], m, *_subordination_rule(flat.min(), n)),
@@ -611,8 +571,8 @@ def l1_kernel_derivative(params: MultiIndexParams, t: float, x, m: int) -> float
     rule of _v_integral on blocks of kernel values."""
     if params.d != 1:
         raise DomainError("l1_kernel_derivative is one-dimensional; d must be 1")
-    _check_time(t)
-    x = _point(params, x, "x")
+    q = KernelQuery(params, t, x, derivative_order=m)
+    t, x = q.t, q.x
     block = lambda y: _poisson_block(params, t, x, y[:, None], m)
     # bisection only reads signs, so it skips the refinement test, which
     # cannot pass where p is below its own discretisation error

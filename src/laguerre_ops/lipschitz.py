@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_above
 from .expansion import (
     LaguerreExpansion,
     MultiIndexParams,
@@ -111,7 +111,7 @@ def _pminusI_multiplier(m, t_grid, n):
 
 def poisson_dt_expansion(e: LaguerreExpansion, t: float, n: int) -> LaguerreExpansion:
     """d^n/dt^n P_t e as an expansion: multiplier (-sqrt(m))^n e^(-t sqrt(m))."""
-    return e.scaled(_dt_multiplier(e.orders, t, n))
+    return e.scaled(_dt_multiplier(e.orders, check_above("t", (t,))[0], n))
 
 
 def _sups_over_t(f: LaguerreExpansion, factors, xs) -> np.ndarray:
@@ -120,25 +120,17 @@ def _sups_over_t(f: LaguerreExpansion, factors, xs) -> np.ndarray:
     return np.max(np.abs(_synthesize(f, f.vector[:, None] * factors, xs)), axis=1)
 
 
-def _grids(t_grid, x_grid, d):
-    """The t grid as a tuple and the x grid as an (M, d) array, each taken from
-    default_t_grid/default_x_grid if None; for d = 1 x points may be plain numbers.
-    Raises DomainError unless both are nonempty, every t is finite and positive
-    and every coordinate is finite and positive."""
-    t_grid = tuple(default_t_grid() if t_grid is None else t_grid)
-    if not t_grid:
-        raise DomainError("t_grid must be nonempty")
-    if not all(0 < t < math.inf for t in t_grid):
-        raise DomainError("every t of the grid must be finite and positive")
-    xs = _default_grid(d, 24)[0] if x_grid is None else np.asarray(x_grid, dtype=float)
-    if len(xs) == 0:
-        raise DomainError("grid must be nonempty")
-    xs = xs.reshape(len(xs), -1)
-    if xs.shape[1] != d:
-        raise DomainError(f"grid points must have {d} coordinates")
-    if not np.all((xs > 0) & (xs < math.inf)):
-        raise DomainError("grid points must lie in (0, inf)^d")
-    return t_grid, xs
+def _grids(t_grid, x_grid, params):
+    """The t grid as a tuple of times and the x grid as an (M, d) array of
+    points of params (for d = 1 they may be plain numbers), each taken from
+    default_t_grid/default_x_grid if None, else DomainError."""
+    t_grid = check_above("t_grid", default_t_grid() if t_grid is None else t_grid)
+    t_grid = tuple(np.ravel(t_grid).tolist())
+    if x_grid is None:
+        return t_grid, _default_grid(params.d, 24)[0]
+    # the stacked points are checked once more as a whole, for an empty grid
+    xs = np.array([params.point(p, "x_grid point") for p in x_grid])
+    return t_grid, check_above("x_grid", xs)
 
 
 def _a_beta(f, params, beta, n, t_grid, xs, method):
@@ -168,10 +160,9 @@ def lipschitz_seminorm(
     method: str = "spectral",
 ) -> LipschitzEstimate:
     """Measure A_beta(f) = sup_t t^(n-beta) ||d^n/dt^n P_t f||_inf on grids."""
-    if not beta > 0:
-        raise DomainError("beta must be positive")
+    beta = check_above("beta", (beta,))[0]
     n = smallest_integer_above(beta)
-    t_grid, xs = _grids(t_grid, x_grid, params.d)
+    t_grid, xs = _grids(t_grid, x_grid, params)
     a_beta, sup_table = _a_beta(f, params, beta, n, t_grid, xs, method)
     f_vals = synthesize_many(f, xs) if isinstance(f, LaguerreExpansion) else call_on_points(f, xs)
     f_sup = float(np.max(np.abs(f_vals)))
@@ -194,11 +185,10 @@ def check_equivalence(
     PASS meaning finite values inside the declared comparability window
     [1/50, 50] (the underlying equivalence provides no explicit constant).
     """
-    if not beta > 0:
-        raise DomainError("beta must be positive")
+    beta = check_above("beta", (beta,))[0]
     if k <= beta or l <= beta:
         raise DomainError("both derivative orders must exceed beta")
-    t_grid, xs = _grids(t_grid, x_grid, params.d)
+    t_grid, xs = _grids(t_grid, x_grid, params)
     a_k, _ = _a_beta(f, params, beta, k, t_grid, xs, "spectral")
     a_l, _ = _a_beta(f, params, beta, l, t_grid, xs, "spectral")
     if a_k == 0.0 and a_l == 0.0:
@@ -232,11 +222,12 @@ def check_approximation(
     x_grid=None,
 ) -> BoundReport:
     """||P_t f - f||_inf against 1.05 A_beta(f) t^beta on the grids (spectral path)."""
-    if not 0 < beta < 1:
+    beta = check_above("beta", (beta,))[0]
+    if not beta < 1:
         raise DomainError("approximation check needs beta in (0, 1)")
     if not isinstance(f, LaguerreExpansion):
         raise DomainError("approximation check is defined on expansions")
-    t_grid, xs = _grids(t_grid, x_grid, params.d)
+    t_grid, xs = _grids(t_grid, x_grid, params)
     n = smallest_integer_above(beta)
     a_beta, _ = _a_beta(f, params, beta, n, t_grid, xs, "spectral")
     sups = _sups_over_t(f, _pminusI_multiplier(f.orders, t_grid, 1), xs)
@@ -269,10 +260,9 @@ def check_pminusI_power(
     n = smallest_integer_above(beta)."""
     if not isinstance(f, LaguerreExpansion):
         raise DomainError("this check is defined on expansions")
-    t_grid, xs = _grids(t_grid, x_grid, params.d)
     est = lipschitz_seminorm(f, params, beta, t_grid, x_grid)
-    f_sup, n = est.f_sup, est.n
-    if float(beta).is_integer():
+    beta, t_grid, xs, f_sup, n = est.beta, est.t_grid, np.array(est.x_grid), est.f_sup, est.n
+    if beta.is_integer():
         raise DomainError(
             f"at the integer beta = {beta} the n-fold simplex integral of v^(beta-n) diverges")
     # n-fold simplex integral of v^(beta-n) over [0,t]^n equals

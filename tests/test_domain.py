@@ -1,0 +1,180 @@
+"""One table of every entry point that takes a time, order, point or alpha.
+
+Each row names a slot of one public entry point, the lower bound of its
+domain (0 for times, orders and coordinates, -1 for alpha, -inf for a bare
+order), a valid value and the shape the slot takes.  Every bad value raises
+DomainError there (ConfigError for a ScenarioConfig field), and every
+accepted form of the valid value gives the output of the plain float.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from laguerre_ops import (
+    ConfigError,
+    DomainError,
+    FracOpConfig,
+    KernelQuery,
+    MultiIndexParams,
+    ScenarioConfig,
+    bessel_derivative_apply,
+    bessel_potential,
+    bessel_potential_apply,
+    c_lambda,
+    check_approximation,
+    check_equivalence,
+    check_pminusI_power,
+    fractional_derivative_apply,
+    fractional_integral_apply,
+    heat,
+    l1_kernel_derivative,
+    lipschitz_seminorm,
+    pi0,
+    poisson,
+    poisson_apply,
+    poisson_dt_apply,
+    poisson_kernel,
+    random_expansion,
+    smallest_integer_above,
+    spectral_apply,
+    stable_density_dt,
+    stable_tail_mass,
+)
+from laguerre_ops.lipschitz import poisson_dt_expansion
+
+P = MultiIndexParams(1, (0.5,))
+E = random_expansion(P, 4, seed=1)
+E0 = pi0(E)
+f = lambda y: np.exp(-0.3 * y)
+T_SHORT = (0.5, 1.0)
+
+#: (id, call, low, good, shape).  shape is "number" (one number), "times"
+#: (a number or a sequence of them), "point" (a d = 1 point: a number or a
+#: sequence of one), "grid" (a sequence of numbers or points) or "alpha" (a
+#: sequence of one number)
+ROWS = [
+    ("KernelQuery.t",
+     lambda v: poisson_kernel(KernelQuery(P, v, (1.0,), (2.0,))), 0.0, 1.0, "number"),
+    ("KernelQuery.x", lambda v: poisson_kernel(KernelQuery(P, 1.0, v, (2.0,))), 0.0, 1.0, "point"),
+    ("KernelQuery.y", lambda v: poisson_kernel(KernelQuery(P, 1.0, (1.0,), v)), 0.0, 2.0, "point"),
+    ("poisson_apply.t", lambda v: poisson_apply(f, P, v, (1.0,)), 0.0, 1.0, "times"),
+    ("poisson_apply.x", lambda v: poisson_apply(f, P, 1.0, v), 0.0, 1.0, "point"),
+    ("poisson_dt_apply.t", lambda v: poisson_dt_apply(f, P, v, (1.0,), 1), 0.0, 1.0, "times"),
+    ("poisson_dt_apply.x", lambda v: poisson_dt_apply(f, P, 1.0, v, 1), 0.0, 1.0, "point"),
+    ("l1_kernel_derivative.t",
+     lambda v: l1_kernel_derivative(P, v, (1.0,), 1), 0.0, 1.0, "number"),
+    ("l1_kernel_derivative.x", lambda v: l1_kernel_derivative(P, 1.0, v, 1), 0.0, 1.0, "point"),
+    ("stable_density_dt.t", lambda v: stable_density_dt(1, v, 0.5), 0.0, 1.0, "times"),
+    ("stable_density_dt.s", lambda v: stable_density_dt(1, 1.0, v), 0.0, 2.0, "times"),
+    ("stable_tail_mass.t", lambda v: stable_tail_mass(1, v, 40.0), 0.0, 1.0, "times"),
+    ("stable_tail_mass.s_hi", lambda v: stable_tail_mass(0, 0.5, v), 0.0, 40.0, "number"),
+    ("poisson_dt_expansion.t", lambda v: poisson_dt_expansion(E, v, 1).vector, 0.0, 1.0, "number"),
+    ("lipschitz_seminorm.beta", lambda v: lipschitz_seminorm(E, P, v).A_beta, 0.0, 2.0, "number"),
+    ("lipschitz_seminorm.t_grid",
+     lambda v: lipschitz_seminorm(E, P, 0.5, t_grid=v).A_beta, 0.0, (1.0, 2.0), "grid"),
+    ("lipschitz_seminorm.x_grid",
+     lambda v: lipschitz_seminorm(E, P, 0.5, x_grid=v).A_beta, 0.0, (1.0, 2.0), "grid"),
+    ("check_equivalence.beta",
+     lambda v: check_equivalence(E, P, v, 3, 4).max_ratio, 0.0, 2.0, "number"),
+    ("check_approximation.beta",
+     lambda v: check_approximation(E, P, v, t_grid=T_SHORT).max_ratio, 0.0, 0.5, "number"),
+    ("check_pminusI_power.beta",
+     lambda v: check_pminusI_power(E, P, v, t_grid=T_SHORT).max_ratio, 0.0, 0.5, "number"),
+    ("FracOpConfig.lam", lambda v: FracOpConfig(v).lam, 0.0, 1.0, "number"),
+    ("c_lambda.lam", lambda v: c_lambda(v, 2), 0.0, 1.0, "number"),
+    ("smallest_integer_above", smallest_integer_above, -math.inf, 1.0, "number"),
+    ("bessel_potential_apply.lam",
+     lambda v: bessel_potential_apply(E, P, v, 1.3), 0.0, 1.0, "number"),
+    ("fractional_integral_apply.lam",
+     lambda v: fractional_integral_apply(E0, P, v, 1.3), 0.0, 1.0, "number"),
+    ("fractional_derivative_apply.lam",
+     lambda v: fractional_derivative_apply(E, P, v, 1.3), 0.0, 1.0, "number"),
+    ("bessel_derivative_apply.lam",
+     lambda v: bessel_derivative_apply(E, P, v, 1.3), 0.0, 1.0, "number"),
+    ("bessel_potential_apply.x",
+     lambda v: bessel_potential_apply(E, P, 0.5, v), 0.0, 1.0, "point"),
+    ("fractional_integral_apply.x",
+     lambda v: fractional_integral_apply(E0, P, 0.5, v), 0.0, 1.0, "point"),
+    ("fractional_derivative_apply.x",
+     lambda v: fractional_derivative_apply(E, P, 0.5, v), 0.0, 1.0, "point"),
+    ("bessel_derivative_apply.x",
+     lambda v: bessel_derivative_apply(E, P, 0.5, v), 0.0, 1.0, "point"),
+    ("fractional_derivative_apply.x callable",
+     lambda v: fractional_derivative_apply(f, P, 0.5, v), 0.0, 1.0, "point"),
+    ("MultiIndexParams.alpha", lambda v: MultiIndexParams(1, v).alpha, -1.0, 1.0, "alpha"),
+    ("heat", lambda v: spectral_apply(heat(v), E).vector, 0.0, 1.0, "number"),
+    ("poisson", lambda v: spectral_apply(poisson(v), E).vector, 0.0, 1.0, "number"),
+    ("bessel_potential",
+     lambda v: spectral_apply(bessel_potential(v), E).vector, 0.0, 1.0, "number"),
+    ("ScenarioConfig.alpha",
+     lambda v: ScenarioConfig("prop31", alpha=v).alpha, -1.0, 1.0, "alpha"),
+    ("ScenarioConfig.beta", lambda v: ScenarioConfig("prop31", beta=v).beta, 0.0, 2.0, "number"),
+    ("ScenarioConfig.lam", lambda v: ScenarioConfig("thm44", lam=v).lam, 0.0, 1.0, "number"),
+]
+
+
+def _bad_values(low):
+    """nan, inf, the bound and a value below it (none for an order bounded
+    by -inf), a bool, a str, a complex and an empty list."""
+    edge = [] if low == -math.inf else [low, low - 1.0]
+    return [math.nan, math.inf, *edge, True, "0.5", 1 + 0j, []]
+
+
+def _bad_forms(value, shape):
+    """value in each form the slot takes: a number slot gets it bare, a
+    sequence slot inside a list, and a point or times slot both ways."""
+    if value == []:
+        return [value]
+    return {"number": [value], "grid": [[value]], "alpha": [[value], value]}.get(
+        shape, [value, [value]])
+
+
+BAD = [
+    pytest.param(call, form, ConfigError if name.startswith("ScenarioConfig") else DomainError,
+                 id=f"{name}-{value!r}-{type(form).__name__}")
+    for name, call, low, _, shape in ROWS
+    for value in _bad_values(low)
+    for form in _bad_forms(value, shape)
+]
+
+
+@pytest.mark.parametrize("call, value, error", BAD)
+def test_bad_value_raises(call, value, error):
+    with pytest.raises(error):
+        call(value)
+
+
+def _number_forms(good):
+    forms = [np.float64(good), np.float32(good)]
+    if float(good).is_integer():
+        forms += [int(good), np.int64(good)]
+    return forms
+
+
+def _good_forms(good, shape):
+    """Every accepted form of the valid value, and its plain float form."""
+    if shape == "grid":
+        return list(good), [tuple(good), np.array(good), [np.float32(v) for v in good],
+                            [int(v) for v in good], np.array(good, dtype=np.int64)]
+    if shape == "alpha":
+        return (good,), [[good], np.array([good]), (np.float32(good),), (int(good),),
+                         (np.int64(good),)]
+    forms = _number_forms(good)
+    if shape != "number":
+        forms += [(good,), [good], np.array([good])]
+    return good, forms
+
+
+GOOD = [
+    pytest.param(call, *_good_forms(good, shape), id=name)
+    for name, call, _, good, shape in ROWS
+]
+
+
+@pytest.mark.parametrize("call, plain, forms", GOOD)
+def test_accepted_forms_give_the_float_output(call, plain, forms):
+    want = np.ravel(call(plain))
+    for form in forms:
+        assert np.array_equal(np.ravel(call(form)), want), form

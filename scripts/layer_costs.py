@@ -10,7 +10,8 @@ figure is the median wall time of single calls after one warm-up call:
   batches of 1000, divided by 1000), one Poisson kernel value, the 720
   values of one kernel-mass
   integral (the y rule of the kernel-mass scenario at alpha = 0.5,
-  t = 0.25, x = 1), poisson_apply at d = 1 and d = 2,
+  t = 0.25, x = 1), poisson_apply at d = 1 and d = 2, poisson_dt_apply
+  (f = L_3^0.5, m = 2, x = 1.3) on the default 11-time grid,
   l1_kernel_derivative at t = 0.5 and at t = 0.05 (where the subordination
   rule, laid down to the floor of t, has the most panels);
 - expansion: analyze and synthesize;
@@ -19,9 +20,11 @@ figure is the median wall time of single calls after one warm-up call:
   which also takes fewer repeats);
 - counts: the log-Bessel points that one Poisson kernel value (alpha = 0.5,
   t = 1) and one l1_kernel_derivative (alpha = 0.5, x = 1, m = 1,
-  t = 0.05) evaluate, and the kernel values that L1 rule reads (the points
-  handed to the block evaluator, not those of the sign-change bisection);
-  they depend only on the code, not on the machine;
+  t = 0.05) evaluate, the kernel values that L1 rule reads (the points
+  handed to the block evaluator, not those of the sign-change bisection),
+  and the heat times of the semigroup tables that the d = 1 poisson_apply
+  (t = 0.7) and poisson_dt_apply calls above read; they depend only on the
+  code, not on the machine;
 - src_lines: the lines of each module of src/laguerre_ops and their total.
 
 Timings depend on the machine, so the file records it beside them.
@@ -78,6 +81,13 @@ def mass_y_nodes():
     return (0.5 * (a + b) + 0.5 * (b - a) * leggauss(12)[0]).ravel()
 
 
+def poisson_dt_apply_d1():
+    """d^2/dt^2 P_t f(1.3) for f = L_3^0.5 on the default 11-time grid."""
+    p1 = lo.MultiIndexParams(1, (0.5,))
+    f = lambda y: lo.laguerre_poly(3, 0.5, y)
+    return lo.poisson_dt_apply(f, p1, np.array(lo.default_t_grid()), (1.3,), 2)
+
+
 def layer_costs(repeats):
     p1 = lo.MultiIndexParams(1, (0.5,))
     p2 = lo.MultiIndexParams(2, (0.5, -0.25))
@@ -105,6 +115,7 @@ def layer_costs(repeats):
         ),
         "poisson_apply_d1_s": median_s(lambda: lo.poisson_apply(f1, p1, 0.7, (1.3,)), repeats),
         "poisson_apply_d2_s": median_s(lambda: lo.poisson_apply(f2, p2, 0.7, (1.2, 0.7)), repeats),
+        "poisson_dt_apply_d1_s": median_s(poisson_dt_apply_d1, repeats),
         "l1_kernel_derivative_s": median_s(
             lambda: lo.l1_kernel_derivative(p1, 0.5, (1.3,), 1), max(1, repeats // 4)
         ),
@@ -138,11 +149,17 @@ def counts():
     value = lambda: lo.poisson_kernel(lo.KernelQuery(p1, 1.0, (1.3,), (1.0,)))
     l1 = lambda: lo.l1_kernel_derivative(p1, 0.05, (1.0,), 1)
     bessel = lambda nu, z: int(np.size(z))
+    table = lambda: lo.poisson_apply(lambda y: np.exp(-0.3 * y), p1, 0.7, (1.3,))
+    heat_times = lambda f, params, times, x: len(times)
     return {
         "poisson_kernel_value_bessel_points": counted_points(value, "log_bessel_i_scaled", bessel),
         "l1_kernel_derivative_t005_bessel_points": counted_points(l1, "log_bessel_i_scaled", bessel),
         "l1_kernel_derivative_t005_kernel_values": counted_points(
             l1, "_poisson_block", lambda params, t, x, y, m: len(y)
+        ),
+        "poisson_apply_d1_heat_times": counted_points(table, "_heat_apply_times", heat_times),
+        "poisson_dt_apply_d1_heat_times": counted_points(
+            poisson_dt_apply_d1, "_heat_apply_times", heat_times
         ),
     }
 

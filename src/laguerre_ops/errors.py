@@ -34,12 +34,13 @@ class ConfigError(LaguerreOpsError, ValueError):
     """A scenario or operator configuration violates its constraints."""
 
 
-def check_integer(value, low: int, name: str) -> None:
-    """DomainError unless value is an integer >= low (a bool is not one)."""
+def check_integer(value, low: int, name: str) -> int:
+    """value as an int if it is an integer >= low (a bool is not one), else DomainError."""
     # type(value) is int skips the slow abstract-class check for a plain int
     if type(value) is not int and (isinstance(value, bool) or not isinstance(
             value, numbers.Integral)) or value < low:
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 #: the types a real argument may have (a bool is an int, and is not one)

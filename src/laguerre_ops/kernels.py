@@ -20,22 +20,21 @@ in y, and, where they reach v = sigma, one Gauss-Jacobi panel in y on
 Every integral int d^m_t g(t, s) F(s) ds over (0, S_CUTOFF) takes one
 subordination rule (_subordination_rule): Gauss-Kronrod panels in log s of
 one width, laid down from S_CUTOFF to the floor of the smallest time, and
-the analytic erf tail past S_CUTOFF.  One doubling rule (_doubled) refines
-it: a value settles where its Kronrod sum agrees with its embedded Gauss sum
-(or with the last panel count's), else its panels double, SUB_DOUBLINGS at most.
+the analytic erf tail past S_CUTOFF, weighted by _sub_weights.  It starts
+at KERNEL_PANELS panels, and one doubling rule (_doubled) refines it: a value
+settles where its Kronrod sum agrees with its embedded Gauss sum (or with
+the last panel count's), else its panels double, SUB_DOUBLINGS at most.
 Kernel values d^m/dt^m p_t(x, y) at an (n, d) array of points y read the
-rule of KERNEL_PANELS panels in one pass of (y x s-node) blocks, with one
-log_bessel_i_scaled call per block of at most BLOCK_POINTS entries and the
-weights and y-free heat factors cached per (t, m, panels, x, alpha); a
-scalar value is a block of one point.
+rule in one pass of (y x s-node) blocks, with one log_bessel_i_scaled call
+per block of at most BLOCK_POINTS entries and the weights and y-free heat
+factors cached per (t, m, panels, x, alpha); a scalar value is a block of
+one point.
 
-P_t f(x) and its time derivatives are read off one semigroup table: nodes
-s of the rule at the smallest time, and T_s f(x) at each node and at
-S_CUTOFF, which stands for T_s f(x) past it, all from one chunked heat-apply
-call (one heat-axis rule per axis and chunk of times).  d^m/dt^m P_t f(x) =
-int d^m_t g(t, s) T_s f(x) ds is read in blocks of times; poisson_apply
-reads the embedded Gauss nodes of SUB_PANELS panels, and poisson_dt_apply
-all their Kronrod nodes, doubling each time from there.
+d^m/dt^m P_t f(x) (poisson_dt_apply; poisson_apply is m = 0) is read off one
+semigroup table: nodes s of the rule at the smallest time, and T_s f(x) at
+each node and at S_CUTOFF, which stands for T_s f(x) past it, all from one
+chunked heat-apply call (one heat-axis rule per axis and chunk of times),
+read in blocks of times.
 
 l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on panels in
 v = sqrt(y), dyadic around the ridge at sqrt(x) and ending past it: the
@@ -80,14 +79,12 @@ __all__ = [
 S_CUTOFF = 40.0
 
 #: the subordination rule: Gauss-Kronrod panels in log s around SUB_ORDER
-#: Gauss nodes, as wide as SUB_PANELS panels are at t = 1.  A semigroup table
-#: starts at SUB_PANELS panels and kernel values at KERNEL_PANELS; both double
-#: them at most SUB_DOUBLINGS times, until a value settles to max(SUB_ABS,
+#: Gauss nodes, KERNEL_PANELS of them at t = 1, where every integral starts,
+#: doubled at most SUB_DOUBLINGS times until a value settles to max(SUB_ABS,
 #: SUB_REL |value|) or to SUB_ROUND sum |terms| (a zero derivative's terms
 #: cancel).  KERNEL_PANELS is the least count at which the rule's Laplace
 #: transform e^{-t sqrt(n)} holds to 1e-14 at every t in [1e-4, 30] (worst
 #: 5.6e-16 at 6 panels, 1.0e-14 at 5, 1.3e-12 at 4)
-SUB_PANELS = 12
 KERNEL_PANELS = 6
 SUB_ORDER = 12
 SUB_ABS = 1e-10
@@ -323,17 +320,29 @@ def _s_floor(t):
 
 
 def _subordination_rule(t_min, panels):
-    """Nodes s, Kronrod weights w s and Gauss weights (0 off the columns
-    [:, 1::2]) so that sum_i (w s)_i F(s_i) ~ int_0^S_CUTOFF F(s) ds for F smooth
-    in log s: a row per Gauss-Kronrod panel in log s, as wide as `panels` are at
-    t = 1, laid down from S_CUTOFF to the floor of t_min, for every t >= t_min."""
+    """Nodes s, Kronrod weights w s and Gauss weights (0 off the embedded
+    Gauss nodes) as flat arrays, so that sum_i (w s)_i F(s_i) ~
+    int_0^S_CUTOFF F(s) ds for F smooth in log s: Gauss-Kronrod panels in
+    log s, as wide as `panels` are at t = 1, laid down from S_CUTOFF to the
+    floor of t_min, for every t >= t_min."""
     h = math.log(S_CUTOFF / _s_floor(1.0)) / panels
     n = math.ceil(math.log(S_CUTOFF / _s_floor(t_min)) / h - 1e-9)
     breaks = math.log(S_CUTOFF) - h * np.arange(n, -1.0, -1.0)
     a, b = breaks[:-1, None], breaks[1:, None]
     u, wk, wg = gauss_kronrod_rule(SUB_ORDER)
     s = np.exp(0.5 * (a + b) + 0.5 * (b - a) * u)
-    return s, 0.5 * (b - a) * wk * s, 0.5 * (b - a) * wg * s
+    return s.ravel(), (0.5 * (b - a) * wk * s).ravel(), (0.5 * (b - a) * wg * s).ravel()
+
+
+def _sub_weights(m, t, s, wk, wg):
+    """The rows that read d^m/dt^m int_0^inf g(t, s) F(s) ds off the rule
+    (s, wk, wg) and F(S_CUTOFF), which stands for F past it: the Kronrod,
+    embedded Gauss and |Kronrod| weights times d^m_t g(t, s_i), and the same
+    three of the mass of d^m_t g past S_CUTOFF.  t is one time, or a 1-d
+    array of them that gives each row a row per time."""
+    density = stable_density_dt(m, t[:, None] if np.ndim(t) else t, s)
+    kron, tail = wk * density, stable_tail_mass(m, t, S_CUTOFF)
+    return np.array([kron, wg * density, np.abs(kron)]), np.array([tail, tail, abs(tail)])
 
 
 def _doubled(value, n, panels, where):
@@ -371,16 +380,10 @@ def _doubled(value, n, panels, where):
 @lru_cache(maxsize=16)
 def _kernel_nodes(t, m, panels, x, alpha):
     """The subordination rule at t, shared by every y of one kernel
-    integral: one array whose rows are its Kronrod weights, its embedded
-    Gauss weights and the Kronrod weights' magnitudes, each times
-    d^m/dt^m g(t, s_i); the same three of the d^m/dt^m mass of g past
-    S_CUTOFF; and the y-free heat factors _heat_axis_pieces(alpha_j, s, x_j)
-    per coordinate."""
-    s, wk, wg = (a.ravel() for a in _subordination_rule(t, panels))
-    density = stable_density_dt(m, t, s)
-    weights = np.stack((wk * density, wg * density, np.abs(wk * density)))
-    tail = stable_tail_mass(m, t, S_CUTOFF)
-    tails = np.array([tail, tail, abs(tail)])
+    integral: its weights and tail weights _sub_weights(m, t, ...) and the
+    y-free heat factors _heat_axis_pieces(alpha_j, s, x_j) per coordinate."""
+    s, wk, wg = _subordination_rule(t, panels)
+    weights, tails = _sub_weights(m, t, s, wk, wg)
     pieces = [_heat_axis_pieces(a, s, xj) for a, xj in zip(alpha, x)]
     for a in (weights, tails, *sum(pieces, ())):
         a.flags.writeable = False
@@ -436,52 +439,42 @@ def poisson_kernel_dt(q: KernelQuery) -> float:
     return _kernel_value(q, True)
 
 
-def _read_table(f, params, x, times, m, s, *weights):
-    """d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds per time, a row per
-    weight vector of a rule of nodes s, and the sums of the first one's terms'
-    magnitudes; T_s f(x) at the nodes and at S_CUTOFF (for s past it) from one
-    _heat_apply_times call, each time's integral one dot product of its row (a
-    matrix product sums in another order, which the difference route amplifies)."""
-    s, weights = s.ravel(), [w.ravel() for w in weights]
-    heat = _heat_apply_times(f, params, np.append(s, S_CUTOFF), x)
-    heat, past, times, out = heat[:-1], heat[-1], times.ravel(), []
-    step, mag = max(1, BLOCK_POINTS // len(s)), np.abs(heat)
+def _read_table(f, params, x, times, m, rule):
+    """d^m/dt^m P_t f(x) at each of the 1-d array `times`, as the (3, n) rows
+    _doubled reads, off the subordination rule (s, wk, wg): T_s f(x) at the
+    nodes and at S_CUTOFF (for s past it) from one _heat_apply_times call,
+    each time's integral one dot product of its row (a matrix product sums
+    in another order, which the difference route amplifies)."""
+    table = _heat_apply_times(f, params, np.append(rule[0], S_CUTOFF), x)
+    mag, out, step = np.abs(table), [], max(1, BLOCK_POINTS // len(rule[0]))
+    # the Kronrod and Gauss rows read T_s f(x), the magnitude row |T_s f(x)|
+    values = ((table[:-1], table[-1]),) * 2 + ((mag[:-1], mag[-1]),)
     for i in range(0, len(times), step):
-        block = times[i : i + step]
-        density = stable_density_dt(m, block[:, None], s)
-        rows = [w * density for w in weights]
-        tails = past * stable_tail_mass(m, block, S_CUTOFF)
-        out += zip(*[[np.dot(r, heat) + c for r, c in zip(w, tails)] for w in rows],
-                   [np.dot(abs(r), mag) + abs(c) for r, c in zip(rows[0], tails)])
+        weights, tails = _sub_weights(m, times[i : i + step], *rule)
+        out += zip(*[[np.dot(r, v) + c * past for r, c in zip(w, tail)]
+                     for w, tail, (v, past) in zip(weights, tails, values)])
     return np.array(out).T
 
 
 def poisson_apply(f, params: MultiIndexParams, t, x):
-    """P_t f(x) by subordination: int_0^inf g(t, s) T_s f(x) ds.
-
-    t is one time (a float is returned) or an array of times (an array of
-    that shape is returned), all read off the embedded Gauss nodes of one
-    subordination rule of SUB_PANELS panels.
-    """
-    times, x = np.asarray(check_above("t", t)), params.point(x)
-    s, _, wg = _subordination_rule(times.min(), SUB_PANELS)
-    out = _read_table(f, params, x, times, 0, s[:, 1::2], wg[:, 1::2])[0]
-    return out.reshape(times.shape) if np.ndim(t) else float(out[0])
+    """P_t f(x) = int_0^inf g(t, s) T_s f(x) ds by subordination: poisson_dt_apply
+    at m = 0."""
+    return poisson_dt_apply(f, params, t, x, 0)
 
 
 def poisson_dt_apply(f, params: MultiIndexParams, t, x, m: int):
-    """d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds, for t as in poisson_apply.
-
-    Every rule is laid down to the smallest time and read with its Kronrod
-    and Gauss weights, and each time is doubled from SUB_PANELS on its own.
+    """d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds at one time t (a float
+    is returned) or an array of times (an array of that shape), all read off
+    one semigroup table on the rule laid down to the smallest time; each time
+    is doubled from KERNEL_PANELS on its own.
     """
     times, x = np.asarray(check_above("t", t)), params.point(x)
     check_integer(m, 0, "m")
     flat = times.ravel()
     out = _doubled(
-        lambda i, n: _read_table(f, params, x, flat[i], m, *_subordination_rule(flat.min(), n)),
+        lambda i, n: _read_table(f, params, x, flat[i], m, _subordination_rule(flat.min(), n)),
         flat.size,
-        SUB_PANELS,
+        KERNEL_PANELS,
         lambda i: f"d^{m}/dt^{m} P_t f(x) at x={x}, t={flat[i]:g}",
     )
     return out.reshape(times.shape) if np.ndim(t) else float(out[0])

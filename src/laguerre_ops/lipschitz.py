@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, check_above
+from .errors import DomainError, check_above, check_integer
 from .expansion import (
     LaguerreExpansion,
     MultiIndexParams,
@@ -128,6 +128,8 @@ def _grids(t_grid, x_grid, params):
     t_grid = tuple(np.ravel(t_grid).tolist())
     if x_grid is None:
         return t_grid, _default_grid(params.d, 24)[0]
+    if not np.iterable(x_grid):
+        raise DomainError(f"x_grid must be a sequence of points, got {x_grid!r}")
     # the stacked points are checked once more as a whole, for an empty grid
     xs = np.array([params.point(p, "x_grid point") for p in x_grid])
     return t_grid, check_above("x_grid", xs)
@@ -186,6 +188,7 @@ def check_equivalence(
     [1/50, 50] (the underlying equivalence provides no explicit constant).
     """
     beta = check_above("beta", (beta,))[0]
+    k, l = check_integer(k, 1, "k"), check_integer(l, 1, "l")
     if k <= beta or l <= beta:
         raise DomainError("both derivative orders must exceed beta")
     t_grid, xs = _grids(t_grid, x_grid, params)

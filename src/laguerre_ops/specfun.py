@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, ive, kve, logsumexp, roots_genlaguerre
 
-from .errors import DomainError, PoleError, QuadratureError, check_integer
+from .errors import DomainError, PoleError, QuadratureError, check_above, check_integer
 
 __all__ = [
     "QuadratureRule",
@@ -149,8 +149,7 @@ def laguerre_rows(degree: int, alpha: float, x) -> np.ndarray:
     (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1},
     seeded L_0 = 1, L_1 = alpha + 1 - x.
     """
-    if alpha <= -1:
-        raise DomainError(f"Laguerre polynomials require alpha > -1, got {alpha}")
+    alpha = check_above("alpha", (alpha,), -1.0)[0]
     check_integer(degree, 0, "the degree")
     x_arr = np.asarray(x, dtype=float)
     rows = np.empty((degree + 1, *x_arr.shape))
@@ -194,10 +193,9 @@ def gauss_laguerre_rule(alpha: float, n: int) -> QuadratureRule:
     degree <= 2n - 1.  Rules are solved once per (alpha, n) and shared, so
     their arrays are read-only.
     """
-    if alpha <= -1:
-        raise DomainError(f"gauss_laguerre_rule requires alpha > -1, got {alpha}")
+    alpha = check_above("alpha", (alpha,), -1.0)[0]
     check_integer(n, 1, "n")
-    return _gauss_laguerre_rule(float(alpha), n)
+    return _gauss_laguerre_rule(alpha, n)
 
 
 @lru_cache(maxsize=128)
@@ -216,7 +214,6 @@ def _gauss_laguerre_rule(alpha: float, n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, exact_degree=2 * n - 1)
 
 
-@lru_cache(maxsize=256)
 def gauss_jacobi_rule(a: float, n: int) -> QuadratureRule:
     """Gauss rule for int_0^1 eta^a g(eta) d eta, a > -1 (Golub-Welsch),
     exact for polynomials g of degree <= 2n - 1.  The Jacobi matrix is taken
@@ -224,9 +221,13 @@ def gauss_jacobi_rule(a: float, n: int) -> QuadratureRule:
     weights near eta = 0 keep full relative precision down to a = -0.99.
     Rules are solved once per (a, n) and shared, so their arrays are read-only.
     """
-    if a <= -1:
-        raise DomainError(f"gauss_jacobi_rule requires a > -1, got {a}")
+    a = check_above("a", (a,), -1.0)[0]
     check_integer(n, 1, "n")
+    return _gauss_jacobi_rule(a, n)
+
+
+@lru_cache(maxsize=256)
+def _gauss_jacobi_rule(a: float, n: int) -> QuadratureRule:
     k = np.arange(1.0, n)
     c = 2.0 * k + a
     diag = (2.0 * k * (k + a + 1.0) + a * (a + 1.0)) / (c * (c + 2.0))

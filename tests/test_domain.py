@@ -28,8 +28,10 @@ from laguerre_ops import (
     check_pminusI_power,
     fractional_derivative_apply,
     fractional_integral_apply,
+    gauss_laguerre_rule,
     heat,
     l1_kernel_derivative,
+    laguerre_poly,
     lipschitz_seminorm,
     pi0,
     poisson,
@@ -43,17 +45,20 @@ from laguerre_ops import (
     stable_tail_mass,
 )
 from laguerre_ops.lipschitz import poisson_dt_expansion
+from laguerre_ops.specfun import gauss_jacobi_rule
 
 P = MultiIndexParams(1, (0.5,))
 E = random_expansion(P, 4, seed=1)
 E0 = pi0(E)
 f = lambda y: np.exp(-0.3 * y)
 T_SHORT = (0.5, 1.0)
+rule_values = lambda r: np.concatenate((r.nodes, r.weights))
 
 #: (id, call, low, good, shape).  shape is "number" (one number), "times"
 #: (a number or a sequence of them), "point" (a d = 1 point: a number or a
-#: sequence of one), "grid" (a sequence of numbers or points) or "alpha" (a
-#: sequence of one number)
+#: sequence of one), "grid" (a sequence of numbers or points), "points" (a
+#: grid that is a sequence, not one number), "alpha" (a sequence of one
+#: number) or "integer" (one integer, which no float stands for)
 ROWS = [
     ("KernelQuery.t",
      lambda v: poisson_kernel(KernelQuery(P, v, (1.0,), (2.0,))), 0.0, 1.0, "number"),
@@ -75,9 +80,13 @@ ROWS = [
     ("lipschitz_seminorm.t_grid",
      lambda v: lipschitz_seminorm(E, P, 0.5, t_grid=v).A_beta, 0.0, (1.0, 2.0), "grid"),
     ("lipschitz_seminorm.x_grid",
-     lambda v: lipschitz_seminorm(E, P, 0.5, x_grid=v).A_beta, 0.0, (1.0, 2.0), "grid"),
+     lambda v: lipschitz_seminorm(E, P, 0.5, x_grid=v).A_beta, 0.0, (1.0, 2.0), "points"),
     ("check_equivalence.beta",
      lambda v: check_equivalence(E, P, v, 3, 4).max_ratio, 0.0, 2.0, "number"),
+    ("check_equivalence.k",
+     lambda v: check_equivalence(E, P, 2.0, v, 4).max_ratio, 0, 3, "integer"),
+    ("check_equivalence.l",
+     lambda v: check_equivalence(E, P, 2.0, 3, v).max_ratio, 0, 4, "integer"),
     ("check_approximation.beta",
      lambda v: check_approximation(E, P, v, t_grid=T_SHORT).max_ratio, 0.0, 0.5, "number"),
     ("check_pminusI_power.beta",
@@ -104,6 +113,11 @@ ROWS = [
     ("fractional_derivative_apply.x callable",
      lambda v: fractional_derivative_apply(f, P, 0.5, v), 0.0, 1.0, "point"),
     ("MultiIndexParams.alpha", lambda v: MultiIndexParams(1, v).alpha, -1.0, 1.0, "alpha"),
+    ("laguerre_poly.alpha", lambda v: laguerre_poly(2, v, 1.0), -1.0, 0.5, "number"),
+    ("gauss_laguerre_rule.alpha",
+     lambda v: rule_values(gauss_laguerre_rule(v, 10)), -1.0, 0.5, "number"),
+    ("gauss_jacobi_rule.alpha",
+     lambda v: rule_values(gauss_jacobi_rule(v, 10)), -1.0, 0.5, "number"),
     ("heat", lambda v: spectral_apply(heat(v), E).vector, 0.0, 1.0, "number"),
     ("poisson", lambda v: spectral_apply(poisson(v), E).vector, 0.0, 1.0, "number"),
     ("bessel_potential",
@@ -127,9 +141,13 @@ def _bad_forms(value, shape):
     sequence slot inside a list, and a point or times slot both ways."""
     if value == []:
         return [value]
-    return {"number": [value], "grid": [[value]], "alpha": [[value], value]}.get(
-        shape, [value, [value]])
+    return {"number": [value], "integer": [value], "grid": [[value]], "points": [[value]],
+            "alpha": [[value], value]}.get(shape, [value, [value]])
 
+
+#: values that are bad only for their slot's shape: a float, integral or
+#: not, for an integer, and one number for a grid of points
+SHAPE_BAD = {"integer": [2.5, 3.0], "points": [1.0]}
 
 BAD = [
     pytest.param(call, form, ConfigError if name.startswith("ScenarioConfig") else DomainError,
@@ -137,6 +155,10 @@ BAD = [
     for name, call, low, _, shape in ROWS
     for value in _bad_values(low)
     for form in _bad_forms(value, shape)
+] + [
+    pytest.param(call, value, DomainError, id=f"{name}-{value!r}")
+    for name, call, _, _, shape in ROWS
+    for value in SHAPE_BAD.get(shape, [])
 ]
 
 
@@ -154,8 +176,11 @@ def _number_forms(good):
 
 
 def _good_forms(good, shape):
-    """Every accepted form of the valid value, and its plain float form."""
-    if shape == "grid":
+    """Every accepted form of the valid value, and its plain float form (an
+    int for an integer slot)."""
+    if shape == "integer":
+        return good, [np.int64(good), np.int32(good)]
+    if shape in ("grid", "points"):
         return list(good), [tuple(good), np.array(good), [np.float32(v) for v in good],
                             [int(v) for v in good], np.array(good, dtype=np.int64)]
     if shape == "alpha":

@@ -15,13 +15,13 @@ from laguerre_ops.expansion import (
     synthesize,
     synthesize_many,
 )
+from laguerre_ops.fractional import bessel_potential_apply
 from laguerre_ops.kernels import (
     BLOCK_POINTS,
     KERNEL_PANELS,
     S_CUTOFF,
     SUB_DOUBLINGS,
     SUB_ORDER,
-    SUB_PANELS,
     KernelQuery,
     heat_apply_kernel,
     heat_kernel,
@@ -250,13 +250,13 @@ class TestHeatEngine:
         # the sum of its terms' magnitudes must equal the scalar formula at
         # that time exactly
         f = lambda y: np.exp(-0.3 * y)
-        s, wk, wg = (a.ravel() for a in _subordination_rule(0.05, 12))
+        rule = s, wk, wg = _subordination_rule(0.05, KERNEL_PANELS)
         heat = _heat_apply_times(f, P_HALF, np.append(s, S_CUTOFF), (1.3,))
         heat, mean = heat[:-1], heat[-1]
         times = np.geomspace(0.05, 8.0, 3 * (BLOCK_POINTS // len(s)) + 5)
         density = [stable_density_dt(m, t, s) for t in times.tolist()]
         tails = [mean * stable_tail_mass(m, t, S_CUTOFF) for t in times.tolist()]
-        kron, gauss, sizes = _read_table(f, P_HALF, (1.3,), times, m, s, wk, wg)
+        kron, gauss, sizes = _read_table(f, P_HALF, (1.3,), times, m, rule)
         for got, w in ((kron, wk), (gauss, wg)):
             assert got.tolist() == [np.dot(w * g, heat) + c for g, c in zip(density, tails)]
         assert sizes.tolist() == [
@@ -534,6 +534,31 @@ class TestPoissonApply:
         with pytest.raises(DomainError):
             poisson_apply(np.exp, P_HALF, t, (1.0,))
 
+    @pytest.mark.parametrize("d, t", [
+        (1, 0.7), (1, np.array([[1e-3, 0.3], [2.0, 45.0]])),
+        (2, 0.7), (2, np.array([[0.3], [2.0]])),
+    ])
+    def test_is_dt_apply_at_order_zero(self, d, t):
+        # one route: P_t f(x) is d^0/dt^0 P_t f(x), bit for bit
+        params = MultiIndexParams(d, (0.5, -0.25)[:d])
+        x = (1.3, 0.6)[:d]
+        f = lambda y: np.exp(-0.3 * y) if d == 1 else np.exp(-0.3 * y[:, 0] - 0.1 * y[:, 1])
+        got, want = poisson_apply(f, params, t, x), poisson_dt_apply(f, params, t, x, 0)
+        assert np.shape(got) == np.shape(t) and np.array_equal(got, want)
+
+    def test_unsettled_time_is_named(self, monkeypatch):
+        # with no tolerance and no doubling no time settles, so P_t f(x) and
+        # the callable operators that read it raise instead of returning the
+        # unchecked sum, and the error names the time and the point
+        monkeypatch.setattr(kernels, "SUB_ABS", 0.0)
+        monkeypatch.setattr(kernels, "SUB_REL", 0.0)
+        monkeypatch.setattr(kernels, "SUB_DOUBLINGS", 0)
+        f = lambda y: laguerre_poly(3, 0.5, y)
+        with pytest.raises(QuadratureError, match=r"at x=\(1\.3,\), t=0\.7 did not"):
+            poisson_apply(f, P_HALF, 0.7, (1.3,))
+        with pytest.raises(QuadratureError, match=r"at x=\(1\.3,\), t=\S+ did not"):
+            bessel_potential_apply(f, P_HALF, 0.5, (1.3,))
+
     def test_dt_apply_matches_multiplier(self):
         k, m, t, x = 3, 2, 0.7, 1.3
         got = poisson_dt_apply(lambda y: laguerre_poly(k, 0.5, y), P_HALF, t, (x,), m)
@@ -634,7 +659,7 @@ class TestPoissonBlock:
         x = (1.3, 0.6)[:d]
         y = np.random.default_rng(3).uniform(0.01, 6.0, (200, d))
         block = _poisson_block_once(params, 0.25, x, y, m, KERNEL_PANELS)
-        assert len(y) * len(_subordination_rule(0.25, KERNEL_PANELS)[0].ravel()) > BLOCK_POINTS
+        assert len(y) * len(_subordination_rule(0.25, KERNEL_PANELS)[0]) > BLOCK_POINTS
         for i in range(len(y)):
             alone = _poisson_block_once(params, 0.25, x, y[i : i + 1], m, KERNEL_PANELS)
             assert alone[:, 0].tolist() == block[:, i].tolist()
@@ -770,11 +795,12 @@ class TestSubordinationRule:
     """The one s-rule of kernel values, the L1 norm and the semigroup table."""
 
     def test_gauss_columns_are_the_gauss_legendre_rule(self):
-        # poisson_apply reads the embedded Gauss nodes: bit for bit the
+        # the error estimate reads the embedded Gauss nodes: bit for bit the
         # SUB_ORDER-node Gauss-Legendre panels in log s on the same breaks
-        for t, panels in ((1e-3, SUB_PANELS), (0.7, SUB_PANELS), (0.05, KERNEL_PANELS)):
-            s, wk, wg = _subordination_rule(t, panels)
-            h = math.log(S_CUTOFF / kernels._s_floor(1.0)) / panels
+        for t in (1e-3, 0.7, 0.05):
+            s, wk, wg = (a.reshape(-1, 2 * SUB_ORDER + 1) for a in
+                         _subordination_rule(t, KERNEL_PANELS))
+            h = math.log(S_CUTOFF / kernels._s_floor(1.0)) / KERNEL_PANELS
             u, w = _panel_nodes(math.log(S_CUTOFF) - h * np.arange(len(s), -1.0, -1.0), SUB_ORDER)
             assert s[:, 1::2].ravel().tolist() == np.exp(u).tolist()
             assert wg[:, 1::2].ravel().tolist() == (w * np.exp(u)).tolist()
@@ -782,17 +808,16 @@ class TestSubordinationRule:
 
     @pytest.mark.parametrize(
         "panels",
-        # every count kernel values and tables read, KERNEL_PANELS 2^j and
-        # SUB_PANELS 2^j, and the counts 8 2^j between them
-        sorted({b * 2**j for b in (KERNEL_PANELS, 8, SUB_PANELS)
-                for j in range(SUB_DOUBLINGS + 1)}),
+        # every count kernel values and tables read, KERNEL_PANELS 2^j, and
+        # the counts 8 2^j between them
+        sorted({b * 2**j for b in (KERNEL_PANELS, 8) for j in range(SUB_DOUBLINGS + 1)}),
     )
     def test_laplace_transform(self, panels):
         # sum_i (w s)_i g(t, s_i) e^{-n s_i} plus the tail past S_CUTOFF is
         # e^{-t sqrt(n)} at every panel count kernel values and tables read,
         # with the Kronrod weights and with the embedded Gauss weights
         for t in (1e-4, 1e-3, 0.05, 0.25, 1.0, 5.0, 30.0):
-            s, wk, wg = (a.ravel() for a in _subordination_rule(t, panels))
+            s, wk, wg = _subordination_rule(t, panels)
             tail = stable_tail_mass(0, t, S_CUTOFF)
             for ws in (wk, wg):
                 g = ws * stable_density(t, s)

@@ -23,6 +23,7 @@ from laguerre_ops.lipschitz import (
     poisson_dt_expansion,
     sup_norm,
 )
+from laguerre_ops.report import report_to_json
 from laguerre_ops.specfun import laguerre_poly
 
 P = MultiIndexParams(1, (0.5,))
@@ -152,6 +153,13 @@ class TestChecks:
         c = LaguerreExpansion(P, 0, {(0,): 1.0})
         r = check_equivalence(c, P, 0.5, 1, 2)
         assert r.passed and r.max_ratio == 1.0
+
+    def test_equivalence_numpy_orders_give_the_int_report(self):
+        # a numpy integer order is read as its int, so the report's config
+        # holds an int and emits the same JSON
+        e = random_expansion(P, 5, seed=3)
+        want = report_to_json(check_equivalence(e, P, 0.5, 1, 2))
+        assert report_to_json(check_equivalence(e, P, 0.5, np.int64(1), np.int32(2))) == want
 
     def test_equivalence_rejects_small_orders(self):
         with pytest.raises(DomainError):

@@ -15,6 +15,9 @@ figure is the median wall time of single calls after one warm-up call:
   l1_kernel_derivative at t = 0.5 and at t = 0.05 (where the subordination
   rule, laid down to the floor of t, has the most panels);
 - expansion: analyze and synthesize;
+- lipschitz: lipschitz_seminorm at d = 3, degree 4, beta = 1.5 on the
+  default grids, one stacked synthesis of the 11 times (and of f) on the
+  24^3 x grid;
 - harness: each scenario of the fast set, at its default configuration;
 - tier-1: the wall time of the whole test suite (left out with --quick,
   which also takes fewer repeats);
@@ -97,6 +100,8 @@ def layer_costs(repeats):
     heat_times = np.geomspace(1e-3, 40.0, 45)
     nodes = _heat_axis_rule(0.5, heat_times, 1.3)[1].size
     e = lo.random_expansion(p2, 10, seed=0)
+    p3 = lo.MultiIndexParams(3, (0.5, -0.25, 2.0))
+    e3 = lo.random_expansion(p3, 4, seed=0)
     pts = np.random.default_rng(0).uniform(0.1, 5.0, (1024, 2))
     mass_queries = [lo.KernelQuery(p1, 0.25, (1.0,), (float(y),)) for y in mass_y_nodes()]
     return {
@@ -124,6 +129,7 @@ def layer_costs(repeats):
         ),
         "analyze_d2_degree10_s": median_s(lambda: lo.analyze(f2, p2, 10), repeats),
         "synthesize_d2_degree10_1024_points_s": median_s(lambda: lo.synthesize_many(e, pts), repeats),
+        "lipschitz_stack_d3_s": median_s(lambda: lo.lipschitz_seminorm(e3, p3, 1.5), repeats),
     }
 
 

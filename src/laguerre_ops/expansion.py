@@ -6,8 +6,12 @@ degree N stores them as one read-only vector over every multi-index with
 Every diagonal operator multiplies c_k by its symbol m(param, |k|); the six
 symbols and their zero-mean requirements are stated once, in OPERATORS.
 Synthesis builds the per-axis Laguerre tables once per call, for one
-coefficient vector or for a stack of them.  This is the oracle path the
-kernel/quadrature implementations are checked against.
+coefficient vector or for a stack of them, and contracts the coefficients
+one k axis at a time, at scattered points or on a tensor grid given by its
+per-axis nodes.  Every point takes the same products and sums in each
+form, so its value is the same bit for bit from synthesize,
+synthesize_many, a tensor grid or one column of a stack.  This is the
+oracle path the kernel/quadrature implementations are checked against.
 """
 
 from __future__ import annotations
@@ -83,16 +87,19 @@ def _coordinates(name, value, low, d):
 
 @lru_cache(maxsize=64, typed=True)
 def _layout(d: int, degree: int):
-    """(indices, orders, position) of the coefficient vector for (d, degree).
+    """(indices, orders, position, grid) of the coefficient vector for
+    (d, degree), grid the indices as a (d, ncoef) array, read-only.
     Typed, so a float degree misses the cache and reaches the check."""
     check_integer(degree, 0, "degree")
     indices = tuple(sorted(
         (k for k in itertools.product(range(degree + 1), repeat=d) if sum(k) <= degree),
         key=lambda k: (sum(k), k),
     ))
-    orders = np.array([sum(k) for k in indices])
-    orders.flags.writeable = False
-    return indices, orders, {k: i for i, k in enumerate(indices)}
+    grid = np.array(indices).T
+    orders = grid.sum(axis=0)
+    for a in (grid, orders):
+        a.flags.writeable = False
+    return indices, orders, {k: i for i, k in enumerate(indices)}, grid
 
 
 def enumerate_indices(d: int, degree: int) -> list:
@@ -122,7 +129,7 @@ class LaguerreExpansion:
     vector: np.ndarray
 
     def __init__(self, params: MultiIndexParams, degree: int, coeffs=None):
-        indices, orders, position = _layout(params.d, degree)
+        indices, orders, position, _ = _layout(params.d, degree)
         if isinstance(coeffs, Mapping):
             vector = np.zeros(len(indices))
             for k, c in coeffs.items():
@@ -271,63 +278,146 @@ def call_on_points(f, pts) -> np.ndarray:
     return np.asarray(f(pts[..., 0] if pts.shape[-1] == 1 else pts), dtype=float)
 
 
+@lru_cache(maxsize=64, typed=True)
+def _analysis_axis(alpha: float, degree: int):
+    """(rule, rows) of analyze on an axis of type alpha: the Gauss-Laguerre
+    rule and the Laguerre rows up to the degree at its nodes, times its
+    weights (read-only), built once per (alpha, degree)."""
+    rule = gauss_laguerre_rule(alpha, max(2 * degree + 8, 24))
+    rows = laguerre_rows(degree, alpha, rule.nodes) * rule.weights
+    rows.flags.writeable = False
+    return rule, rows
+
+
 def analyze(f, params: MultiIndexParams, degree: int) -> LaguerreExpansion:
     """Forward Laguerre transform by tensor Gauss-Laguerre quadrature on
     max(2 degree + 8, 24) nodes per axis.
 
     c_k = (integral of f * L_k^alpha d mu_alpha) / ||L_k^alpha||^2.
     Exact (to rounding) when f is a polynomial of low enough degree.
-    f is called as call_on_points describes.  Its values on the grid are
-    contracted one axis at a time with that axis's weighted Laguerre rows.
+    f is called as call_on_points describes, and returns one finite value
+    per point or one for all of them, else DomainError.  Its values on the
+    grid are contracted one axis at a time with that axis's weighted
+    Laguerre rows.
     """
-    rules = [gauss_laguerre_rule(a, max(2 * degree + 8, 24)) for a in params.alpha]
-    pts, _ = tensor_grid([r.nodes for r in rules], [r.weights for r in rules])
-    sums = np.broadcast_to(call_on_points(f, pts), len(pts)).reshape([len(r.nodes) for r in rules])
-    for r, a in zip(rules, params.alpha):  # the leading axis is the next grid axis
-        sums = np.tensordot(sums, laguerre_rows(degree, a, r.nodes) * r.weights, (0, 1))
-    indices = np.array(_layout(params.d, degree)[0]).T
-    return LaguerreExpansion(
-        params, degree, sums[tuple(indices)] / basis_norm_sq(indices, params))
+    axes = [_analysis_axis(a, degree) for a in params.alpha]
+    pts, _ = tensor_grid([r.nodes for r, _ in axes], [r.weights for r, _ in axes])
+    values = call_on_points(f, pts)
+    if values.shape not in ((), (len(pts),)) or not np.isfinite(values).all():
+        raise DomainError(
+            f"f must return one finite value at each of the {len(pts)} grid points, or one for all")
+    sums = np.broadcast_to(values, len(pts)).reshape([len(r.nodes) for r, _ in axes])
+    for _, rows in axes:  # the leading axis is the next grid axis
+        sums = np.tensordot(sums, rows, (0, 1))
+    grid = _layout(params.d, degree)[3]
+    return LaguerreExpansion(params, degree, sums[tuple(grid)] / basis_norm_sq(grid, params))
 
 
 def synthesize(e: LaguerreExpansion, x) -> float:
-    """Evaluate sum_k c_k L_k^alpha(x) at a single point x in (0, inf)^d."""
-    xt = np.atleast_1d(np.asarray(x, dtype=float))
-    if xt.shape != (e.params.d,):
-        raise DomainError(f"point must have {e.params.d} coordinates")
-    return float(synthesize_many(e, xt)[0])
+    """Evaluate sum_k c_k L_k^alpha(x) at a single point x in (0, inf)^d
+    (a tuple, list or array of d numbers; one number when d = 1)."""
+    return float(_synthesize(e, e.vector, np.array([e.params.point(x)]))[0])
 
 
-def synthesize_many(e: LaguerreExpansion, xs: np.ndarray) -> np.ndarray:
-    """Vectorized synthesize over points; xs shape (m,) for d=1 or (m, d)."""
-    return _synthesize(e, e.vector, xs)
+def synthesize_many(e: LaguerreExpansion, xs) -> np.ndarray:
+    """synthesize at each of m points: xs of shape (m, d), or (m,) when d = 1.
+    Any other shape, or a coordinate that is not finite and > 0, raises
+    DomainError."""
+    try:
+        pts = np.asarray(xs)
+    except ValueError:  # a ragged nesting
+        pts = None
+    pts = check_above("points", pts)
+    d = e.params.d
+    if pts.ndim == 1 and d == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise DomainError(f"points must have shape (m, {d}), got shape {pts.shape}")
+    return _synthesize(e, e.vector, pts)
+
+
+#: float64 values of the intermediate of one block of scattered points
+#: (256 KiB: it stays in cache)
+_BLOCK_VALUES = 1 << 15
+
+
+@lru_cache(maxsize=64)
+def _steps(d: int, degree: int) -> tuple:
+    """The contraction of the k axes, one step per axis: (order, spans) for
+    q = d, ..., 1 axes left.
+
+    The coefficients of q axes arrive in graded order (enumerate_indices).
+    order (None where it changes nothing) gathers them into k-major order:
+    by the first k, then in graded order over the rest, whose |rest| <=
+    degree - k is a prefix of the graded indices of q - 1 axes.  spans[k]
+    is (start, length) of the block whose first index is k.
+    """
+    steps = []
+    for q in range(d, 0, -1):
+        rests = _layout(q - 1, degree)[0] if q > 1 else ((),)
+        lengths = [sum(1 for r in rests if sum(r) <= degree - k) for k in range(degree + 1)]
+        position = _layout(q, degree)[2]
+        order = np.array([position[(k,) + r] for k, m in enumerate(lengths) for r in rests[:m]])
+        order.flags.writeable = False
+        starts = np.cumsum([0] + lengths[:-1]).tolist()
+        in_place = bool((order == np.arange(order.size)).all())
+        steps.append((None if in_place else order, tuple(zip(starts, lengths))))
+    return tuple(steps)
 
 
 def _synthesize(e: LaguerreExpansion, coeffs: np.ndarray, xs) -> np.ndarray:
     """sum_k c_k L_k^alpha at the points xs for coefficients in e's index order.
 
     coeffs is one vector, shape (ncoef,), giving shape (m,), or a stack of T
-    vectors as columns, shape (ncoef, T), giving shape (T, m).  The per-axis
-    tables are built once for the whole stack.  Each term is
-    ((c_k L_k0) L_k1) ..., added in index order; rows of coeffs that are
-    zero throughout are skipped.
+    vectors as columns, shape (ncoef, T), giving shape (T, m).  xs is an
+    (m, d) array of checked points, or a tuple of d per-axis node arrays:
+    the tensor grid of their product, m points in C order, the last axis
+    fastest.  The k axes are contracted one at a time (_contract).
+    Scattered points go through in blocks.  The value at a point is the
+    same, bit for bit, whichever form of xs holds it and whichever column of
+    a stack holds its coefficients.
     """
-    pts = np.asarray(xs, dtype=float).reshape(-1, e.params.d)
-    tables = [laguerre_rows(e.degree, a, pts[:, j]) for j, a in enumerate(e.params.alpha)]
-    if coeffs.ndim == 1:
-        rows = live = coeffs.tolist()  # a float is false exactly when it is zero
+    steps = _steps(e.params.d, e.degree)
+    stack = coeffs.reshape(len(coeffs), -1)
+    if isinstance(xs, tuple):
+        tables = [laguerre_rows(e.degree, a, x) for a, x in zip(e.params.alpha, xs)]
+        out = _contract(stack, steps, tables, tensor=True)
     else:
-        rows, live = coeffs[:, :, None], coeffs.any(axis=1)
-    total = np.zeros(coeffs.shape[1:] + pts.shape[:1])
-    term = np.empty_like(total)
-    for c, k, keep in zip(rows, e.indices, live):
-        if not keep:
-            continue
-        np.multiply(c, tables[0][k[0]], out=term)
-        for j in range(1, e.params.d):
-            term *= tables[j][k[j]]
-        total += term
-    return total
+        tables = [laguerre_rows(e.degree, a, x) for a, x in zip(e.params.alpha, xs.T)]
+        width = steps[0][1][0][1]  # the values per column and point after the first axis
+        block = max(1, _BLOCK_VALUES // (width * stack.shape[1]))
+        out = [_contract(stack, steps, [t[:, i:i + block] for t in tables], tensor=False)
+               for i in range(0, len(xs), block)]
+        out = out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
+    return out.reshape(coeffs.shape[1:] + (-1,))
+
+
+def _contract(a: np.ndarray, steps, tables, tensor: bool) -> np.ndarray:
+    """Sum a's coefficients against the Laguerre tables, one k axis at a time:
+    step j takes a_j[rest] = sum over k = 0, ..., degree - |rest| of
+    a_(j-1)[k, rest] * tables[j][k], k ascending.
+
+    The first axis's product is an outer product over its points.  On a
+    tensor grid every axis's is, over that axis's nodes; on scattered points
+    the later ones run along the shared point axis.  Each point thus takes
+    the same products and sums in either form.
+    """
+    for j, ((order, spans), rows) in enumerate(zip(steps, tables)):
+        if order is not None:
+            a = a[order]
+        if tensor or j == 0:
+            a = a[..., None]
+        if j == len(tables) - 1:  # one entry per k
+            acc = a[0] * rows[0]
+            for a_k, row in zip(a[1:], rows[1:]):
+                acc += a_k * row
+        else:
+            acc = a[:spans[0][1]] * rows[0]
+            for (i, m), row in zip(spans[1:], rows[1:]):
+                part = acc[:m]
+                part += a[i:i + m] * row
+        a = acc
+    return a
 
 
 def random_expansion(

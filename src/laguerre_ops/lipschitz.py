@@ -7,10 +7,14 @@ lower bound on the true supremum).  Two paths produce the time derivative:
 the diagonal multiplier (-sqrt(n_k))^n e^(-t sqrt(n_k)) on expansions, and
 the kernel side's poisson_dt_apply, which reads every t of the grid off one
 semigroup table per x (subordination of the heat kernel, no multipliers).
-On the spectral path a whole time grid is one stacked synthesis: the
-multipliers of every t form the columns of one coefficient stack, and the
-Laguerre tables of the x grid are built once for all of them.  Both grids
-must be nonempty, every t finite and positive, and every x in (0, inf)^d.
+On the spectral path all that one check reads of f is one stacked
+synthesis: the multipliers of every t (and 1, for ||f||) form the columns
+of one coefficient stack, and the Laguerre tables of the x grid are built
+once for all of them.  The default x grid is handed to the synthesis as its
+per-axis nodes, so each k axis is contracted by an outer product over that
+axis's 24 nodes; a value there is bit for bit the one synthesize_many gives
+at the same point.  Both grids must be nonempty, every t finite and
+positive, and every x in (0, inf)^d.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,14 +52,23 @@ __all__ = [
 ]
 
 
+class _XGrid(NamedTuple):
+    """A checked x grid, in the two forms its readers take."""
+
+    nodes: object  # what _synthesize reads: per-axis nodes of a tensor grid, or the points
+    points: np.ndarray  # the (M, d) points, read-only
+
+
 @lru_cache(maxsize=3)
 def _default_grid(d: int, points: int):
-    """Log-spaced spatial grid in [0.05, 20] per axis, as a read-only
-    (points^d, d) array and as point tuples, built once per (d, points)."""
+    """Log-spaced spatial grid in [0.05, 20] per axis, built once per
+    (d, points): the tensor grid of that axis as an _XGrid, and its points
+    as tuples."""
     axis = np.geomspace(0.05, 20.0, points)
     xs = tensor_grid([axis] * d, [np.ones(points)] * d)[0]
-    xs.flags.writeable = False
-    return xs, tuple(map(tuple, xs.tolist()))
+    for a in (axis, xs):
+        a.flags.writeable = False
+    return _XGrid((axis,) * d, xs), tuple(map(tuple, xs.tolist()))
 
 
 def default_x_grid(d: int = 1, points: int = 24):
@@ -104,9 +118,14 @@ def _dt_multiplier(m, t, n):
     return factors
 
 
-def _pminusI_multiplier(m, t_grid, n):
-    """(e^(-t sqrt(m)) - 1)^n, the symbol of (P_t - I)^n; orders m by times t."""
-    return np.expm1(-np.asarray(t_grid, float) * np.sqrt(m)[:, None]) ** n
+def _pminusI_multiplier(m, t, n):
+    """(e^(-t sqrt(m)) - 1)^n, the symbol of (P_t - I)^n; m and t broadcast."""
+    return np.expm1(-t * np.sqrt(m)) ** n
+
+
+def _dt(ts, n):
+    """The symbol of d^n/dt^n P_t at the times ts, as a function of the orders."""
+    return lambda m: _dt_multiplier(m, ts, n)
 
 
 def poisson_dt_expansion(e: LaguerreExpansion, t: float, n: int) -> LaguerreExpansion:
@@ -114,16 +133,23 @@ def poisson_dt_expansion(e: LaguerreExpansion, t: float, n: int) -> LaguerreExpa
     return e.scaled(_dt_multiplier(e.orders, check_above("t", (t,))[0], n))
 
 
-def _sups_over_t(f: LaguerreExpansion, factors, xs) -> np.ndarray:
-    """max over xs of |g_i| for each column i of factors, where g_i has the
-    coefficients f.vector * factors[:, i]: one stacked synthesis."""
-    return np.max(np.abs(_synthesize(f, f.vector[:, None] * factors, xs)), axis=1)
+def _sups(f, grid: _XGrid, *symbols) -> list:
+    """For each symbol, max over the grid of |g_i| for each column i of
+    symbol(m), m the orders as a column, where g_i has the coefficients
+    f.vector * symbol(m)[:, i]: every column of every symbol in one stacked
+    synthesis, its sups split back per symbol.  np.ones_like gives f itself."""
+    if not isinstance(f, LaguerreExpansion):
+        raise DomainError("spectral path needs an expansion input")
+    factors = [symbol(f.orders[:, None]) for symbol in symbols]
+    values = _synthesize(f, f.vector[:, None] * np.hstack(factors), grid.nodes)
+    return np.split(np.max(np.abs(values), axis=1), np.cumsum([a.shape[1] for a in factors[:-1]]))
 
 
 def _grids(t_grid, x_grid, params):
-    """The t grid as a tuple of times and the x grid as an (M, d) array of
-    points of params (for d = 1 they may be plain numbers), each taken from
-    default_t_grid/default_x_grid if None, else DomainError."""
+    """The t grid as a tuple of times and the x grid as an _XGrid of points
+    of params (for d = 1 they may be plain numbers), each taken from
+    default_t_grid/default_x_grid if None, else DomainError.  The default x
+    grid is read as the tensor grid it is."""
     t_grid = check_above("t_grid", default_t_grid() if t_grid is None else t_grid)
     t_grid = tuple(np.ravel(t_grid).tolist())
     if x_grid is None:
@@ -131,24 +157,13 @@ def _grids(t_grid, x_grid, params):
     if not np.iterable(x_grid):
         raise DomainError(f"x_grid must be a sequence of points, got {x_grid!r}")
     # the stacked points are checked once more as a whole, for an empty grid
-    xs = np.array([params.point(p, "x_grid point") for p in x_grid])
-    return t_grid, check_above("x_grid", xs)
+    xs = check_above("x_grid", np.array([params.point(p, "x_grid point") for p in x_grid]))
+    xs.flags.writeable = False
+    return t_grid, _XGrid(xs, xs)
 
 
-def _a_beta(f, params, beta, n, t_grid, xs, method):
-    """(sup_t t^(n-beta) ||d^n_t P_t f||, {t: ||d^n_t P_t f||}) for an order n > beta."""
-    if method == "spectral":
-        if not isinstance(f, LaguerreExpansion):
-            raise DomainError("spectral path needs an expansion input")
-        factors = _dt_multiplier(f.orders[:, None], np.asarray(t_grid, float), n)
-        sups = _sups_over_t(f, factors, xs)
-    elif method == "kernel":
-        func = (lambda y: synthesize_many(f, y)) if isinstance(f, LaguerreExpansion) else f
-        # one semigroup table per x serves the whole t grid
-        vals = [poisson_dt_apply(func, params, np.array(t_grid), x, n) for x in xs]
-        sups = np.max(np.abs(vals), axis=0)
-    else:
-        raise DomainError(f"unknown method {method!r}")
+def _a_beta(beta, n, t_grid, sups):
+    """(sup_t t^(n-beta) s_t, {t: s_t}) for s_t = ||d^n_t P_t f|| on the t grid."""
     sup_table = {t: float(v) for t, v in zip(t_grid, sups)}
     return max(t ** (n - beta) * s for t, s in sup_table.items()), sup_table
 
@@ -164,12 +179,21 @@ def lipschitz_seminorm(
     """Measure A_beta(f) = sup_t t^(n-beta) ||d^n/dt^n P_t f||_inf on grids."""
     beta = check_above("beta", (beta,))[0]
     n = smallest_integer_above(beta)
-    t_grid, xs = _grids(t_grid, x_grid, params)
-    a_beta, sup_table = _a_beta(f, params, beta, n, t_grid, xs, method)
-    f_vals = synthesize_many(f, xs) if isinstance(f, LaguerreExpansion) else call_on_points(f, xs)
-    f_sup = float(np.max(np.abs(f_vals)))
-    points = _default_grid(params.d, 24)[1] if x_grid is None else tuple(map(tuple, xs.tolist()))
-    return LipschitzEstimate(beta, n, t_grid, points, sup_table, a_beta, f_sup)
+    t_grid, grid = _grids(t_grid, x_grid, params)
+    if method == "spectral":
+        sups, (f_sup,) = _sups(f, grid, _dt(np.array(t_grid), n), np.ones_like)
+    elif method == "kernel":
+        func = (lambda y: synthesize_many(f, y)) if isinstance(f, LaguerreExpansion) else f
+        # one semigroup table per x serves the whole t grid
+        vals = [poisson_dt_apply(func, params, np.array(t_grid), x, n) for x in grid.points]
+        sups = np.max(np.abs(vals), axis=0)
+        f_sup = np.max(np.abs(call_on_points(func, grid.points)))
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    a_beta, sup_table = _a_beta(beta, n, t_grid, sups)
+    points = _default_grid(params.d, 24)[1] if x_grid is None else tuple(
+        map(tuple, grid.points.tolist()))
+    return LipschitzEstimate(beta, n, t_grid, points, sup_table, a_beta, float(f_sup))
 
 
 def check_equivalence(
@@ -191,9 +215,10 @@ def check_equivalence(
     k, l = check_integer(k, 1, "k"), check_integer(l, 1, "l")
     if k <= beta or l <= beta:
         raise DomainError("both derivative orders must exceed beta")
-    t_grid, xs = _grids(t_grid, x_grid, params)
-    a_k, _ = _a_beta(f, params, beta, k, t_grid, xs, "spectral")
-    a_l, _ = _a_beta(f, params, beta, l, t_grid, xs, "spectral")
+    t_grid, grid = _grids(t_grid, x_grid, params)
+    ts = np.array(t_grid)
+    sups_k, sups_l = _sups(f, grid, _dt(ts, k), _dt(ts, l))
+    a_k, a_l = _a_beta(beta, k, t_grid, sups_k)[0], _a_beta(beta, l, t_grid, sups_l)[0]
     if a_k == 0.0 and a_l == 0.0:
         ratio = 1.0
     elif a_l == 0.0:
@@ -230,10 +255,10 @@ def check_approximation(
         raise DomainError("approximation check needs beta in (0, 1)")
     if not isinstance(f, LaguerreExpansion):
         raise DomainError("approximation check is defined on expansions")
-    t_grid, xs = _grids(t_grid, x_grid, params)
-    n = smallest_integer_above(beta)
-    a_beta, _ = _a_beta(f, params, beta, n, t_grid, xs, "spectral")
-    sups = _sups_over_t(f, _pminusI_multiplier(f.orders, t_grid, 1), xs)
+    t_grid, grid = _grids(t_grid, x_grid, params)
+    n, ts = smallest_integer_above(beta), np.array(t_grid)
+    sups_dt, sups = _sups(f, grid, _dt(ts, n), lambda m: _pminusI_multiplier(m, ts, 1))
+    a_beta, _ = _a_beta(beta, n, t_grid, sups_dt)
     rows = []
     worst = 0.0
     for t, measured in zip(t_grid, sups.tolist()):
@@ -263,24 +288,26 @@ def check_pminusI_power(
     n = smallest_integer_above(beta)."""
     if not isinstance(f, LaguerreExpansion):
         raise DomainError("this check is defined on expansions")
-    est = lipschitz_seminorm(f, params, beta, t_grid, x_grid)
-    beta, t_grid, xs, f_sup, n = est.beta, est.t_grid, np.array(est.x_grid), est.f_sup, est.n
+    beta = check_above("beta", (beta,))[0]
+    n = smallest_integer_above(beta)
     if beta.is_integer():
         raise DomainError(
             f"at the integer beta = {beta} the n-fold simplex integral of v^(beta-n) diverges")
+    t_grid, grid = _grids(t_grid, x_grid, params)
+    ts = np.array(t_grid)
+    sups_dt, (f_sup,), sups = _sups(
+        f, grid, _dt(ts, n), np.ones_like, lambda m: _pminusI_multiplier(m, ts, n))
+    a_beta, _ = _a_beta(beta, n, t_grid, sups_dt)
     # n-fold simplex integral of v^(beta-n) over [0,t]^n equals
     # C(n, beta) t^beta with C = Delta_1^n(x^beta, 0) / prod_(i<n) (beta-i)
     denom = 1.0
     for i in range(n):
         denom *= beta - i
     simplex_c = forward_difference(lambda u: u**beta, n, 1.0, 0.0) / denom
-    factors = _pminusI_multiplier(f.orders, t_grid, n)
-    rows = []
-    for t, measured in zip(t_grid, _sups_over_t(f, factors, xs).tolist()):
-        rows.append(ReportRow(f"t={t:.6g},uniform", measured, 2.0**n * f_sup))
-        rows.append(
-            ReportRow(f"t={t:.6g},holder", measured, simplex_c * est.A_beta * t**beta)
-        )
+    rows, uniform = [], 2.0**n * float(f_sup)
+    for t, measured in zip(t_grid, sups.tolist()):
+        rows.append(ReportRow(f"t={t:.6g},uniform", measured, uniform))
+        rows.append(ReportRow(f"t={t:.6g},holder", measured, simplex_c * a_beta * t**beta))
     ratios = [r.measured / r.bound for r in rows if r.bound > 0]
     return BoundReport(
         scenario="pminusI",

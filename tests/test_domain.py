@@ -43,6 +43,8 @@ from laguerre_ops import (
     spectral_apply,
     stable_density_dt,
     stable_tail_mass,
+    synthesize,
+    synthesize_many,
 )
 from laguerre_ops.lipschitz import poisson_dt_expansion
 from laguerre_ops.specfun import gauss_jacobi_rule
@@ -75,6 +77,8 @@ ROWS = [
     ("stable_density_dt.s", lambda v: stable_density_dt(1, 1.0, v), 0.0, 2.0, "times"),
     ("stable_tail_mass.t", lambda v: stable_tail_mass(1, v, 40.0), 0.0, 1.0, "times"),
     ("stable_tail_mass.s_hi", lambda v: stable_tail_mass(0, 0.5, v), 0.0, 40.0, "number"),
+    ("synthesize.x", lambda v: synthesize(E, v), 0.0, 1.0, "point"),
+    ("synthesize_many.xs", lambda v: synthesize_many(E, v), 0.0, (1.0, 2.0), "points"),
     ("poisson_dt_expansion.t", lambda v: poisson_dt_expansion(E, v, 1).vector, 0.0, 1.0, "number"),
     ("lipschitz_seminorm.beta", lambda v: lipschitz_seminorm(E, P, v).A_beta, 0.0, 2.0, "number"),
     ("lipschitz_seminorm.t_grid",

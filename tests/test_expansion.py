@@ -23,7 +23,9 @@ from laguerre_ops.expansion import (
     spectral_apply,
     synthesize,
     synthesize_many,
+    tensor_grid,
 )
+from laguerre_ops.expansion import _BLOCK_VALUES, _synthesize
 from laguerre_ops.specfun import laguerre_poly
 
 
@@ -129,20 +131,105 @@ def test_synthesize_single_point():
     )
 
 
+def _per_axis_reference(e, x):
+    """sum_k c_k L_k^alpha(x) by a plain loop, one axis at a time: axis j
+    takes s_j[rest] = sum over k = 0, ..., degree - |rest| of
+    s_(j-1)[(k,) + rest] L_k(x_j), k ascending, from s_0 = the coefficients."""
+    s = dict(e.coeffs)
+    for j, a in enumerate(e.params.alpha):
+        rows = [laguerre_poly(k, a, x[j]) for k in range(e.degree + 1)]
+        rests, s_j = {k[1:] for k in s}, {}
+        for r in rests:
+            total = s[(0,) + r] * rows[0]
+            for k in range(1, e.degree + 1 - sum(r)):
+                total = total + s[(k,) + r] * rows[k]
+            s_j[r] = total
+        s = s_j
+    return s[()]
+
+
 @pytest.mark.parametrize("d, degree", [(1, 8), (2, 6), (3, 4)])
 def test_synthesize_many_sums_terms_in_index_order_bitwise(d, degree):
-    # ((c_k L_k0(x0)) L_k1(x1)) ..., added in index order: the reference the
-    # stacked time-grid synthesis of the lipschitz checks is held to
+    # the axes are contracted in order, and along each axis the terms are
+    # added k ascending: the reference the stacked time-grid synthesis of
+    # the lipschitz checks is held to
     p = MultiIndexParams(d, (0.5, -0.25, 2.0)[:d])
     e = random_expansion(p, degree, seed=3)
     xs = np.random.default_rng(0).uniform(0.05, 20.0, (50, d))
-    want = np.zeros(50)
-    for c, k in zip(e.vector.tolist(), e.indices):
-        term = c * laguerre_poly(k[0], p.alpha[0], xs[:, 0])
-        for j in range(1, d):
-            term = term * laguerre_poly(k[j], p.alpha[j], xs[:, j])
-        want += term
+    want = [_per_axis_reference(e, x) for x in xs]
     np.testing.assert_array_equal(synthesize_many(e, xs), want)
+
+
+@pytest.mark.parametrize("d, degree", [(1, 8), (2, 6), (3, 4)])
+def test_value_at_a_point_is_the_same_however_it_is_reached(d, degree):
+    # one point, scattered points, a tensor grid and one column of a stack
+    # all give the same value bit for bit
+    p = MultiIndexParams(d, (0.5, -0.25, 2.0)[:d])
+    e = random_expansion(p, degree, seed=8)
+    axes = tuple(np.geomspace(0.05, 20.0, 5 + j) for j in range(d))
+    pts = tensor_grid(axes, [np.ones(len(a)) for a in axes])[0]
+    scattered = synthesize_many(e, pts)
+    np.testing.assert_array_equal(_synthesize(e, e.vector, axes), scattered)
+    factors = np.random.default_rng(1).uniform(-2.0, 2.0, (len(e.vector), 3))
+    stack = _synthesize(e, e.vector[:, None] * factors, axes)
+    for i in range(3):
+        column = synthesize_many(e.scaled(factors[:, i]), pts)
+        np.testing.assert_array_equal(stack[i], column)
+        np.testing.assert_array_equal(_synthesize(e, e.vector * factors[:, i], pts), column)
+    for i in (0, len(pts) // 2, len(pts) - 1):
+        assert synthesize(e, pts[i]) == scattered[i]
+        assert synthesize(e, tuple(pts[i])) == scattered[i]
+
+
+def test_scattered_points_in_many_blocks_match_one_by_one():
+    # past one block of points the synthesis runs block by block; at d = 2,
+    # degree 6, a block holds _BLOCK_VALUES // 7 points
+    p = MultiIndexParams(2, (0.5, -0.25))
+    e = random_expansion(p, 6, seed=2)
+    block = _BLOCK_VALUES // 7
+    xs = np.random.default_rng(3).uniform(0.05, 20.0, (2 * block + 5, 2))
+    got = synthesize_many(e, xs)
+    for i in (0, block - 1, block, 2 * block - 1, 2 * block, len(xs) - 1):
+        assert got[i] == synthesize(e, xs[i])
+
+
+@pytest.mark.parametrize("xs", [
+    np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), np.ones((2, 1)), [[1.0, 2.0], [3.0]],
+    [(1.0, 2.0), (3.0, -1.0)], [(1.0, 2.0), (3.0, math.nan)], np.empty((0, 2)),
+])
+def test_synthesize_many_takes_only_m_points_of_d_coordinates(xs):
+    # at d = 2, a (2, 3) array is not 3 points of 6 numbers, and a (3,) one
+    # is not a point set (it raised a raw ValueError)
+    e = random_expansion(MultiIndexParams(2, (0.5, -0.25)), 3, seed=1)
+    with pytest.raises(DomainError):
+        synthesize_many(e, xs)
+
+
+def test_synthesize_many_takes_a_list_of_points():
+    e = random_expansion(MultiIndexParams(2, (0.5, -0.25)), 3, seed=1)
+    xs = [(0.5, 1.0), (2.0, 3.0)]
+    np.testing.assert_array_equal(synthesize_many(e, xs), synthesize_many(e, np.array(xs)))
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: np.full(np.shape(x)[0], math.nan),
+    lambda x: np.where(x[:, 0] > 5.0, math.inf, 1.0),
+    lambda x: np.ones(3),
+    lambda x: np.ones((np.shape(x)[0], 2)),
+    lambda x: None,
+], ids=["nan", "inf", "three values", "two per point", "None"])
+def test_analyze_rejects_a_function_without_one_finite_value_per_point(f):
+    # a nan gave nan coefficients, a wrong count a raw ValueError
+    p = MultiIndexParams(2, (0.5, -0.25))
+    with pytest.raises(DomainError):
+        analyze(f, p, 3)
+
+
+def test_analyze_takes_a_constant_return():
+    p = MultiIndexParams(2, (0.5, -0.25))
+    e = analyze(lambda x: 2.5, p, 3)
+    assert e.mean == pytest.approx(2.5, abs=1e-13)
+    assert np.abs(e.vector[1:]).max() < 1e-13
 
 
 def test_synthesize_many_zero_expansion_and_degree_zero():

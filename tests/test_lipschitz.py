@@ -171,8 +171,8 @@ class TestChecks:
 
     def test_approximation_rows_take_one_synthesis(self, monkeypatch):
         # P_t f - f of every t comes from one stacked synthesis through the
-        # multiplier e^(-t sqrt(m)) - 1, beside the one that A_beta takes;
-        # f itself is not synthesized apart
+        # multiplier e^(-t sqrt(m)) - 1, the same one that A_beta takes (its
+        # 11 columns, then the rows' 11); f itself is not synthesized apart
         import laguerre_ops.lipschitz as lip
 
         f = random_expansion(P, 4, seed=1)
@@ -184,7 +184,7 @@ class TestChecks:
         monkeypatch.setattr(
             lip, "synthesize_many", lambda e, xs: calls.append(e) or single(e, xs))
         got = check_approximation(f, P, 0.5)
-        assert calls == [(f.vector.size, 11), (f.vector.size, 11)]
+        assert calls == [(f.vector.size, 22)]
         assert got.rows == want.rows and got.max_ratio == want.max_ratio
         est = lipschitz_seminorm(f, P, 0.5)
         assert [r.bound for r in got.rows] == [
@@ -302,6 +302,21 @@ class TestStackedTimeGrid:
             want = np.max(np.abs(synthesize_many(poisson_dt_expansion(f, t, est.n), xs)))
             assert est.sup_table[t] == want
         assert est.A_beta == max(t ** (est.n - beta) * s for t, s in est.sup_table.items())
+
+    @pytest.mark.parametrize("d, degree", [(1, 8), (2, 6), (3, 4)])
+    def test_default_points_given_as_x_grid_match_the_default(self, d, degree):
+        # the default grid is synthesized as a tensor grid, the same points
+        # passed as x_grid as scattered points: the numbers agree bit for bit
+        p = _params(d)
+        f = random_expansion(p, degree, seed=9)
+        for beta in (0.4, 1.7):
+            want = lipschitz_seminorm(f, p, beta)
+            got = lipschitz_seminorm(f, p, beta, x_grid=default_x_grid(d))
+            assert got == want
+        want = check_pminusI_power(f, p, 0.4)
+        assert check_pminusI_power(f, p, 0.4, x_grid=default_x_grid(d)) == want
+        want = check_approximation(f, p, 0.4)
+        assert check_approximation(f, p, 0.4, x_grid=default_x_grid(d)) == want
 
     @pytest.mark.parametrize("d, degree", [(1, 8), (2, 6)])
     def test_approximation_rows_match_per_t_loop(self, d, degree):

@@ -143,6 +143,7 @@ class LaguerreExpansion:
             vector = np.zeros(len(indices)) if coeffs is None else np.array(coeffs, dtype=float)
             if vector.shape != orders.shape:
                 raise DomainError(f"coefficient vector must have length {len(indices)}")
+        vector = check_above("coefficients", vector, -np.inf)
         vector.flags.writeable = False
         # frozen: the fields are set past the dataclass __setattr__
         self.__dict__.update(
@@ -162,8 +163,10 @@ class LaguerreExpansion:
         return float(self.vector[0])
 
     def scaled(self, factors) -> "LaguerreExpansion":
-        """The expansion with c_k replaced by factors[i] c_k (factors in index order)."""
-        return LaguerreExpansion(self.params, self.degree, self.vector * factors)
+        """The expansion with c_k replaced by factors[i] c_k (factors in index
+        order); DomainError where a product is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return LaguerreExpansion(self.params, self.degree, self.vector * factors)
 
     def __eq__(self, other):
         if not isinstance(other, LaguerreExpansion):

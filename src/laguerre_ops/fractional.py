@@ -32,7 +32,7 @@ from .expansion import (
     call_on_points,
     synthesize,
 )
-from .kernels import S_CUTOFF, KernelQuery, _panel_nodes, heat_apply_kernel, poisson_apply
+from .kernels import S_CUTOFF, KernelQuery, _leggauss, _panels, heat_apply_kernel, poisson_apply
 from .specfun import gamma, gauss_jacobi_rule
 
 __all__ = [
@@ -93,9 +93,12 @@ def _time_rule(route: str, lam: float, k: int):
     [1, S_END], and on the difference route a last node at S_END carries the
     analytic tail S_END^(-lam) / lam.
     """
+    if route == "laplace" and not math.lgamma(lam) < math.log(np.finfo(float).max):
+        raise DomainError(f"Gamma(lambda) overflows a float at lambda={lam!r}")
     p = lam - 1.0 if route == "laplace" else k - lam - 1.0
     body = gauss_jacobi_rule(p, 20)
-    tail, w = _panel_nodes(np.exp(np.linspace(0.0, math.log(S_END), 9)), 8)
+    breaks = np.exp(np.linspace(0.0, math.log(S_END), 9))
+    tail, w = (a.ravel() for a in _panels(breaks, *_leggauss(8)))
     if route == "laplace":
         s = np.concatenate((body.nodes, tail))
         weights = np.concatenate((body.weights, w * tail ** (lam - 1.0)))

@@ -35,11 +35,10 @@ from .fractional import ROUTES, FracOpConfig, _apply_expansion, forward_differen
 from .kernels import (
     KernelQuery,
     S_CUTOFF,
-    _panel_nodes,
-    _poisson_block,
+    _leggauss,
+    _l1_integral,
+    _panels,
     _s_floor,
-    _v_breaks,
-    _v_nodes,
     heat_apply_kernel,
     l1_kernel_derivative,
     poisson_apply,
@@ -139,8 +138,8 @@ def _run_subordination(cfg):
     for t in (0.1, 1.0, 5.0):
         # 96 Gauss-Legendre panels in log s from the floor of t to S_CUTOFF
         breaks = np.exp(np.linspace(math.log(_s_floor(t)), math.log(S_CUTOFF), 97))
-        s, w = _panel_nodes(np.log(breaks), 12)
-        s = np.exp(s)
+        s, w = _panels(np.log(breaks), *_leggauss(12))
+        s, w = np.exp(s.ravel()), w.ravel()
         g = stable_density(t, s) * s
         mass_past = stable_tail_mass(0, t, S_CUTOFF)
         for n in range(11):
@@ -163,9 +162,7 @@ def _run_kernel_mass(cfg):
     min_val = math.inf
     for t in (0.25, 1.0):
         for x in (0.5, 1.0, 2.0):
-            mass = l1_kernel_derivative(cfg.params, t, (x,), 0)
-            v, _ = _v_nodes(cfg.alpha[0], _v_breaks(t, x))
-            vals = _poisson_block(cfg.params, t, (x,), (v * v)[:, None], 0)
+            mass, vals = _l1_integral(cfg.params, t, (x,), 0)
             min_val = min(min_val, float(np.min(vals)))
             rows.append(ReportRow(f"t={t:g},x={x:g}", abs(mass - 1.0), tol))
     rows.append(ReportRow("min-node-value", -min_val, 0.0))
@@ -231,8 +228,7 @@ def _run_spectral_vs_kernel(cfg):
 def _run_lemma21(cfg):
     # dyadic points 0.05 * 2^j inside [0.05, 5]
     t_grid = [0.05 * 2.0**j for j in range(7)]
-    rows = []
-    ratios = {}
+    rows, ratios = [], {}
     for m in (1, 2):
         for t in t_grid:
             for x in (0.5, 1.0, 2.0):
@@ -271,11 +267,8 @@ def _run_prop33(cfg):
 def _refined_t_grid(levels):
     """Same span as the dyadic grid with geometric midpoints inserted."""
     base = default_t_grid(levels)
-    out = []
-    for a, b in zip(base[:-1], base[1:]):
-        out.extend([a, math.sqrt(a * b)])
-    out.append(base[-1])
-    return out
+    mids = [math.sqrt(a * b) for a, b in zip(base[:-1], base[1:])]
+    return [v for pair in zip(base, mids) for v in pair] + base[-1:]
 
 
 def _run_theorem(cfg):

@@ -38,11 +38,16 @@ read in blocks of times.
 
 l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on panels in
 v = sqrt(y), dyadic around the ridge at sqrt(x) and ending past it: the
-panel at v = 0 is the heat rule's Gauss-Jacobi panel, exact for the y^alpha
-endpoint, and the others are Gauss-Legendre.  Sign changes of d^m p are
-located by vectorised bisection and made panel breaks; only the panels a
-new break splits are read again.  All panels are halved until two
-successive sums agree, else QuadratureError.
+panel at v = 0 takes the Gauss-Jacobi rules of 2 Y_ORDER and Y_ORDER nodes,
+exact for the y^alpha endpoint, and every other panel a Gauss-Kronrod rule
+around Y_ORDER Gauss nodes, so each panel has a value and an estimate
+|K - G|.  Sign changes of d^m p between neighbouring nodes, and below the
+first node, where the sign of d^m p / y^alpha at y = 0 is extrapolated, are
+located by bisection and made breaks.  A panel that a new break splits or
+whose estimate exceeds its share of max(SUB_ABS, SUB_REL |sum|) is split,
+and only split panels are read again.  The sum settles once no sign change
+is new and sum |K - G| meets that tolerance, else after SUB_DOUBLINGS
+splits QuadratureError.
 """
 
 from __future__ import annotations
@@ -84,7 +89,8 @@ S_CUTOFF = 40.0
 #: SUB_REL |value|) or to SUB_ROUND sum |terms| (a zero derivative's terms
 #: cancel).  KERNEL_PANELS is the least count at which the rule's Laplace
 #: transform e^{-t sqrt(n)} holds to 1e-14 at every t in [1e-4, 30] (worst
-#: 5.6e-16 at 6 panels, 1.0e-14 at 5, 1.3e-12 at 4)
+#: 5.6e-16 at 6 panels, 1.0e-14 at 5, 1.3e-12 at 4).  The L1 y rule settles
+#: to the same SUB_ABS, SUB_REL within SUB_DOUBLINGS splits
 KERNEL_PANELS = 6
 SUB_ORDER = 12
 SUB_ABS = 1e-10
@@ -99,15 +105,11 @@ BLOCK_POINTS = 8192
 #: nodes per panel of the heat-axis rule (Gauss-Legendre and Gauss-Jacobi)
 HEAT_ORDER = 12
 
-#: the L1 y integral runs in v = sqrt(y) up to max(sqrt(Y_MAX), sqrt(x) + 3):
-#: Y_ORDER nodes per panel, at most Y_HALVINGS halvings of every panel until
-#: two sums agree to max(L1_ABS, L1_REL |sum|), and sign changes of the
-#: integrand located to ROOT_TOL in v
+#: the L1 y integral runs in v = sqrt(y) up to max(sqrt(Y_MAX), sqrt(x) + 3)
+#: on Kronrod panels around Y_ORDER Gauss nodes, and sign changes of the
+#: integrand are located to ROOT_TOL in v
 Y_MAX = 80.0
 Y_ORDER = 8
-Y_HALVINGS = 5
-L1_ABS = 1e-9
-L1_REL = 1e-7
 ROOT_TOL = 1e-9
 
 
@@ -178,11 +180,12 @@ def heat_kernel(q: KernelQuery) -> float:
 _leggauss = lru_cache(maxsize=None)(leggauss)
 
 
-def _panel_nodes(breaks: np.ndarray, order: int):
-    """Gauss-Legendre nodes/weights on each consecutive panel of `breaks`."""
-    xg, wg = _leggauss(order)
+def _panels(breaks: np.ndarray, nodes, *weights):
+    """A rule on [-1, 1] (its nodes and any number of weight rows) laid on each
+    consecutive panel of `breaks`: nodes and weight rows, one row per panel."""
     a, b = breaks[:-1, None], breaks[1:, None]
-    return (0.5 * (a + b) + 0.5 * (b - a) * xg).ravel(), (0.5 * (b - a) * wg).ravel()
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b) + half * nodes, *(half * w for w in weights))
 
 
 @lru_cache(maxsize=256)
@@ -328,10 +331,9 @@ def _subordination_rule(t_min, panels):
     h = math.log(S_CUTOFF / _s_floor(1.0)) / panels
     n = math.ceil(math.log(S_CUTOFF / _s_floor(t_min)) / h - 1e-9)
     breaks = math.log(S_CUTOFF) - h * np.arange(n, -1.0, -1.0)
-    a, b = breaks[:-1, None], breaks[1:, None]
-    u, wk, wg = gauss_kronrod_rule(SUB_ORDER)
-    s = np.exp(0.5 * (a + b) + 0.5 * (b - a) * u)
-    return s.ravel(), (0.5 * (b - a) * wk * s).ravel(), (0.5 * (b - a) * wg * s).ravel()
+    u, wk, wg = _panels(breaks, *gauss_kronrod_rule(SUB_ORDER))
+    s = np.exp(u)
+    return s.ravel(), (wk * s).ravel(), (wg * s).ravel()
 
 
 def _sub_weights(m, t, s, wk, wg):
@@ -514,60 +516,61 @@ def _sign_changes(sign_of, v, p, known):
     return 0.5 * (lo + hi)
 
 
-def _v_nodes(alpha, breaks):
-    """Nodes v and weights of the L1 rule on `breaks`, breaks[0] = 0: the
-    Jacobi panel on [0, breaks[1]], exact for the v^(2 alpha + 1) endpoint of
-    |p(v^2)| 2v, and Gauss-Legendre panels past it."""
-    g, wj = _jacobi_panel(alpha, Y_ORDER)
-    v, w = _panel_nodes(breaks[1:], Y_ORDER)
-    return np.concatenate((breaks[1] * g, v)), np.concatenate((breaks[1] * wj, w))
+def _endpoint_rule(alpha):
+    """The L1 panel at v = 0 as a rule on [-1, 1]: the nodes of
+    _jacobi_panel(alpha, 2 Y_ORDER), whose weights are its value row, and of
+    _jacobi_panel(alpha, Y_ORDER), whose weights are its estimate row, sorted."""
+    (gk, wk), (gg, wg) = _jacobi_panel(alpha, 2 * Y_ORDER), _jacobi_panel(alpha, Y_ORDER)
+    order = np.argsort(np.concatenate((gk, gg)))
+    g, wk, wg = (np.concatenate(r)[order] for r in ((gk, gg), (wk, 0 * wg), (0 * wk, wg)))
+    return 2.0 * g - 1.0, 2.0 * wk, 2.0 * wg
 
 
-def _v_integral(block, sign_of, alpha, breaks):
-    """int of |p(v^2)| 2v dv over the panels `breaks`, where block(y) = p(y)
-    and p(y) is y^alpha times a smooth function near y = 0, by the panels of
-    _v_nodes.
-
-    The sign changes of p, located with sign_of (p to within its
-    discretisation error), become breaks, so every panel integrates a smooth
-    function; a panel that no new break splits keeps its nodes, so its
-    values are kept too.  All panels are halved until two successive sums
-    agree to max(L1_ABS, L1_REL |sum|).
-    """
-    zeros = np.empty(0)
-    sums = []
-    for _ in range(Y_HALVINGS + 1):
-        v, w = _v_nodes(alpha, breaks)
-        p = block(v * v)
-        new = _sign_changes(sign_of, v, p, zeros)
-        if len(new):
-            zeros, old, breaks = np.union1d(zeros, new), breaks, np.union1d(breaks, new)
-            v, w = _v_nodes(alpha, breaks)
-            kept = np.isin(breaks[:-1], old) & np.isin(breaks[1:], old)
-            rows = np.empty((len(breaks) - 1, Y_ORDER))
-            rows[kept] = p.reshape(-1, Y_ORDER)[np.searchsorted(old, breaks[:-1][kept])]
-            split = v.reshape(-1, Y_ORDER)[~kept]
-            rows[~kept] = block((split * split).ravel()).reshape(-1, Y_ORDER)
-            p = rows.ravel()
-        sums.append(float(np.dot(2.0 * v * w, np.abs(p))))
-        if len(sums) > 1 and abs(sums[-1] - sums[-2]) <= max(L1_ABS, L1_REL * abs(sums[-1])):
-            return sums[-1]
-        breaks = np.sort(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]))))
+def _l1_integral(params, t, x, m):
+    """int of |p(y)| dy for p = d^m/dt^m p_t(x, .) at d = 1 by the L1 panel
+    rule of the module docstring, and the values of p at its last panels'
+    nodes.  A panel is read once, and keeps its values until it is split."""
+    alpha, breaks = params.alpha[0], _v_breaks(t, x[0])
+    block = lambda y: _poisson_block(params, t, x, y[:, None], m)
+    # bisection only reads signs, so it skips the refinement test, which
+    # cannot pass where p is below its own discretisation error
+    sign_of = lambda y: _poisson_block_once(params, t, x, y[:, None], m, KERNEL_PANELS)[0]
+    read, zeros = {}, np.empty(0)
+    for _ in range(SUB_DOUBLINGS + 1):
+        panels = list(zip(breaks[:-1], breaks[1:]))
+        kron = _panels(breaks, *gauss_kronrod_rule(Y_ORDER))
+        end = _panels(breaks[:2], *_endpoint_rule(alpha))
+        new = [i for i, key in enumerate(panels) if key not in read]
+        rules = [[r[i] for r in (end if i == 0 else kron)] for i in new]
+        values = block(np.concatenate([v for v, _, _ in rules]) ** 2)
+        for i, (v, wk, wg) in zip(new, rules):
+            p, values = values[: len(v)], values[len(v) :]
+            f = 2.0 * v * np.abs(p)
+            read[panels[i]] = v, p, np.dot(wk, f), np.dot(wg, f)
+        v, p, sums, gauss = (np.hstack(c) for c in zip(*(read[key] for key in panels)))
+        # p / y^alpha at y = 0 from the parabola through the first three nodes
+        y0 = v[:3] ** 2
+        c0 = np.polyfit(y0, p[:3] / y0**alpha, 2)[-1]
+        found = _sign_changes(sign_of, np.append(0.0, v), np.append(c0, p), zeros)
+        total, err = float(sums.sum()), np.abs(sums - gauss)
+        tol = max(SUB_ABS, SUB_REL * abs(total))
+        if not len(found) and err.sum() <= tol:
+            return total, p
+        # a panel that a zero splits is not halved as well
+        halve = err > tol / len(panels)
+        halve[np.searchsorted(breaks, found) - 1] = False
+        mids = 0.5 * (breaks[:-1] + breaks[1:])[halve]
+        zeros, breaks = np.union1d(zeros, found), np.union1d(breaks, np.append(found, mids))
     raise QuadratureError(
-        f"y quadrature did not reach L1_ABS={L1_ABS:g}, L1_REL={L1_REL:g} "
-        f"after {Y_HALVINGS} halvings: last two sums {sums[-2]!r}, {sums[-1]!r}"
+        f"the L1 y integral at t={t}, x={x}, m={m} did not settle to max(SUB_ABS, "
+        f"SUB_REL |sum|) in {SUB_DOUBLINGS} splits: sum {total!r}, estimate {err.sum():.3g}"
     )
 
 
 def l1_kernel_derivative(params: MultiIndexParams, t: float, x, m: int) -> float:
     """int over (0, inf) of |d^m/dt^m p_t(x, y)| dy, at d = 1, by the v-panel
-    rule of _v_integral on blocks of kernel values."""
+    rule of _l1_integral on blocks of kernel values."""
     if params.d != 1:
         raise DomainError("l1_kernel_derivative is one-dimensional; d must be 1")
     q = KernelQuery(params, t, x, derivative_order=m)
-    t, x = q.t, q.x
-    block = lambda y: _poisson_block(params, t, x, y[:, None], m)
-    # bisection only reads signs, so it skips the refinement test, which
-    # cannot pass where p is below its own discretisation error
-    sign_of = lambda y: _poisson_block_once(params, t, x, y[:, None], m, KERNEL_PANELS)[0]
-    return _v_integral(block, sign_of, params.alpha[0], _v_breaks(t, x[0]))
+    return _l1_integral(params, q.t, q.x, m)[0]

@@ -73,12 +73,12 @@ def _default_grid(d: int, points: int):
 
 def default_x_grid(d: int = 1, points: int = 24):
     """Log-spaced spatial grid in [0.05, 20] per axis, as a list of point tuples."""
-    return list(_default_grid(d, points)[1])
+    return list(_default_grid(check_integer(d, 1, "d"), check_integer(points, 1, "points"))[1])
 
 
 def default_t_grid(levels: int = 11):
-    """Dyadic time grid 5 * 2^-j, ascending, from 5*2^-10 up to 5."""
-    return [5.0 * 2.0 ** (-j) for j in range(levels - 1, -1, -1)]
+    """Dyadic time grid 5 * 2^-j, ascending, from 5*2^-(levels-1) up to 5."""
+    return [5.0 * 2.0 ** (-j) for j in range(check_integer(levels, 1, "levels") - 1, -1, -1)]
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,14 @@ class LipschitzEstimate:
 
 
 def sup_norm(g, x_grid) -> float:
-    """max |g| over the grid; g maps a point (tuple) to a real."""
-    if len(x_grid) == 0:
+    """max |g| over the grid, any iterable of points; g maps a point (tuple)
+    to a real.  DomainError for an empty grid or a value that is not finite."""
+    if not np.iterable(x_grid):
+        raise DomainError(f"x_grid must be an iterable of points, got {x_grid!r}")
+    values = [float(g(x)) for x in x_grid]
+    if not values:
         raise DomainError("grid must be nonempty")
-    return max(abs(float(g(x))) for x in x_grid)
+    return max(map(abs, check_above("g on the grid", values, -math.inf)))
 
 
 def _dt_multiplier(m, t, n):
@@ -219,12 +223,7 @@ def check_equivalence(
     ts = np.array(t_grid)
     sups_k, sups_l = _sups(f, grid, _dt(ts, k), _dt(ts, l))
     a_k, a_l = _a_beta(beta, k, t_grid, sups_k)[0], _a_beta(beta, l, t_grid, sups_l)[0]
-    if a_k == 0.0 and a_l == 0.0:
-        ratio = 1.0
-    elif a_l == 0.0:
-        ratio = math.inf
-    else:
-        ratio = a_k / a_l
+    ratio = a_k / a_l if a_l != 0.0 else (1.0 if a_k == 0.0 else math.inf)
     ok = math.isfinite(ratio) and 1.0 / 50.0 <= ratio <= 50.0
     rows = (
         ReportRow(f"order={k}", a_k, math.inf),
@@ -300,9 +299,7 @@ def check_pminusI_power(
     a_beta, _ = _a_beta(beta, n, t_grid, sups_dt)
     # n-fold simplex integral of v^(beta-n) over [0,t]^n equals
     # C(n, beta) t^beta with C = Delta_1^n(x^beta, 0) / prod_(i<n) (beta-i)
-    denom = 1.0
-    for i in range(n):
-        denom *= beta - i
+    denom = math.prod(beta - i for i in range(n))
     simplex_c = forward_difference(lambda u: u**beta, n, 1.0, 0.0) / denom
     rows, uniform = [], 2.0**n * float(f_sup)
     for t, measured in zip(t_grid, sups.tolist()):

@@ -7,6 +7,7 @@ DomainError there (ConfigError for a ScenarioConfig field), and every
 accepted form of the valid value gives the output of the plain float.
 """
 
+import json
 import math
 
 import numpy as np
@@ -17,17 +18,23 @@ from laguerre_ops import (
     DomainError,
     FracOpConfig,
     KernelQuery,
+    LaguerreExpansion,
     MultiIndexParams,
     ScenarioConfig,
     bessel_derivative_apply,
     bessel_potential,
     bessel_potential_apply,
+    bessel_potential_expansion,
     c_lambda,
     check_approximation,
     check_equivalence,
     check_pminusI_power,
+    default_t_grid,
+    default_x_grid,
+    expansion_from_json,
     fractional_derivative_apply,
     fractional_integral_apply,
+    fractional_integral_expansion,
     gauss_laguerre_rule,
     heat,
     l1_kernel_derivative,
@@ -43,6 +50,7 @@ from laguerre_ops import (
     spectral_apply,
     stable_density_dt,
     stable_tail_mass,
+    sup_norm,
     synthesize,
     synthesize_many,
 )
@@ -130,6 +138,9 @@ ROWS = [
      lambda v: ScenarioConfig("prop31", alpha=v).alpha, -1.0, 1.0, "alpha"),
     ("ScenarioConfig.beta", lambda v: ScenarioConfig("prop31", beta=v).beta, 0.0, 2.0, "number"),
     ("ScenarioConfig.lam", lambda v: ScenarioConfig("thm44", lam=v).lam, 0.0, 1.0, "number"),
+    ("default_t_grid.levels", default_t_grid, 0, 3, "integer"),
+    ("default_x_grid.d", lambda v: default_x_grid(v, 4), 0, 2, "integer"),
+    ("default_x_grid.points", lambda v: default_x_grid(1, v), 0, 4, "integer"),
 ]
 
 
@@ -207,3 +218,52 @@ def test_accepted_forms_give_the_float_output(call, plain, forms):
     want = np.ravel(call(plain))
     for form in forms:
         assert np.array_equal(np.ravel(call(form)), want), form
+
+
+f0 = lambda y: 1.5 - y  # L_1^0.5, zero mean
+E2 = LaguerreExpansion(P, 1, [2.0, 3.0])
+json_nan = json.dumps({"d": 1, "alpha": [0.5], "N": 1, "coeffs": [{"k": [1], "c": math.nan}]})
+
+#: calls whose arguments lie in their slots' domains but that would compute
+#: a number that is not finite: Gamma(lambda) past the float range on the
+#: Laplace route (lambda >= 171.7), a coefficient or a sampled value of g
+#: that is nan or inf, and a grid that is no iterable of points
+NOT_FINITE = {
+    "bessel_potential_apply.lam=172": lambda: bessel_potential_apply(E, P, 172.0, 1.3),
+    "bessel_potential_apply.lam=300 callable": lambda: bessel_potential_apply(f, P, 300.0, 1.3),
+    "fractional_integral_apply.lam=172": lambda: fractional_integral_apply(E0, P, 172.0, 1.3),
+    "fractional_integral_apply.lam=200 callable":
+        lambda: fractional_integral_apply(f0, P, 200.0, 1.3),
+    "bessel_potential_expansion.lam=190":
+        lambda: bessel_potential_expansion(E, FracOpConfig(190.0)),
+    "fractional_integral_expansion.lam=172":
+        lambda: fractional_integral_expansion(E0, FracOpConfig(172.0)),
+    "LaguerreExpansion.vector-nan": lambda: LaguerreExpansion(P, 1, [1.0, math.nan]),
+    "LaguerreExpansion.vector-inf": lambda: LaguerreExpansion(P, 1, np.array([-math.inf, 1.0])),
+    "LaguerreExpansion.mapping-nan": lambda: LaguerreExpansion(P, 1, {(1,): math.nan}),
+    "LaguerreExpansion.mapping-inf": lambda: LaguerreExpansion(P, 1, {(0,): math.inf}),
+    "expansion_from_json.NaN": lambda: expansion_from_json(json_nan),
+    "LaguerreExpansion.scaled-overflow": lambda: E2.scaled(np.array([1.0, 1e308])),
+    "sup_norm.nan-first": lambda: sup_norm(lambda x: math.nan if x[0] < 1.5 else 1.0,
+                                           [(1.0,), (2.0,)]),
+    "sup_norm.nan-second": lambda: sup_norm(lambda x: 1.0 if x[0] < 1.5 else math.nan,
+                                            [(1.0,), (2.0,)]),
+    "sup_norm.inf": lambda: sup_norm(lambda x: math.inf, [(1.0,)]),
+    "sup_norm.x_grid-number": lambda: sup_norm(lambda x: 1.0, 3.0),
+    "sup_norm.x_grid-empty-generator": lambda: sup_norm(lambda x: 1.0, iter(())),
+}
+
+
+@pytest.mark.parametrize("call", NOT_FINITE.values(), ids=NOT_FINITE.keys())
+def test_value_that_is_not_finite_raises(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_checks_leave_their_domain_edges_open():
+    # Gamma(171.6) is finite, so the Laplace route still runs there, and a
+    # grid may be any iterable of points
+    assert np.isfinite(bessel_potential_apply(E, P, 171.6, 1.3))
+    grid = default_x_grid(points=6)
+    g = lambda x: 1.0 / x[0]
+    assert sup_norm(g, (p for p in grid)) == sup_norm(g, grid) == 20.0

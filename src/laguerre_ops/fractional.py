@@ -9,7 +9,9 @@ multiplier and c_lambda_k are sums over that rule; on a callable, the rule is
 applied to P_s f(x), which comes from one poisson_apply call at every time
 the route needs.  The power-law endpoint at s = 0, s^(lam-1) on the Laplace
 route and s^(k-lam-1) on the difference route, is carried exactly by the
-rule's one Gauss-Jacobi panel (specfun.gauss_jacobi_rule).
+rule's one Gauss-Jacobi panel (specfun.gauss_jacobi_rule).  The rule ends at
+kernels.S_CUTOFF with an analytic tail past it: a last node on the
+difference route, and on the Laplace route the exact tail of each rate.
 
 Sign conventions: (P_s - I)^k f(x) equals the forward difference
 Delta_s^k(u(x, .), 0) of u(x, s) = P_s f(x), and the normalizing constant
@@ -20,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import comb
+from scipy.special import comb, gammaincc
 
-from .errors import DomainError, NonzeroMeanError, check_above, check_integer
+from .errors import DomainError, NonzeroMeanError, QuadratureError, check_above, check_integer
 from .expansion import (
     OPERATORS,
     LaguerreExpansion,
@@ -32,7 +35,7 @@ from .expansion import (
     call_on_points,
     synthesize,
 )
-from .kernels import S_CUTOFF, KernelQuery, _leggauss, _panels, heat_apply_kernel, poisson_apply
+from .kernels import _EPS, S_CUTOFF, SUB_ABS, SUB_REL, _leggauss, _panels, poisson_apply
 from .specfun import gamma, gauss_jacobi_rule
 
 __all__ = [
@@ -54,11 +57,7 @@ __all__ = [
 
 def smallest_integer_above(lam: float) -> int:
     """Smallest integer strictly greater than lam (so 1.0 -> 2); lam finite."""
-    lam = check_above("order", (lam,), -math.inf)[0]
-    k = math.floor(lam) + 1
-    if k <= lam:  # lam sits exactly on an integer due to floor rounding
-        k += 1
-    return int(k)
+    return math.floor(check_above("order", (lam,), -math.inf)[0]) + 1
 
 
 @dataclass(frozen=True)
@@ -76,36 +75,35 @@ class FracOpConfig:
 # The time rule of each route
 # ---------------------------------------------------------------------------
 
-#: the rule stops at S_END, where e^(-a s) < 3e-20 for every mode a >= 1,
-#: and resolves e^(-a s) on (0, 1] up to the rate A_REF
-S_END = 45.0
+#: the rule resolves e^(-a s) on (0, 1] up to the rate A_REF
 A_REF = 20.0
 
 
+@lru_cache(maxsize=256)
 def _time_rule(route: str, lam: float, k: int):
-    """Nodes s and weights W of the one s-rule of a route.
+    """Nodes s and weights W of the one s-rule of a route, read-only.
 
-    Laplace: sum W g(s) ~ int_0^inf s^(lam-1) g(s) ds for g that have died
-    out by S_END.  Difference: sum W g(s) ~ int_0^inf s^(-lam-1) g(s) ds for
-    g = O(s^k) at 0 that have settled to a constant by S_END.  The power-law
-    endpoint, s^(lam-1) or s^(k-lam-1) times g / s^k, is carried by one
-    Gauss-Jacobi panel on (0, 1]; log-spaced Gauss-Legendre panels take
-    [1, S_END], and on the difference route a last node at S_END carries the
-    analytic tail S_END^(-lam) / lam.
+    Laplace: sum W g(s) ~ int_0^S_CUTOFF s^(lam-1) g(s) ds; each consumer adds
+    the tail past it.  Difference: sum W g(s) ~ int_0^inf s^(-lam-1) g(s) ds
+    for g = O(s^k) at 0 that have settled to a constant by S_CUTOFF.  The
+    power-law endpoint, s^(lam-1) or s^(k-lam-1) times g / s^k, is carried by
+    one Gauss-Jacobi panel on (0, 1]; log-spaced Gauss-Legendre panels take
+    [1, S_CUTOFF], and on the difference route a last node at S_CUTOFF
+    carries the analytic tail S_CUTOFF^(-lam) / lam.
     """
     if route == "laplace" and not math.lgamma(lam) < math.log(np.finfo(float).max):
         raise DomainError(f"Gamma(lambda) overflows a float at lambda={lam!r}")
     p = lam - 1.0 if route == "laplace" else k - lam - 1.0
     body = gauss_jacobi_rule(p, 20)
-    breaks = np.exp(np.linspace(0.0, math.log(S_END), 9))
+    breaks = np.exp(np.linspace(0.0, math.log(S_CUTOFF), 9))
     tail, w = (a.ravel() for a in _panels(breaks, *_leggauss(8)))
     if route == "laplace":
         s = np.concatenate((body.nodes, tail))
         weights = np.concatenate((body.weights, w * tail ** (lam - 1.0)))
     else:
-        s = np.concatenate((body.nodes, tail, [S_END]))
+        s = np.concatenate((body.nodes, tail, [S_CUTOFF]))
         weights = np.concatenate(
-            (body.weights / body.nodes**k, w * tail ** (-lam - 1.0), [S_END ** (-lam) / lam])
+            (body.weights / body.nodes**k, w * tail ** (-lam - 1.0), [S_CUTOFF ** (-lam) / lam])
         )
     s.flags.writeable = weights.flags.writeable = False
     return s, weights
@@ -156,7 +154,9 @@ def _route_integral(route: str, lam: float, k: int, a):
     a = np.asarray(a, dtype=float)
     if route == "laplace":
         scale = np.maximum(a / A_REF, 1.0)
-        return np.exp(-np.multiply.outer(a / scale, s)) @ w * scale ** (-lam)
+        b = a / scale  # the rate in scale s, whose tail past S_CUTOFF is exact
+        tail = gamma(lam) * gammaincc(lam, b * S_CUTOFF) / b**lam
+        return (np.exp(-np.multiply.outer(b, s)) @ w + tail) * scale ** (-lam)
     scale = np.maximum(k * a / A_REF, 1.0)
     return np.expm1(-np.multiply.outer(a / scale, s)) ** k @ w * scale**lam
 
@@ -210,24 +210,37 @@ def _callable_route(kind, f, params, lam, k, x):
     shift, route = ROUTES[kind]
     s, w = _time_rule(route, lam, k)
     if route == "laplace":
-        u = np.exp(-shift * s) * poisson_apply(f, params, s, x)
-        return float(np.dot(w, u)) / gamma(lam)
+        # P_s f(x) has reached the mean of f by S_CUTOFF, and past it u decays
+        # like e^(-s): e^(-s) times that mean, or a zero mean's rate-1 mode
+        times = np.append(s, S_CUTOFF)
+        u = np.exp(-shift * times) * poisson_apply(f, params, times, x)
+        _check_mean(kind, u[-1])
+        tail = u[-1] * math.exp(S_CUTOFF) * gammaincc(lam, S_CUTOFF)
+        return float(np.dot(w, u[:-1])) / gamma(lam) + float(tail)
     # column j holds u(j s), j = 0..k, and Delta_s^k(u, 0) is the unit-step
-    # difference of j -> u(j s)
+    # difference of j -> u(j s), taken of f - f(x), which vanishes as s -> 0,
+    # so as not to cancel terms of the size of f(x): f(x) adds const
+    fx = float(call_on_points(f, np.asarray(x)))
     times = np.outer(s, np.arange(1.0, k + 1))
-    u = np.exp(-shift * times) * poisson_apply(f, params, times, x)
-    u = np.column_stack((np.full(len(s), float(call_on_points(f, np.asarray(x)))), u))
-    delta = forward_difference(lambda j: u[:, int(j)], k, 1.0, 0.0)
-    return float(np.dot(w, delta)) / (np.expm1(-s) ** k @ w)  # c_lambda(lam, k)
+    centred = lambda y: np.asarray(f(y), dtype=float) - fx
+    u = np.exp(-shift * times) * poisson_apply(centred, params, times, x)
+    u = np.column_stack((np.zeros(len(s)), u))
+    const = fx * np.expm1(-shift * s) ** k
+    delta = forward_difference(lambda j: u[:, int(j)], k, 1.0, 0.0) + const
+    c = np.expm1(-s) ** k @ w  # c_lambda(lam, k)
+    value = float(np.dot(w, delta)) / c
+    # Delta^k still cancels near s = 0; its rounding, bounded as in _doubled, must meet tol
+    size = np.abs(w) @ (np.abs(u) @ comb(k, np.arange(k + 1)) + np.abs(const)) / abs(c)
+    if _EPS * size > max(SUB_ABS, SUB_REL * abs(value)):
+        raise QuadratureError(f"Delta_s^k P_s f(x) at lambda={lam!r}, k={k}, x={x} cancels "
+                              f"below its rounding: eps sum |terms| = {_EPS * size:.3g}")
+    return value
 
 
 def _dispatch(kind, f, params, lam, x):
     cfg, x = FracOpConfig(lam), params.point(x)
     if isinstance(f, LaguerreExpansion):
         return synthesize(_apply_expansion(kind, f, cfg), np.asarray(x))
-    if OPERATORS[kind].zero_mean:
-        # T_s f(x) has reached the mu_alpha-mean of f by S_CUTOFF
-        _check_mean(kind, heat_apply_kernel(f, KernelQuery(params, S_CUTOFF, x)))
     return _callable_route(kind, f, params, lam, smallest_integer_above(lam), x)
 
 

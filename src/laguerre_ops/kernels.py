@@ -37,12 +37,13 @@ chunked heat-apply call (one heat-axis rule per axis and chunk of times),
 read in blocks of times.
 
 l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on panels in
-v = sqrt(y), dyadic around the ridge at sqrt(x) and ending past it: the
-panel at v = 0 takes the Gauss-Jacobi rules of 2 Y_ORDER and Y_ORDER nodes,
-exact for the y^alpha endpoint, and every other panel a Gauss-Kronrod rule
-around Y_ORDER Gauss nodes, so each panel has a value and an estimate
-|K - G|.  Sign changes of d^m p between neighbouring nodes, and below the
-first node, where the sign of d^m p / y^alpha at y = 0 is extrapolated, are
+v = sqrt(y) (_v_breaks), dyadic around the ridge at sqrt(x) and ending where
+the kernel's mass past them is below e^(-S_CUTOFF): the panel at v = 0
+takes the Gauss-Jacobi rules of 2 Y_ORDER and Y_ORDER nodes, exact for the
+y^alpha endpoint, and every other panel a Gauss-Kronrod rule around Y_ORDER
+Gauss nodes, so each panel has a value and an estimate |K - G|.  Sign
+changes of d^m p between neighbouring nodes, and below the first node,
+where the sign of d^m p / y^alpha at y = 0 is extrapolated, are
 located by bisection and made breaks.  A panel that a new break splits or
 whose estimate exceeds its share of max(SUB_ABS, SUB_REL |sum|) is split,
 and only split panels are read again.  The sum settles once no sign change
@@ -60,6 +61,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad  # noqa: F401  (bench/tracing.py patches kernels.quad)
+from scipy.special import gammainccinv
 
 from .errors import DomainError, OverflowGuardError, QuadratureError, check_above, check_integer
 from .expansion import MultiIndexParams, call_on_points, tensor_grid
@@ -79,8 +81,9 @@ __all__ = [
     "l1_kernel_derivative",
 ]
 
-#: upper subordination cutoff: e^{-s} < 5e-18 for s > 40, so the heat
-#: semigroup is its equilibrium mean beyond it and the tail is analytic.
+#: the one cutoff of every integral to infinity: e^{-s} < 5e-18 for s > 40.
+#: The subordination rule and fractional._time_rule end there with an
+#: analytic tail, and the L1 y range where the mass past it is below e^{-40}.
 S_CUTOFF = 40.0
 
 #: the subordination rule: Gauss-Kronrod panels in log s around SUB_ORDER
@@ -105,10 +108,8 @@ BLOCK_POINTS = 8192
 #: nodes per panel of the heat-axis rule (Gauss-Legendre and Gauss-Jacobi)
 HEAT_ORDER = 12
 
-#: the L1 y integral runs in v = sqrt(y) up to max(sqrt(Y_MAX), sqrt(x) + 3)
-#: on Kronrod panels around Y_ORDER Gauss nodes, and sign changes of the
-#: integrand are located to ROOT_TOL in v
-Y_MAX = 80.0
+#: the L1 y integral runs in v = sqrt(y) on Kronrod panels around Y_ORDER
+#: Gauss nodes, and sign changes of the integrand are located to ROOT_TOL in v
 Y_ORDER = 8
 ROOT_TOL = 1e-9
 
@@ -482,17 +483,20 @@ def poisson_dt_apply(f, params: MultiIndexParams, t, x, m: int):
     return out.reshape(times.shape) if np.ndim(t) else float(out[0])
 
 
-def _v_breaks(t, x):
-    """Panel breaks in v = sqrt(y) on (0, max(sqrt(Y_MAX), sqrt(x) + 3)).
+def _v_breaks(t, x, alpha):
+    """Panel breaks in v = sqrt(y) on (0, v_max).
 
+    The heat kernel of time s is the law of |sqrt(r x) e_1 + sqrt(1 - r) Z|^2,
+    r = e^-s and |Z|^2 of law mu_alpha, so the mass of p_t(x, .) past v_max =
+    sqrt(x) + sqrt(y_alpha) is below mu_alpha's past y_alpha, e^(-S_CUTOFF).
     p_t(x, .) peaks at v = sqrt(x) with width ~t, so breaks sit at sqrt(x)
     and at dyadic steps t 2^j away from it; on its left flank they also sit
-    at (sqrt(x) - t) 2^-j down to v = 1.
+    at halvings of the first break below sqrt(x) down to v = 1.
     """
     v0 = math.sqrt(x)
-    v_max = max(math.sqrt(Y_MAX), v0 + 3.0)
+    v_max = v0 + math.sqrt(gammainccinv(alpha + 1.0, math.exp(-S_CUTOFF)))
     steps = t * 2.0 ** np.arange(math.ceil(math.log2(v_max / t)) + 1)
-    low = v0 - t
+    low = v0 - t if t < v0 else v0
     flank = low * 0.5 ** np.arange(1.0, math.floor(math.log2(low)) + 1.0) if low > 1.0 else []
     around = np.concatenate((v0 - steps, [v0], v0 + steps, flank))
     around = around[(around > 0) & (around < v_max)]
@@ -530,7 +534,7 @@ def _l1_integral(params, t, x, m):
     """int of |p(y)| dy for p = d^m/dt^m p_t(x, .) at d = 1 by the L1 panel
     rule of the module docstring, and the values of p at its last panels'
     nodes.  A panel is read once, and keeps its values until it is split."""
-    alpha, breaks = params.alpha[0], _v_breaks(t, x[0])
+    alpha, breaks = params.alpha[0], _v_breaks(t, x[0], params.alpha[0])
     block = lambda y: _poisson_block(params, t, x, y[:, None], m)
     # bisection only reads signs, so it skips the refinement test, which
     # cannot pass where p is below its own discretisation error

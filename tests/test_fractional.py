@@ -7,7 +7,7 @@ from scipy.special import comb
 from scipy.special import gamma as scipy_gamma
 
 import laguerre_ops
-from laguerre_ops.errors import DomainError, NonzeroMeanError
+from laguerre_ops.errors import DomainError, NonzeroMeanError, QuadratureError
 from laguerre_ops.expansion import (
     OPERATORS,
     LaguerreExpansion,
@@ -23,6 +23,7 @@ from laguerre_ops.expansion import (
 from laguerre_ops.fractional import (
     ROUTES,
     _route_integral,
+    _time_rule,
     FracOpConfig,
     bessel_derivative_apply,
     bessel_derivative_expansion,
@@ -36,6 +37,7 @@ from laguerre_ops.fractional import (
     fractional_integral_expansion,
     smallest_integer_above,
 )
+from laguerre_ops.kernels import S_CUTOFF
 from laguerre_ops.specfun import laguerre_poly
 
 P = MultiIndexParams(1, (0.5,))
@@ -276,6 +278,28 @@ class TestOperatorTable:
             want = [m.value(v) for v in n.tolist()]
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11, err_msg=f"lam={lam}")
 
+    def test_time_rule_is_built_once_and_read_only(self):
+        for route, k in (("laplace", 1), ("difference", 2)):
+            s, w = _time_rule(route, 1.5, k)
+            assert _time_rule(route, 1.5, k)[1] is w
+            assert not (s.flags.writeable or w.flags.writeable)
+        # the difference route ends at the package's one cutoff, where its
+        # last node carries the tail S_CUTOFF^(-lam) / lam
+        assert (s[-1], w[-1]) == (S_CUTOFF, S_CUTOFF**-1.5 / 1.5)
+
+    @pytest.mark.parametrize("kind", ["bessel_potential", "fractional_integral"])
+    @pytest.mark.parametrize("lam", [15.0, 20.0, 30.0])
+    def test_laplace_multipliers_at_large_lambda(self, kind, lam):
+        # the Laplace rule adds the exact tail past S_CUTOFF, where the mass
+        # of s^(lam-1) e^(-s) grows with lam (a rule that stopped at s = 45
+        # was off by 7.3e-3 at lam = 30)
+        e = LaguerreExpansion(P, 10, np.ones(11))
+        if OPERATORS[kind].zero_mean:
+            e = pi0(e)
+        got = getattr(laguerre_ops, kind + "_expansion")(e, FracOpConfig(lam))
+        want = spectral_apply(getattr(laguerre_ops, kind)(lam), e)
+        np.testing.assert_allclose(got.vector, want.vector, rtol=1e-9, atol=0.0)
+
     @pytest.mark.parametrize("kind", list(ROUTES))
     def test_high_order_multipliers_use_homogeneity(self, kind):
         # modes whose fastest rate (a, or k a on the difference route) is
@@ -308,9 +332,10 @@ class TestOperatorTable:
         assert out.vector[:4].tolist() == [0.0] * 4
 
     def test_distinct_orders_leave_no_memory_behind(self):
-        # no time rule or c_lambda_k is kept per lambda; the first 300 fill
-        # the 256 Jacobi panels of specfun.gauss_jacobi_rule's cache, under
-        # tracing, so the panels it evicts later count as freed
+        # no c_lambda_k is kept per lambda, and the time rules kept per
+        # lambda are bounded; the first 300 fill the 256 rules of the time
+        # rule's cache and the 256 Jacobi panels of specfun.gauss_jacobi_rule's,
+        # under tracing, so the entries evicted later count as freed
         e = random_expansion(P, 8, seed=4)
         lams = np.random.default_rng(12).uniform(0.05, 1.95, 900).tolist()
         tracemalloc.start()
@@ -404,6 +429,18 @@ class TestPointApply:
         got = getattr(laguerre_ops, kind + "_apply")(f, params, lam, (250.0,))
         want = getattr(laguerre_ops, kind)(lam).value(2) * laguerre_poly(2, 300.0, 250.0)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.5, 2.5, 3.5, 4.5, 5.5])
+    def test_callable_derivative_is_within_tolerance_or_raises(self, lam):
+        # D_lam (1.5 - y) = L_1^0.5(1.3) = 0.2; from lam = 3.5 on Delta_s^k
+        # cancels below its rounding near s = 0 (it returned 3.02 at 5.5)
+        f = lambda y: 1.5 - y
+        if lam < 3.0:
+            got = fractional_derivative_apply(f, P, lam, (1.3,))
+            assert got == pytest.approx(0.2, rel=1e-8)
+        else:
+            with pytest.raises(QuadratureError, match=f"lambda={lam}, k="):
+                fractional_derivative_apply(f, P, lam, (1.3,))
 
     def test_callable_bessel_derivative_on_constants(self):
         got = bessel_derivative_apply(lambda y: np.ones_like(y), P, 0.5, (1.3,))

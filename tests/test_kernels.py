@@ -769,11 +769,15 @@ class TestL1Derivative:
         # the kernel is nonnegative, so m = 0 gives its total mass
         assert l1_kernel_derivative(P_NEG, 0.1, (2.0,), 0) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("x", [20.0, 70.0, 79.0, 100.0, 300.0])
-    def test_mass_is_one_past_y_max(self, x):
-        # the y range follows the ridge at sqrt(x) instead of stopping at Y_MAX,
-        # and the Jacobi panel at y = 0 is exact for the y^alpha endpoint
-        for alpha in (-0.9, -0.5, -0.25, 0.5, 5.0):
+    @pytest.mark.parametrize("x", [1.0, 20.0, 70.0, 79.0, 100.0, 300.0])
+    def test_mass_is_one_for_every_x_alpha_and_t(self, x):
+        # the y range ends where the kernel's mass past it is below
+        # e^-S_CUTOFF for every x and alpha (it stopped at y = 80 and lost
+        # 1.1e-2 of the mass at alpha = 60), the Jacobi panel at y = 0 is
+        # exact for the y^alpha endpoint, and the breaks below sqrt(x) keep
+        # it off mu_alpha's mass (at x = 300, t = 30, alpha = 40 one panel
+        # on y in [0, 300] gave a mass of 1.7e-15)
+        for alpha in (-0.9, -0.5, -0.25, 0.5, 5.0, 40.0, 60.0):
             params = MultiIndexParams(1, (alpha,))
             for t in (1e-3, 0.1, 1.0, 5.0, 30.0):
                 got = l1_kernel_derivative(params, t, (x,), 0)

@@ -16,7 +16,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import comb
@@ -31,7 +33,13 @@ from .expansion import (
     random_expansion,
     spectral_apply,
 )
-from .fractional import ROUTES, FracOpConfig, _apply_expansion, forward_difference
+from .fractional import (
+    ROUTES,
+    FracOpConfig,
+    _apply_expansion,
+    forward_difference,
+    smallest_integer_above,
+)
 from .kernels import (
     KernelQuery,
     S_CUTOFF,
@@ -45,12 +53,7 @@ from .kernels import (
     stable_density,
     stable_tail_mass,
 )
-from .lipschitz import (
-    check_approximation,
-    check_equivalence,
-    default_t_grid,
-    lipschitz_seminorm,
-)
+from .lipschitz import _measure, check_approximation, check_equivalence, default_t_grid
 from .report import BoundReport, ReportRow, emit_report
 from .specfun import laguerre_poly
 
@@ -85,29 +88,15 @@ class ScenarioConfig:
         a = math.ldexp(5.0, 1 - self.t_levels)
         if not math.sqrt(a * (2.0 * a)) >= sys.float_info.min:
             raise ConfigError("t_levels is so large that the smallest grid times underflow")
+        entry = _TABLE[self.scenario]
         defaults = {f.name: f.default for f in fields(self)}
-        unread = [n for n in ("beta", "lam", "degree", "t_levels")
-                  if n not in _READS.get(self.scenario, ()) and getattr(self, n) != defaults[n]]
+        unread = [n for n in _OPTIONAL if n not in entry.reads and getattr(self, n) != defaults[n]]
         if unread:
             raise ConfigError(f"scenario {self.scenario} does not read {', '.join(unread)}")
-        if self.scenario in ("kernel-mass", "spectral-vs-kernel", "lemma21") and self.d != 1:
+        if entry.one_dim and self.d != 1:
             raise ConfigError(f"scenario {self.scenario} is one-dimensional; d must be 1")
-        if self.scenario == "prop33" and self.beta is not None and not self.beta < 1:
-            raise ConfigError("prop33 requires 0 < beta < 1")
-        if self.scenario in ("thm42", "thm33", "thm44"):
-            b, l = self._beta_lam()
-            if self.scenario != "thm44" and not 0 < l < b < 1:
-                raise ConfigError("this scenario requires 0 < lambda < beta < 1")
-            if self.scenario == "thm44" and not 1 <= l < b:
-                raise ConfigError("this scenario requires 1 <= lambda < beta")
-
-    def _beta_lam(self):
-        """(beta, lambda) of a theorem scenario: the config's, else its spec's."""
-        _, beta, lam, _ = _THEOREM_SPECS[self.scenario]
-        return (
-            beta if self.beta is None else self.beta,
-            lam if self.lam is None else self.lam,
-        )
+        if entry.hypothesis and not entry.hypothesis[0](*entry.beta_lam(self)):
+            raise ConfigError(entry.hypothesis[1])
 
     @property
     def params(self) -> MultiIndexParams:
@@ -253,14 +242,13 @@ def _seeded_function(cfg):
 
 
 def _run_prop31(cfg):
-    beta = cfg.beta if cfg.beta is not None else 0.5
+    beta = cfg.beta
     r = check_equivalence(_seeded_function(cfg), cfg.params, beta, 1 + int(beta), 2 + int(beta))
     return r.claim, r.rows, r.max_ratio, r.passed
 
 
 def _run_prop33(cfg):
-    beta = cfg.beta if cfg.beta is not None else 0.9
-    r = check_approximation(_seeded_function(cfg), cfg.params, beta)
+    r = check_approximation(_seeded_function(cfg), cfg.params, cfg.beta)
     return r.claim, r.rows, r.max_ratio, r.passed
 
 
@@ -271,26 +259,27 @@ def _refined_t_grid(levels):
     return [v for pair in zip(base, mids) for v in pair] + base[-1:]
 
 
-def _run_theorem(cfg):
+def _run_theorem(kinds, claim, cfg):
     """Per operator, A_beta' of its output over the Lipschitz norm of its input,
     where beta' = beta + lam for a potential and beta - lam for a derivative,
-    on the dyadic t-grid and on the refined one, and the drift between them."""
-    kinds, _, _, claim = _THEOREM_SPECS[cfg.scenario]
-    beta, lam = cfg._beta_lam()
-    f = _seeded_function(cfg)
+    on the dyadic t-grid and on the refined one, and the drift between them:
+    every seminorm from one stacked synthesis."""
+    beta, lam, f = cfg.beta, cfg.lam, _seeded_function(cfg)
     grids = (default_t_grid(cfg.t_levels), _refined_t_grid(cfg.t_levels))
-    norms_in = [lipschitz_seminorm(f, cfg.params, beta, t_grid=t) for t in grids]
+    # f at beta, then each operator's output at its own order
+    targets = [(f, beta)] + [
+        (_apply_expansion(kind, f, FracOpConfig(lam)),
+         beta + lam if ROUTES[kind][1] == "laplace" else beta - lam) for kind in kinds]
+    _, _, (*seminorms, (f_sup,)) = _measure(cfg.params, grids[0], None, *[
+        (g, smallest_integer_above(b), b, ts) for g, b in targets for ts in grids], (f, 0))
+    a = [a_beta for a_beta, _ in seminorms]  # each target's A on the dyadic, then the refined grid
+    norms = (float(f_sup) + a[0], float(f_sup) + a[1])
     drift_tol = 0.10
     rows = []
     worst_drift = 0.0
     finite = True
-    for kind in kinds:
-        g = _apply_expansion(kind, f, FracOpConfig(lam))
-        beta_out = beta + lam if ROUTES[kind][1] == "laplace" else beta - lam
-        coarse, fine = (
-            lipschitz_seminorm(g, cfg.params, beta_out, t_grid=t).A_beta / (est.f_sup + est.A_beta)
-            for t, est in zip(grids, norms_in)
-        )
+    for kind, coarse, fine in zip(kinds, a[2::2], a[3::2]):
+        coarse, fine = coarse / norms[0], fine / norms[1]
         drift = abs(fine - coarse) / coarse if coarse > 0 else math.inf
         finite = finite and math.isfinite(coarse) and math.isfinite(fine)
         worst_drift = max(worst_drift, drift)
@@ -354,63 +343,64 @@ def _run_fdiff(cfg):
     )
 
 
-_THEOREM_SPECS = {
-    "thm31": (
-        ("bessel_potential",),
-        0.5,
-        1.0,
-        "the smoothing potential raises the Lipschitz order by lambda",
-    ),
-    "thm42": (
-        ("fractional_derivative",),
-        0.8,
-        0.3,
+class _Scenario(NamedTuple):
+    """A scenario's runner; the fields among beta, lam, degree and t_levels
+    that it reads, and the beta and lam it takes where the config leaves
+    them None; whether it is one-dimensional; and its hypothesis on
+    (beta, lam), with the error text of a config that breaks it."""
+
+    run: object
+    reads: tuple = ()
+    defaults: tuple = (None, None)
+    one_dim: bool = False
+    hypothesis: tuple = None
+
+    def beta_lam(self, cfg):
+        """cfg's beta and lam, each the default where cfg leaves it None."""
+        return tuple(d if v is None else v for v, d in zip((cfg.beta, cfg.lam), self.defaults))
+
+
+#: the fields a scenario reads only where its entry says so; a theorem reads them all
+_OPTIONAL = ("beta", "lam", "degree", "t_levels")
+_BELOW_ONE = (lambda b, l: 0 < l < b < 1, "this scenario requires 0 < lambda < beta < 1")
+
+#: every scenario, in the order list-scenarios prints them
+_TABLE = {
+    "subordination": _Scenario(_run_subordination),
+    "kernel-mass": _Scenario(_run_kernel_mass, one_dim=True),
+    "spectral-vs-kernel": _Scenario(_run_spectral_vs_kernel, one_dim=True),
+    "lemma21": _Scenario(_run_lemma21, one_dim=True),
+    "prop31": _Scenario(_run_prop31, ("beta", "degree"), (0.5, None)),
+    "prop33": _Scenario(_run_prop33, ("beta", "degree"), (0.9, None),
+                        hypothesis=(lambda b, l: b < 1, "prop33 requires 0 < beta < 1")),
+    "thm31": _Scenario(partial(
+        _run_theorem, ("bessel_potential",),
+        "the smoothing potential raises the Lipschitz order by lambda"), _OPTIONAL, (0.5, 1.0)),
+    "thm42": _Scenario(partial(
+        _run_theorem, ("fractional_derivative",),
         "the fractional derivative lowers the Lipschitz order by lambda "
-        "for 0 < lambda < beta < 1",
-    ),
-    "thm33": (
-        ("bessel_derivative",),
-        0.8,
-        0.3,
-        "the damped fractional derivative lowers the Lipschitz order by lambda",
-    ),
-    "thm44": (
-        ("fractional_derivative", "bessel_derivative"),
-        2.3,
-        1.5,
+        "for 0 < lambda < beta < 1"), _OPTIONAL, (0.8, 0.3), hypothesis=_BELOW_ONE),
+    "thm33": _Scenario(partial(
+        _run_theorem, ("bessel_derivative",),
+        "the damped fractional derivative lowers the Lipschitz order by lambda"),
+        _OPTIONAL, (0.8, 0.3), hypothesis=_BELOW_ONE),
+    "thm44": _Scenario(partial(
+        _run_theorem, ("fractional_derivative", "bessel_derivative"),
         "both fractional derivatives stay bounded between Lipschitz classes "
-        "for 1 <= lambda < beta",
-    ),
+        "for 1 <= lambda < beta"), _OPTIONAL, (2.3, 1.5),
+        hypothesis=(lambda b, l: 1 <= l < b, "this scenario requires 1 <= lambda < beta")),
+    "fdiff-identities": _Scenario(_run_fdiff),
 }
-
-
-#: the fields among beta, lam, degree and t_levels that each scenario's runner
-#: reads; the others must keep their defaults
-_READS = {
-    "prop31": ("beta", "degree"),
-    "prop33": ("beta", "degree"),
-    **dict.fromkeys(_THEOREM_SPECS, ("beta", "lam", "degree", "t_levels")),
-}
-
-
-#: the runner of each scenario, in the order list-scenarios prints them
-_RUNNERS = {
-    "subordination": _run_subordination,
-    "kernel-mass": _run_kernel_mass,
-    "spectral-vs-kernel": _run_spectral_vs_kernel,
-    "lemma21": _run_lemma21,
-    "prop31": _run_prop31,
-    "prop33": _run_prop33,
-    **dict.fromkeys(_THEOREM_SPECS, _run_theorem),
-    "fdiff-identities": _run_fdiff,
-}
-SCENARIOS = tuple(_RUNNERS)
+SCENARIOS = tuple(_TABLE)
 
 
 def run_scenario(cfg: ScenarioConfig) -> BoundReport:
     """Run cfg's scenario and report its rows, verdict and wall time."""
     started = time.perf_counter()
-    claim, rows, max_ratio, passed, *extra = _RUNNERS[cfg.scenario](cfg)
+    entry = _TABLE[cfg.scenario]
+    # the runner reads beta and lam with the scenario's defaults filled in
+    beta, lam = entry.beta_lam(cfg)
+    claim, rows, max_ratio, passed, *extra = entry.run(replace(cfg, beta=beta, lam=lam))
     return BoundReport(
         scenario=cfg.scenario,
         claim=claim,

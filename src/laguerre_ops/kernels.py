@@ -60,7 +60,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermval
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad  # noqa: F401  (bench/tracing.py patches kernels.quad)
 from scipy.special import gammainccinv
 
 from .errors import DomainError, OverflowGuardError, QuadratureError, check_above, check_integer
@@ -80,6 +79,16 @@ __all__ = [
     "poisson_dt_apply",
     "l1_kernel_derivative",
 ]
+
+
+def __getattr__(name):
+    """kernels.quad, imported where it is first looked up: bench/tracing.py
+    patches it, and nothing else needs scipy.integrate loaded."""
+    if name == "quad":
+        from scipy.integrate import quad
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: the one cutoff of every integral to infinity: e^{-s} < 5e-18 for s > 40.
 #: The subordination rule and fractional._time_rule end there with an

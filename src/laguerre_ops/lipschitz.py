@@ -7,14 +7,15 @@ lower bound on the true supremum).  Two paths produce the time derivative:
 the diagonal multiplier (-sqrt(n_k))^n e^(-t sqrt(n_k)) on expansions, and
 the kernel side's poisson_dt_apply, which reads every t of the grid off one
 semigroup table per x (subordination of the heat kernel, no multipliers).
-On the spectral path all that one check reads of f is one stacked
-synthesis: the multipliers of every t (and 1, for ||f||) form the columns
-of one coefficient stack, and the Laguerre tables of the x grid are built
-once for all of them.  The default x grid is handed to the synthesis as its
-per-axis nodes, so each k axis is contracted by an outer product over that
-axis's 24 nodes; a value there is bit for bit the one synthesize_many gives
-at the same point.  Both grids must be nonempty, every t finite and
-positive, and every x in (0, inf)^d.
+On the spectral path all that one check reads is one stacked synthesis
+(_measure): the multipliers of every t (and 1, for ||f||) form the columns
+of one coefficient stack, which may hold several expansions of one layout
+(a theorem scenario's input and operator outputs), and the Laguerre tables
+of the x grid are built once for all of them.  The default x grid is handed
+to the synthesis as its per-axis nodes, so each k axis is contracted by an
+outer product over that axis's 24 nodes; a value there is bit for bit the
+one synthesize_many gives at the same point.  Both grids must be nonempty,
+every t finite and positive, and every x in (0, inf)^d.
 """
 
 from __future__ import annotations
@@ -122,54 +123,60 @@ def _dt_multiplier(m, t, n):
     return factors
 
 
-def _pminusI_multiplier(m, t, n):
-    """(e^(-t sqrt(m)) - 1)^n, the symbol of (P_t - I)^n; m and t broadcast."""
-    return np.expm1(-t * np.sqrt(m)) ** n
-
-
-def _dt(ts, n):
-    """The symbol of d^n/dt^n P_t at the times ts, as a function of the orders."""
-    return lambda m: _dt_multiplier(m, ts, n)
-
-
 def poisson_dt_expansion(e: LaguerreExpansion, t: float, n: int) -> LaguerreExpansion:
     """d^n/dt^n P_t e as an expansion: multiplier (-sqrt(m))^n e^(-t sqrt(m))."""
     return e.scaled(_dt_multiplier(e.orders, check_above("t", (t,))[0], n))
-
-
-def _sups(f, grid: _XGrid, *symbols) -> list:
-    """For each symbol, max over the grid of |g_i| for each column i of
-    symbol(m), m the orders as a column, where g_i has the coefficients
-    f.vector * symbol(m)[:, i]: every column of every symbol in one stacked
-    synthesis, its sups split back per symbol.  np.ones_like gives f itself."""
-    if not isinstance(f, LaguerreExpansion):
-        raise DomainError("spectral path needs an expansion input")
-    factors = [symbol(f.orders[:, None]) for symbol in symbols]
-    values = _synthesize(f, f.vector[:, None] * np.hstack(factors), grid.nodes)
-    return np.split(np.max(np.abs(values), axis=1), np.cumsum([a.shape[1] for a in factors[:-1]]))
-
-
-def _grids(t_grid, x_grid, params):
-    """The t grid as a tuple of times and the x grid as an _XGrid of points
-    of params (for d = 1 they may be plain numbers), each taken from
-    default_t_grid/default_x_grid if None, else DomainError.  The default x
-    grid is read as the tensor grid it is."""
-    t_grid = check_above("t_grid", default_t_grid() if t_grid is None else t_grid)
-    t_grid = tuple(np.ravel(t_grid).tolist())
-    if x_grid is None:
-        return t_grid, _default_grid(params.d, 24)[0]
-    if not np.iterable(x_grid):
-        raise DomainError(f"x_grid must be a sequence of points, got {x_grid!r}")
-    # the stacked points are checked once more as a whole, for an empty grid
-    xs = check_above("x_grid", np.array([params.point(p, "x_grid point") for p in x_grid]))
-    xs.flags.writeable = False
-    return t_grid, _XGrid(xs, xs)
 
 
 def _a_beta(beta, n, t_grid, sups):
     """(sup_t t^(n-beta) s_t, {t: s_t}) for s_t = ||d^n_t P_t f|| on the t grid."""
     sup_table = {t: float(v) for t, v in zip(t_grid, sups)}
     return max(t ** (n - beta) * s for t, s in sup_table.items()), sup_table
+
+
+def _measure(params, t_grid, x_grid, *asks):
+    """The checked grids, and every ask read off one stacked synthesis.
+
+    The t grid becomes a tuple of times and the x grid an _XGrid of points
+    of params (for d = 1 they may be plain numbers), each taken from
+    default_t_grid/default_x_grid if None, else DomainError; the default x
+    grid is read as the tensor grid it is.  An ask (f, n, beta[, ts]) gives
+    A_beta = sup_t t^(n-beta) s_t over the times ts (the t grid if not
+    given) and its table {t: s_t}, s_t the grid sup of d^n/dt^n P_t f; an
+    ask (f, n) gives the grid sups of (P_t - I)^n f, one per t (at n = 0
+    the one sup of f).  The f are expansions of one layout, and each column
+    of the stack has the same values whatever else is in it.  Returns the t
+    grid, the x grid and one result per ask.
+    """
+    t_grid = check_above("t_grid", default_t_grid() if t_grid is None else t_grid)
+    t_grid = tuple(np.ravel(t_grid).tolist())
+    if x_grid is None:
+        grid = _default_grid(params.d, 24)[0]
+    elif not np.iterable(x_grid):
+        raise DomainError(f"x_grid must be a sequence of points, got {x_grid!r}")
+    else:
+        # the stacked points are checked once more as a whole, for an empty grid
+        xs = check_above("x_grid", np.array([params.point(p, "x_grid point") for p in x_grid]))
+        xs.flags.writeable = False
+        grid = _XGrid(xs, xs)
+    if not asks:
+        return t_grid, grid, []
+    asks = [ask + (None, t_grid)[len(ask) - 2:] for ask in asks]  # as (f, n, beta, ts)
+    columns = []
+    for f, n, beta, ts in asks:
+        if not isinstance(f, LaguerreExpansion):
+            raise DomainError("spectral path needs an expansion input")
+        m, ts = f.orders[:, None], np.array(ts)
+        if beta is not None:
+            factors = _dt_multiplier(m, ts, n)
+        else:
+            # the symbol (e^(-t sqrt(m)) - 1)^n of (P_t - I)^n, one column of ones at n = 0
+            factors = np.expm1(-ts * np.sqrt(m)) ** n if n else np.ones_like(m)
+        columns.append(f.vector[:, None] * factors)
+    values = _synthesize(asks[0][0], np.hstack(columns), grid.nodes)
+    sups = np.split(np.max(np.abs(values), axis=1), np.cumsum([c.shape[1] for c in columns[:-1]]))
+    return t_grid, grid, [s if beta is None else _a_beta(beta, n, ts, s)
+                          for (_, n, beta, ts), s in zip(asks, sups)]
 
 
 def lipschitz_seminorm(
@@ -183,18 +190,18 @@ def lipschitz_seminorm(
     """Measure A_beta(f) = sup_t t^(n-beta) ||d^n/dt^n P_t f||_inf on grids."""
     beta = check_above("beta", (beta,))[0]
     n = smallest_integer_above(beta)
-    t_grid, grid = _grids(t_grid, x_grid, params)
-    if method == "spectral":
-        sups, (f_sup,) = _sups(f, grid, _dt(np.array(t_grid), n), np.ones_like)
+    asks = [(f, n, beta), (f, 0)] if method == "spectral" else []
+    t_grid, grid, reads = _measure(params, t_grid, x_grid, *asks)
+    if reads:
+        (a_beta, sup_table), (f_sup,) = reads
     elif method == "kernel":
         func = (lambda y: synthesize_many(f, y)) if isinstance(f, LaguerreExpansion) else f
         # one semigroup table per x serves the whole t grid
         vals = [poisson_dt_apply(func, params, np.array(t_grid), x, n) for x in grid.points]
-        sups = np.max(np.abs(vals), axis=0)
+        a_beta, sup_table = _a_beta(beta, n, t_grid, np.max(np.abs(vals), axis=0))
         f_sup = np.max(np.abs(call_on_points(func, grid.points)))
     else:
         raise DomainError(f"unknown method {method!r}")
-    a_beta, sup_table = _a_beta(beta, n, t_grid, sups)
     points = _default_grid(params.d, 24)[1] if x_grid is None else tuple(
         map(tuple, grid.points.tolist()))
     return LipschitzEstimate(beta, n, t_grid, points, sup_table, a_beta, float(f_sup))
@@ -219,10 +226,7 @@ def check_equivalence(
     k, l = check_integer(k, 1, "k"), check_integer(l, 1, "l")
     if k <= beta or l <= beta:
         raise DomainError("both derivative orders must exceed beta")
-    t_grid, grid = _grids(t_grid, x_grid, params)
-    ts = np.array(t_grid)
-    sups_k, sups_l = _sups(f, grid, _dt(ts, k), _dt(ts, l))
-    a_k, a_l = _a_beta(beta, k, t_grid, sups_k)[0], _a_beta(beta, l, t_grid, sups_l)[0]
+    _, _, ((a_k, _), (a_l, _)) = _measure(params, t_grid, x_grid, (f, k, beta), (f, l, beta))
     ratio = a_k / a_l if a_l != 0.0 else (1.0 if a_k == 0.0 else math.inf)
     ok = math.isfinite(ratio) and 1.0 / 50.0 <= ratio <= 50.0
     rows = (
@@ -254,17 +258,11 @@ def check_approximation(
         raise DomainError("approximation check needs beta in (0, 1)")
     if not isinstance(f, LaguerreExpansion):
         raise DomainError("approximation check is defined on expansions")
-    t_grid, grid = _grids(t_grid, x_grid, params)
-    n, ts = smallest_integer_above(beta), np.array(t_grid)
-    sups_dt, sups = _sups(f, grid, _dt(ts, n), lambda m: _pminusI_multiplier(m, ts, 1))
-    a_beta, _ = _a_beta(beta, n, t_grid, sups_dt)
-    rows = []
-    worst = 0.0
-    for t, measured in zip(t_grid, sups.tolist()):
-        bound = 1.05 * a_beta * t**beta
-        rows.append(ReportRow(f"t={t:.6g}", measured, bound))
-        if bound > 0:
-            worst = max(worst, measured / bound)
+    n = smallest_integer_above(beta)
+    t_grid, _, ((a_beta, _), sups) = _measure(params, t_grid, x_grid, (f, n, beta), (f, 1))
+    rows = [ReportRow(f"t={t:.6g}", measured, 1.05 * a_beta * t**beta)
+            for t, measured in zip(t_grid, sups.tolist())]
+    worst = max([r.measured / r.bound for r in rows if r.bound > 0], default=0.0)
     return BoundReport(
         scenario="prop33",
         claim="the semigroup approximates a Lipschitz function at rate t^beta "
@@ -292,11 +290,8 @@ def check_pminusI_power(
     if beta.is_integer():
         raise DomainError(
             f"at the integer beta = {beta} the n-fold simplex integral of v^(beta-n) diverges")
-    t_grid, grid = _grids(t_grid, x_grid, params)
-    ts = np.array(t_grid)
-    sups_dt, (f_sup,), sups = _sups(
-        f, grid, _dt(ts, n), np.ones_like, lambda m: _pminusI_multiplier(m, ts, n))
-    a_beta, _ = _a_beta(beta, n, t_grid, sups_dt)
+    t_grid, _, ((a_beta, _), (f_sup,), sups) = _measure(
+        params, t_grid, x_grid, (f, n, beta), (f, 0), (f, n))
     # n-fold simplex integral of v^(beta-n) over [0,t]^n equals
     # C(n, beta) t^beta with C = Delta_1^n(x^beta, 0) / prod_(i<n) (beta-i)
     denom = math.prod(beta - i for i in range(n))

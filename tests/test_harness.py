@@ -5,8 +5,16 @@ import sys
 
 import pytest
 
+from laguerre_ops import lipschitz
 from laguerre_ops.errors import ConfigError
-from laguerre_ops.harness import SCENARIOS, ScenarioConfig, _refined_t_grid, main, run_scenario
+from laguerre_ops.harness import (
+    SCENARIOS,
+    ScenarioConfig,
+    _TABLE,
+    _refined_t_grid,
+    main,
+    run_scenario,
+)
 from laguerre_ops.lipschitz import default_t_grid
 from laguerre_ops.report import (
     BoundReport,
@@ -102,6 +110,15 @@ class TestScenarioConfig:
         ScenarioConfig("thm31", beta=0.4, lam=0.5, degree=3, t_levels=4)
         ScenarioConfig("subordination", d=2, alpha=(0.5, 0.5), seed=4)
 
+    @pytest.mark.parametrize("scenario, field", [
+        (scenario, field) for scenario, entry in _TABLE.items()
+        for field in ("beta", "lam", "degree", "t_levels") if field not in entry.reads])
+    def test_each_unread_field_is_named(self, scenario, field):
+        # a value other than the field's default, in a config that is valid otherwise
+        value = {"beta": 0.5, "lam": 0.3, "degree": 3, "t_levels": 4}[field]
+        with pytest.raises(ConfigError, match=f"^scenario {scenario} does not read {field}$"):
+            ScenarioConfig(scenario, **{field: value})
+
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_json('{"scenario": "subordination", "bogus": 1}')
@@ -161,6 +178,16 @@ class TestScenarios:
         a = run_scenario(ScenarioConfig(scenario="subordination"))
         b = run_scenario(ScenarioConfig(scenario="subordination"))
         assert a.same_results(b)
+
+    @pytest.mark.parametrize("scenario", ["thm31", "thm42", "thm33", "thm44"])
+    def test_theorem_reads_every_seminorm_from_one_synthesis(self, scenario, monkeypatch):
+        # the input's and every output's A_beta, on both t grids, and ||f||
+        calls = []
+        synthesize = lipschitz._synthesize
+        monkeypatch.setattr(lipschitz, "_synthesize",
+                            lambda *args: calls.append(args) or synthesize(*args))
+        run_scenario(ScenarioConfig(scenario))
+        assert len(calls) == 1
 
     def test_theorem_ratio_regression(self):
         with open(os.path.join(os.path.dirname(__file__), "fixtures",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from laguerre_ops import lipschitz
 from laguerre_ops.errors import DomainError
 from laguerre_ops.expansion import (
     LaguerreExpansion,
@@ -346,3 +347,17 @@ class TestStackedTimeGrid:
         for row, t in zip(r.rows[::2], t_grid):
             g = f.scaled(np.expm1(-t * np.sqrt(f.orders)) ** n)
             assert row.measured == np.max(np.abs(synthesize_many(g, xs)))
+
+    @pytest.mark.parametrize("check", [
+        lambda f, p: lipschitz_seminorm(f, p, 1.3),
+        lambda f, p: check_equivalence(f, p, 1.3, 2, 3),
+        lambda f, p: check_approximation(f, p, 0.6),
+        lambda f, p: check_pminusI_power(f, p, 1.3),
+    ])
+    def test_each_check_reads_one_synthesis(self, check, monkeypatch):
+        calls = []
+        synthesize = lipschitz._synthesize
+        monkeypatch.setattr(lipschitz, "_synthesize",
+                            lambda *args: calls.append(args) or synthesize(*args))
+        check(random_expansion(_params(2), 5, seed=3), _params(2))
+        assert len(calls) == 1

@@ -23,8 +23,8 @@ figure is the median wall time of single calls after one warm-up call:
   which also takes fewer repeats);
 - counts: the log-Bessel points that one Poisson kernel value (alpha = 0.5,
   t = 1) and one l1_kernel_derivative (alpha = 0.5, x = 1, m = 1,
-  t = 0.05) evaluate, the kernel values that L1 rule reads (the points
-  handed to the block evaluator, not those of the sign-change bisection),
+  t = 0.05) evaluate, the kernel values that L1 rule reads (its panel nodes
+  and its sign-change bisection points, all through one block evaluator),
   and the heat times of the semigroup tables that the d = 1 poisson_apply
   (t = 0.7) and poisson_dt_apply calls above read; they depend only on the
   code, not on the machine;
@@ -161,7 +161,7 @@ def counts():
         "poisson_kernel_value_bessel_points": counted_points(value, "log_bessel_i_scaled", bessel),
         "l1_kernel_derivative_t005_bessel_points": counted_points(l1, "log_bessel_i_scaled", bessel),
         "l1_kernel_derivative_t005_kernel_values": counted_points(
-            l1, "_poisson_block", lambda params, t, x, y, m: len(y)
+            l1, "_poisson_block_once", lambda params, t, x, y, m, panels: len(y)
         ),
         "poisson_apply_d1_heat_times": counted_points(table, "_heat_apply_times", heat_times),
         "poisson_dt_apply_d1_heat_times": counted_points(

@@ -227,7 +227,7 @@ def _callable_route(kind, f, params, lam, k, x):
     u = np.column_stack((np.zeros(len(s)), u))
     const = fx * np.expm1(-shift * s) ** k
     delta = forward_difference(lambda j: u[:, int(j)], k, 1.0, 0.0) + const
-    c = np.expm1(-s) ** k @ w  # c_lambda(lam, k)
+    c = c_lambda(lam, k)
     value = float(np.dot(w, delta)) / c
     # Delta^k still cancels near s = 0; its rounding, bounded as in _doubled, must meet tol
     size = np.abs(w) @ (np.abs(u) @ comb(k, np.arange(k + 1)) + np.abs(const)) / abs(c)

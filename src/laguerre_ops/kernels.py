@@ -21,9 +21,9 @@ Every integral int d^m_t g(t, s) F(s) ds over (0, S_CUTOFF) takes one
 subordination rule (_subordination_rule): Gauss-Kronrod panels in log s of
 one width, laid down from S_CUTOFF to the floor of the smallest time, and
 the analytic erf tail past S_CUTOFF, weighted by _sub_weights.  It starts
-at KERNEL_PANELS panels, and one doubling rule (_doubled) refines it: a value
-settles where its Kronrod sum agrees with its embedded Gauss sum (or with
-the last panel count's), else its panels double, SUB_DOUBLINGS at most.
+at KERNEL_PANELS panels; for kernel values and P_t f(x) one doubling rule
+(_doubled) refines it: a value settles where its Kronrod sum agrees with its
+embedded Gauss sum (or the last panel count's), else its panels double.
 Kernel values d^m/dt^m p_t(x, y) at an (n, d) array of points y read the
 rule in one pass of (y x s-node) blocks, with one log_bessel_i_scaled call
 per block of at most BLOCK_POINTS entries and the weights and y-free heat
@@ -38,17 +38,19 @@ read in blocks of times.
 
 l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on panels in
 v = sqrt(y) (_v_breaks), dyadic around the ridge at sqrt(x) and ending where
-the kernel's mass past them is below e^(-S_CUTOFF): the panel at v = 0
-takes the Gauss-Jacobi rules of 2 Y_ORDER and Y_ORDER nodes, exact for the
-y^alpha endpoint, and every other panel a Gauss-Kronrod rule around Y_ORDER
-Gauss nodes, so each panel has a value and an estimate |K - G|.  Sign
-changes of d^m p between neighbouring nodes, and below the first node,
-where the sign of d^m p / y^alpha at y = 0 is extrapolated, are
-located by bisection and made breaks.  A panel that a new break splits or
-whose estimate exceeds its share of max(SUB_ABS, SUB_REL |sum|) is split,
-and only split panels are read again.  The sum settles once no sign change
-is new and sum |K - G| meets that tolerance, else after SUB_DOUBLINGS
-splits QuadratureError.
+the kernel's mass past them is below e^(-S_CUTOFF): the panel at v = 0 takes
+the Gauss-Jacobi rules of 2 Y_ORDER and Y_ORDER nodes, exact for the y^alpha
+endpoint, and every other panel a Gauss-Kronrod rule around Y_ORDER Gauss
+nodes.  A panel has a value, a y estimate |K - G| and an s estimate, its
+|weights| 2v times each node's max(|K - G|, eps sum |terms|) on the s rule,
+which nodes and bisection points read at one panel count.  Sign changes of
+d^m p between nodes, and below the first node (from d^m p / y^alpha
+extrapolated to y = 0), are located by bisection and made breaks.  A panel
+that a new break splits or whose y estimate exceeds its share of
+tol = max(SUB_ABS, SUB_REL |sum|) is split and read again; an s estimate
+above tol / 2 doubles the s panels and drops every value read.  The sum
+settles once no sign change is new and both estimates together meet tol,
+else after SUB_DOUBLINGS passes QuadratureError.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ S_CUTOFF = 40.0
 #: cancel).  KERNEL_PANELS is the least count at which the rule's Laplace
 #: transform e^{-t sqrt(n)} holds to 1e-14 at every t in [1e-4, 30] (worst
 #: 5.6e-16 at 6 panels, 1.0e-14 at 5, 1.3e-12 at 4).  The L1 y rule settles
-#: to the same SUB_ABS, SUB_REL within SUB_DOUBLINGS splits
+#: to the same SUB_ABS, SUB_REL within SUB_DOUBLINGS passes
 KERNEL_PANELS = 6
 SUB_ORDER = 12
 SUB_ABS = 1e-10
@@ -512,18 +514,17 @@ def _v_breaks(t, x, alpha):
     return np.unique(np.concatenate(([0.0], around, [v_max])))
 
 
-def _sign_changes(sign_of, v, p, known):
+def _sign_changes(value_of, v, p, known):
     """Zeros of p between neighbouring nodes v where it changes sign, found by
-    vectorised bisection on sign_of(y) > 0; brackets holding a zero in
+    vectorised bisection on value_of(v) > 0; brackets holding a zero in
     `known` are skipped."""
     up = p > 0
     i = np.flatnonzero(up[:-1] != up[1:])
+    i = i[np.searchsorted(known, v[i]) == np.searchsorted(known, v[i + 1])]
     lo, hi, up = v[i], v[i + 1], up[i]
-    new = np.searchsorted(known, lo) == np.searchsorted(known, hi)
-    lo, hi, up = lo[new], hi[new], up[new]
     while len(lo) and np.max(hi - lo) > ROOT_TOL:
         mid = 0.5 * (lo + hi)
-        same = (sign_of(mid * mid) > 0) == up
+        same = (value_of(mid) > 0) == up
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
@@ -542,42 +543,41 @@ def _endpoint_rule(alpha):
 def _l1_integral(params, t, x, m):
     """int of |p(y)| dy for p = d^m/dt^m p_t(x, .) at d = 1 by the L1 panel
     rule of the module docstring, and the values of p at its last panels'
-    nodes.  A panel is read once, and keeps its values until it is split."""
+    nodes.  A panel is read once per s panel count and kept until it is split."""
     alpha, breaks = params.alpha[0], _v_breaks(t, x[0], params.alpha[0])
-    block = lambda y: _poisson_block(params, t, x, y[:, None], m)
-    # bisection only reads signs, so it skips the refinement test, which
-    # cannot pass where p is below its own discretisation error
-    sign_of = lambda y: _poisson_block_once(params, t, x, y[:, None], m, KERNEL_PANELS)[0]
-    read, zeros = {}, np.empty(0)
+    sub, read, zeros = KERNEL_PANELS, {}, np.empty(0)
+    kernel = lambda v: _poisson_block_once(params, t, x, (v * v)[:, None], m, sub)
     for _ in range(SUB_DOUBLINGS + 1):
         panels = list(zip(breaks[:-1], breaks[1:]))
         kron = _panels(breaks, *gauss_kronrod_rule(Y_ORDER))
         end = _panels(breaks[:2], *_endpoint_rule(alpha))
         new = [i for i, key in enumerate(panels) if key not in read]
         rules = [[r[i] for r in (end if i == 0 else kron)] for i in new]
-        values = block(np.concatenate([v for v, _, _ in rules]) ** 2)
-        for i, (v, wk, wg) in zip(new, rules):
-            p, values = values[: len(v)], values[len(v) :]
+        kron_p, gauss_p, size = kernel(np.concatenate([v for v, _, _ in rules]))
+        errs = np.maximum(np.abs(kron_p - gauss_p), _EPS * size)  # as _doubled bounds it
+        at = np.cumsum([len(v) for v, _, _ in rules])[:-1]
+        for i, (v, wk, wg), p, e in zip(new, rules, np.split(kron_p, at), np.split(errs, at)):
             f = 2.0 * v * np.abs(p)
-            read[panels[i]] = v, p, np.dot(wk, f), np.dot(wg, f)
-        v, p, sums, gauss = (np.hstack(c) for c in zip(*(read[key] for key in panels)))
+            read[panels[i]] = v, p, np.dot(wk, f), np.dot(wg, f), np.dot(np.abs(wk), 2.0 * v * e)
+        v, p, sums, gauss, s_err = (np.hstack(c) for c in zip(*(read[key] for key in panels)))
         # p / y^alpha at y = 0 from the parabola through the first three nodes
         y0 = v[:3] ** 2
         c0 = np.polyfit(y0, p[:3] / y0**alpha, 2)[-1]
-        found = _sign_changes(sign_of, np.append(0.0, v), np.append(c0, p), zeros)
-        total, err = float(sums.sum()), np.abs(sums - gauss)
+        found = _sign_changes(lambda u: kernel(u)[0], np.append(0.0, v), np.append(c0, p), zeros)
+        total, err, s_err = float(sums.sum()), np.abs(sums - gauss), float(s_err.sum())
         tol = max(SUB_ABS, SUB_REL * abs(total))
-        if not len(found) and err.sum() <= tol:
+        if not len(found) and err.sum() + s_err <= tol:
             return total, p
+        if s_err > 0.5 * tol:
+            sub, read = 2 * sub, {}
         # a panel that a zero splits is not halved as well
         halve = err > tol / len(panels)
         halve[np.searchsorted(breaks, found) - 1] = False
         mids = 0.5 * (breaks[:-1] + breaks[1:])[halve]
         zeros, breaks = np.union1d(zeros, found), np.union1d(breaks, np.append(found, mids))
-    raise QuadratureError(
-        f"the L1 y integral at t={t}, x={x}, m={m} did not settle to max(SUB_ABS, "
-        f"SUB_REL |sum|) in {SUB_DOUBLINGS} splits: sum {total!r}, estimate {err.sum():.3g}"
-    )
+    raise QuadratureError(f"the L1 y integral at t={t}, x={x}, m={m} did not settle in "
+                          f"{SUB_DOUBLINGS} passes: sum {total!r}, y estimate {err.sum():.3g}, "
+                          f"s estimate {s_err:.3g} against tol {tol:.3g}")
 
 
 def l1_kernel_derivative(params: MultiIndexParams, t: float, x, m: int) -> float:

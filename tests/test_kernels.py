@@ -752,18 +752,39 @@ class TestL1Derivative:
     def test_reads_no_node_twice(self, monkeypatch, alpha, t, x, m):
         # the panels that no new sign-change break and no failing |K - G|
         # splits keep their nodes and the values read at them; only the split
-        # ones are read again, at new nodes
-        reads, block = [], kernels._poisson_block
+        # ones are read again, at new nodes, and bisection reads its midpoints
+        # through the same reader
+        reads, block = [], kernels._poisson_block_once
 
-        def spy(params, t, x, y, m):
+        def spy(params, t, x, y, m, panels):
             reads.append(y[:, 0].copy())
-            return block(params, t, x, y, m)
+            return block(params, t, x, y, m, panels)
 
-        monkeypatch.setattr(kernels, "_poisson_block", spy)
+        monkeypatch.setattr(kernels, "_poisson_block_once", spy)
         l1_kernel_derivative(MultiIndexParams(1, (alpha,)), t, (x,), m)
         nodes = np.concatenate(reads)
         assert len(reads) >= 2 and all(len(r) < len(reads[0]) for r in reads[1:])
         assert len(np.unique(nodes)) == len(nodes)
+
+    @pytest.mark.parametrize("m, want", [(1, 0.96775736252466), (2, 1.84835643229)])
+    def test_break_at_a_settled_zero(self, m, want):
+        # at x = 1e4 the kernel values near the zero of d^m p are off by
+        # 2.6e-8 of 3.1e-7 on 6 subordination panels; bisection on them put
+        # the m = 1 break at v = 77.859, not 77.874, and the sum 1.5e-7 low.
+        # The s estimate in the integral's units doubles the s panels, and
+        # the reference values are the same with the s rule started at 12
+        # and at 24 panels
+        got = l1_kernel_derivative(P_HALF, 1.0, (1e4,), m)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha, x", [(0.5, 1.0), (0.5, 100.0), (3.0, 1.0)])
+    def test_small_t_tends_to_the_cauchy_constant(self, alpha, x):
+        # near the diagonal p_t is the Cauchy kernel t / (pi (t^2 + u^2)) in
+        # u = sqrt(y) - sqrt(x), so t ||d_t p_t||_1 -> 2 / pi as t -> 0; a node
+        # at the zero |u| = t of d_t p cannot settle relative to itself, but
+        # its error is counted in the integral's units
+        got = 1e-4 * l1_kernel_derivative(MultiIndexParams(1, (alpha,)), 1e-4, (x,), 1)
+        assert got / (2.0 / math.pi) == pytest.approx(1.0, abs=1e-5)
 
     def test_mass_is_one(self):
         # the kernel is nonnegative, so m = 0 gives its total mass
@@ -788,18 +809,9 @@ class TestL1Derivative:
             l1_kernel_derivative(MultiIndexParams(2, (0.5, 0.5)), 0.5, (1.0, 1.0), 1)
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
-        # the L1 rule settles to max(SUB_ABS, SUB_REL |sum|), and so do the
-        # kernel values it reads: they keep the shipped pair, so the error is
-        # the L1 rule's own
-        shipped, block = (kernels.SUB_ABS, kernels.SUB_REL), kernels._poisson_block
-
-        def settled(*args):
-            with monkeypatch.context() as mp:
-                mp.setattr(kernels, "SUB_ABS", shipped[0])
-                mp.setattr(kernels, "SUB_REL", shipped[1])
-                return block(*args)
-
-        monkeypatch.setattr(kernels, "_poisson_block", settled)
+        # the L1 rule settles its y and s estimates together to max(SUB_ABS,
+        # SUB_REL |sum|) and refines no kernel value on its own, so the error
+        # is the L1 rule's own
         monkeypatch.setattr(kernels, "SUB_ABS", 1e-300)
         monkeypatch.setattr(kernels, "SUB_REL", 1e-300)
         with pytest.raises(QuadratureError, match="the L1 y integral"):

@@ -101,10 +101,12 @@ def _time_rule(route: str, lam: float, k: int):
         s = np.concatenate((body.nodes, tail))
         weights = np.concatenate((body.weights, w * tail ** (lam - 1.0)))
     else:
+        with np.errstate(divide="ignore", over="ignore"):
+            jacobi = body.weights / body.nodes**k
+        if not np.isfinite(jacobi).all():
+            raise DomainError(f"the difference rule's weights overflow a float at lambda={lam!r}")
         s = np.concatenate((body.nodes, tail, [S_CUTOFF]))
-        weights = np.concatenate(
-            (body.weights / body.nodes**k, w * tail ** (-lam - 1.0), [S_CUTOFF ** (-lam) / lam])
-        )
+        weights = np.concatenate((jacobi, w * tail ** (-lam - 1.0), [S_CUTOFF ** (-lam) / lam]))
     s.flags.writeable = weights.flags.writeable = False
     return s, weights
 
@@ -228,10 +230,11 @@ def _callable_route(kind, f, params, lam, k, x):
     const = fx * np.expm1(-shift * s) ** k
     delta = forward_difference(lambda j: u[:, int(j)], k, 1.0, 0.0) + const
     c = c_lambda(lam, k)
-    value = float(np.dot(w, delta)) / c
     # Delta^k still cancels near s = 0; its rounding, bounded as in _doubled, must meet tol
-    size = np.abs(w) @ (np.abs(u) @ comb(k, np.arange(k + 1)) + np.abs(const)) / abs(c)
-    if _EPS * size > max(SUB_ABS, SUB_REL * abs(value)):
+    with np.errstate(over="ignore", invalid="ignore"):  # at large k, inf or nan: not settled
+        value = float(np.dot(w, delta)) / c
+        size = np.abs(w) @ (np.abs(u) @ comb(k, np.arange(k + 1)) + np.abs(const)) / abs(c)
+    if not (math.isfinite(value) and _EPS * size <= max(SUB_ABS, SUB_REL * abs(value))):
         raise QuadratureError(f"Delta_s^k P_s f(x) at lambda={lam!r}, k={k}, x={x} cancels "
                               f"below its rounding: eps sum |terms| = {_EPS * size:.3g}")
     return value

@@ -19,11 +19,12 @@ in y, and, where they reach v = sigma, one Gauss-Jacobi panel in y on
 
 Every integral int d^m_t g(t, s) F(s) ds over (0, S_CUTOFF) takes one
 subordination rule (_subordination_rule): Gauss-Kronrod panels in log s of
-one width, laid down from S_CUTOFF to the floor of the smallest time, and
-the analytic erf tail past S_CUTOFF, weighted by _sub_weights.  It starts
-at KERNEL_PANELS panels; for kernel values and P_t f(x) one doubling rule
-(_doubled) refines it: a value settles where its Kronrod sum agrees with its
-embedded Gauss sum (or the last panel count's), else its panels double.
+one width, laid down from S_CUTOFF to the floor of the smallest time (at
+least T_MIN), and the analytic erf tail past S_CUTOFF, weighted by
+_sub_weights.  It starts at KERNEL_PANELS panels; for kernel values and
+P_t f(x) one doubling rule (_doubled) doubles it while a value is unsettled:
+each keeps its first Kronrod sum that agrees with its embedded Gauss sum (or
+the last panel count's).
 Kernel values d^m/dt^m p_t(x, y) at an (n, d) array of points y read the
 rule in one pass of (y x s-node) blocks, with one log_bessel_i_scaled call
 per block of at most BLOCK_POINTS entries and the weights and y-free heat
@@ -50,7 +51,7 @@ that a new break splits or whose y estimate exceeds its share of
 tol = max(SUB_ABS, SUB_REL |sum|) is split and read again; an s estimate
 above tol / 2 doubles the s panels and drops every value read.  The sum
 settles once no sign change is new and both estimates together meet tol,
-else after SUB_DOUBLINGS passes QuadratureError.
+else QuadratureError after SUB_DOUBLINGS passes or once no panel is left to read.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ S_CUTOFF = 40.0
 #: to the same SUB_ABS, SUB_REL within SUB_DOUBLINGS passes
 KERNEL_PANELS = 6
 SUB_ORDER = 12
+#: the rule's smallest time: below t ~ 5e-102, s^(-3/2) at its floor t^2 / 184 overflows
+T_MIN = 1e-100
 SUB_ABS = 1e-10
 SUB_REL = 1e-8
 _EPS = np.finfo(float).eps
@@ -339,7 +342,9 @@ def _subordination_rule(t_min, panels):
     Gauss nodes) as flat arrays, so that sum_i (w s)_i F(s_i) ~
     int_0^S_CUTOFF F(s) ds for F smooth in log s: Gauss-Kronrod panels in
     log s, as wide as `panels` are at t = 1, laid down from S_CUTOFF to the
-    floor of t_min, for every t >= t_min."""
+    floor of t_min, for every t >= t_min >= T_MIN."""
+    if t_min < T_MIN:
+        raise DomainError(f"t={t_min:g} is below T_MIN={T_MIN:g}, the rule's smallest time")
     h = math.log(S_CUTOFF / _s_floor(1.0)) / panels
     n = math.ceil(math.log(S_CUTOFF / _s_floor(t_min)) / h - 1e-9)
     breaks = math.log(S_CUTOFF) - h * np.arange(n, -1.0, -1.0)
@@ -359,35 +364,30 @@ def _sub_weights(m, t, s, wk, wg):
     return np.array([kron, wg * density, np.abs(kron)]), np.array([tail, tail, abs(tail)])
 
 
-def _doubled(value, n, panels, where):
-    """value(i, panels) for the indices i of range(n), each refined on its
-    own: rows of Kronrod values, embedded Gauss values and sums of the terms'
-    magnitudes.  An index keeps the first Kronrod value its Gauss value meets
-    to tol = max(SUB_ABS, SUB_REL |value|) with eps sum |terms| <= tol (their
-    shared nodes hide that rounding), or the last panel count's value meets,
-    or where both are below SUB_ROUND sum |terms|; else QuadratureError.  The
-    first read takes i = slice(None), and where every index settles on it,
-    its Kronrod row is returned as it is."""
-    todo, out = slice(None), None
+def _doubled(value, panels, where):
+    """The Kronrod row of value(panels), doubling panels until every index
+    settles; value(panels) returns rows of Kronrod values, embedded Gauss
+    values and sums of the terms' magnitudes for every index.  An index keeps
+    the first Kronrod value its Gauss value meets to tol = max(SUB_ABS,
+    SUB_REL |value|) with eps sum |terms| <= tol (their shared nodes hide
+    that rounding), or the last panel count's value meets, or where both are
+    below SUB_ROUND sum |terms|; else QuadratureError naming where(i) of the
+    first index i that did not settle."""
     for doubling in range(SUB_DOUBLINGS + 1):
-        rows = value(todo, panels * 2**doubling)
+        rows = value(panels * 2**doubling)
         kron, (mag, mag_gauss, size) = rows[0], np.abs(rows)
         tol = np.maximum(SUB_ABS, SUB_REL * mag)
         done = np.maximum(np.abs(kron - rows[1]), _EPS * size) <= tol
         done |= np.maximum(mag, mag_gauss) <= SUB_ROUND * size
-        if out is None:
-            if done.all():
-                return kron
-            todo, out = np.arange(n), kron
-        else:
-            done |= np.abs(kron - prev) <= tol
-            out[todo[done]] = kron[done]
-        todo, prev = todo[~done], kron[~done]
-        if len(todo) == 0:
+        if doubling:
+            done |= np.abs(kron - out) <= tol
+            kron, done = np.where(settled, out, kron), settled | done
+        out, settled = kron, done
+        if settled.all():
             return out
     raise QuadratureError(
-        f"{where(todo[0])} did not converge in {SUB_DOUBLINGS} doublings of the "
-        "subordination panels"
+        f"{where(np.flatnonzero(~settled)[0])} did not converge in {SUB_DOUBLINGS} doublings "
+        "of the subordination panels"
     )
 
 
@@ -422,25 +422,17 @@ def _poisson_block_once(params, t, x, y, m, panels):
     return (rows + past[:, None] * tails).T
 
 
-def _poisson_block(params, t, x, y, m):
-    """d^m/dt^m p_t(x, y_i) for each row y_i of an (n, d) array of points,
-    doubled from KERNEL_PANELS."""
-    return _doubled(
-        lambda i, panels: _poisson_block_once(params, t, x, y[i], m, panels),
-        len(y),
-        KERNEL_PANELS,
-        lambda i: f"the Poisson kernel at t={t}, x={x}, y={tuple(y[i].tolist())}, m={m}",
-    )
-
-
 def _kernel_value(q: KernelQuery, dt: bool) -> float:
     """d^m/dt^m p_t(x, y) at the query's point, m = q.derivative_order: the
-    block evaluator on a block of one point."""
+    block evaluator on a block of one point, doubled from KERNEL_PANELS."""
     if q.y is None:
         raise DomainError("the Poisson kernel requires both x and y")
     if (q.derivative_order >= 1) != dt:
         raise DomainError("poisson_kernel takes derivative_order 0, poisson_kernel_dt >= 1")
-    return float(_poisson_block(q.params, q.t, q.x, np.array([q.y]), q.derivative_order)[0])
+    y, m = np.array([q.y]), q.derivative_order
+    read = lambda panels: _poisson_block_once(q.params, q.t, q.x, y, m, panels)
+    where = lambda i: f"the Poisson kernel at t={q.t}, x={q.x}, y={q.y}, m={m}"
+    return float(_doubled(read, KERNEL_PANELS, where)[0])
 
 
 def poisson_kernel(q: KernelQuery) -> float:
@@ -479,18 +471,15 @@ def poisson_apply(f, params: MultiIndexParams, t, x):
 def poisson_dt_apply(f, params: MultiIndexParams, t, x, m: int):
     """d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds at one time t (a float
     is returned) or an array of times (an array of that shape), all read off
-    one semigroup table on the rule laid down to the smallest time; each time
-    is doubled from KERNEL_PANELS on its own.
+    one semigroup table on the rule laid down to the smallest time, which
+    doubles from KERNEL_PANELS while a time is unsettled.
     """
     times, x = np.asarray(check_above("t", t)), params.point(x)
     check_integer(m, 0, "m")
     flat = times.ravel()
-    out = _doubled(
-        lambda i, n: _read_table(f, params, x, flat[i], m, _subordination_rule(flat.min(), n)),
-        flat.size,
-        KERNEL_PANELS,
-        lambda i: f"d^{m}/dt^{m} P_t f(x) at x={x}, t={flat[i]:g}",
-    )
+    read = lambda n: _read_table(f, params, x, flat, m, _subordination_rule(flat.min(), n))
+    where = lambda i: f"d^{m}/dt^{m} P_t f(x) at x={x}, t={flat[i]:g}"
+    out = _doubled(read, KERNEL_PANELS, where)
     return out.reshape(times.shape) if np.ndim(t) else float(out[0])
 
 
@@ -552,6 +541,8 @@ def _l1_integral(params, t, x, m):
         kron = _panels(breaks, *gauss_kronrod_rule(Y_ORDER))
         end = _panels(breaks[:2], *_endpoint_rule(alpha))
         new = [i for i, key in enumerate(panels) if key not in read]
+        if not new:  # no panel could be split, and the s panels stand
+            break
         rules = [[r[i] for r in (end if i == 0 else kron)] for i in new]
         kron_p, gauss_p, size = kernel(np.concatenate([v for v, _, _ in rules]))
         errs = np.maximum(np.abs(kron_p - gauss_p), _EPS * size)  # as _doubled bounds it
@@ -560,9 +551,10 @@ def _l1_integral(params, t, x, m):
             f = 2.0 * v * np.abs(p)
             read[panels[i]] = v, p, np.dot(wk, f), np.dot(wg, f), np.dot(np.abs(wk), 2.0 * v * e)
         v, p, sums, gauss, s_err = (np.hstack(c) for c in zip(*(read[key] for key in panels)))
-        # p / y^alpha at y = 0 from the parabola through the first three nodes
-        y0 = v[:3] ** 2
-        c0 = np.polyfit(y0, p[:3] / y0**alpha, 2)[-1]
+        # p / y^alpha at y = 0 from the parabola through the first three nodes, in y / y_1
+        r = (v[:3] / v[0]) ** 2
+        c0 = sum(p[i] / r[i] ** alpha * np.prod(np.delete(r, i) / (np.delete(r, i) - r[i]))
+                 for i in range(3))
         found = _sign_changes(lambda u: kernel(u)[0], np.append(0.0, v), np.append(c0, p), zeros)
         total, err, s_err = float(sums.sum()), np.abs(sums - gauss), float(s_err.sum())
         tol = max(SUB_ABS, SUB_REL * abs(total))
@@ -576,8 +568,9 @@ def _l1_integral(params, t, x, m):
         mids = 0.5 * (breaks[:-1] + breaks[1:])[halve]
         zeros, breaks = np.union1d(zeros, found), np.union1d(breaks, np.append(found, mids))
     raise QuadratureError(f"the L1 y integral at t={t}, x={x}, m={m} did not settle in "
-                          f"{SUB_DOUBLINGS} passes: sum {total!r}, y estimate {err.sum():.3g}, "
-                          f"s estimate {s_err:.3g} against tol {tol:.3g}")
+                          f"{SUB_DOUBLINGS} passes or ran out of panels to split: sum "
+                          f"{total!r}, y estimate {err.sum():.3g}, s estimate {s_err:.3g} "
+                          f"against tol {tol:.3g}")
 
 
 def l1_kernel_derivative(params: MultiIndexParams, t: float, x, m: int) -> float:

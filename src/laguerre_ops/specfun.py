@@ -64,7 +64,8 @@ def _log_series(nu: float, z: np.ndarray) -> np.ndarray:
     # in the sense that no cancellation occurs.  Terms are summed SERIES_BLOCK
     # at a time, so memory stays bounded at large orders.
     z_max = float(np.max(z))
-    m_half = 0.5 * (math.sqrt(nu * nu + 2.0 * z_max * z_max) - nu)
+    root = math.hypot(nu, math.sqrt(2.0) * z_max)  # no nu^2 to overflow
+    m_half = 0.5 * (root - nu) if nu < 0 else z_max * z_max / (root + nu)  # no cancellation
     with np.errstate(divide="ignore"):
         log_half_z = np.atleast_1d(np.log(z) - math.log(2.0))
     out = np.full(log_half_z.shape, -math.inf)

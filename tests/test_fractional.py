@@ -104,6 +104,11 @@ class TestCLambda:
     def test_sign(self, lam, k):
         assert math.copysign(1.0, c_lambda(lam, k)) == (-1.0) ** k
 
+    def test_rule_past_the_float_range_raises(self):
+        # at k = 110 the Jacobi weights w / s^k overflow; the constant was nan
+        with pytest.raises(DomainError, match="overflow"):
+            c_lambda(109.5, 110)
+
     def test_divergence(self):
         with pytest.raises(DomainError):
             c_lambda(1.0, 1)
@@ -441,6 +446,18 @@ class TestPointApply:
         else:
             with pytest.raises(QuadratureError, match=f"lambda={lam}, k="):
                 fractional_derivative_apply(f, P, lam, (1.3,))
+
+    @pytest.mark.parametrize("lam, error", [
+        (105.5, QuadratureError), (108.5, QuadratureError), (120.0, QuadratureError),
+        (109.5, DomainError), (150.5, DomainError),
+    ])
+    def test_callable_difference_route_fails_closed_at_large_lambda(self, lam, error):
+        # from lambda ~ 105 the rule's weights times the rounding of Delta^k
+        # overflow, and it returned inf, nan or -inf; from 109.5 the Jacobi
+        # weights w / s^k of the rule overflow themselves
+        f = lambda y: laguerre_poly(3, 0.5, y)
+        with pytest.raises(error, match=f"lambda={lam}"):
+            fractional_derivative_apply(f, P, lam, (1.0,))
 
     def test_callable_bessel_derivative_on_constants(self):
         got = bessel_derivative_apply(lambda y: np.ones_like(y), P, 0.5, (1.3,))

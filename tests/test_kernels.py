@@ -22,6 +22,7 @@ from laguerre_ops.kernels import (
     S_CUTOFF,
     SUB_DOUBLINGS,
     SUB_ORDER,
+    T_MIN,
     KernelQuery,
     heat_apply_kernel,
     heat_kernel,
@@ -34,12 +35,13 @@ from laguerre_ops.kernels import (
     stable_density_dt,
     stable_tail_mass,
     _heat_apply_times,
+    _doubled,
     _panels,
-    _poisson_block,
     _poisson_block_once,
     _read_table,
     _subordination_rule,
 )
+from laguerre_ops.lipschitz import default_t_grid, default_x_grid
 from laguerre_ops.specfun import laguerre_poly
 
 P_HALF = MultiIndexParams(1, (0.5,))
@@ -593,6 +595,27 @@ class TestPoissonDtApply:
         assert got.shape == times.shape
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
+    def test_each_time_equals_its_read_beside_the_smallest(self, monkeypatch):
+        # at m = 3 on the default t grid the smallest time doubles twice and
+        # the largest keeps its first pass's value; every time of the array
+        # keeps the value it gets read beside the grid's smallest time alone
+        e = random_expansion(P_HALF, 6, seed=1)
+        f = lambda y: synthesize_many(e, y)
+        x, times = default_x_grid(1)[8], np.array(default_t_grid())
+        passes, rule = [], kernels._subordination_rule
+
+        def spy(t_min, panels):
+            passes.append(panels)
+            return rule(t_min, panels)
+
+        monkeypatch.setattr(kernels, "_subordination_rule", spy)
+        got = poisson_dt_apply(f, P_HALF, times, x, 3)
+        assert passes == [KERNEL_PANELS, 2 * KERNEL_PANELS, 4 * KERNEL_PANELS]
+        first = _read_table(f, P_HALF, x, times, 3, rule(times.min(), KERNEL_PANELS))[0]
+        assert got[-1] == first[-1] and got[0] != first[0]
+        for t, value in zip(times, got):
+            assert poisson_dt_apply(f, P_HALF, np.array([times.min(), t]), x, 3)[1] == value
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_small_time(self, m):
         t, x = 1e-3, 1.3
@@ -634,6 +657,41 @@ class TestPoissonDtApply:
             poisson_dt_apply(np.exp, P_HALF, t, (1.0,), m)
 
 
+def doubled_block(params, t, x, y, m):
+    """d^m/dt^m p_t(x, y_i) at each row of y, doubled from KERNEL_PANELS."""
+    return _doubled(
+        lambda panels: _poisson_block_once(params, t, x, y, m, panels),
+        KERNEL_PANELS,
+        lambda i: f"the Poisson kernel at y={tuple(y[i].tolist())}",
+    )
+
+
+class TestSmallestTime:
+    """Every subordination read stops at the rule's smallest time T_MIN."""
+
+    READS = {
+        "poisson_kernel": lambda t: poisson_kernel(KernelQuery(P_HALF, t, (1.0,), (1.5,))),
+        "poisson_kernel_dt": lambda t: poisson_kernel_dt(
+            KernelQuery(P_HALF, t, (1.0,), (1.5,), derivative_order=1)),
+        "poisson_apply": lambda t: poisson_apply(np.exp, P_HALF, np.array([0.5, t]), 1.0),
+        "l1_kernel_derivative": lambda t: l1_kernel_derivative(P_HALF, t, (1.0,), 1),
+    }
+
+    @pytest.mark.parametrize("t", [1e-102, 1e-153, 1e-300])
+    @pytest.mark.parametrize("read", READS)
+    def test_below_it_raises_domain_error(self, read, t):
+        # below ~5e-102 s^(-3/2) at the rule's floor t^2 / 184 overflowed (a
+        # warning), below 1e-153 its panel count did (OverflowError), and at
+        # 1e-300 the floor was 0 (ZeroDivisionError)
+        with pytest.raises(DomainError, match=f"t={t:g} is below"):
+            self.READS[read](t)
+
+    def test_at_it_values_hold(self):
+        # P_t L_2^0.5 (1) -> L_2^0.5 (1) = -1/8 as t -> 0
+        f = lambda y: laguerre_poly(2, 0.5, y)
+        assert poisson_apply(f, P_HALF, T_MIN, 1.0) == pytest.approx(-0.125, abs=1e-12)
+
+
 class TestPoissonBlock:
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("alpha", [-0.25, 0.5, 2.0])
@@ -641,7 +699,7 @@ class TestPoissonBlock:
         params = MultiIndexParams(1, (alpha,))
         t, x = 0.3, 1.1
         y = np.geomspace(1e-4, 30.0, 64)
-        got = _poisson_block(params, t, (x,), y[:, None], m)
+        got = doubled_block(params, t, (x,), y[:, None], m)
         kernel = poisson_kernel if m == 0 else poisson_kernel_dt
         want = [
             kernel(KernelQuery(params, t, (x,), (float(v),), derivative_order=m))
@@ -686,7 +744,7 @@ class TestPoissonBlock:
         # or doubles: at m = 4, y = 0.9624 lies near a zero of d^4 p, where
         # |K - G| = 1.14e-10 at 6 panels exceeds max(SUB_ABS, SUB_REL |K|)
         ys = [0.5, 0.96, 0.9624, 2.0]
-        block = _poisson_block(P_HALF, 1.0, (1.3,), np.array(ys)[:, None], m)
+        block = doubled_block(P_HALF, 1.0, (1.3,), np.array(ys)[:, None], m)
         reads, once = [], kernels._poisson_block_once
 
         def spy(params, t, x, y, m, panels):
@@ -716,7 +774,7 @@ class TestPoissonBlock:
         # rows are points of (0, inf)^2 that vary on every axis
         p2 = MultiIndexParams(2, (0.5, -0.25))
         y = np.array([[0.7, 0.2], [0.7, 1.0], [1.5, 3.0], [0.1, 0.4]])
-        got = _poisson_block(p2, 0.4, (1.0, 2.0), y, 1)
+        got = doubled_block(p2, 0.4, (1.0, 2.0), y, 1)
         want = [
             poisson_kernel_dt(KernelQuery(p2, 0.4, (1.0, 2.0), tuple(v), derivative_order=1))
             for v in y
@@ -785,6 +843,21 @@ class TestL1Derivative:
         # its error is counted in the integral's units
         got = 1e-4 * l1_kernel_derivative(MultiIndexParams(1, (alpha,)), 1e-4, (x,), 1)
         assert got / (2.0 / math.pi) == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("alpha, x", [(60.0, 1e-6), (0.5, 1e-100), (0.5, 1e-300)])
+    def test_mass_at_the_edges_of_the_float_range(self, alpha, x):
+        # p / y^alpha is extrapolated to y = 0 in y / y_1: y^alpha underflowed
+        # at the first nodes here (and at alpha = 500, x = 1), and a fit in y
+        # divided by zero at x = 1e-100 and failed to converge at x = 1e-300
+        got = l1_kernel_derivative(MultiIndexParams(1, (alpha,)), 0.5, (x,), 0)
+        assert got == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_a_panel_that_cannot_split_raises(self, m):
+        # at t = 1e-20 the first pass halves [1, 1 + 2^-52], whose midpoint
+        # rounds to an end, so no later pass has a panel to read
+        with pytest.raises(QuadratureError, match="t=1e-20"):
+            l1_kernel_derivative(P_HALF, 1e-20, (1.0,), m)
 
     def test_mass_is_one(self):
         # the kernel is nonnegative, so m = 0 gives its total mass

@@ -80,6 +80,11 @@ class TestBesselI:
         # a small z in the same call shares the term count of the largest
         assert_log_close(got[0], mp_log_bessel_i_scaled(nu, 1e-3))
 
+    def test_series_at_an_order_whose_square_overflows(self):
+        # nu^2 overflows a float from nu ~ 1.3e154; the series' term count
+        # is taken without it
+        assert_log_close(log_bessel_i_scaled(1e200, 1.0), mp_log_bessel_i_scaled(1e200, 1.0))
+
     @pytest.mark.parametrize("nu", [-0.25, 0.0, 0.3, 0.5, 1.5, 4.0])
     @pytest.mark.parametrize("z", [1e-6, 0.1, 1.0, 5.0, 14.0])
     def test_series_matches_scipy(self, nu, z):

@@ -14,6 +14,8 @@ figure is the median wall time of single calls after one warm-up call:
   (f = L_3^0.5, m = 2, x = 1.3) on the default 11-time grid,
   l1_kernel_derivative at t = 0.5 and at t = 0.05 (where the subordination
   rule, laid down to the floor of t, has the most panels);
+- fractional: fractional_integral_apply on the callable f = L_3^0.5 at
+  lambda = 1.5, x = 1.3;
 - expansion: analyze and synthesize;
 - lipschitz: lipschitz_seminorm at d = 3, degree 4, beta = 1.5 on the
   default grids, one stacked synthesis of the 11 times (and of f) on the
@@ -25,9 +27,10 @@ figure is the median wall time of single calls after one warm-up call:
   t = 1) and one l1_kernel_derivative (alpha = 0.5, x = 1, m = 1,
   t = 0.05) evaluate, the kernel values that L1 rule reads (its panel nodes
   and its sign-change bisection points, all through one block evaluator),
-  and the heat times of the semigroup tables that the d = 1 poisson_apply
-  (t = 0.7) and poisson_dt_apply calls above read; they depend only on the
-  code, not on the machine;
+  the heat times of the semigroup tables that the d = 1 poisson_apply
+  (t = 0.7) and poisson_dt_apply calls above read, and the semigroup tables
+  (heat-apply calls) that the callable fractional integral above reads; they
+  depend only on the code, not on the machine;
 - src_lines: the lines of each module of src/laguerre_ops and their total.
 
 Timings depend on the machine, so the file records it beside them.
@@ -91,6 +94,13 @@ def poisson_dt_apply_d1():
     return lo.poisson_dt_apply(f, p1, np.array(lo.default_t_grid()), (1.3,), 2)
 
 
+def callable_fractional_integral():
+    """I_1.5 f(1.3) for the callable f = L_3^0.5: one settled time integral."""
+    p1 = lo.MultiIndexParams(1, (0.5,))
+    f = lambda y: lo.laguerre_poly(3, 0.5, y)
+    return lo.fractional_integral_apply(f, p1, 1.5, (1.3,))
+
+
 def layer_costs(repeats):
     p1 = lo.MultiIndexParams(1, (0.5,))
     p2 = lo.MultiIndexParams(2, (0.5, -0.25))
@@ -127,6 +137,7 @@ def layer_costs(repeats):
         "l1_kernel_derivative_t005_s": median_s(
             lambda: lo.l1_kernel_derivative(p1, 0.05, (1.3,), 1), max(1, repeats // 4)
         ),
+        "callable_fractional_integral_d1_s": median_s(callable_fractional_integral, repeats),
         "analyze_d2_degree10_s": median_s(lambda: lo.analyze(f2, p2, 10), repeats),
         "synthesize_d2_degree10_1024_points_s": median_s(lambda: lo.synthesize_many(e, pts), repeats),
         "lipschitz_stack_d3_s": median_s(lambda: lo.lipschitz_seminorm(e3, p3, 1.5), repeats),
@@ -166,6 +177,9 @@ def counts():
         "poisson_apply_d1_heat_times": counted_points(table, "_heat_apply_times", heat_times),
         "poisson_dt_apply_d1_heat_times": counted_points(
             poisson_dt_apply_d1, "_heat_apply_times", heat_times
+        ),
+        "callable_fractional_integral_reads": counted_points(
+            callable_fractional_integral, "_heat_apply_times", lambda *args: 1
         ),
     }
 

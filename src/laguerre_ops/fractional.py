@@ -5,11 +5,11 @@ finite Laguerre expansions, and a quadrature of the defining integral in the
 semigroup time variable.  Each route (Laplace, difference) has one time rule
 (_time_rule), and every consumer reads it: on an expansion with modes of
 order n the Poisson semigroup contributes e^{-s sqrt(n)}, so each mode's
-multiplier and c_lambda_k are sums over that rule; on a callable, the rule is
-applied to P_s f(x), which comes from one poisson_apply call at every time
-the route needs.  The power-law endpoint at s = 0, s^(lam-1) on the Laplace
-route and s^(k-lam-1) on the difference route, is carried exactly by the
-rule's one Gauss-Jacobi panel (specfun.gauss_jacobi_rule).  The rule ends at
+multiplier and c_lambda_k are sums over that rule; on a callable, the rule
+is a linear functional of one table of P_s f(x), settled as one value
+(kernels._settled_read).  The power-law endpoint at s = 0, s^(lam-1) on the
+Laplace route and s^(k-lam-1) on the difference route, is carried exactly by
+the rule's one Gauss-Jacobi panel (specfun.gauss_jacobi_rule).  The rule ends at
 kernels.S_CUTOFF with an analytic tail past it: a last node on the
 difference route, and on the Laplace route the exact tail of each rate.
 
@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import comb, gammaincc
 
-from .errors import DomainError, NonzeroMeanError, QuadratureError, check_above, check_integer
+from .errors import DomainError, NonzeroMeanError, check_above, check_integer
 from .expansion import (
     OPERATORS,
     LaguerreExpansion,
@@ -35,7 +35,7 @@ from .expansion import (
     call_on_points,
     synthesize,
 )
-from .kernels import _EPS, S_CUTOFF, SUB_ABS, SUB_REL, _leggauss, _panels, poisson_apply
+from .kernels import S_CUTOFF, _leggauss, _panels, _settled_read
 from .specfun import gamma, gauss_jacobi_rule
 
 __all__ = [
@@ -124,10 +124,7 @@ def forward_difference(f, k: int, s, t):
     """Delta_s^k(f, t) = sum_j C(k,j) (-1)^j f(t + (k-j) s).  s and t may be
     arrays that broadcast, for an f that acts elementwise on them."""
     check_integer(k, 1, "k")
-    total = 0.0
-    for j in range(k + 1):
-        total += comb(k, j, exact=True) * (-1.0) ** j * f(t + (k - j) * s)
-    return total
+    return sum(comb(k, j, exact=True) * (-1.0) ** j * f(t + (k - j) * s) for j in range(k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -207,37 +204,40 @@ def bessel_derivative_expansion(e: LaguerreExpansion, cfg: FracOpConfig):
 
 def _callable_route(kind, f, params, lam, k, x):
     """The route's time rule applied to u(s) = e^(-shift s) P_s f(x), or on the
-    difference route to Delta_s^k(u, 0), with every P_s f(x) from one
-    poisson_apply call."""
+    difference route to Delta_s^k(u, 0): a linear functional of one table of
+    P_s f(x), which kernels._settled_read settles as one value, the Kronrod
+    and Gauss rows by the rule's weights and the magnitude row by |weights|."""
     shift, route = ROUTES[kind]
     s, w = _time_rule(route, lam, k)
+    weights = (w, w, np.abs(w))
     if route == "laplace":
         # P_s f(x) has reached the mean of f by S_CUTOFF, and past it u decays
         # like e^(-s): e^(-s) times that mean, or a zero mean's rate-1 mode
-        times = np.append(s, S_CUTOFF)
-        u = np.exp(-shift * times) * poisson_apply(f, params, times, x)
-        _check_mean(kind, u[-1])
-        tail = u[-1] * math.exp(S_CUTOFF) * gammaincc(lam, S_CUTOFF)
-        return float(np.dot(w, u[:-1])) / gamma(lam) + float(tail)
-    # column j holds u(j s), j = 0..k, and Delta_s^k(u, 0) is the unit-step
-    # difference of j -> u(j s), taken of f - f(x), which vanishes as s -> 0,
-    # so as not to cancel terms of the size of f(x): f(x) adds const
-    fx = float(call_on_points(f, np.asarray(x)))
-    times = np.outer(s, np.arange(1.0, k + 1))
-    centred = lambda y: np.asarray(f(y), dtype=float) - fx
-    u = np.exp(-shift * times) * poisson_apply(centred, params, times, x)
-    u = np.column_stack((np.zeros(len(s)), u))
-    const = fx * np.expm1(-shift * s) ** k
-    delta = forward_difference(lambda j: u[:, int(j)], k, 1.0, 0.0) + const
-    c = c_lambda(lam, k)
-    # Delta^k still cancels near s = 0; its rounding, bounded as in _doubled, must meet tol
-    with np.errstate(over="ignore", invalid="ignore"):  # at large k, inf or nan: not settled
-        value = float(np.dot(w, delta)) / c
-        size = np.abs(w) @ (np.abs(u) @ comb(k, np.arange(k + 1)) + np.abs(const)) / abs(c)
-    if not (math.isfinite(value) and _EPS * size <= max(SUB_ABS, SUB_REL * abs(value))):
-        raise QuadratureError(f"Delta_s^k P_s f(x) at lambda={lam!r}, k={k}, x={x} cancels "
-                              f"below its rounding: eps sum |terms| = {_EPS * size:.3g}")
-    return value
+        g, times = f, np.append(s, S_CUTOFF)
+
+        def integral(rows):
+            u = np.exp(-shift * times) * rows
+            _check_mean(kind, u[0, -1])
+            return [np.dot(v, r[:-1]) / gamma(lam) + r[-1] * math.exp(S_CUTOFF)
+                    * gammaincc(lam, S_CUTOFF) for v, r in zip(weights, u)]
+    else:
+        # column j - 1 holds u(j s), j = 1..k, and Delta_s^k(u, 0) is the
+        # unit-step difference of j -> u(j s), taken of f - f(x), so u(0) = 0
+        # and no terms of the size of f(x) cancel: f(x) adds const
+        fx = float(call_on_points(f, np.asarray(x)))
+        g, times = lambda y: np.asarray(f(y), dtype=float) - fx, np.outer(s, np.arange(1.0, k + 1))
+        const, c = fx * np.expm1(-shift * s) ** k, c_lambda(lam, k)
+
+        def integral(rows):
+            u = np.exp(-shift * times) * rows.reshape(3, *times.shape)
+            u[2] += abs(fx) * np.exp(-shift * times)  # f(y) - f(x) keeps f(y)'s rounding
+            with np.errstate(over="ignore", invalid="ignore"):  # at large k, inf or nan
+                delta = forward_difference(lambda j: u[:2, :, int(j) - 1] if j else 0, k, 1, 0)
+                size = u[2] @ comb(k, np.arange(1, k + 1)) + np.abs(const)
+                return [np.dot(v, r) / b
+                        for v, r, b in zip(weights, (*(delta + const), size), (c, c, abs(c)))]
+    where = lambda i: f"the {route} time integral at lambda={lam!r}, k={k}, x={x}"
+    return float(_settled_read(g, params, x, times.ravel(), 0, where, integral)[0])
 
 
 def _dispatch(kind, f, params, lam, x):

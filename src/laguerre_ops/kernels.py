@@ -11,31 +11,23 @@ whose Laplace transform in s is e^{-t sqrt(n)}: the substitution s = -log r
 turns the unit-interval kernel integral into an integral of g against the
 heat kernel on (0, inf).  Time derivatives differentiate g analytically.
 
-T_s f(x) integrates one heat-axis rule per coordinate: Gauss-Legendre
-panels laid in offsets u from the kernel's Gaussian ridge in v = sqrt(y),
-whose exponent -u^2/2 is exact, around the square root of the kernel's mean
-in y, and, where they reach v = sigma, one Gauss-Jacobi panel in y on
-[0, sigma^2] that is exact for the y^alpha endpoint.
+T_s f(x) integrates one heat-axis rule per coordinate (_heat_axis_rule):
+Gauss-Legendre panels in offsets from the kernel's Gaussian ridge in
+v = sqrt(y), and one Gauss-Jacobi panel that is exact for the y^alpha endpoint.
 
 Every integral int d^m_t g(t, s) F(s) ds over (0, S_CUTOFF) takes one
 subordination rule (_subordination_rule): Gauss-Kronrod panels in log s of
 one width, laid down from S_CUTOFF to the floor of the smallest time (at
 least T_MIN), and the analytic erf tail past S_CUTOFF, weighted by
-_sub_weights.  It starts at KERNEL_PANELS panels; for kernel values and
-P_t f(x) one doubling rule (_doubled) doubles it while a value is unsettled:
-each keeps its first Kronrod sum that agrees with its embedded Gauss sum (or
-the last panel count's).
+_sub_weights.  A read gives each value its Kronrod sum, embedded Gauss sum
+and sum |terms|, whose eps multiple is its rounding; one settle loop
+(_doubled) doubles the rule from KERNEL_PANELS until every value settles.
 Kernel values d^m/dt^m p_t(x, y) at an (n, d) array of points y read the
-rule in one pass of (y x s-node) blocks, with one log_bessel_i_scaled call
-per block of at most BLOCK_POINTS entries and the weights and y-free heat
-factors cached per (t, m, panels, x, alpha); a scalar value is a block of
-one point.
-
-d^m/dt^m P_t f(x) (poisson_dt_apply; poisson_apply is m = 0) is read off one
-semigroup table: nodes s of the rule at the smallest time, and T_s f(x) at
-each node and at S_CUTOFF, which stands for T_s f(x) past it, all from one
-chunked heat-apply call (one heat-axis rule per axis and chunk of times),
-read in blocks of times.
+rule in (y x s-node) blocks, one log_bessel_i_scaled call per block of at
+most BLOCK_POINTS entries.  d^m/dt^m P_t f(x) (poisson_dt_apply), and the
+callable fractional operators as a linear functional of P_s f(x), read one
+semigroup table (_settled_read): T_s f(x) and sum |w f| at every node and
+at S_CUTOFF, which stands for s past it, from one chunked heat-apply call.
 
 l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on panels in
 v = sqrt(y) (_v_breaks), dyadic around the ridge at sqrt(x) and ending where
@@ -43,15 +35,14 @@ the kernel's mass past them is below e^(-S_CUTOFF): the panel at v = 0 takes
 the Gauss-Jacobi rules of 2 Y_ORDER and Y_ORDER nodes, exact for the y^alpha
 endpoint, and every other panel a Gauss-Kronrod rule around Y_ORDER Gauss
 nodes.  A panel has a value, a y estimate |K - G| and an s estimate, its
-|weights| 2v times each node's max(|K - G|, eps sum |terms|) on the s rule,
-which nodes and bisection points read at one panel count.  Sign changes of
-d^m p between nodes, and below the first node (from d^m p / y^alpha
-extrapolated to y = 0), are located by bisection and made breaks.  A panel
-that a new break splits or whose y estimate exceeds its share of
-tol = max(SUB_ABS, SUB_REL |sum|) is split and read again; an s estimate
-above tol / 2 doubles the s panels and drops every value read.  The sum
-settles once no sign change is new and both estimates together meet tol,
-else QuadratureError after SUB_DOUBLINGS passes or once no panel is left to read.
+|weights| 2v times each node's _estimate, read at one s panel count.  Sign
+changes of d^m p between nodes, and below the first node (from d^m p /
+y^alpha extrapolated to y = 0), are located by bisection and made breaks.
+A panel that a new break splits or whose y estimate exceeds its share of
+tol = max(SUB_ABS, SUB_REL |sum|) is split and read again; an s estimate above
+tol / 2 doubles the s panels and drops every value read.  The sum settles once
+no sign change is new and both estimates meet tol, else QuadratureError after
+SUB_DOUBLINGS passes or once no panel is left to read.
 """
 
 from __future__ import annotations
@@ -249,37 +240,37 @@ def _heat_axis_rule(alpha, times, x):
 
 
 def _heat_apply_times(f, params, times, x):
-    """T_s f(x) for each heat time s in `times`, taken in chunks of at most
-    BLOCK_POINTS nodes per axis: one heat-axis rule (one log_bessel_i_scaled
-    call) per axis and chunk.  At d = 1 a chunk is one call to f; at d >= 2
-    each time is one tensor grid of its rows of the per-axis rules."""
-    out = np.empty(len(times))
+    """Rows T_s f(x) and sum |w f| over the heat times s in `times`, taken in
+    chunks of at most BLOCK_POINTS nodes per axis: one heat-axis rule (one
+    log_bessel_i_scaled call) per axis and chunk.  At d = 1 a chunk is one call
+    to f; at d >= 2 each time is one tensor grid of its rows of the per-axis rules."""
+    out = np.empty((2, len(times)))
     step = max(1, BLOCK_POINTS // (15 * HEAT_ORDER))  # a time has at most 15 panels
     for i in range(0, len(times), step):
         chunk = times[i : i + step]
         rules = [_heat_axis_rule(a, chunk, xj) for a, xj in zip(params.alpha, x)]
         if params.d == 1:
             idx, y, w = rules[0]
-            sums = (w * call_on_points(f, y.reshape(-1, 1)).reshape(y.shape)).sum(axis=1)
-            out[i : i + step] = np.bincount(idx, sums, minlength=len(chunk))
+            terms = w * call_on_points(f, y.reshape(-1, 1)).reshape(y.shape)
+            for row, g in zip(out, (terms, np.abs(terms))):
+                row[i : i + step] = np.bincount(idx, g.sum(axis=1), minlength=len(chunk))
             continue
         # idx is sorted, so the rows of each time are one run of them
         starts = [np.searchsorted(idx, np.arange(1, len(chunk))) for idx, _, _ in rules]
         axes = [zip(np.split(y, c), np.split(w, c)) for (_, y, w), c in zip(rules, starts)]
         for j, rows in enumerate(zip(*axes)):
             y, w = tensor_grid([y.ravel() for y, _ in rows], [w.ravel() for _, w in rows])
-            out[i + j] = (w * call_on_points(f, y)).sum()
+            terms = w * call_on_points(f, y)
+            out[:, i + j] = terms.sum(), np.abs(terms).sum()
     return out
 
 
 def heat_apply_kernel(f, q: KernelQuery) -> float:
-    """T_t f(x) by quadrature of the heat kernel against d mu_alpha.
-
-    f is called with a vector of y values (d = 1) or an (m, d) array.
-    """
+    """T_t f(x) by quadrature of the heat kernel against d mu_alpha; f is
+    called with a vector of y values (d = 1) or an (m, d) array."""
     if q.y is not None or q.derivative_order:
         raise DomainError("heat_apply_kernel takes a query with no y and derivative_order 0")
-    return float(_heat_apply_times(f, q.params, np.array([q.t]), q.x)[0])
+    return float(_heat_apply_times(f, q.params, np.array([q.t]), q.x)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +289,7 @@ def stable_density_dt(m: int, t, s):
 
     With a = 1/(4s) and phi(t) = e^{-a t^2}:
     d^m/dt^m [t phi] = t phi^(m) + m phi^(m-1),
-    phi^(j)(t) = (-sqrt(a))^j H_j(sqrt(a) t) phi(t).
+    phi^(j)(t) = (-sqrt(a))^j H_j(sqrt(a) t) phi(t).  An overflow raises DomainError.
     """
     check_integer(m, 0, "m")
     t, s = np.asarray(check_above("t", t)), np.asarray(check_above("s", s))
@@ -307,11 +298,14 @@ def stable_density_dt(m: int, t, s):
     except ValueError:
         raise DomainError("t must be a scalar or an array that broadcasts against s") from None
     ra = 1.0 / (2.0 * np.sqrt(s))  # sqrt(a)
-    phi = np.exp(-(ra * t) ** 2)
-    term = t * (-ra) ** m * hermval(ra * t, [0.0] * m + [1.0])
-    if m >= 1:
-        term = term + m * (-ra) ** (m - 1) * hermval(ra * t, [0.0] * (m - 1) + [1.0])
-    out = term * phi * s**-1.5 / (2.0 * math.sqrt(math.pi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.exp(-(ra * t) ** 2)
+        term = t * (-ra) ** m * hermval(ra * t, [0.0] * m + [1.0])
+        if m >= 1:
+            term = term + m * (-ra) ** (m - 1) * hermval(ra * t, [0.0] * (m - 1) + [1.0])
+        out = term * phi * s**-1.5 / (2.0 * math.sqrt(math.pi))
+    if not np.isfinite(out).all():
+        raise DomainError(f"d^{m}/dt^{m} g at t={np.min(t):g}, m={m} overflows at s={s.min():.3g}")
     return out if np.ndim(out) else float(out)
 
 
@@ -337,16 +331,20 @@ def _s_floor(t):
     return min(t * t / 184.0, 0.5 * S_CUTOFF)
 
 
+def _above_t_min(t):
+    if t < T_MIN:
+        raise DomainError(f"t={t:g} is below T_MIN={T_MIN:g}, the rule's smallest time")
+    return t
+
+
 def _subordination_rule(t_min, panels):
     """Nodes s, Kronrod weights w s and Gauss weights (0 off the embedded
     Gauss nodes) as flat arrays, so that sum_i (w s)_i F(s_i) ~
     int_0^S_CUTOFF F(s) ds for F smooth in log s: Gauss-Kronrod panels in
     log s, as wide as `panels` are at t = 1, laid down from S_CUTOFF to the
     floor of t_min, for every t >= t_min >= T_MIN."""
-    if t_min < T_MIN:
-        raise DomainError(f"t={t_min:g} is below T_MIN={T_MIN:g}, the rule's smallest time")
     h = math.log(S_CUTOFF / _s_floor(1.0)) / panels
-    n = math.ceil(math.log(S_CUTOFF / _s_floor(t_min)) / h - 1e-9)
+    n = math.ceil(math.log(S_CUTOFF / _s_floor(_above_t_min(t_min))) / h - 1e-9)
     breaks = math.log(S_CUTOFF) - h * np.arange(n, -1.0, -1.0)
     u, wk, wg = _panels(breaks, *gauss_kronrod_rule(SUB_ORDER))
     s = np.exp(u)
@@ -364,31 +362,36 @@ def _sub_weights(m, t, s, wk, wg):
     return np.array([kron, wg * density, np.abs(kron)]), np.array([tail, tail, abs(tail)])
 
 
+def _estimate(rows):
+    """max(|K - G|, eps sum |terms|) of rows (K, G, sum |terms|): K and G share rounding."""
+    return np.maximum(np.abs(rows[0] - rows[1]), _EPS * rows[2])
+
+
 def _doubled(value, panels, where):
-    """The Kronrod row of value(panels), doubling panels until every index
-    settles; value(panels) returns rows of Kronrod values, embedded Gauss
-    values and sums of the terms' magnitudes for every index.  An index keeps
-    the first Kronrod value its Gauss value meets to tol = max(SUB_ABS,
-    SUB_REL |value|) with eps sum |terms| <= tol (their shared nodes hide
-    that rounding), or the last panel count's value meets, or where both are
-    below SUB_ROUND sum |terms|; else QuadratureError naming where(i) of the
-    first index i that did not settle."""
+    """The Kronrod row of value(panels), the rows _estimate reads, doubling
+    panels until each index keeps a finite value that its estimate meets to tol
+    = max(SUB_ABS, SUB_REL |value|), or, where eps sum |terms| <= SUB_ROUND / eps
+    tol = 8 tol, that the last panel count's value meets or that is below
+    SUB_ROUND sum |terms| with its Gauss value.  Else QuadratureError naming
+    where(i): after SUB_DOUBLINGS doublings, or at once above that floor."""
     for doubling in range(SUB_DOUBLINGS + 1):
-        rows = value(panels * 2**doubling)
-        kron, (mag, mag_gauss, size) = rows[0], np.abs(rows)
-        tol = np.maximum(SUB_ABS, SUB_REL * mag)
-        done = np.maximum(np.abs(kron - rows[1]), _EPS * size) <= tol
-        done |= np.maximum(mag, mag_gauss) <= SUB_ROUND * size
-        if doubling:
-            done |= np.abs(kron - out) <= tol
-            kron, done = np.where(settled, out, kron), settled | done
-        out, settled = kron, done
+        kron, gauss, size = rows = value(panels * 2**doubling)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan settles nowhere
+            tol, err = np.maximum(SUB_ABS, SUB_REL * np.abs(kron)), _estimate(rows)
+            floor = np.isfinite(kron)
+            done = floor & (err <= tol)
+            if not done.all():
+                floor &= _EPS * size <= SUB_ROUND / _EPS * tol
+                near = np.maximum(np.abs(kron), np.abs(gauss)) <= SUB_ROUND * size
+                done |= floor & (near | (doubling > 0 and np.abs(kron - out) <= tol))
+        out, settled = (np.where(settled, out, kron), settled | done) if doubling else (kron, done)
         if settled.all():
             return out
-    raise QuadratureError(
-        f"{where(np.flatnonzero(~settled)[0])} did not converge in {SUB_DOUBLINGS} doublings "
-        "of the subordination panels"
-    )
+        if not (settled | floor).all():
+            break
+    i = np.flatnonzero(~settled)[np.argmin(floor[~settled])]  # one above the floor first
+    raise QuadratureError(f"{where(i)} did not settle in {doubling} doublings: value "
+                          f"{float(kron[i])!r}, estimate {err[i]:.3g} against tol {tol[i]:.3g}")
 
 
 @lru_cache(maxsize=16)
@@ -408,8 +411,7 @@ def _poisson_block_once(params, t, x, y, m, panels):
     """d^m/dt^m p_t(x, y_i) for each row y_i of an (n, d) array of points, as
     the (3, n) rows _doubled reads, from one pass of (y x s-node) blocks of
     at most BLOCK_POINTS entries, one log_bessel_i_scaled call per axis and
-    block.  Each point's row is summed on its own, so it does not depend on
-    the others."""
+    block; each point's row is summed on its own, independent of the others."""
     weights, tails, pieces = _kernel_nodes(t, m, panels, x, params.alpha)
     root_y, log_y = np.sqrt(y), np.log(y)
     rows = np.empty((len(y), 3))
@@ -447,40 +449,39 @@ def poisson_kernel_dt(q: KernelQuery) -> float:
 
 def _read_table(f, params, x, times, m, rule):
     """d^m/dt^m P_t f(x) at each of the 1-d array `times`, as the (3, n) rows
-    _doubled reads, off the subordination rule (s, wk, wg): T_s f(x) at the
-    nodes and at S_CUTOFF (for s past it) from one _heat_apply_times call,
-    each time's integral one dot product of its row (a matrix product sums
-    in another order, which the difference route amplifies)."""
-    table = _heat_apply_times(f, params, np.append(rule[0], S_CUTOFF), x)
-    mag, out, step = np.abs(table), [], max(1, BLOCK_POINTS // len(rule[0]))
-    # the Kronrod and Gauss rows read T_s f(x), the magnitude row |T_s f(x)|
-    values = ((table[:-1], table[-1]),) * 2 + ((mag[:-1], mag[-1]),)
+    _doubled reads, off the rule (s, wk, wg): T_s f(x) and sum |w f| at its nodes
+    and S_CUTOFF (for s past it) from one _heat_apply_times call, each time's row
+    one dot product (a matrix product sums in another order, which Delta^k amplifies)."""
+    table, mag = _heat_apply_times(f, params, np.append(rule[0], S_CUTOFF), x)
+    out, step = [], max(1, BLOCK_POINTS // len(rule[0]))
     for i in range(0, len(times), step):
         weights, tails = _sub_weights(m, times[i : i + step], *rule)
-        out += zip(*[[np.dot(r, v) + c * past for r, c in zip(w, tail)]
-                     for w, tail, (v, past) in zip(weights, tails, values)])
-    return np.array(out).T
+        # the Kronrod and Gauss rows read T_s f(x), the magnitude row sum |w f|
+        out += zip(*[[np.dot(r, v[:-1]) + c * v[-1] for r, c in zip(w, tail)]
+                     for w, tail, v in zip(weights, tails, (table, table, mag))])
+    return np.array(out).T.copy()  # C order: a row of it is read with np.dot
+
+
+def _settled_read(f, params, x, times, m, where, functional=lambda rows: rows):
+    """d^m/dt^m P_t f(x) at the 1-d array `times`, or the rows functional(rows) of a linear
+    functional of their rows, settled by _doubled, each pass one _read_table."""
+    read = lambda n: _read_table(f, params, x, times, m, _subordination_rule(times.min(), n))
+    return _doubled(lambda n: np.reshape(functional(read(n)), (3, -1)), KERNEL_PANELS, where)
 
 
 def poisson_apply(f, params: MultiIndexParams, t, x):
-    """P_t f(x) = int_0^inf g(t, s) T_s f(x) ds by subordination: poisson_dt_apply
-    at m = 0."""
+    """P_t f(x) = int_0^inf g(t, s) T_s f(x) ds by subordination: m = 0 of poisson_dt_apply."""
     return poisson_dt_apply(f, params, t, x, 0)
 
 
 def poisson_dt_apply(f, params: MultiIndexParams, t, x, m: int):
     """d^m/dt^m P_t f(x) = int d^m_t g(t, s) T_s f(x) ds at one time t (a float
-    is returned) or an array of times (an array of that shape), all read off
-    one semigroup table on the rule laid down to the smallest time, which
-    doubles from KERNEL_PANELS while a time is unsettled.
-    """
-    times, x = np.asarray(check_above("t", t)), params.point(x)
+    is returned) or an array of times (an array of that shape): _settled_read."""
+    flat, x = np.ravel(check_above("t", t)), params.point(x)
     check_integer(m, 0, "m")
-    flat = times.ravel()
-    read = lambda n: _read_table(f, params, x, flat, m, _subordination_rule(flat.min(), n))
     where = lambda i: f"d^{m}/dt^{m} P_t f(x) at x={x}, t={flat[i]:g}"
-    out = _doubled(read, KERNEL_PANELS, where)
-    return out.reshape(times.shape) if np.ndim(t) else float(out[0])
+    out = _settled_read(f, params, x, flat, m, where)
+    return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
 
 def _v_breaks(t, x, alpha):
@@ -533,7 +534,7 @@ def _l1_integral(params, t, x, m):
     """int of |p(y)| dy for p = d^m/dt^m p_t(x, .) at d = 1 by the L1 panel
     rule of the module docstring, and the values of p at its last panels'
     nodes.  A panel is read once per s panel count and kept until it is split."""
-    alpha, breaks = params.alpha[0], _v_breaks(t, x[0], params.alpha[0])
+    alpha, breaks = params.alpha[0], _v_breaks(_above_t_min(t), x[0], params.alpha[0])
     sub, read, zeros = KERNEL_PANELS, {}, np.empty(0)
     kernel = lambda v: _poisson_block_once(params, t, x, (v * v)[:, None], m, sub)
     for _ in range(SUB_DOUBLINGS + 1):
@@ -544,8 +545,8 @@ def _l1_integral(params, t, x, m):
         if not new:  # no panel could be split, and the s panels stand
             break
         rules = [[r[i] for r in (end if i == 0 else kron)] for i in new]
-        kron_p, gauss_p, size = kernel(np.concatenate([v for v, _, _ in rules]))
-        errs = np.maximum(np.abs(kron_p - gauss_p), _EPS * size)  # as _doubled bounds it
+        rows = kernel(np.concatenate([v for v, _, _ in rules]))
+        kron_p, errs = rows[0], _estimate(rows)
         at = np.cumsum([len(v) for v, _, _ in rules])[:-1]
         for i, (v, wk, wg), p, e in zip(new, rules, np.split(kron_p, at), np.split(errs, at)):
             f = 2.0 * v * np.abs(p)
@@ -568,9 +569,8 @@ def _l1_integral(params, t, x, m):
         mids = 0.5 * (breaks[:-1] + breaks[1:])[halve]
         zeros, breaks = np.union1d(zeros, found), np.union1d(breaks, np.append(found, mids))
     raise QuadratureError(f"the L1 y integral at t={t}, x={x}, m={m} did not settle in "
-                          f"{SUB_DOUBLINGS} passes or ran out of panels to split: sum "
-                          f"{total!r}, y estimate {err.sum():.3g}, s estimate {s_err:.3g} "
-                          f"against tol {tol:.3g}")
+                          f"{SUB_DOUBLINGS} passes or ran out of panels to split: sum {total!r}, y "
+                          f"estimate {err.sum():.3g}, s estimate {s_err:.3g} against tol {tol:.3g}")
 
 
 def l1_kernel_derivative(params: MultiIndexParams, t: float, x, m: int) -> float:

@@ -37,6 +37,7 @@ from laguerre_ops.fractional import (
     fractional_integral_expansion,
     smallest_integer_above,
 )
+from laguerre_ops import kernels
 from laguerre_ops.kernels import S_CUTOFF
 from laguerre_ops.specfun import laguerre_poly
 
@@ -446,6 +447,47 @@ class TestPointApply:
         else:
             with pytest.raises(QuadratureError, match=f"lambda={lam}, k="):
                 fractional_derivative_apply(f, P, lam, (1.3,))
+
+    @pytest.mark.parametrize("lam", [10.0, 15.0, 20.0])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_callable_laplace_route_at_large_lambda_is_within_tolerance_or_raises(self, k, lam):
+        # the weights s^(lam-1) / Gamma(lam) multiply the rounding of P_s f(x)
+        # near s = 40, which the Kronrod and Gauss sums share; it returned
+        # values off by 6.9e-6 to 92 relative
+        f = lambda y: laguerre_poly(k, 0.5, y)
+        want = fractional_integral(lam).value(k) * laguerre_poly(k, 0.5, 1.3)
+        try:
+            got = fractional_integral_apply(f, P, lam, (1.3,))
+        except QuadratureError as err:
+            assert f"lambda={lam}, k=" in str(err)
+        else:
+            assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.5, 2.0])
+    def test_callable_derivative_below_an_integer_order_is_within_tolerance_or_raises(self, alpha):
+        # at lam = 1.99 the first weight of the difference rule is 1.5e11, so
+        # the rounding of f(y) near x moves the value by 5.0e-8 to 2.1e-7
+        params = MultiIndexParams(1, (alpha,))
+        f = lambda y: laguerre_poly(3, alpha, y)
+        want = fractional_derivative(1.99).value(3) * laguerre_poly(3, alpha, 1.3)
+        try:
+            got = fractional_derivative_apply(f, params, 1.99, (1.3,))
+        except QuadratureError as err:
+            assert "lambda=1.99, k=2" in str(err)
+        else:
+            assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("kind", sorted(ROUTES))
+    @pytest.mark.parametrize("lam", [0.7, 1.5])
+    def test_callable_route_reads_its_table_once(self, monkeypatch, kind, lam):
+        # the time integral settles as one value of one semigroup table read
+        reads, read = [], kernels._read_table
+        monkeypatch.setattr(kernels, "_read_table", lambda *a: reads.append(a[3]) or read(*a))
+        f = lambda y: laguerre_poly(3, 0.5, y)
+        got = getattr(laguerre_ops, kind + "_apply")(f, P, lam, (1.3,))
+        want = getattr(laguerre_ops, kind)(lam).value(3) * laguerre_poly(3, 0.5, 1.3)
+        assert got == pytest.approx(want, rel=1e-8)
+        assert len(reads) == 1
 
     @pytest.mark.parametrize("lam, error", [
         (105.5, QuadratureError), (108.5, QuadratureError), (120.0, QuadratureError),

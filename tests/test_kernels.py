@@ -221,7 +221,7 @@ class TestHeatEngine:
         params = MultiIndexParams(1, (alpha,))
         f = lambda y: np.exp(-0.3 * y)
         times = np.geomspace(1e-12, 40.0, 300)
-        got = _heat_apply_times(f, params, times, (1.3,))
+        got = _heat_apply_times(f, params, times, (1.3,))[0]
         want = [heat_apply_kernel(f, KernelQuery(params, t, (1.3,))) for t in times]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -229,7 +229,7 @@ class TestHeatEngine:
         p2 = MultiIndexParams(2, (0.5, -0.25))
         g = lambda pts: np.exp(-0.3 * pts[:, 0] - 0.1 * pts[:, 1])
         times = np.array([1e-3, 0.5, 20.0])
-        got = _heat_apply_times(g, p2, times, (1.2, 0.7))
+        got = _heat_apply_times(g, p2, times, (1.2, 0.7))[0]
         want = [heat_apply_kernel(g, KernelQuery(p2, t, (1.2, 0.7))) for t in times]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -242,9 +242,26 @@ class TestHeatEngine:
         x = (1.3, 0.6)[:d]
         f = lambda y: np.exp(-0.3 * y) if d == 1 else np.exp(-0.3 * y[:, 0] - 0.1 * y[:, 1])
         times = np.geomspace(1e-6, 40.0, 100)
-        got = _heat_apply_times(f, params, times, x)
+        got = _heat_apply_times(f, params, times, x)[0]
         want = [heat_apply_kernel(f, KernelQuery(params, t, x)) for t in times]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_magnitude_row_is_the_sum_of_term_magnitudes(self, d):
+        # beside each T_s f(x) the table carries sum |w f|, chunked or not; on
+        # an f that changes sign it is above |T_s f(x)| once the kernel is wide
+        params = MultiIndexParams(d, (0.5,) * d)
+        x = (1.3, 0.6)[:d]
+        f = lambda y: np.cos(y) if d == 1 else np.cos(y[:, 0] - 0.1 * y[:, 1])
+        times = np.geomspace(1e-6, 40.0, 100)
+        got = _heat_apply_times(f, params, times, x)
+        alone = [_heat_apply_times(f, params, times[i : i + 1], x)[:, 0] for i in range(len(times))]
+        assert got.T.tolist() == np.array(alone).tolist()
+        assert (got[1] >= np.abs(got[0])).all() and got[1, -1] > 2.0 * abs(got[0, -1])
+        y = np.linspace(1e-3, 60.0, 4001)
+        mu = y**0.5 * np.exp(-y) / math.gamma(1.5)
+        if d == 1:  # past the cutoff T_s |f| is int |cos| d mu_alpha
+            assert got[1, -1] == pytest.approx(np.trapezoid(np.abs(np.cos(y)) * mu, y), rel=1e-3)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_table_blocks_are_bit_identical_to_single_times(self, m):
@@ -253,16 +270,18 @@ class TestHeatEngine:
         # that time exactly
         f = lambda y: np.exp(-0.3 * y)
         rule = s, wk, wg = _subordination_rule(0.05, KERNEL_PANELS)
-        heat = _heat_apply_times(f, P_HALF, np.append(s, S_CUTOFF), (1.3,))
-        heat, mean = heat[:-1], heat[-1]
+        heat, mag = _heat_apply_times(f, P_HALF, np.append(s, S_CUTOFF), (1.3,))
         times = np.geomspace(0.05, 8.0, 3 * (BLOCK_POINTS // len(s)) + 5)
         density = [stable_density_dt(m, t, s) for t in times.tolist()]
-        tails = [mean * stable_tail_mass(m, t, S_CUTOFF) for t in times.tolist()]
+        tails = [stable_tail_mass(m, t, S_CUTOFF) for t in times.tolist()]
         kron, gauss, sizes = _read_table(f, P_HALF, (1.3,), times, m, rule)
         for got, w in ((kron, wk), (gauss, wg)):
-            assert got.tolist() == [np.dot(w * g, heat) + c for g, c in zip(density, tails)]
+            assert got.tolist() == [
+                np.dot(w * g, heat[:-1]) + c * heat[-1] for g, c in zip(density, tails)
+            ]
+        # the magnitude row reads each heat value's sum |w f|, not |T_s f(x)|
         assert sizes.tolist() == [
-            np.dot(abs(wk * g), abs(heat)) + abs(c) for g, c in zip(density, tails)
+            np.dot(abs(wk * g), mag[:-1]) + abs(c) * mag[-1] for g, c in zip(density, tails)
         ]
 
 
@@ -558,7 +577,7 @@ class TestPoissonApply:
         f = lambda y: laguerre_poly(3, 0.5, y)
         with pytest.raises(QuadratureError, match=r"at x=\(1\.3,\), t=0\.7 did not"):
             poisson_apply(f, P_HALF, 0.7, (1.3,))
-        with pytest.raises(QuadratureError, match=r"at x=\(1\.3,\), t=\S+ did not"):
+        with pytest.raises(QuadratureError, match=r"integral at lambda=0\.5, k=1, x=\(1\.3,\) did not"):
             bessel_potential_apply(f, P_HALF, 0.5, (1.3,))
 
     def test_dt_apply_matches_multiplier(self):
@@ -651,6 +670,27 @@ class TestPoissonDtApply:
             poisson_dt_apply(f, P_HALF, np.array([0.5, 1e-4]), (1.3,), 3)
         assert "t=0.0001 " in str(err.value)
 
+    @pytest.mark.parametrize("t", [1e-20, 1e-50])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rounding_above_the_floor_raises(self, monkeypatch, m, t):
+        # the terms grow like t^-(m+1) and their rounding eps sum |terms| is
+        # far above 8 tol; the rounding-level test accepted 5690.875 at
+        # t = 1e-20, m = 1 (the value is 0.1765), -3.8e23 at m = 2.  No
+        # doubling lowers that rounding, so the first read raises
+        reads, rule = [], kernels._subordination_rule
+        monkeypatch.setattr(kernels, "_subordination_rule",
+                            lambda t_min, panels: reads.append(panels) or rule(t_min, panels))
+        f = lambda y: laguerre_poly(2, 0.5, y)
+        with pytest.raises(QuadratureError, match=f"t={t:g} did not settle in 0 doublings"):
+            poisson_dt_apply(f, P_HALF, t, (1.0,), m)
+        assert reads == [KERNEL_PANELS]
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_a_value_that_is_not_finite_never_settles(self, value):
+        rows = lambda panels: np.array([[value, 1.0], [value, 1.0], [np.inf, 1.0]])
+        with pytest.raises(QuadratureError, match="index 0 did not settle"):
+            _doubled(rows, KERNEL_PANELS, lambda i: f"index {i}")
+
     @pytest.mark.parametrize("t, m", [(0.0, 1), (np.array([]), 1), (0.5, -1)])
     def test_rejects_bad_arguments(self, t, m):
         with pytest.raises(DomainError):
@@ -677,14 +717,28 @@ class TestSmallestTime:
         "l1_kernel_derivative": lambda t: l1_kernel_derivative(P_HALF, t, (1.0,), 1),
     }
 
-    @pytest.mark.parametrize("t", [1e-102, 1e-153, 1e-300])
+    @pytest.mark.parametrize("t", [1e-102, 1e-153, 1e-300, 1e-308, 5e-324])
     @pytest.mark.parametrize("read", READS)
     def test_below_it_raises_domain_error(self, read, t):
         # below ~5e-102 s^(-3/2) at the rule's floor t^2 / 184 overflowed (a
         # warning), below 1e-153 its panel count did (OverflowError), and at
-        # 1e-300 the floor was 0 (ZeroDivisionError)
+        # 1e-300 the floor was 0 (ZeroDivisionError); from 1e-308 the L1 y
+        # breaks overflowed (OverflowError) before any kernel value was read
         with pytest.raises(DomainError, match=f"t={t:g} is below"):
             self.READS[read](t)
+
+    @pytest.mark.parametrize("t", [1e-80, 1e-100])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("read", ["poisson_kernel_dt", "poisson_dt_apply"])
+    def test_derivative_past_the_float_range_raises_domain_error(self, read, m, t):
+        # d^m_t g at the rule's floor overflows sooner than g, which sets
+        # T_MIN: these reads warned "overflow encountered in multiply" and
+        # then raised QuadratureError
+        with pytest.raises(DomainError, match=f"t={t:g}, m={m} overflows"):
+            if read == "poisson_dt_apply":
+                poisson_dt_apply(lambda y: laguerre_poly(2, 0.5, y), P_HALF, t, (1.0,), m)
+            else:
+                poisson_kernel_dt(KernelQuery(P_HALF, t, (1.0,), (1.0,), derivative_order=m))
 
     def test_at_it_values_hold(self):
         # P_t L_2^0.5 (1) -> L_2^0.5 (1) = -1/8 as t -> 0

@@ -5,7 +5,8 @@
 Run from the repository root; the package is imported from ./src.  Each
 figure is the median wall time of single calls after one warm-up call:
 
-- specfun: log-Bessel per point, the heat-axis rule per node;
+- specfun: log-Bessel per point at nu = 0.5 and at nu = -0.25 (the same 4096
+  z from 1e-3 to 1e3), the heat-axis rule per node;
 - kernels: one KernelQuery build (d = 1, with x and y; the median of
   batches of 1000, divided by 1000), one Poisson kernel value, the 720
   values of one kernel-mass
@@ -29,8 +30,10 @@ figure is the median wall time of single calls after one warm-up call:
   and its sign-change bisection points, all through one block evaluator),
   the heat times of the semigroup tables that the d = 1 poisson_apply
   (t = 0.7) and poisson_dt_apply calls above read, and the semigroup tables
-  (heat-apply calls) that the callable fractional integral above reads; they
-  depend only on the code, not on the machine;
+  (heat-apply calls) that the callable fractional integral above reads, and
+  the log-Bessel points of that poisson_dt_apply call at or above z_h(nu),
+  which the large-argument expansion takes; they depend only on the code,
+  not on the machine;
 - src_lines: the lines of each module of src/laguerre_ops and their total.
 
 Timings depend on the machine, so the file records it beside them.
@@ -54,7 +57,7 @@ import scipy  # noqa: E402
 from numpy.polynomial.legendre import leggauss  # noqa: E402
 
 import laguerre_ops as lo  # noqa: E402
-from laguerre_ops import kernels  # noqa: E402
+from laguerre_ops import kernels, specfun  # noqa: E402
 from laguerre_ops.kernels import _heat_axis_rule  # noqa: E402
 
 # scenarios that make no Poisson-kernel L1 or mass integrals; the others
@@ -116,6 +119,9 @@ def layer_costs(repeats):
     mass_queries = [lo.KernelQuery(p1, 0.25, (1.0,), (float(y),)) for y in mass_y_nodes()]
     return {
         "log_bessel_per_point_s": median_s(lambda: lo.log_bessel_i_scaled(0.5, z), repeats) / z.size,
+        "log_bessel_per_point_neg_s": median_s(
+            lambda: lo.log_bessel_i_scaled(-0.25, z), repeats
+        ) / z.size,
         "heat_axis_rule_per_node_s": median_s(
             lambda: _heat_axis_rule(0.5, heat_times, 1.3), repeats
         ) / nodes,
@@ -166,6 +172,7 @@ def counts():
     value = lambda: lo.poisson_kernel(lo.KernelQuery(p1, 1.0, (1.3,), (1.0,)))
     l1 = lambda: lo.l1_kernel_derivative(p1, 0.05, (1.0,), 1)
     bessel = lambda nu, z: int(np.size(z))
+    hankel = lambda nu, z: int(np.count_nonzero(np.asarray(z) >= specfun._hankel(nu)[0]))
     table = lambda: lo.poisson_apply(lambda y: np.exp(-0.3 * y), p1, 0.7, (1.3,))
     heat_times = lambda f, params, times, x: len(times)
     return {
@@ -177,6 +184,9 @@ def counts():
         "poisson_apply_d1_heat_times": counted_points(table, "_heat_apply_times", heat_times),
         "poisson_dt_apply_d1_heat_times": counted_points(
             poisson_dt_apply_d1, "_heat_apply_times", heat_times
+        ),
+        "poisson_dt_apply_d1_hankel_points": counted_points(
+            poisson_dt_apply_d1, "log_bessel_i_scaled", hankel
         ),
         "callable_fractional_integral_reads": counted_points(
             callable_fractional_integral, "_heat_apply_times", lambda *args: 1

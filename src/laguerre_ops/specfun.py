@@ -1,14 +1,14 @@
 """Scalar special functions and quadrature rules.
 
 Everything downstream consumes these: Gamma, the log of the exponentially
-scaled modified Bessel function I_nu (from scipy.special.ive, with a
-log-space ascending series where ive underflows and the large-argument
-expansion past ive's range), Laguerre polynomials (every degree up to N
-in one recurrence pass), Gauss-Laguerre rules normalized against the
-Laguerre probability measure mu_alpha (density x^alpha e^-x / Gamma(alpha+1)
-per axis), the Gauss-Jacobi rule for the weight eta^a on (0, 1) that
-every power-law endpoint of the kernel and time integrals is integrated with,
-and the Gauss-Kronrod rule of the subordination integrals.
+scaled modified Bessel function I_nu (scipy.special.iv times e^-z, the
+large-argument expansion from a bound z_h(nu) on, Amos's ive between z = 700
+and z_h, and a log-space ascending series where the value underflows), Laguerre
+polynomials (every degree up to N in one recurrence pass), Gauss-Laguerre rules
+normalized against the Laguerre probability measure mu_alpha (density x^alpha
+e^-x / Gamma(alpha+1) per axis), the Gauss-Jacobi rule for the weight eta^a on
+(0, 1) that every power-law endpoint of the kernel and time integrals is
+integrated with, and the Gauss-Kronrod rule of the subordination integrals.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, ive, kve, logsumexp, roots_genlaguerre
+from scipy.special import gammaln, iv, ive, logsumexp, roots_genlaguerre
 
 from .errors import DomainError, PoleError, QuadratureError, check_above, check_integer
 
@@ -43,13 +43,14 @@ __all__ = [
 SERIES_TAIL = 60
 SERIES_BLOCK = 128
 
-#: Amos's routines return nan above z = (2^31 - 1) / 2.  Beyond this bound
-#: the terms of the large-argument expansion shrink by (4 nu^2) / (8 z) per
-#: step, so six of them reach double precision for any order below 1e3.
+#: Amos's routines return nan above z = (2^31 - 1) / 2; past it the
+#: large-argument expansion takes every z, even below z_h(nu)
 IVE_Z_MAX = 1e9
-HANKEL_TERMS = 6
+HANKEL_TERMS = 12
+IV_Z_MAX = 700.0  # iv(nu, z) is finite and e^-z normal up to here
 
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 def gamma(x: float) -> float:
@@ -78,67 +79,76 @@ def _log_series(nu: float, z: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(z))
 
 
-def _log_hankel(nu: float, z: np.ndarray) -> np.ndarray:
-    # I_nu(z) e^{-z} ~ (2 pi z)^{-1/2} sum_k (-1)^k a_k(nu) / z^k with
-    # a_k / a_{k-1} = (4 nu^2 - (2k - 1)^2) / (8 k)
-    mu = 4.0 * nu * nu
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    for k in range(1, HANKEL_TERMS + 1):
-        term = -term * (mu - (2 * k - 1) ** 2) / (8.0 * k * z)
-        total += term
-    return np.log(total) - 0.5 * np.log(2.0 * math.pi * z)
+@lru_cache(maxsize=256)
+def _hankel(nu: float):
+    """z_h(nu) and c_K, ..., c_1 of I_nu(z) e^-z ~ (2 pi z)^(-1/2) (1 + sum_k c_k
+    z^-k), c_k / c_(k-1) = -(4 nu^2 - (2k - 1)^2) / (8k) (DLMF 10.40.1), at
+    HANKEL_TERMS terms less trailing zeros.  z_h is the least z >= 20 (e^-2z below
+    eps/4) at which the first dropped term is below eps/4, at most IVE_Z_MAX."""
+    mu, c = 4.0 * nu * nu, [1.0]
+    for k in range(1, HANKEL_TERMS + 2):
+        c.append(-c[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
+    z_h = max(20.0, (4.0 * abs(c.pop()) / _EPS) ** (1.0 / (HANKEL_TERMS + 1)))
+    while c[-1] == 0.0:  # half-integer orders end the series
+        c.pop()
+    return min(z_h, IVE_Z_MAX), tuple(c[:0:-1])
 
 
-def _ive(nu: float, z: np.ndarray) -> np.ndarray:
-    if nu > -_TINY:
-        # a subnormal order is zero to double precision, and Amos's K
-        # routine fails on one
-        return ive(max(nu, 0.0), z)
-    # I_nu = I_v + (2/pi) sin(v pi) K_v with v = -nu.  ive applies this
-    # reflection with sin(pi nu), which loses every digit as nu -> -1;
-    # sin((1 - v) pi) keeps them, since 1 - v is exact for v >= 1/2.  The
-    # K term is below 2 e^(-2z) times ive, under half an ulp from z = 20 on.
-    v = -nu
-    out = ive(v, z)
-    near = z < 20.0
-    k_term = kve(v, z[near]) * np.exp(-2.0 * z[near])
-    out[near] += (2.0 / math.pi) * math.sin(math.pi * min(v, 1.0 - v)) * k_term
-    return out
+def _log_hankel(coeffs, z: np.ndarray) -> np.ndarray:
+    w = 1.0 / z
+    s = coeffs[0] * w if coeffs else np.zeros_like(z)
+    for c in coeffs[1:]:  # Horner in 1/z, in place (a positional out is the cheaper call)
+        np.add(s, c, s)
+        np.multiply(s, w, s)
+    return np.log1p(s) - 0.5 * (np.log(z) + math.log(2.0 * math.pi))  # no 2 pi z to overflow
+
+
+def _log_below(nu: float, z: np.ndarray, z_h: float, z_min: float) -> np.ndarray:
+    if z_h > IV_Z_MAX and (mid := z > IV_Z_MAX).any():
+        scaled = np.empty_like(z)
+        scaled[mid] = ive(nu, z[mid])
+        low = z[~mid]
+        scaled[~mid] = iv(nu, low) * np.exp(-low)
+    else:
+        scaled = iv(nu, z)
+        scaled *= np.exp(-z)
+    # from z = _TINY on, I_nu(z) e^-z < 1e305 and iv fails only with nan
+    if z_min >= _TINY and scaled.min(initial=math.inf) >= _TINY:
+        return np.log(scaled)
+    with np.errstate(divide="ignore"):
+        out = np.log(scaled)
+    outside = ~((scaled >= _TINY) & (scaled < math.inf)) & (z > 0)
+    if np.any(outside):
+        zu = z[outside]
+        out[outside] = _log_series(nu, zu) - zu
+    return out  # at z = 0, iv gives the limits 0, 1 and inf
 
 
 def log_bessel_i_scaled(nu: float, z):
     """log(I_nu(z) e^{-z}) for a finite nu > -1 and z >= 0 (z = inf gives -inf).
 
-    Computed as log(ive(nu, z)) (Amos, ACM TOMS 644), with negative
-    orders reflected to positive ones here.  Where that value leaves the
-    normal double range (tiny z with large nu, or subnormal z) the
-    log-space ascending series takes over; its terms are all positive.
-    Above IVE_Z_MAX, where Amos's code gives up, the large-argument
-    expansion is used.
+    z alone picks a point's branch: from z_h(nu) on (_hankel; 20 at nu = 1/2,
+    890 at 25) and past IVE_Z_MAX (to eps up to nu = 2.5e4) the large-argument
+    expansion; below, scipy's iv(nu, z) e^-z to IV_Z_MAX, Amos's ive past it,
+    and the all-positive log-space ascending series where that value leaves
+    the normal range (tiny z with large nu, or subnormal z).
     """
     if not -1 < nu < math.inf:
         raise DomainError(f"log_bessel_i_scaled requires a finite nu > -1, got {nu}")
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if not z_arr.min(initial=math.inf) >= 0:
+    z_min = z_arr.min(initial=math.inf)
+    if not z_min >= 0:
         raise DomainError("log_bessel_i_scaled requires z >= 0, not nan")
-    in_range = z_arr.max(initial=0.0) <= IVE_Z_MAX
-    scaled = _ive(nu, z_arr if in_range else np.where(z_arr > IVE_Z_MAX, 1.0, z_arr))
-    if in_range and scaled.min(initial=math.inf) >= _TINY and scaled.max(initial=0.0) < math.inf:
-        out = np.log(scaled)  # every value normal: no fallback applies
+    z_h, coeffs = _hankel(nu)
+    if z_min >= z_h:
+        out = _log_hankel(coeffs, z_arr)
+    elif z_arr.max(initial=0.0) < z_h:
+        out = _log_below(nu, z_arr, z_h, z_min)
     else:
-        big = z_arr > IVE_Z_MAX
-        with np.errstate(divide="ignore"):
-            out = np.log(scaled)
-        outside = ~((scaled >= _TINY) & (scaled < math.inf)) & (z_arr > 0) & ~big
-        if np.any(outside):
-            zu = z_arr[outside]
-            out[outside] = _log_series(nu, zu) - zu
-        if np.any(big):
-            out[big] = _log_hankel(nu, z_arr[big])
-        zero = z_arr == 0
-        if np.any(zero):
-            out[zero] = -math.inf if nu > 0 else (0.0 if nu == 0 else math.inf)
+        high = z_arr >= z_h
+        out = np.empty_like(z_arr)
+        out[high] = _log_hankel(coeffs, z_arr[high])
+        out[~high] = _log_below(nu, z_arr[~high], z_h, z_min)
     out = out.reshape(np.shape(z))
     return out if np.ndim(z) else float(out)
 

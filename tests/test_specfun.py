@@ -6,12 +6,13 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_genlaguerre, iv, ive, kve
+from scipy.special import eval_genlaguerre, iv
 
 from laguerre_ops.errors import DomainError, PoleError, QuadratureError
 from laguerre_ops.specfun import (
+    IV_Z_MAX,
     IVE_Z_MAX,
-    _ive,
+    _hankel,
     _log_series,
     gamma,
     gauss_jacobi_rule,
@@ -73,7 +74,7 @@ class TestBesselI:
 
     @pytest.mark.parametrize("nu,z", [(700.0, 250.0), (1000.0, 400.0), (2000.0, 900.0), (1000.0, 100.0)])
     def test_series_at_large_order(self, nu, z):
-        # ive underflows here, and the series peaks near term
+        # iv(nu, z) e^-z underflows here, and the series peaks near term
         # sqrt((z/2)^2 + (nu/2)^2) - nu/2, far past a fixed 40 terms
         got = log_bessel_i_scaled(nu, np.array([1e-3, z]))
         assert got[1] == pytest.approx(mp_log_bessel_i_scaled(nu, z), rel=0.0, abs=1e-12)
@@ -94,7 +95,7 @@ class TestBesselI:
 
     @pytest.mark.parametrize("nu", [-0.25, 0.0, 0.5, 1.5])
     def test_branch_overlap(self, nu):
-        """The fallback series and ive agree wherever both are representable,
+        """The fallback series and iv agree wherever both are representable,
         so switching between them by value leaves no seam."""
         z = np.geomspace(1e-8, 15.0, 9)
         series = _log_series(nu, z) - z
@@ -132,22 +133,10 @@ class TestBesselI:
 
     @pytest.mark.parametrize("nu", [-1.0 + 2.0**-52, -0.999999999, -0.9999])
     def test_order_near_minus_one(self, nu):
-        # the reflection from positive order must keep the digits of
-        # sin(nu pi) as nu -> -1; at subnormal z, K_{-nu} overflows
+        # iv takes these orders directly and must keep their digits as
+        # nu -> -1; at subnormal z the log-series takes over
         for z in (5e-324, 1e-12, 1e-6, 1e-3, 1.0, 30.0):
             assert_log_close(log_bessel_i_scaled(nu, z), mp_log_bessel_i_scaled(nu, z))
-
-    @pytest.mark.parametrize("nu", [-0.999, -0.5, -0.25, -1e-9])
-    def test_reflection_drops_vanishing_k_term(self, nu):
-        # the K term is left out from z = 20 on, where it is below half an
-        # ulp of ive: the result must equal the full reflection bit for bit
-        v = -nu
-        z = np.concatenate(
-            (np.geomspace(15.0, 1e4, 4000), np.random.default_rng(1).uniform(15.0, 30.0, 4000))
-        )
-        k_term = kve(v, z) * np.exp(-2.0 * z)
-        full = ive(v, z) + (2.0 / math.pi) * math.sin(math.pi * min(v, 1.0 - v)) * k_term
-        np.testing.assert_array_equal(_ive(nu, z), full)
 
     def test_invalid_order(self):
         with pytest.raises(DomainError):
@@ -169,14 +158,36 @@ class TestBesselI:
         # I_nu(z) e^{-z} ~ (2 pi z)^{-1/2} -> 0
         assert log_bessel_i_scaled(nu, math.inf) == -math.inf
 
-    @pytest.mark.parametrize("nu", [-0.99, -0.25, 0.0, 0.5, 2.0, 300.0])
+    @pytest.mark.parametrize("nu", [-0.99, -0.25, 0.0, 0.5, 2.0, 25.0, 60.0, 300.0])
     def test_mixed_arrays_equal_scalar_calls(self, nu):
-        # arrays that mix the fast path's z with those of the zero, series
-        # and large-argument branches give each z its scalar value exactly
-        z = np.array([0.0, 5e-324, 1e-300, 1e-3, 20.0, 2e9])
-        for order in (z, z[::-1], np.roll(z, 3)):
+        # arrays that mix the z of every branch (zero, series, iv, ive from
+        # IV_Z_MAX to z_h(nu) at orders from 25 on, the large-argument
+        # expansion from z_h and past IVE_Z_MAX) give each z its scalar value
+        # exactly, on each side of z_h and IV_Z_MAX too
+        z = [0.0, 5e-324, 1e-300, 1e-3, 20.0, 2e9]
+        for edge in (_hankel(nu)[0], IV_Z_MAX):
+            z += [0.5 * edge, np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf), 2.0 * edge]
+        z = np.array(z)
+        for order in (z, z[::-1], np.roll(z, 3), np.random.default_rng(0).permutation(z)):
             want = [log_bessel_i_scaled(nu, float(v)) for v in order]
             assert log_bessel_i_scaled(nu, order).tolist() == want
+
+    @pytest.mark.parametrize("nu", [-0.999999, -0.9, -0.25, 0.3, 0.5])
+    def test_moderate_argument_within_4e_15(self, nu):
+        # z in [5, 60] spans Amos's own region switch (z ~ 11-21), where ive
+        # is off by up to 6e-14; iv below z_h and the expansion above it are
+        # within 4e-15 of I_nu(z) e^-z, relative
+        z = np.linspace(5.0, 60.0, 200)
+        ref = np.array([mp_log_bessel_i_scaled(nu, v) for v in z])
+        assert np.max(np.abs(log_bessel_i_scaled(nu, z) - ref)) <= 4e-15
+
+    @pytest.mark.parametrize("nu", [-0.25, 0.5, 2.0, 10.0, 25.0, 60.0, 300.0])
+    def test_each_side_of_each_switch(self, nu):
+        # z_h(nu): 37, 20, 39, 74, 890, 5564 and 1.4e5; at 25 and up ive
+        # takes the z between IV_Z_MAX and z_h
+        for edge in (_hankel(nu)[0], IV_Z_MAX):
+            for z in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)):
+                assert_log_close(log_bessel_i_scaled(nu, z), mp_log_bessel_i_scaled(nu, z))
 
 
 class TestLaguerrePoly:

@@ -8,7 +8,8 @@ figure is the median wall time of single calls after one warm-up call:
 - specfun: log-Bessel per point at nu = 0.5 and at nu = -0.25 (the same 4096
   z from 1e-3 to 1e3), the heat-axis rule per node;
 - kernels: one KernelQuery build (d = 1, with x and y; the median of
-  batches of 1000, divided by 1000), one Poisson kernel value, the 720
+  batches of 1000, divided by 1000), one heat kernel value (d = 1, on a
+  query built once), one Poisson kernel value, the 720
   values of one kernel-mass
   integral (the y rule of the kernel-mass scenario at alpha = 0.5,
   t = 0.25, x = 1), poisson_apply at d = 1 and d = 2, poisson_dt_apply
@@ -117,6 +118,7 @@ def layer_costs(repeats):
     e3 = lo.random_expansion(p3, 4, seed=0)
     pts = np.random.default_rng(0).uniform(0.1, 5.0, (1024, 2))
     mass_queries = [lo.KernelQuery(p1, 0.25, (1.0,), (float(y),)) for y in mass_y_nodes()]
+    heat_query = lo.KernelQuery(p1, 0.5, (1.3,), (1.0,))
     return {
         "log_bessel_per_point_s": median_s(lambda: lo.log_bessel_i_scaled(0.5, z), repeats) / z.size,
         "log_bessel_per_point_neg_s": median_s(
@@ -128,6 +130,7 @@ def layer_costs(repeats):
         "kernel_query_s": median_s(
             lambda: [lo.KernelQuery(p1, 0.5, (1.3,), (1.0,)) for _ in range(1000)], repeats
         ) / 1000,
+        "heat_kernel_value_s": median_s(lambda: lo.heat_kernel(heat_query), repeats),
         "poisson_kernel_value_s": median_s(
             lambda: lo.poisson_kernel(lo.KernelQuery(p1, 0.5, (1.3,), (1.0,))), repeats
         ),

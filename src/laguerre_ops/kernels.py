@@ -11,9 +11,11 @@ whose Laplace transform in s is e^{-t sqrt(n)}: the substitution s = -log r
 turns the unit-interval kernel integral into an integral of g against the
 heat kernel on (0, inf).  Time derivatives differentiate g analytically.
 
-T_s f(x) integrates one heat-axis rule per coordinate (_heat_axis_rule):
-Gauss-Legendre panels in offsets from the kernel's Gaussian ridge in
-v = sqrt(y), and one Gauss-Jacobi panel that is exact for the y^alpha endpoint.
+heat_kernel, the heat-axis rule and the Poisson kernel's blocks read one
+statement of the heat kernel (_log_ridge), a ridge in v = sqrt(y).  T_s f(x)
+integrates one heat-axis rule per coordinate (_heat_axis_rule):
+Gauss-Legendre panels in offsets from the ridge, and one Gauss-Jacobi panel
+that is exact for the y^alpha endpoint.
 
 Every integral int d^m_t g(t, s) F(s) ds over (0, S_CUTOFF) takes one
 subordination rule (_subordination_rule): Gauss-Kronrod panels in log s of
@@ -141,29 +143,25 @@ def _log_mu_axis(alpha, y, log_y):
     return alpha * log_y - y - math.lgamma(alpha + 1.0)
 
 
-def _heat_axis_pieces(alpha, t, x):
-    """The y-free factors of log H_t(x, y), r = e^-t: -log(1 - r) +
-    alpha/2 (t - log x), 1/(1 - r), sqrt(r x) and 2 sqrt(r x)/(1 - r)."""
-    one_r, root_rx = -np.expm1(-t), np.sqrt(np.exp(-t) * x)
-    c = -np.log(one_r) + 0.5 * alpha * (t - math.log(x))
-    return c, 1.0 / one_r, root_rx, 2.0 * root_rx / one_r
+def _heat_scales(s, x):
+    """The ridge v0 = sqrt(e^-s x), width sigma = sqrt((1 - e^-s) / 2) and 1 - e^-s
+    of H_s(x, .) in v = sqrt(y), at a heat time s or an array of them.  A time
+    whose Bessel argument v0^2 / sigma^2 is 0 or overflows raises DomainError."""
+    one_r = -np.expm1(-s)
+    v0, sig = np.sqrt(np.exp(-s) * x), np.sqrt(0.5 * one_r)
+    with np.errstate(divide="ignore", over="ignore"):
+        ok = (v0 > 0) & (v0 * v0 / (sig * sig) < math.inf)
+    if not ok.all():
+        raise DomainError(f"the heat kernel at t={np.ravel(s)[np.argmin(ok)]:g}, x={x:g} "
+                          "leaves the float range: e^-t x underflows or x / t overflows")
+    return v0, sig, one_r
 
 
-def _log_heat_axis(alpha, root_y, log_y, pieces):
-    """log of one Lebesgue heat-kernel factor H_t(x, y) at sqrt(y) and log(y),
-    from the pieces _heat_axis_pieces(alpha, t, x); t or y may be an array.
-
-    H integrates functions of y against plain dy.  The exponent is grouped
-    as -(sqrt(rx) - sqrt(y))^2 / (1-r) so that no large cancellation occurs
-    for small times.
-    """
-    c, inv_one_r, root_rx, z_per_root_y = pieces
-    return (
-        c
-        + 0.5 * alpha * log_y
-        - (root_rx - root_y) ** 2 * inv_one_r
-        + log_bessel_i_scaled(alpha, z_per_root_y * root_y)
-    )
+def _log_ridge(alpha, v, u, v0, sig):
+    """log((1 - e^-s) H_s(x, y)), the one statement of the heat kernel against
+    dy, at v = sqrt(y), u = (v - v0) / sigma and the scales of _heat_scales: a
+    ridge e^(-u^2/2) times (v / v0)^alpha I_alpha(v0 v / sigma^2) e^(-v0 v / sigma^2)."""
+    return alpha * np.log(v / v0) - 0.5 * u * u + log_bessel_i_scaled(alpha, v0 * v / (sig * sig))
 
 
 def heat_kernel(q: KernelQuery) -> float:
@@ -172,8 +170,9 @@ def heat_kernel(q: KernelQuery) -> float:
         raise DomainError("heat_kernel requires both x and y, and derivative_order 0")
     log_g = 0.0
     for a, x, y in zip(q.params.alpha, q.x, q.y):
-        pieces, log_y = _heat_axis_pieces(a, q.t, x), math.log(y)
-        log_g += _log_heat_axis(a, math.sqrt(y), log_y, pieces) - _log_mu_axis(a, y, log_y)
+        (v0, sig, one_r), v = _heat_scales(q.t, x), math.sqrt(y)
+        log_h = _log_ridge(a, v, (v - v0) / sig, v0, sig) - math.log(one_r)
+        log_g += log_h - _log_mu_axis(a, y, math.log(y))
     if abs(log_g) > 700.0:
         raise OverflowGuardError(f"heat kernel log-value {log_g} out of range")
     return math.exp(log_g)
@@ -209,18 +208,15 @@ def _jacobi_panel(alpha, order):
 def _heat_axis_rule(alpha, times, x):
     """The heat-axis rule for int H_s(x, y) f(y) dy at each heat time s.
 
-    In v = sqrt(y) the kernel is a ridge e^(-u^2/2) in u = (v - v0) / sigma,
-    v0 = sqrt(e^-s x), sigma = sqrt((1 - e^-s) / 2), times the factor of
-    order alpha that moves its mass out to v ~ sqrt(E y), E y = v0^2 +
-    (2 alpha + 2) sigma^2.  Gauss-Legendre panels 2 wide in u cover [-12, 16]
-    around sqrt(E y) above v = sigma, and where they reach v = sigma the
-    Jacobi panel takes y below sigma^2.  The exponent -u^2/2 is taken from
-    the offsets u.  Returns per panel its time's index, and nodes y and
+    In v = sqrt(y) the kernel (_log_ridge) is a ridge e^(-u^2/2) in u =
+    (v - v0) / sigma, taken from the offsets u, times the factor of order
+    alpha that moves its mass out to v ~ sqrt(E y), E y = v0^2 + (2 alpha +
+    2) sigma^2.  Gauss-Legendre panels 2 wide in u cover [-12, 16] around
+    sqrt(E y) above v = sigma, and where they reach v = sigma the Jacobi panel
+    takes y below sigma^2.  Returns per panel its time's index, and nodes y and
     weights 2 v sigma du H_s(x, y) as one row of HEAT_ORDER per panel.
     """
-    one_r = -np.expm1(-times)
-    sig = np.sqrt(0.5 * one_r)
-    v0 = np.sqrt(np.exp(-times) * x)
+    v0, sig, one_r = _heat_scales(times, x)
     floor = 1.0 - v0 / sig  # u at v = sigma
     center = (np.hypot(v0, math.sqrt(2.0 * alpha + 2.0) * sig) - v0) / sig  # u at sqrt(E y)
     ridge = center[:, None] + np.arange(-12.0, 16.5, 2.0)
@@ -234,9 +230,8 @@ def _heat_axis_rule(alpha, times, x):
     unit = np.where(jac, g, 0.5 * (xg + 1.0))
     u = lo + width * unit
     v = np.where(jac, sig * unit, v0 + sig * u)
-    log_h = alpha * np.log(v / v0) - 0.5 * u * u + log_bessel_i_scaled(alpha, v0 * v / (sig * sig))
     pw = np.where(jac, wj, 0.5 * wg) * width * 2.0 * v * sig / one_r
-    return idx, v * v, pw * np.exp(log_h)
+    return idx, v * v, pw * np.exp(_log_ridge(alpha, v, u, v0, sig))
 
 
 def _heat_apply_times(f, params, times, x):
@@ -395,16 +390,17 @@ def _doubled(value, panels, where):
 
 
 @lru_cache(maxsize=16)
-def _kernel_nodes(t, m, panels, x, alpha):
+def _kernel_nodes(t, m, panels, x):
     """The subordination rule at t, shared by every y of one kernel
-    integral: its weights and tail weights _sub_weights(m, t, ...) and the
-    y-free heat factors _heat_axis_pieces(alpha_j, s, x_j) per coordinate."""
+    integral: its weights and tail weights _sub_weights(m, t, ...), and per
+    coordinate the y-free heat factors v0, sigma (_heat_scales(s, x_j)) and
+    log(1 - e^-s) at its nodes s."""
     s, wk, wg = _subordination_rule(t, panels)
     weights, tails = _sub_weights(m, t, s, wk, wg)
-    pieces = [_heat_axis_pieces(a, s, xj) for a, xj in zip(alpha, x)]
-    for a in (weights, tails, *sum(pieces, ())):
+    scales = [(v0, sig, np.log(one_r)) for v0, sig, one_r in (_heat_scales(s, xj) for xj in x)]
+    for a in (weights, tails, *sum(scales, ())):
         a.flags.writeable = False
-    return weights, tails, pieces
+    return weights, tails, scales
 
 
 def _poisson_block_once(params, t, x, y, m, panels):
@@ -412,13 +408,14 @@ def _poisson_block_once(params, t, x, y, m, panels):
     the (3, n) rows _doubled reads, from one pass of (y x s-node) blocks of
     at most BLOCK_POINTS entries, one log_bessel_i_scaled call per axis and
     block; each point's row is summed on its own, independent of the others."""
-    weights, tails, pieces = _kernel_nodes(t, m, panels, x, params.alpha)
+    weights, tails, scales = _kernel_nodes(t, m, panels, x)
     root_y, log_y = np.sqrt(y), np.log(y)
     rows = np.empty((len(y), 3))
     step = max(1, BLOCK_POINTS // weights.shape[1])
     for i in range(0, len(y), step):
-        axes = zip(params.alpha, root_y[i : i + step].T, log_y[i : i + step].T, pieces)
-        log_h = sum(_log_heat_axis(a, ry[:, None], ly[:, None], pj) for a, ry, ly, pj in axes)
+        axes = zip(params.alpha, root_y[i : i + step].T[:, :, None], scales)
+        log_h = sum(_log_ridge(a, v, (v - v0) / sig, v0, sig) - log_one_r
+                    for a, v, (v0, sig, log_one_r) in axes)
         rows[i : i + step] = (np.exp(log_h)[:, None, :] * weights).sum(axis=2)
     past = np.exp(sum(_log_mu_axis(a, yj, lj) for a, yj, lj in zip(params.alpha, y.T, log_y.T)))
     return (rows + past[:, None] * tails).T

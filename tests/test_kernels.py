@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from laguerre_ops import kernels
@@ -18,6 +20,7 @@ from laguerre_ops.expansion import (
 from laguerre_ops.fractional import bessel_potential_apply
 from laguerre_ops.kernels import (
     BLOCK_POINTS,
+    HEAT_ORDER,
     KERNEL_PANELS,
     S_CUTOFF,
     SUB_DOUBLINGS,
@@ -35,7 +38,9 @@ from laguerre_ops.kernels import (
     stable_density_dt,
     stable_tail_mass,
     _heat_apply_times,
+    _heat_axis_rule,
     _doubled,
+    _jacobi_panel,
     _panels,
     _poisson_block_once,
     _read_table,
@@ -62,6 +67,18 @@ def spectral_heat_kernel(alpha, t, x, y, terms=200):
     return total
 
 
+def closed_form_heat_kernel(alpha, t, x, y):
+    """G_t(x, y) = H_t(x, y) / mu_alpha(y) in mpmath at 40 digits, r = e^-t:
+    H_t(x, y) = e^(alpha t/2) (y/x)^(alpha/2) e^(-(r x + y)/(1 - r))
+    I_alpha(2 sqrt(r x y)/(1 - r)) / (1 - r)."""
+    with mpmath.workdps(40):
+        a, t, x, y = (mpmath.mpf(v) for v in (alpha, t, x, y))
+        r, one_r = mpmath.exp(-t), -mpmath.expm1(-t)
+        h = (mpmath.exp(a * t / 2) * (y / x) ** (a / 2) * mpmath.exp(-(r * x + y) / one_r)
+             * mpmath.besseli(a, 2 * mpmath.sqrt(r * x * y) / one_r) / one_r)
+        return float(h * mpmath.gamma(a + 1) / (y**a * mpmath.exp(-y)))
+
+
 def spectral_poisson_kernel(alpha, t, x, y, terms=200):
     """Mercer sum for p_t against Lebesgue dy (includes the weight)."""
     params = MultiIndexParams(1, (alpha,))
@@ -86,6 +103,45 @@ class TestHeatKernel:
             assert heat_kernel(q) == pytest.approx(
                 spectral_heat_kernel(alpha, t, x, y), rel=1e-10
             )
+
+    @pytest.mark.parametrize("alpha", [60.0, 150.0, 300.0])
+    def test_matches_closed_form_at_large_alpha(self, alpha):
+        # past alpha = 25 the spectral sum needs too many terms
+        for t, x, y in ((0.5, 1.0, 2.0), (0.5, 4.0, 4.0), (1.0, 1.0, 1.3),
+                        (0.5, alpha, alpha), (0.1, alpha, 1.1 * alpha), (2.0, 0.5 * alpha, alpha)):
+            q = KernelQuery(MultiIndexParams(1, (alpha,)), t, (x,), (y,))
+            assert heat_kernel(q) == pytest.approx(
+                closed_form_heat_kernel(alpha, t, x, y), rel=1e-12
+            ), (t, x, y)
+
+    @pytest.mark.parametrize("t", [730.0, 740.0, 745.0])
+    def test_matches_closed_form_where_e_minus_t_is_subnormal(self, t):
+        # e^-t x keeps few digits here; log(v / v0) and the Bessel factor's
+        # log(v0) cancel its error (a form in log x and t read 1.15 at t = 745)
+        for alpha, x, y in ((0.5, 1.0, 2.0), (-0.25, 1.0, 2.0), (2.0, 3.0, 0.5)):
+            q = KernelQuery(MultiIndexParams(1, (alpha,)), t, (x,), (y,))
+            assert heat_kernel(q) == pytest.approx(
+                closed_form_heat_kernel(alpha, t, x, y), rel=1e-12
+            ), (alpha, x, y)
+
+    @pytest.mark.parametrize("t", [1e-300, 700.0, 745.0])
+    def test_extreme_times_that_hold(self, t):
+        # T_t f(1) for f = e^-y tends to f(1) as t -> 0 and to the mu_0.5-mean
+        # 2^-1.5 as t -> inf
+        got = heat_apply_kernel(lambda y: np.exp(-y), KernelQuery(P_HALF, t, (1.0,)))
+        assert got == pytest.approx(math.exp(-1.0) if t < 1.0 else 2.0**-1.5, rel=1e-12)
+        got = heat_kernel(KernelQuery(P_HALF, t, (1.0,), (1.0,)))
+        assert got == pytest.approx(closed_form_heat_kernel(0.5, t, 1.0, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-320, 1e-308, 746.0, 1e4])
+    def test_times_past_the_float_range_raise_naming_t(self, t):
+        # e^-t x underflows, or the Bessel argument 2 e^-t x / (1 - e^-t)
+        # overflows: T_t f(x) read nan (t >= 746) or 0 (t <= 1e-308), and
+        # heat_kernel nan at t = 5e-324
+        with pytest.raises(DomainError, match=f"t={t:g}"):
+            heat_apply_kernel(lambda y: np.exp(-y), KernelQuery(P_HALF, t, (1.0,)))
+        with pytest.raises(DomainError, match=f"t={t:g}"):
+            heat_kernel(KernelQuery(P_HALF, t, (1.0,), (1.0,)))
 
     def test_symmetry(self):
         a = heat_kernel(KernelQuery(P_HALF, 0.7, (1.2,), (3.4,)))
@@ -317,6 +373,33 @@ class TestHeatAxisRule:
         times = np.array([0.3, 1.0])
         got = poisson_apply(g, p2, times, x)
         np.testing.assert_allclose(got, np.exp(-times * math.sqrt(3.0)) * gx, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("alpha", [-0.99, 0.5, 2.0, 25.0])
+    @pytest.mark.parametrize("x", [1e-3, 1.3])
+    def test_weights_are_heat_kernel_values(self, alpha, x):
+        # the rule and heat_kernel read one statement of H_s: each weight over
+        # its Gauss weight times the Jacobian 2 v sigma width is H_s(x, y) =
+        # G_s(x, y) mu_alpha(y).  Nodes below 1e-8 of their time's mass are
+        # left out: the rounding of y = v^2 moves H there by eps |u| v / sigma,
+        # and that of log mu_alpha by eps |log mu_alpha|, past 1e-13
+        params = MultiIndexParams(1, (alpha,))
+        times = np.append(default_t_grid(), _subordination_rule(1.0, KERNEL_PANELS)[0])
+        idx, ys, ws = _heat_axis_rule(alpha, times, x)
+        mass = np.bincount(idx, ws.sum(axis=1))
+        (xg, wg), (_, wj) = leggauss(HEAT_ORDER), _jacobi_panel(alpha, HEAT_ORDER)
+        for i, y, w in zip(idx, ys, ws):
+            s, v = times[i], np.sqrt(y)
+            v0, sig = math.sqrt(math.exp(-s) * x), math.sqrt(-0.5 * math.expm1(-s))
+            if v.max() <= sig:  # the Jacobi panel in g = v / sigma on (0, 1)
+                gauss, width = wj, 1.0
+            else:  # a Gauss-Legendre panel, its width from its end nodes in u
+                u = (v - v0) / sig
+                gauss, width = 0.5 * wg, (u[-1] - u[0]) / (0.5 * (xg[-1] - xg[0]))
+            keep = w >= 1e-8 * mass[i]
+            got = (w / (gauss * 2.0 * v * sig * width))[keep]
+            mu = np.exp(alpha * np.log(y) - y - math.lgamma(alpha + 1.0))[keep]
+            want = [heat_kernel(KernelQuery(params, s, (x,), (float(yj),))) for yj in y[keep]]
+            np.testing.assert_allclose(got, want * mu, rtol=1e-13, err_msg=f"s={s}")
 
     @pytest.mark.parametrize("alpha", [100.0, 300.0])
     def test_large_alpha_window(self, alpha):

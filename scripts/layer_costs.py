@@ -12,7 +12,8 @@ figure is the median wall time of single calls after one warm-up call:
   query built once), one Poisson kernel value, the 720
   values of one kernel-mass
   integral (the y rule of the kernel-mass scenario at alpha = 0.5,
-  t = 0.25, x = 1), poisson_apply at d = 1 and d = 2, poisson_dt_apply
+  t = 0.25, x = 1), poisson_apply at d = 1 and d = 2, and at d = 2 on an
+  expansion (degree 6, t = 0.7), poisson_dt_apply
   (f = L_3^0.5, m = 2, x = 1.3) on the default 11-time grid,
   l1_kernel_derivative at t = 0.5 and at t = 0.05 (where the subordination
   rule, laid down to the floor of t, has the most panels);
@@ -21,7 +22,10 @@ figure is the median wall time of single calls after one warm-up call:
 - expansion: analyze and synthesize;
 - lipschitz: lipschitz_seminorm at d = 3, degree 4, beta = 1.5 on the
   default grids, one stacked synthesis of the 11 times (and of f) on the
-  24^3 x grid;
+  24^3 x grid; and on the kernel route at d = 2 on a degree-6 expansion,
+  beta = 0.5, the 4 x 4 x grid geomspace(0.1, 10, 4)^2 and the default t
+  grid (one semigroup table per x, each time's heat values synthesized on
+  its tensor grid);
 - harness: each scenario of the fast set, at its default configuration;
 - tier-1: the wall time of the whole test suite (left out with --quick,
   which also takes fewer repeats);
@@ -105,6 +109,13 @@ def callable_fractional_integral():
     return lo.fractional_integral_apply(f, p1, 1.5, (1.3,))
 
 
+def lipschitz_kernel_d2(e2):
+    """The kernel-route A_0.5 of the d = 2 expansion e2 on the 4 x 4 x grid."""
+    axis = np.geomspace(0.1, 10.0, 4)
+    x_grid = [(a, b) for a in axis for b in axis]
+    return lo.lipschitz_seminorm(e2, e2.params, 0.5, x_grid=x_grid, method="kernel")
+
+
 def layer_costs(repeats):
     p1 = lo.MultiIndexParams(1, (0.5,))
     p2 = lo.MultiIndexParams(2, (0.5, -0.25))
@@ -114,6 +125,7 @@ def layer_costs(repeats):
     heat_times = np.geomspace(1e-3, 40.0, 45)
     nodes = _heat_axis_rule(0.5, heat_times, 1.3)[1].size
     e = lo.random_expansion(p2, 10, seed=0)
+    e2 = lo.random_expansion(p2, 6, seed=0)
     p3 = lo.MultiIndexParams(3, (0.5, -0.25, 2.0))
     e3 = lo.random_expansion(p3, 4, seed=0)
     pts = np.random.default_rng(0).uniform(0.1, 5.0, (1024, 2))
@@ -139,6 +151,9 @@ def layer_costs(repeats):
         ),
         "poisson_apply_d1_s": median_s(lambda: lo.poisson_apply(f1, p1, 0.7, (1.3,)), repeats),
         "poisson_apply_d2_s": median_s(lambda: lo.poisson_apply(f2, p2, 0.7, (1.2, 0.7)), repeats),
+        "poisson_apply_d2_expansion_s": median_s(
+            lambda: lo.poisson_apply(e2, p2, 0.7, (1.2, 0.7)), repeats
+        ),
         "poisson_dt_apply_d1_s": median_s(poisson_dt_apply_d1, repeats),
         "l1_kernel_derivative_s": median_s(
             lambda: lo.l1_kernel_derivative(p1, 0.5, (1.3,), 1), max(1, repeats // 4)
@@ -150,6 +165,7 @@ def layer_costs(repeats):
         "analyze_d2_degree10_s": median_s(lambda: lo.analyze(f2, p2, 10), repeats),
         "synthesize_d2_degree10_1024_points_s": median_s(lambda: lo.synthesize_many(e, pts), repeats),
         "lipschitz_stack_d3_s": median_s(lambda: lo.lipschitz_seminorm(e3, p3, 1.5), repeats),
+        "lipschitz_kernel_d2_s": median_s(lambda: lipschitz_kernel_d2(e2), max(1, repeats // 5)),
     }
 
 

@@ -260,25 +260,35 @@ def pi0(e: LaguerreExpansion) -> LaguerreExpansion:
     return LaguerreExpansion(e.params, e.degree, vector)
 
 
-def tensor_grid(nodes, weights):
-    """(points (M, d), weights (M,)) of the tensor product of per-axis rules.
-
-    Points run in C order over the axes, the last axis fastest.
-    """
-    if len(nodes) == 1:  # skips meshgrid's copies on every heat-kernel application
-        return np.asarray(nodes[0], dtype=float)[:, None], np.asarray(weights[0])
-    w = weights[0]
-    for wj in weights[1:]:
-        w = np.multiply.outer(w, wj)
-    # one copy, stored axis by axis: each coordinate column handed to f is contiguous
-    grids = np.array(np.meshgrid(*nodes, indexing="ij", copy=False))
-    return grids.reshape(len(nodes), -1).T, w.ravel()
+def tensor_grid(nodes):
+    """The (M, d) points of the tensor grid of per-axis nodes, in C order over
+    the axes, the last fastest; stored axis by axis, so each coordinate
+    column handed to f is contiguous."""
+    grids = np.empty((len(nodes), *map(len, nodes)))
+    for j, y in enumerate(nodes):
+        grids[j] = np.reshape(y, (-1,) + (1,) * (len(nodes) - j - 1))
+    return grids.reshape(len(nodes), -1).T
 
 
-def call_on_points(f, pts) -> np.ndarray:
-    """f at points of shape (..., d): f takes the coordinate itself when d = 1."""
-    pts = np.asarray(pts, dtype=float)
-    return np.asarray(f(pts[..., 0] if pts.shape[-1] == 1 else pts), dtype=float)
+def call_on_points(f, params: MultiIndexParams, pts) -> np.ndarray:
+    """f at points of params, an array of shape (..., d), or on the tensor grid
+    of a tuple of d per-axis node arrays, as an array of shape (n1, ..., nd).
+    A callable takes an (m, d) array, or the coordinate itself at d = 1, and
+    returns one real value per point or one for all, else DomainError; an
+    expansion of params is synthesized, on a grid in tensor form."""
+    shape = tuple(map(len, pts)) if isinstance(pts, tuple) else np.shape(pts)[:-1]
+    if isinstance(f, LaguerreExpansion):
+        if f.params != params:
+            raise DomainError(f"an expansion of {f.params} read at points of {params}")
+        xs = pts if isinstance(pts, tuple) else np.reshape(pts, (-1, params.d))
+        return _synthesize(f, f.vector, xs).reshape(shape)
+    pts = tensor_grid(pts) if isinstance(pts, tuple) else np.asarray(pts, dtype=float)
+    values = np.asarray(f(pts[..., 0] if params.d == 1 else pts))
+    if values.dtype.kind not in "biuf" or values.shape not in ((), pts.shape[:-1]):
+        raise DomainError(f"f must return one real value per point of shape {pts.shape[:-1]} "
+                          f"or one for all, got shape {values.shape}, dtype {values.dtype}")
+    values = values.astype(float, copy=False)
+    return (values if values.ndim else np.full(pts.shape[:-1], values)).reshape(shape)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -304,12 +314,9 @@ def analyze(f, params: MultiIndexParams, degree: int) -> LaguerreExpansion:
     Laguerre rows.
     """
     axes = [_analysis_axis(a, degree) for a in params.alpha]
-    pts, _ = tensor_grid([r.nodes for r, _ in axes], [r.weights for r, _ in axes])
-    values = call_on_points(f, pts)
-    if values.shape not in ((), (len(pts),)) or not np.isfinite(values).all():
-        raise DomainError(
-            f"f must return one finite value at each of the {len(pts)} grid points, or one for all")
-    sums = np.broadcast_to(values, len(pts)).reshape([len(r.nodes) for r, _ in axes])
+    sums = call_on_points(f, params, tuple(r.nodes for r, _ in axes))
+    if not np.isfinite(sums).all():
+        raise DomainError(f"f must be finite at the {sums.size} grid points")
     for _, rows in axes:  # the leading axis is the next grid axis
         sums = np.tensordot(sums, rows, (0, 1))
     grid = _layout(params.d, degree)[3]

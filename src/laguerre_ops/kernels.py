@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
@@ -59,7 +59,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainccinv
 
 from .errors import DomainError, OverflowGuardError, QuadratureError, check_above, check_integer
-from .expansion import MultiIndexParams, call_on_points, tensor_grid
+from .expansion import MultiIndexParams, call_on_points
 from .specfun import gauss_jacobi_rule, gauss_kronrod_rule, log_bessel_i_scaled
 
 __all__ = [
@@ -237,32 +237,39 @@ def _heat_axis_rule(alpha, times, x):
 def _heat_apply_times(f, params, times, x):
     """Rows T_s f(x) and sum |w f| over the heat times s in `times`, taken in
     chunks of at most BLOCK_POINTS nodes per axis: one heat-axis rule (one
-    log_bessel_i_scaled call) per axis and chunk.  At d = 1 a chunk is one call
-    to f; at d >= 2 each time is one tensor grid of its rows of the per-axis rules."""
+    log_bessel_i_scaled call) per axis and chunk.  f is read (call_on_points) at
+    d = 1 once per chunk; at d >= 2 once per time, on the tensor grid of its rows
+    of the per-axis rules, and contracted with the weights one axis at a time,
+    the last first.  A sum |w f| that is not finite raises DomainError."""
     out = np.empty((2, len(times)))
     step = max(1, BLOCK_POINTS // (15 * HEAT_ORDER))  # a time has at most 15 panels
-    for i in range(0, len(times), step):
-        chunk = times[i : i + step]
-        rules = [_heat_axis_rule(a, chunk, xj) for a, xj in zip(params.alpha, x)]
-        if params.d == 1:
-            idx, y, w = rules[0]
-            terms = w * call_on_points(f, y.reshape(-1, 1)).reshape(y.shape)
-            for row, g in zip(out, (terms, np.abs(terms))):
-                row[i : i + step] = np.bincount(idx, g.sum(axis=1), minlength=len(chunk))
-            continue
-        # idx is sorted, so the rows of each time are one run of them
-        starts = [np.searchsorted(idx, np.arange(1, len(chunk))) for idx, _, _ in rules]
-        axes = [zip(np.split(y, c), np.split(w, c)) for (_, y, w), c in zip(rules, starts)]
-        for j, rows in enumerate(zip(*axes)):
-            y, w = tensor_grid([y.ravel() for y, _ in rows], [w.ravel() for _, w in rows])
-            terms = w * call_on_points(f, y)
-            out[:, i + j] = terms.sum(), np.abs(terms).sum()
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the magnitude row
+        for i in range(0, len(times), step):
+            chunk = times[i : i + step]
+            rules = [_heat_axis_rule(a, chunk, xj) for a, xj in zip(params.alpha, x)]
+            if params.d == 1:
+                idx, y, w = rules[0]
+                terms = w * call_on_points(f, params, y.reshape(-1, 1)).reshape(y.shape)
+                for row, g in zip(out, (terms, np.abs(terms))):
+                    row[i : i + step] = np.bincount(idx, g.sum(axis=1), minlength=len(chunk))
+                continue
+            # idx is sorted, so the rows of each time are one run of them
+            starts = [np.searchsorted(idx, np.arange(1, len(chunk))) for idx, _, _ in rules]
+            axes = [zip(np.split(y, c), np.split(w, c)) for (_, y, w), c in zip(rules, starts)]
+            for j, rows in enumerate(zip(*axes)):
+                values = call_on_points(f, params, tuple(y.ravel() for y, _ in rows))
+                # the weights are >= 0, so |w| contracts with |f| as w with f
+                out[:, i + j] = [reduce(np.matmul, [w.ravel() for _, w in rows[::-1]], g)
+                                 for g in (values, np.abs(values))]
+    if not np.isfinite(out[1]).all():
+        k = np.argmin(np.isfinite(out[1]))
+        raise DomainError(f"sum |w f| of T_s f(x) at s={times[k]:g}, x={x} is {out[1, k]!r}")
     return out
 
 
 def heat_apply_kernel(f, q: KernelQuery) -> float:
-    """T_t f(x) by quadrature of the heat kernel against d mu_alpha; f is
-    called with a vector of y values (d = 1) or an (m, d) array."""
+    """T_t f(x) by quadrature of the heat kernel against d mu_alpha; f is a
+    callable or an expansion of q.params, read as call_on_points describes."""
     if q.y is not None or q.derivative_order:
         raise DomainError("heat_apply_kernel takes a query with no y and derivative_order 0")
     return float(_heat_apply_times(f, q.params, np.array([q.t]), q.x)[0, 0])
@@ -467,7 +474,8 @@ def _settled_read(f, params, x, times, m, where, functional=lambda rows: rows):
 
 
 def poisson_apply(f, params: MultiIndexParams, t, x):
-    """P_t f(x) = int_0^inf g(t, s) T_s f(x) ds by subordination: m = 0 of poisson_dt_apply."""
+    """P_t f(x) = int_0^inf g(t, s) T_s f(x) ds by subordination: m = 0 of
+    poisson_dt_apply; f is a callable or an expansion of params (call_on_points)."""
     return poisson_dt_apply(f, params, t, x, 0)
 
 

@@ -6,7 +6,8 @@ a time grid, with the sup norm itself taken over a spatial grid (a declared
 lower bound on the true supremum).  Two paths produce the time derivative:
 the diagonal multiplier (-sqrt(n_k))^n e^(-t sqrt(n_k)) on expansions, and
 the kernel side's poisson_dt_apply, which reads every t of the grid off one
-semigroup table per x (subordination of the heat kernel, no multipliers).
+semigroup table per x (subordination of the heat kernel, no multipliers) of
+f itself: an expansion is synthesized on each heat time's grid (call_on_points).
 On the spectral path all that one check reads is one stacked synthesis
 (_measure): the multipliers of every t (and 1, for ||f||) form the columns
 of one coefficient stack, which may hold several expansions of one layout
@@ -33,7 +34,6 @@ from .expansion import (
     MultiIndexParams,
     _synthesize,
     call_on_points,
-    synthesize_many,
     tensor_grid,
 )
 from .fractional import forward_difference, smallest_integer_above
@@ -66,7 +66,7 @@ def _default_grid(d: int, points: int):
     (d, points): the tensor grid of that axis as an _XGrid, and its points
     as tuples."""
     axis = np.geomspace(0.05, 20.0, points)
-    xs = tensor_grid([axis] * d, [np.ones(points)] * d)[0]
+    xs = tensor_grid((axis,) * d)
     for a in (axis, xs):
         a.flags.writeable = False
     return _XGrid((axis,) * d, xs), tuple(map(tuple, xs.tolist()))
@@ -195,11 +195,10 @@ def lipschitz_seminorm(
     if reads:
         (a_beta, sup_table), (f_sup,) = reads
     elif method == "kernel":
-        func = (lambda y: synthesize_many(f, y)) if isinstance(f, LaguerreExpansion) else f
         # one semigroup table per x serves the whole t grid
-        vals = [poisson_dt_apply(func, params, np.array(t_grid), x, n) for x in grid.points]
+        vals = [poisson_dt_apply(f, params, np.array(t_grid), x, n) for x in grid.points]
         a_beta, sup_table = _a_beta(beta, n, t_grid, np.max(np.abs(vals), axis=0))
-        f_sup = np.max(np.abs(call_on_points(func, grid.points)))
+        f_sup = np.max(np.abs(call_on_points(f, params, grid.points)))
     else:
         raise DomainError(f"unknown method {method!r}")
     points = _default_grid(params.d, 24)[1] if x_grid is None else tuple(

@@ -167,7 +167,7 @@ def test_value_at_a_point_is_the_same_however_it_is_reached(d, degree):
     p = MultiIndexParams(d, (0.5, -0.25, 2.0)[:d])
     e = random_expansion(p, degree, seed=8)
     axes = tuple(np.geomspace(0.05, 20.0, 5 + j) for j in range(d))
-    pts = tensor_grid(axes, [np.ones(len(a)) for a in axes])[0]
+    pts = tensor_grid(axes)
     scattered = synthesize_many(e, pts)
     np.testing.assert_array_equal(_synthesize(e, e.vector, axes), scattered)
     factors = np.random.default_rng(1).uniform(-2.0, 2.0, (len(e.vector), 3))

@@ -289,15 +289,19 @@ class TestHeatEngine:
         want = [heat_apply_kernel(g, KernelQuery(p2, t, (1.2, 0.7))) for t in times]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [-0.25, 0.5])
-    def test_chunks_are_bit_identical_to_single_times(self, d, alpha):
-        # 100 times are three chunks of one heat-axis rule per axis; each
+    def test_chunks_are_bit_identical_to_single_times(self, d, alpha, monkeypatch):
+        # 100 times are three chunks of one heat-axis rule per axis (at d = 3,
+        # whose grids hold ~2M points a time, 5 times in chunks of 2); each
         # value must be exactly the one of its time taken alone
         params = MultiIndexParams(d, (alpha,) * d)
-        x = (1.3, 0.6)[:d]
+        x = (1.3, 0.6, 2.0)[:d]
         f = lambda y: np.exp(-0.3 * y) if d == 1 else np.exp(-0.3 * y[:, 0] - 0.1 * y[:, 1])
         times = np.geomspace(1e-6, 40.0, 100)
+        if d == 3:
+            monkeypatch.setattr(kernels, "BLOCK_POINTS", 2 * 15 * HEAT_ORDER)
+            times = times[::24]
         got = _heat_apply_times(f, params, times, x)[0]
         want = [heat_apply_kernel(f, KernelQuery(params, t, x)) for t in times]
         assert got.tolist() == want
@@ -318,6 +322,63 @@ class TestHeatEngine:
         mu = y**0.5 * np.exp(-y) / math.gamma(1.5)
         if d == 1:  # past the cutoff T_s |f| is int |cos| d mu_alpha
             assert got[1, -1] == pytest.approx(np.trapezoid(np.abs(np.cos(y)) * mu, y), rel=1e-3)
+
+    @pytest.mark.parametrize("d, times", [(2, (1e-6, 0.3, 1.0, 40.0)), (3, (1.0, 20.0))])
+    def test_tensor_contraction_matches_the_exact_sum_of_its_terms(self, d, times):
+        # each T_s f(x) and its sum |w f| against math.fsum of the explicit
+        # terms w_1 ... w_d f(y) of the tensor grid of the per-axis rules
+        alpha, x = (0.5, -0.25, 2.0)[:d], (1.2, 0.7, 2.0)[:d]
+        f = lambda y: np.cos(y @ np.arange(1.0, d + 1.0)) * np.exp(-0.1 * y.sum(axis=1))
+        got = _heat_apply_times(f, MultiIndexParams(d, alpha), np.array(times), x)
+        for i, s in enumerate(times):
+            rules = [_heat_axis_rule(a, np.array([s]), xj) for a, xj in zip(alpha, x)]
+            ys, ws = [y.ravel() for _, y, _ in rules], [w.ravel() for _, _, w in rules]
+            pts = np.stack(np.meshgrid(*ys, indexing="ij"), axis=-1).reshape(-1, d)
+            terms = np.prod(np.meshgrid(*ws, indexing="ij"), axis=0).ravel() * f(pts)
+            size = math.fsum(np.abs(terms))
+            assert abs(got[0, i] - math.fsum(terms)) <= 1e-14 * size, s
+            assert abs(got[1, i] - size) <= 1e-14 * size, s
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_expansion_input_is_bit_identical_to_its_wrapper(self, d):
+        # an expansion is synthesized where f is read, on a tensor grid at
+        # d = 2: the same values as synthesize_many at the scattered points
+        params = MultiIndexParams(d, (0.5, -0.25)[:d])
+        e, x = random_expansion(params, 5, seed=4), (1.2, 0.7)[:d]
+        wrapper = lambda y: synthesize_many(e, y)
+        q = KernelQuery(params, 0.4, x)
+        assert heat_apply_kernel(e, q) == heat_apply_kernel(wrapper, q)
+        times = np.array([0.1, 0.5, 2.0])
+        np.testing.assert_array_equal(poisson_dt_apply(e, params, times, x, 1),
+                                      poisson_dt_apply(wrapper, params, times, x, 1))
+
+    def test_expansion_of_other_params_raises(self):
+        e = random_expansion(MultiIndexParams(1, (-0.25,)), 3, seed=0)
+        with pytest.raises(DomainError, match="expansion"):
+            heat_apply_kernel(e, KernelQuery(P_HALF, 0.4, (1.2,)))
+        with pytest.raises(DomainError, match="expansion"):
+            poisson_apply(e, MultiIndexParams(2, (-0.25, -0.25)), 0.4, (1.2, 0.7))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("value", [2.5, np.float32(2.5), 3])
+    def test_one_value_for_all_points_broadcasts(self, d, value):
+        params = MultiIndexParams(d, (0.5, -0.25)[:d])
+        q = KernelQuery(params, 0.5, (1.2, 0.7)[:d])
+        assert heat_apply_kernel(lambda y: value, q) == pytest.approx(float(value), rel=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bad", [
+        lambda y: np.ones(3), lambda y: np.ones((len(y), 2)), lambda y: np.ones(len(y)) + 1j,
+        lambda y: "1.0", lambda y: np.full(len(y), math.nan), lambda y: np.full(len(y), math.inf),
+    ], ids=["three-values", "two-columns", "complex", "str", "nan", "inf"])
+    def test_outputs_that_are_not_one_real_value_per_point_raise(self, d, bad):
+        # a wrong shape or dtype is named where f is read; a value that is
+        # not finite shows in the magnitude row sum |w f| of its heat time
+        params, x = MultiIndexParams(d, (0.5, -0.25)[:d]), (1.2, 0.7)[:d]
+        with pytest.raises(DomainError):
+            heat_apply_kernel(bad, KernelQuery(params, 0.5, x))
+        with pytest.raises(DomainError):
+            poisson_apply(bad, params, 0.5, x)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_table_blocks_are_bit_identical_to_single_times(self, m):

@@ -138,6 +138,19 @@ class TestSeminorm:
         for t in a.t_grid:
             assert b.sup_table[t] == pytest.approx(a.sup_table[t], rel=1e-8)
 
+    def test_kernel_path_on_an_expansion_at_d2(self):
+        # the kernel route hands the expansion itself to the semigroup tables,
+        # which synthesize it on each heat time's tensor grid
+        p2 = MultiIndexParams(2, (0.5, -0.25))
+        f = random_expansion(p2, 6, seed=0)
+        x_grid = [(a, b) for a in (0.3, 2.0) for b in (0.5, 3.0)]
+        a = lipschitz_seminorm(f, p2, 0.5, x_grid=x_grid)
+        b = lipschitz_seminorm(f, p2, 0.5, x_grid=x_grid, method="kernel")
+        assert b.A_beta == pytest.approx(a.A_beta, rel=1e-12)
+        assert b.f_sup == pytest.approx(a.f_sup, rel=1e-12)
+        for t in a.t_grid:
+            assert b.sup_table[t] == pytest.approx(a.sup_table[t], rel=1e-12, abs=1e-12)
+
     def test_bad_beta(self):
         with pytest.raises(DomainError):
             lipschitz_seminorm(L1, P, 0.0)
@@ -179,11 +192,11 @@ class TestChecks:
         f = random_expansion(P, 4, seed=1)
         want = check_approximation(f, P, 0.5)
         calls = []
-        stacked, single = lip._synthesize, lip.synthesize_many
+        stacked, single = lip._synthesize, lip.call_on_points
         monkeypatch.setattr(
             lip, "_synthesize", lambda e, c, xs: calls.append(c.shape) or stacked(e, c, xs))
         monkeypatch.setattr(
-            lip, "synthesize_many", lambda e, xs: calls.append(e) or single(e, xs))
+            lip, "call_on_points", lambda e, p, xs: calls.append(e) or single(e, p, xs))
         got = check_approximation(f, P, 0.5)
         assert calls == [(f.vector.size, 22)]
         assert got.rows == want.rows and got.max_ratio == want.max_ratio

@@ -11,8 +11,8 @@ figure is the median wall time of single calls after one warm-up call:
   batches of 1000, divided by 1000), one heat kernel value (d = 1, on a
   query built once), one Poisson kernel value, the 720
   values of one kernel-mass
-  integral (the y rule of the kernel-mass scenario at alpha = 0.5,
-  t = 0.25, x = 1), poisson_apply at d = 1 and d = 2, and at d = 2 on an
+  integral (the y rule of the kernel-mass scenario at t = 0.25, x = 1 and
+  alpha = 0.5, 2 and -0.25), poisson_apply at d = 1 and d = 2, and at d = 2 on an
   expansion (degree 6, t = 0.7), poisson_dt_apply
   (f = L_3^0.5, m = 2, x = 1.3) on the default 11-time grid,
   l1_kernel_derivative at t = 0.5 and at t = 0.05 (where the subordination
@@ -129,7 +129,11 @@ def layer_costs(repeats):
     p3 = lo.MultiIndexParams(3, (0.5, -0.25, 2.0))
     e3 = lo.random_expansion(p3, 4, seed=0)
     pts = np.random.default_rng(0).uniform(0.1, 5.0, (1024, 2))
-    mass_queries = [lo.KernelQuery(p1, 0.25, (1.0,), (float(y),)) for y in mass_y_nodes()]
+    mass = {alpha: [lo.KernelQuery(lo.MultiIndexParams(1, (alpha,)), 0.25, (1.0,), (float(y),))
+                    for y in mass_y_nodes()] for alpha in (0.5, 2.0, -0.25)}
+    mass_s = lambda alpha: median_s(
+        lambda: [lo.poisson_kernel(q) for q in mass[alpha]], max(1, repeats // 4)
+    )
     heat_query = lo.KernelQuery(p1, 0.5, (1.3,), (1.0,))
     return {
         "log_bessel_per_point_s": median_s(lambda: lo.log_bessel_i_scaled(0.5, z), repeats) / z.size,
@@ -146,9 +150,9 @@ def layer_costs(repeats):
         "poisson_kernel_value_s": median_s(
             lambda: lo.poisson_kernel(lo.KernelQuery(p1, 0.5, (1.3,), (1.0,))), repeats
         ),
-        "poisson_kernel_mass_720_s": median_s(
-            lambda: [lo.poisson_kernel(q) for q in mass_queries], max(1, repeats // 4)
-        ),
+        "poisson_kernel_mass_720_s": mass_s(0.5),
+        "poisson_kernel_mass_720_a2_s": mass_s(2.0),
+        "poisson_kernel_mass_720_aneg_s": mass_s(-0.25),
         "poisson_apply_d1_s": median_s(lambda: lo.poisson_apply(f1, p1, 0.7, (1.3,)), repeats),
         "poisson_apply_d2_s": median_s(lambda: lo.poisson_apply(f2, p2, 0.7, (1.2, 0.7)), repeats),
         "poisson_apply_d2_expansion_s": median_s(

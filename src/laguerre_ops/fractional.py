@@ -224,7 +224,7 @@ def _callable_route(kind, f, params, lam, k, x):
         # column j - 1 holds u(j s), j = 1..k, and Delta_s^k(u, 0) is the
         # unit-step difference of j -> u(j s), taken of f - f(x), so u(0) = 0
         # and no terms of the size of f(x) cancel: f(x) adds const
-        fx = float(call_on_points(f, params, np.asarray(x)))
+        fx = float(call_on_points(f, params, np.array([x]))[0])  # one point, shape (1, d)
         g, times = lambda y: np.asarray(f(y), dtype=float) - fx, np.outer(s, np.arange(1.0, k + 1))
         const, c = fx * np.expm1(-shift * s) ** k, c_lambda(lam, k)
 

@@ -25,11 +25,14 @@ _sub_weights.  A read gives each value its Kronrod sum, embedded Gauss sum
 and sum |terms|, whose eps multiple is its rounding; one settle loop
 (_doubled) doubles the rule from KERNEL_PANELS until every value settles.
 Kernel values d^m/dt^m p_t(x, y) at an (n, d) array of points y read the
-rule in (y x s-node) blocks, one log_bessel_i_scaled call per block of at
-most BLOCK_POINTS entries.  d^m/dt^m P_t f(x) (poisson_dt_apply), and the
-callable fractional operators as a linear functional of P_s f(x), read one
-semigroup table (_settled_read): T_s f(x) and sum |w f| at every node and
-at S_CUTOFF, which stands for s past it, from one chunked heat-apply call.
+rule in (y x s-node) blocks, one log_bessel_i_scaled call per axis and block
+of at most BLOCK_POINTS entries, on the y-free heat factors that _kernel_nodes
+caches per rule; one point (a scalar value) is read with its coordinates as
+scalars, each axis's ridge one row over the s nodes.  d^m/dt^m P_t f(x)
+(poisson_dt_apply), and the callable fractional operators as a linear
+functional of P_s f(x), read one semigroup table (_settled_read): T_s f(x)
+and sum |w f| at every node and at S_CUTOFF, which stands for s past it,
+from one chunked heat-apply call.
 
 l1_kernel_derivative (d = 1) integrates |d^m p_t(x, .)| on panels in
 v = sqrt(y) (_v_breaks), dyadic around the ridge at sqrt(x) and ending where
@@ -132,10 +135,10 @@ class KernelQuery:
     derivative_order: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "t", check_above("t", (self.t,))[0])
-        object.__setattr__(self, "x", self.params.point(self.x))
-        if self.y is not None:
-            object.__setattr__(self, "y", self.params.point(self.y, "y"))
+        point, y = self.params.point, self.y
+        # one write of the checked fields past the frozen __setattr__
+        self.__dict__.update(t=check_above("t", (self.t,))[0], x=point(self.x),
+                             y=y if y is None else point(y, "y"))
         check_integer(self.derivative_order, 0, "derivative_order")
 
 
@@ -157,11 +160,12 @@ def _heat_scales(s, x):
     return v0, sig, one_r
 
 
-def _log_ridge(alpha, v, u, v0, sig):
+def _log_ridge(alpha, v, u, v0, sig2):
     """log((1 - e^-s) H_s(x, y)), the one statement of the heat kernel against
-    dy, at v = sqrt(y), u = (v - v0) / sigma and the scales of _heat_scales: a
-    ridge e^(-u^2/2) times (v / v0)^alpha I_alpha(v0 v / sigma^2) e^(-v0 v / sigma^2)."""
-    return alpha * np.log(v / v0) - 0.5 * u * u + log_bessel_i_scaled(alpha, v0 * v / (sig * sig))
+    dy, at v = sqrt(y), u = (v - v0) / sigma and the scales v0, sigma^2 of
+    _heat_scales: a ridge e^(-u^2/2) times (v / v0)^alpha I_alpha(v0 v / sigma^2)
+    e^(-v0 v / sigma^2)."""
+    return alpha * np.log(v / v0) - 0.5 * u * u + log_bessel_i_scaled(alpha, v0 * v / sig2)
 
 
 def heat_kernel(q: KernelQuery) -> float:
@@ -171,7 +175,7 @@ def heat_kernel(q: KernelQuery) -> float:
     log_g = 0.0
     for a, x, y in zip(q.params.alpha, q.x, q.y):
         (v0, sig, one_r), v = _heat_scales(q.t, x), math.sqrt(y)
-        log_h = _log_ridge(a, v, (v - v0) / sig, v0, sig) - math.log(one_r)
+        log_h = _log_ridge(a, v, (v - v0) / sig, v0, sig * sig) - math.log(one_r)
         log_g += log_h - _log_mu_axis(a, y, math.log(y))
     if abs(log_g) > 700.0:
         raise OverflowGuardError(f"heat kernel log-value {log_g} out of range")
@@ -231,7 +235,7 @@ def _heat_axis_rule(alpha, times, x):
     u = lo + width * unit
     v = np.where(jac, sig * unit, v0 + sig * u)
     pw = np.where(jac, wj, 0.5 * wg) * width * 2.0 * v * sig / one_r
-    return idx, v * v, pw * np.exp(_log_ridge(alpha, v, u, v0, sig))
+    return idx, v * v, pw * np.exp(_log_ridge(alpha, v, u, v0, sig * sig))
 
 
 def _heat_apply_times(f, params, times, x):
@@ -377,15 +381,19 @@ def _doubled(value, panels, where):
     SUB_ROUND sum |terms| with its Gauss value.  Else QuadratureError naming
     where(i): after SUB_DOUBLINGS doublings, or at once above that floor."""
     for doubling in range(SUB_DOUBLINGS + 1):
-        kron, gauss, size = rows = value(panels * 2**doubling)
+        rows = value(panels * 2**doubling)
+        kron = rows[0]
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan settles nowhere
             tol, err = np.maximum(SUB_ABS, SUB_REL * np.abs(kron)), _estimate(rows)
             floor = np.isfinite(kron)
             done = floor & (err <= tol)
             if not done.all():
+                gauss, size = rows[1], rows[2]
                 floor &= _EPS * size <= SUB_ROUND / _EPS * tol
                 near = np.maximum(np.abs(kron), np.abs(gauss)) <= SUB_ROUND * size
                 done |= floor & (near | (doubling > 0 and np.abs(kron - out) <= tol))
+            elif not doubling:
+                return kron  # the first pass settles every value: nothing to merge
         out, settled = (np.where(settled, out, kron), settled | done) if doubling else (kron, done)
         if settled.all():
             return out
@@ -400,32 +408,46 @@ def _doubled(value, panels, where):
 def _kernel_nodes(t, m, panels, x):
     """The subordination rule at t, shared by every y of one kernel
     integral: its weights and tail weights _sub_weights(m, t, ...), and per
-    coordinate the y-free heat factors v0, sigma (_heat_scales(s, x_j)) and
-    log(1 - e^-s) at its nodes s."""
+    coordinate the y-free heat factors at its nodes s, the scales v0, sigma
+    and sigma^2 of _heat_scales(s, x_j) and log(1 - e^-s)."""
     s, wk, wg = _subordination_rule(t, panels)
     weights, tails = _sub_weights(m, t, s, wk, wg)
-    scales = [(v0, sig, np.log(one_r)) for v0, sig, one_r in (_heat_scales(s, xj) for xj in x)]
+    scales = [(v0, sig, sig * sig, np.log(one_r))
+              for v0, sig, one_r in (_heat_scales(s, xj) for xj in x)]
     for a in (weights, tails, *sum(scales, ())):
         a.flags.writeable = False
     return weights, tails, scales
+
+
+def _block_sums(alpha, v, scales, weights):
+    """The Kronrod, Gauss and magnitude sums over the s nodes of one block, at
+    v = sqrt(y) per axis: one point's coordinates (scalars, each axis's ridge a
+    row over the nodes) or columns of them (a row per point).  The axes are
+    added by reduce, as sum would first add the first axis to 0."""
+    log_h = reduce(np.add, [_log_ridge(a, vj, (vj - v0) / sig, v0, sig2) - log_one_r
+                            for a, vj, (v0, sig, sig2, log_one_r) in zip(alpha, v, scales)])
+    return (np.exp(log_h)[..., None, :] * weights).sum(axis=-1)
 
 
 def _poisson_block_once(params, t, x, y, m, panels):
     """d^m/dt^m p_t(x, y_i) for each row y_i of an (n, d) array of points, as
     the (3, n) rows _doubled reads, from one pass of (y x s-node) blocks of
     at most BLOCK_POINTS entries, one log_bessel_i_scaled call per axis and
-    block; each point's row is summed on its own, independent of the others."""
+    block; each point's row is summed on its own, independent of the others,
+    and a block of one point is read with scalar coordinates (no (1, 1) x (N,)
+    broadcasts)."""
     weights, tails, scales = _kernel_nodes(t, m, panels, x)
-    root_y, log_y = np.sqrt(y), np.log(y)
-    rows = np.empty((len(y), 3))
-    step = max(1, BLOCK_POINTS // weights.shape[1])
-    for i in range(0, len(y), step):
-        axes = zip(params.alpha, root_y[i : i + step].T[:, :, None], scales)
-        log_h = sum(_log_ridge(a, v, (v - v0) / sig, v0, sig) - log_one_r
-                    for a, v, (v0, sig, log_one_r) in axes)
-        rows[i : i + step] = (np.exp(log_h)[:, None, :] * weights).sum(axis=2)
-    past = np.exp(sum(_log_mu_axis(a, yj, lj) for a, yj, lj in zip(params.alpha, y.T, log_y.T)))
-    return (rows + past[:, None] * tails).T
+    if len(y) == 1:
+        y = y[0]
+        rows = _block_sums(params.alpha, np.sqrt(y), scales, weights)
+    else:
+        root_y, rows = np.sqrt(y).T[:, :, None], np.empty((len(y), 3))
+        step = max(1, BLOCK_POINTS // weights.shape[1])
+        for i in range(0, len(y), step):
+            rows[i : i + step] = _block_sums(params.alpha, root_y[:, i : i + step], scales, weights)
+    # mu_alpha(y)'s density, which the tail weights take for s past S_CUTOFF
+    past = np.exp(reduce(np.add, map(_log_mu_axis, params.alpha, y.T, np.log(y).T)))
+    return (rows + past[..., None] * tails).T.reshape(3, -1)
 
 
 def _kernel_value(q: KernelQuery, dt: bool) -> float:

@@ -84,31 +84,38 @@ def _hankel(nu: float):
     """z_h(nu) and c_K, ..., c_1 of I_nu(z) e^-z ~ (2 pi z)^(-1/2) (1 + sum_k c_k
     z^-k), c_k / c_(k-1) = -(4 nu^2 - (2k - 1)^2) / (8k) (DLMF 10.40.1), at
     HANKEL_TERMS terms less trailing zeros.  z_h is the least z >= 20 (e^-2z below
-    eps/4) at which the first dropped term is below eps/4, at most IVE_Z_MAX."""
+    eps/4) at which the first dropped term is below eps/4, at most IVE_Z_MAX.
+    The c_k are 0-d arrays, which a ufunc reads without converting a float."""
     mu, c = 4.0 * nu * nu, [1.0]
     for k in range(1, HANKEL_TERMS + 2):
         c.append(-c[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
     z_h = max(20.0, (4.0 * abs(c.pop()) / _EPS) ** (1.0 / (HANKEL_TERMS + 1)))
     while c[-1] == 0.0:  # half-integer orders end the series
         c.pop()
-    return min(z_h, IVE_Z_MAX), tuple(c[:0:-1])
+    coeffs = tuple(map(np.array, c[:0:-1]))
+    for a in coeffs:  # shared by every call at nu
+        a.flags.writeable = False
+    return min(z_h, IVE_Z_MAX), coeffs
 
 
 def _log_hankel(coeffs, z: np.ndarray) -> np.ndarray:
-    w = 1.0 / z
-    s = coeffs[0] * w if coeffs else np.zeros_like(z)
+    log_front = 0.5 * (np.log(z) + math.log(2.0 * math.pi))  # no 2 pi z to overflow
+    if not coeffs:  # a half-integer order: the series is 1, and log_front > 0 at z >= 20
+        return -log_front
+    w = np.reciprocal(z)
+    s = coeffs[0] * w
     for c in coeffs[1:]:  # Horner in 1/z, in place (a positional out is the cheaper call)
         np.add(s, c, s)
         np.multiply(s, w, s)
-    return np.log1p(s) - 0.5 * (np.log(z) + math.log(2.0 * math.pi))  # no 2 pi z to overflow
+    return np.log1p(s) - log_front
 
 
 def _log_below(nu: float, z: np.ndarray, z_h: float, z_min: float) -> np.ndarray:
     if z_h > IV_Z_MAX and (mid := z > IV_Z_MAX).any():
-        scaled = np.empty_like(z)
+        scaled, below = np.empty_like(z), ~mid
         scaled[mid] = ive(nu, z[mid])
-        low = z[~mid]
-        scaled[~mid] = iv(nu, low) * np.exp(-low)
+        low = z[below]
+        scaled[below] = iv(nu, low) * np.exp(-low)
     else:
         scaled = iv(nu, z)
         scaled *= np.exp(-z)
@@ -135,22 +142,23 @@ def log_bessel_i_scaled(nu: float, z):
     """
     if not -1 < nu < math.inf:
         raise DomainError(f"log_bessel_i_scaled requires a finite nu > -1, got {nu}")
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+    # a float array of at least one dimension is read as it is
+    array = type(z) is np.ndarray and z.dtype == np.float64 and z.ndim
+    z_arr = z if array else np.atleast_1d(np.asarray(z, dtype=float))
     z_min = z_arr.min(initial=math.inf)
     if not z_min >= 0:
         raise DomainError("log_bessel_i_scaled requires z >= 0, not nan")
     z_h, coeffs = _hankel(nu)
     if z_min >= z_h:
         out = _log_hankel(coeffs, z_arr)
-    elif z_arr.max(initial=0.0) < z_h:
+    elif not np.count_nonzero(high := z_arr >= z_h):
         out = _log_below(nu, z_arr, z_h, z_min)
     else:
-        high = z_arr >= z_h
+        low = ~high
         out = np.empty_like(z_arr)
         out[high] = _log_hankel(coeffs, z_arr[high])
-        out[~high] = _log_below(nu, z_arr[~high], z_h, z_min)
-    out = out.reshape(np.shape(z))
-    return out if np.ndim(z) else float(out)
+        out[low] = _log_below(nu, z_arr[low], z_h, z_min)
+    return out if np.ndim(z) else float(out[0])
 
 
 def laguerre_rows(degree: int, alpha: float, x) -> np.ndarray:

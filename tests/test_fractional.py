@@ -408,6 +408,21 @@ class TestPointApply:
         want = getattr(laguerre_ops, kind)(lam).value(3) * laguerre_poly(3, alpha, 1.3)
         assert got == pytest.approx(want, abs=1e-6)
 
+    @pytest.mark.parametrize("kind", ["fractional_derivative", "bessel_derivative"])
+    def test_callable_difference_route_at_d2(self, kind):
+        # f(x) is read as one point of shape (1, d), as f reads every other
+        # point: an f of (m, d) arrays agrees with the spectral route
+        p2 = MultiIndexParams(2, (0.5, -0.25))
+        e = random_expansion(p2, 4, seed=0)
+        apply = getattr(laguerre_ops, kind + "_apply")
+        got = apply(lambda pts: laguerre_ops.synthesize_many(e, pts), p2, 1.5, (1.2, 0.7))
+        assert got == pytest.approx(apply(e, p2, 1.5, (1.2, 0.7)), rel=1e-9)
+
+    def test_callable_difference_route_reads_one_point_at_d2(self):
+        p2 = MultiIndexParams(2, (0.5, -0.25))
+        got = fractional_derivative_apply(lambda pts: np.exp(-0.3 * pts[:, 0]), p2, 0.5, (1.2, 0.7))
+        assert math.isfinite(got)
+
     @pytest.mark.parametrize(
         "kind,alpha,k,lam,x",
         [

@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from laguerre_ops import kernels
+from laguerre_ops import kernels, specfun
 from laguerre_ops.errors import DomainError, OverflowGuardError, QuadratureError
 from laguerre_ops.expansion import (
     MultiIndexParams,
@@ -905,20 +905,47 @@ class TestPoissonBlock:
         ]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_point_alone_equals_its_row_in_a_block(self, d, m):
-        # 200 points are several blocks of (y x s-node) entries; each point's
-        # Kronrod value, Gauss value and magnitude sum must equal the call
-        # that reads that point alone
-        params = MultiIndexParams(d, (0.5, -0.25)[:d])
-        x = (1.3, 0.6)[:d]
+    def test_point_alone_equals_its_row_in_a_block(self, monkeypatch, d, m):
+        # a point read alone is a row over the s nodes with scalar coordinates,
+        # and in a block a row of a (points x s-node) array; its Kronrod value,
+        # Gauss value and magnitude sum must agree bit for bit
+        def check(params, t, x, y):
+            block = _poisson_block_once(params, t, x, y, m, KERNEL_PANELS)
+            for i in range(len(y)):
+                alone = _poisson_block_once(params, t, x, y[i : i + 1], m, KERNEL_PANELS)
+                assert alone[:, 0].tolist() == block[:, i].tolist(), (params, t, y[i])
+
+        # 200 points are several blocks of (y x s-node) entries
         y = np.random.default_rng(3).uniform(0.01, 6.0, (200, d))
-        block = _poisson_block_once(params, 0.25, x, y, m, KERNEL_PANELS)
         assert len(y) * len(_subordination_rule(0.25, KERNEL_PANELS)[0]) > BLOCK_POINTS
-        for i in range(len(y)):
-            alone = _poisson_block_once(params, 0.25, x, y[i : i + 1], m, KERNEL_PANELS)
-            assert alone[:, 0].tolist() == block[:, i].tolist()
+        check(MultiIndexParams(d, (0.5, -0.25)[:d]), 0.25, (1.3, 0.6)[:d], y)
+        # and so on every branch of log_bessel_i_scaled: the large-argument
+        # expansion (y near x at small s, and far y where z_h is large), scipy's
+        # iv (moderate y) and, at alpha = 25, the log-series where iv underflows
+        # (y <= 1e-20 at large s)
+        reads, bessel = [], kernels.log_bessel_i_scaled
+
+        def spy(nu, z):
+            if nu == alpha:
+                reads.append(np.ravel(z))
+            return bessel(nu, z)
+
+        monkeypatch.setattr(kernels, "log_bessel_i_scaled", spy)
+        for alpha in (-0.99, 0.5, 2.0, 25.0):
+            first = np.concatenate((1.3 + np.linspace(-0.05, 0.05, 6), np.geomspace(0.05, 1e4, 8),
+                                    np.geomspace(1e-30, 1e-20, 4) if alpha == 25.0 else []))
+            y = np.column_stack((first, np.geomspace(0.1, 3.0, len(first))))[:, :d]
+            params = MultiIndexParams(d, (alpha, 0.5)[:d])
+            for t in (1e-3, 0.25, 4.0):
+                reads.clear()
+                check(params, t, (1.3, 0.6)[:d], y)
+                z, z_h = np.concatenate(reads), specfun._hankel(alpha)[0]
+                assert (z >= z_h).any() and (z < z_h).any(), (alpha, t)
+                if alpha == 25.0:
+                    with np.errstate(under="ignore"):
+                        assert ((z > 0) & (specfun.ive(alpha, z) < np.finfo(float).tiny)).any()
 
     def test_unsettled_value_is_named(self, monkeypatch):
         # the Kronrod and Gauss values of this point differ by 1e-10 to 5e-9 at

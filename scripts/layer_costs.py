@@ -5,8 +5,10 @@
 Run from the repository root; the package is imported from ./src.  Each
 figure is the median wall time of single calls after one warm-up call:
 
-- specfun: log-Bessel per point at nu = 0.5 and at nu = -0.25 (the same 4096
-  z from 1e-3 to 1e3), the heat-axis rule per node;
+- specfun: log-Bessel per point at nu = 0.5 (the closed form at every z), at
+  nu = -0.25 and at nu = 2 (the ascending series, iv and the large-argument
+  expansion by band; the same 4096 z from 1e-3 to 1e3), the heat-axis rule
+  per node;
 - kernels: one KernelQuery build (d = 1, with x and y; the median of
   batches of 1000, divided by 1000), one heat kernel value (d = 1, on a
   query built once), one Poisson kernel value, the 720
@@ -37,8 +39,9 @@ figure is the median wall time of single calls after one warm-up call:
   (t = 0.7) and poisson_dt_apply calls above read, and the semigroup tables
   (heat-apply calls) that the callable fractional integral above reads, and
   the log-Bessel points of that poisson_dt_apply call at or above z_h(nu),
-  which the large-argument expansion takes; they depend only on the code,
-  not on the machine;
+  the large-argument band, and below min(z_s(nu), z_h(nu)) with a normal
+  value, the ascending-series band (at its nu = 1/2 the closed form takes
+  both); they depend only on the code, not on the machine;
 - src_lines: the lines of each module of src/laguerre_ops and their total.
 
 Timings depend on the machine, so the file records it beside them.
@@ -140,6 +143,7 @@ def layer_costs(repeats):
         "log_bessel_per_point_neg_s": median_s(
             lambda: lo.log_bessel_i_scaled(-0.25, z), repeats
         ) / z.size,
+        "log_bessel_per_point_a2_s": median_s(lambda: lo.log_bessel_i_scaled(2.0, z), repeats) / z.size,
         "heat_axis_rule_per_node_s": median_s(
             lambda: _heat_axis_rule(0.5, heat_times, 1.3), repeats
         ) / nodes,
@@ -196,6 +200,11 @@ def counts():
     l1 = lambda: lo.l1_kernel_derivative(p1, 0.05, (1.0,), 1)
     bessel = lambda nu, z: int(np.size(z))
     hankel = lambda nu, z: int(np.count_nonzero(np.asarray(z) >= specfun._hankel(nu)[0]))
+    tiny_log = np.log(np.finfo(float).tiny)
+    ascending = lambda nu, z: int(np.count_nonzero(
+        (np.asarray(z) < min(specfun._ascending(nu)[0], specfun._hankel(nu)[0]))
+        & (specfun.log_bessel_i_scaled(nu, z) >= tiny_log)
+    ))
     table = lambda: lo.poisson_apply(lambda y: np.exp(-0.3 * y), p1, 0.7, (1.3,))
     heat_times = lambda f, params, times, x: len(times)
     return {
@@ -210,6 +219,9 @@ def counts():
         ),
         "poisson_dt_apply_d1_hankel_points": counted_points(
             poisson_dt_apply_d1, "log_bessel_i_scaled", hankel
+        ),
+        "poisson_dt_apply_d1_ascending_points": counted_points(
+            poisson_dt_apply_d1, "log_bessel_i_scaled", ascending
         ),
         "callable_fractional_integral_reads": counted_points(
             callable_fractional_integral, "_heat_apply_times", lambda *args: 1

@@ -1,8 +1,10 @@
 """Pointwise heat and Poisson kernels plus quadrature-based semigroup action.
 
 All kernel formulas are evaluated in log space, with the Bessel factor taken
-from specfun.log_bessel_i_scaled (scipy's iv, the large-argument expansion, and
-ive or a log-series where those do not hold; see specfun).  The Poisson kernel is
+from specfun.log_bessel_i_scaled (the closed form at alpha = +-1/2, the
+ascending series at small arguments, the large-argument expansion at large
+ones, scipy's iv between, and ive or a log-series where those do not hold;
+see specfun).  The Poisson kernel is
 computed through the one-sided stable-1/2 subordination weight
 
     g(t, s) = (t / 2 sqrt(pi)) e^{-t^2/4s} s^{-3/2},

@@ -1,9 +1,11 @@
 """Scalar special functions and quadrature rules.
 
 Everything downstream consumes these: Gamma, the log of the exponentially
-scaled modified Bessel function I_nu (scipy.special.iv times e^-z, the
-large-argument expansion from a bound z_h(nu) on, Amos's ive between z = 700
-and z_h, and a log-space ascending series where the value underflows), Laguerre
+scaled modified Bessel function I_nu (the closed form at nu = +-1/2; else the
+ascending series below a bound z_s(nu), the large-argument expansion from a
+bound z_h(nu) on, scipy.special.iv times e^-z between, Amos's ive between
+z = 700 and z_h, and a log-space ascending series where the value leaves the
+normal range), Laguerre
 polynomials (every degree up to N in one recurrence pass), Gauss-Laguerre rules
 normalized against the Laguerre probability measure mu_alpha (density x^alpha
 e^-x / Gamma(alpha+1) per axis), the Gauss-Jacobi rule for the weight eta^a on
@@ -14,13 +16,14 @@ integrated with, and the Gauss-Kronrod rule of the subordination integrals.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, iv, ive, logsumexp, roots_genlaguerre
+from scipy.special import gammaln, iv, ive, logsumexp, rgamma, roots_genlaguerre
 
 from .errors import DomainError, PoleError, QuadratureError, check_above, check_integer
 
@@ -47,10 +50,12 @@ SERIES_BLOCK = 128
 #: large-argument expansion takes every z, even below z_h(nu)
 IVE_Z_MAX = 1e9
 HANKEL_TERMS = 12
+ASCENDING_TERMS = 20  # terms k = 0, ..., 19 of the ascending series below z_s(nu)
 IV_Z_MAX = 700.0  # iv(nu, z) is finite and e^-z normal up to here
 
 _TINY = np.finfo(float).tiny
 _EPS = np.finfo(float).eps
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def gamma(x: float) -> float:
@@ -99,8 +104,8 @@ def _hankel(nu: float):
 
 
 def _log_hankel(coeffs, z: np.ndarray) -> np.ndarray:
-    log_front = 0.5 * (np.log(z) + math.log(2.0 * math.pi))  # no 2 pi z to overflow
-    if not coeffs:  # a half-integer order: the series is 1, and log_front > 0 at z >= 20
+    log_front = 0.5 * (np.log(z) + _LOG_2PI)  # no 2 pi z to overflow
+    if not coeffs:  # nu = +-1/2: the series is 1, and log_front > 0 at z >= 20
         return -log_front
     w = np.reciprocal(z)
     s = coeffs[0] * w
@@ -108,6 +113,55 @@ def _log_hankel(coeffs, z: np.ndarray) -> np.ndarray:
         np.add(s, c, s)
         np.multiply(s, w, s)
     return np.log1p(s) - log_front
+
+
+@lru_cache(maxsize=256)
+def _ascending(nu: float):
+    """z_s(nu) and a_(K-1), ..., a_0 of I_nu(z) = (z/2)^nu sum_k a_k t^k, t = z^2 / 4,
+    a_k = 1 / (k! Gamma(nu + k + 1)) (DLMF 10.25.2), at K = ASCENDING_TERMS terms;
+    the a_k carry the 4^-k of t, so Horner reads z^2.  z_s is the z below which
+    the first dropped term is below eps/4 of the first, so of the sum; it is 0
+    where a_(K-1) 4^(1-K) is not normal (nu from about 138.5), so every kept term
+    keeps its digits.  The a_k are read-only 0-d arrays, as _hankel's are."""
+    c = [1.0]  # c_k = a_k / a_0
+    for k in range(1, ASCENDING_TERMS + 1):
+        c.append(c[-1] / (k * (nu + k)))
+    a_0 = float(rgamma(nu + 1.0))
+    a = [math.ldexp(a_0 * c[k], -2 * k) for k in range(ASCENDING_TERMS)]
+    z_s = 2.0 * (0.25 * _EPS / c[-1]) ** (0.5 / ASCENDING_TERMS) if a[-1] >= _TINY else 0.0
+    coeffs = tuple(map(np.array, a[::-1]))
+    for a in coeffs:
+        a.flags.writeable = False
+    return z_s, coeffs
+
+
+def _scaled_ascending(nu: float, coeffs, z: np.ndarray, z_min: float) -> np.ndarray:
+    """I_nu(z) e^-z from the ascending series, in linear space as iv works: a sum
+    of logs would lose digits where log (z/2)^nu and log Gamma(nu + 1) cancel."""
+    t = z * z
+    s = coeffs[0] * t
+    for a in coeffs[1:-1]:  # Horner in t, in place, as in _log_hankel
+        np.add(s, a, s)
+        np.multiply(s, t, s)
+    np.add(s, coeffs[-1], s)
+    if nu:  # at nu = 0 no power, so z = 0 gives I_0(0) = 1
+        # z/2 = 0 (z = 0 or 5e-324) gives 0 at nu > 0 and inf at nu < 0, and a
+        # subnormal z/2 may overflow at nu < 0: _log_above takes those points
+        with np.errstate(divide="ignore", over="ignore") if 0.5 * z_min < _TINY else nullcontext():
+            s *= np.power(0.5 * z, nu)
+    s *= np.exp(-z)
+    return s
+
+
+def _log_half_order(nu: float, z: np.ndarray, z_min: float) -> np.ndarray:
+    # I_(1/2)(z) e^-z = (1 - e^-2z) / sqrt(2 pi z), I_(-1/2)(z) e^-z = (1 + e^-2z) / sqrt(2 pi z)
+    # (DLMF 10.39.1); from z ~ 19 on, e^-2z vanishes beside the front: _log_hankel's bits
+    with np.errstate(divide="ignore", invalid="ignore") if z_min == 0 else nullcontext():
+        out = np.log(-np.expm1(-2.0 * z)) if nu > 0 else np.log1p(np.exp(-2.0 * z))
+        out -= 0.5 * (np.log(z) + _LOG_2PI)
+    if z_min == 0:
+        out[z == 0] = -math.inf if nu > 0 else math.inf  # the limits at z = 0
+    return out
 
 
 def _log_below(nu: float, z: np.ndarray, z_h: float, z_min: float) -> np.ndarray:
@@ -131,14 +185,56 @@ def _log_below(nu: float, z: np.ndarray, z_h: float, z_min: float) -> np.ndarray
     return out  # at z = 0, iv gives the limits 0, 1 and inf
 
 
+def _log_above(nu: float, z: np.ndarray, z_h: float, coeffs, z_min: float) -> np.ndarray:
+    # the expansion from z_h on, _log_below under it
+    high = z >= z_h
+    if not (count := np.count_nonzero(high)):
+        return _log_below(nu, z, z_h, z_min)
+    if count == z.size:
+        return _log_hankel(coeffs, z)
+    out = np.empty_like(z)
+    out[high] = _log_hankel(coeffs, z[high])
+    low = ~high
+    out[low] = _log_below(nu, z[low], z_h, z_min)
+    return out
+
+
+def _log_by_band(nu: float, z: np.ndarray, z_min: float) -> np.ndarray:
+    z_h, coeffs = _hankel(nu)
+    if z_min >= z_h:
+        return _log_hankel(coeffs, z)
+    z_s, terms = _ascending(nu)
+    if z_min >= z_s:
+        return _log_above(nu, z, z_h, coeffs, z_min)
+    small = z < min(z_s, z_h)
+    whole = np.count_nonzero(small) == small.size  # the cheaper reduction
+    scaled = _scaled_ascending(nu, terms, z if whole else z[small], z_min)
+    normal = scaled.min() >= _TINY and (nu >= 0 or scaled.max() < math.inf)  # <= 1 at nu >= 0
+    if normal and whole:
+        return np.log(scaled)
+    out, rest = np.empty_like(z), ~small
+    if normal:
+        out[small] = np.log(scaled)
+    else:  # where I_nu(z) e^-z leaves the normal range, _log_above takes the point
+        with np.errstate(divide="ignore"):
+            out[small] = np.log(scaled).ravel()
+        rest[small] = ~((scaled >= _TINY) & (scaled < math.inf)).ravel()
+    out[rest] = _log_above(nu, z[rest], z_h, coeffs, z_min)
+    return out
+
+
 def log_bessel_i_scaled(nu: float, z):
     """log(I_nu(z) e^{-z}) for a finite nu > -1 and z >= 0 (z = inf gives -inf).
 
-    z alone picks a point's branch: from z_h(nu) on (_hankel; 20 at nu = 1/2,
-    890 at 25) and past IVE_Z_MAX (to eps up to nu = 2.5e4) the large-argument
-    expansion; below, scipy's iv(nu, z) e^-z to IV_Z_MAX, Amos's ive past it,
-    and the all-positive log-space ascending series where that value leaves
-    the normal range (tiny z with large nu, or subnormal z).
+    At nu = +-1/2 the closed form takes every z (a call whose z all lie past
+    z_h = 20 reads the expansion's front, the same bits).  Otherwise z alone picks a
+    point's branch: below z_s(nu) (_ascending; 6.4 at nu = -1/4, 7.5 at 2,
+    none from nu ~ 138.5) the ascending series in linear space; from z_h(nu) on
+    (_hankel; 37 at nu = -1/4, 890 at 25) and past IVE_Z_MAX (to eps up to
+    nu = 2.5e4) the large-argument expansion; between, scipy's iv(nu, z) e^-z
+    to IV_Z_MAX and Amos's ive past it.  Where the series' or iv's value
+    leaves the normal range (tiny z with large nu, or subnormal z), iv and
+    then the all-positive log-space series take the point (_log_below).
     """
     if not -1 < nu < math.inf:
         raise DomainError(f"log_bessel_i_scaled requires a finite nu > -1, got {nu}")
@@ -148,16 +244,10 @@ def log_bessel_i_scaled(nu: float, z):
     z_min = z_arr.min(initial=math.inf)
     if not z_min >= 0:
         raise DomainError("log_bessel_i_scaled requires z >= 0, not nan")
-    z_h, coeffs = _hankel(nu)
-    if z_min >= z_h:
-        out = _log_hankel(coeffs, z_arr)
-    elif not np.count_nonzero(high := z_arr >= z_h):
-        out = _log_below(nu, z_arr, z_h, z_min)
+    if (nu == 0.5 or nu == -0.5) and z_min < _hankel(nu)[0]:  # the same bits from z_h = 20 on
+        out = _log_half_order(nu, z_arr, z_min)
     else:
-        low = ~high
-        out = np.empty_like(z_arr)
-        out[high] = _log_hankel(coeffs, z_arr[high])
-        out[low] = _log_below(nu, z_arr[low], z_h, z_min)
+        out = _log_by_band(nu, z_arr, z_min)
     return out if np.ndim(z) else float(out[0])
 
 

@@ -12,7 +12,9 @@ from laguerre_ops.errors import DomainError, PoleError, QuadratureError
 from laguerre_ops.specfun import (
     IV_Z_MAX,
     IVE_Z_MAX,
+    _ascending,
     _hankel,
+    _log_hankel,
     _log_series,
     gamma,
     gauss_jacobi_rule,
@@ -188,6 +190,109 @@ class TestBesselI:
         for edge in (_hankel(nu)[0], IV_Z_MAX):
             for z in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)):
                 assert_log_close(log_bessel_i_scaled(nu, z), mp_log_bessel_i_scaled(nu, z))
+
+
+#: orders of the ascending-series band; at 300 it is empty (a_19 4^-19 underflows)
+ASCENDING_ORDERS = [-0.99, -0.25, 0.0, 0.3, 2.0, 25.0, 300.0]
+
+
+def ascending_edge(nu):
+    """The z below which the ascending series takes a point, or 40 (about
+    where it would end) at an order whose band is empty."""
+    return min(_ascending(nu)[0], _hankel(nu)[0]) or 40.0
+
+
+def ascending_points(nu):
+    edge = ascending_edge(nu)
+    return np.concatenate((np.geomspace(1e-6, edge, 60), [np.nextafter(edge, 0.0), edge,
+                                                           np.nextafter(edge, math.inf)]))
+
+
+class TestAscendingSeries:
+    """The ascending series (DLMF 10.25.2) at 20 terms below z_s(nu), in linear
+    space, and iv, then the log-space series, where its value leaves the normal
+    range."""
+
+    @pytest.mark.parametrize("nu, z_s", [(-0.25, 6.36), (0.5, 6.79), (2.0, 7.47), (135.0, 27.26)])
+    def test_band_edge(self, nu, z_s):
+        # the first dropped term is eps/4 of the first there
+        assert _ascending(nu)[0] == pytest.approx(z_s, abs=0.01)
+
+    @pytest.mark.parametrize("nu", [145.0, 300.0, 1e15])
+    def test_band_is_empty_where_a_term_underflows(self, nu):
+        assert _ascending(nu)[0] == 0.0
+
+    @pytest.mark.parametrize("nu", ASCENDING_ORDERS)
+    def test_matches_mpmath(self, nu):
+        z = ascending_points(nu)
+        for g, zi in zip(log_bessel_i_scaled(nu, z), z):
+            assert_log_close(g, mp_log_bessel_i_scaled(nu, zi))
+
+    @pytest.mark.parametrize("nu", ASCENDING_ORDERS)
+    def test_no_less_accurate_than_iv(self, nu):
+        # each point's error is at most that of log(iv(nu, z) e^-z) plus 2 ulp
+        # of max(1, |value|), the scale of assert_log_close: below 1 an error
+        # of the log is a relative error of I_nu(z) e^-z
+        z = ascending_points(nu)
+        with np.errstate(under="ignore"):
+            scaled = iv(nu, z) * np.exp(-z)
+        keep = scaled >= np.finfo(float).tiny
+        assert keep.any()
+        for g, via_iv, zi in zip(log_bessel_i_scaled(nu, z[keep]), np.log(scaled[keep]), z[keep]):
+            with mpmath.workdps(40):
+                ref = mpmath.log(mpmath.besseli(nu, zi)) - zi
+                err, iv_err = abs(g - ref), abs(via_iv - ref)
+            assert err <= iv_err + 2.0 * np.spacing(max(1.0, abs(g))), zi
+
+    @pytest.mark.parametrize("nu, z", [(25.0, 1e-12), (50.0, 1e-6), (300.0, 1.0)])
+    def test_underflow_keeps_the_log_series(self, nu, z):
+        # I_nu(z) e^-z is below the normal range: the point takes iv, which
+        # underflows, and then the log-space series, as before the band
+        want = float(_log_series(nu, np.array([z]))[0] - z)
+        assert want < math.log(np.finfo(float).tiny)
+        assert log_bessel_i_scaled(nu, z) == want
+        assert log_bessel_i_scaled(nu, np.array([z, 1.0, 2.0 * ascending_edge(nu)]))[0] == want
+
+    @pytest.mark.parametrize("nu", [-0.99, -0.5, -0.25, 0.0, 0.3, 0.5, 2.0, 25.0, 60.0, 135.0, 300.0])
+    def test_mixed_arrays_with_band_edges_equal_scalar_calls(self, nu):
+        # the zero, series, iv, ive and expansion mixes with z_s(nu) as one
+        # more edge: each z keeps its scalar value, in any order and in 2-d
+        z = [0.0, 5e-324, 1e-300, 1e-12, 1e-3, 1.0, 20.0, 2e9]
+        for edge in (_ascending(nu)[0], _hankel(nu)[0], IV_Z_MAX):
+            if edge:
+                z += [0.5 * edge, np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)]
+        z = np.array(z)
+        for order in (z, z[::-1], np.random.default_rng(1).permutation(z)):
+            want = [log_bessel_i_scaled(nu, float(v)) for v in order]
+            assert log_bessel_i_scaled(nu, order).tolist() == want
+        assert log_bessel_i_scaled(nu, z.reshape(2, -1)).ravel().tolist() == log_bessel_i_scaled(nu, z).tolist()
+
+
+class TestHalfOrder:
+    """I_(+-1/2)(z) e^-z = (1 -+ e^-2z) / sqrt(2 pi z) (DLMF 10.39.1) at every z."""
+
+    @pytest.mark.parametrize("nu", [0.5, -0.5])
+    @pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-3, 1.0, 18.9, 19.0, 20.0, 1e6])
+    def test_matches_mpmath(self, nu, z):
+        assert_log_close(log_bessel_i_scaled(nu, z), mp_log_bessel_i_scaled(nu, z))
+
+    @pytest.mark.parametrize("nu, at_zero", [(0.5, -math.inf), (-0.5, math.inf)])
+    def test_limits(self, nu, at_zero):
+        assert log_bessel_i_scaled(nu, 0.0) == at_zero
+        assert log_bessel_i_scaled(nu, math.inf) == -math.inf
+        got = log_bessel_i_scaled(nu, np.array([0.0, 1.0, math.inf]))
+        assert got[0] == at_zero and math.isfinite(got[1]) and got[2] == -math.inf
+
+    @pytest.mark.parametrize("nu", [0.5, -0.5])
+    def test_large_argument_keeps_the_expansion_bits(self, nu):
+        # from z_h = 20 on the expansion is its front alone, and e^-2z is below
+        # half an ulp of it, so the closed form (which a call with a z below
+        # 20 takes at every z) gives the same bits
+        z = np.geomspace(20.0, 1e9, 500)
+        assert _hankel(nu)[0] == 20.0
+        want = _log_hankel(_hankel(0.5)[1], z)
+        assert log_bessel_i_scaled(nu, np.append(1.0, z))[1:].tolist() == want.tolist()
+        assert log_bessel_i_scaled(nu, z).tolist() == want.tolist()
 
 
 class TestLaguerrePoly:

@@ -8,7 +8,8 @@ figure is the median wall time of single calls after one warm-up call:
 - specfun: log-Bessel per point at nu = 0.5 (the closed form at every z), at
   nu = -0.25 and at nu = 2 (the ascending series, iv and the large-argument
   expansion by band; the same 4096 z from 1e-3 to 1e3), the heat-axis rule
-  per node;
+  per node, and one uncached build of the Gauss-Laguerre rule at alpha =
+  0.5, n = 200 (the rule the pointwise benchmark's warm-up builds);
 - kernels: one KernelQuery build (d = 1, with x and y; the median of
   batches of 1000, divided by 1000), one heat kernel value (d = 1, on a
   query built once), one Poisson kernel value, the 720
@@ -21,7 +22,8 @@ figure is the median wall time of single calls after one warm-up call:
   rule, laid down to the floor of t, has the most panels);
 - fractional: fractional_integral_apply on the callable f = L_3^0.5 at
   lambda = 1.5, x = 1.3;
-- expansion: analyze and synthesize;
+- expansion: analyze (d = 2 at degree 10, and d = 1 at degree 1000 on
+  f = e^(-0.3 y), its 2008-node rows built once) and synthesize;
 - lipschitz: lipschitz_seminorm at d = 3, degree 4, beta = 1.5 on the
   default grids, one stacked synthesis of the 11 times (and of f) on the
   24^3 x grid; and on the kernel route at d = 2 on a degree-6 expansion,
@@ -147,6 +149,9 @@ def layer_costs(repeats):
         "heat_axis_rule_per_node_s": median_s(
             lambda: _heat_axis_rule(0.5, heat_times, 1.3), repeats
         ) / nodes,
+        "gauss_laguerre_rule_200_build_s": median_s(
+            lambda: specfun._gauss_laguerre_rule.__wrapped__(0.5, 200), repeats
+        ),
         "kernel_query_s": median_s(
             lambda: [lo.KernelQuery(p1, 0.5, (1.3,), (1.0,)) for _ in range(1000)], repeats
         ) / 1000,
@@ -171,6 +176,7 @@ def layer_costs(repeats):
         ),
         "callable_fractional_integral_d1_s": median_s(callable_fractional_integral, repeats),
         "analyze_d2_degree10_s": median_s(lambda: lo.analyze(f2, p2, 10), repeats),
+        "analyze_d1_degree1000_s": median_s(lambda: lo.analyze(f1, p1, 1000), repeats),
         "synthesize_d2_degree10_1024_points_s": median_s(lambda: lo.synthesize_many(e, pts), repeats),
         "lipschitz_stack_d3_s": median_s(lambda: lo.lipschitz_seminorm(e3, p3, 1.5), repeats),
         "lipschitz_kernel_d2_s": median_s(lambda: lipschitz_kernel_d2(e2), max(1, repeats // 5)),

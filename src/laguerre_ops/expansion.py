@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, NonzeroMeanError, check_above, check_integer
-from .specfun import gauss_laguerre_rule, laguerre_rows
+from .specfun import _laguerre_functions, gauss_laguerre_rule, laguerre_rows
 
 __all__ = [
     "MultiIndexParams",
@@ -293,13 +293,15 @@ def call_on_points(f, params: MultiIndexParams, pts) -> np.ndarray:
 
 @lru_cache(maxsize=64, typed=True)
 def _analysis_axis(alpha: float, degree: int):
-    """(rule, rows) of analyze on an axis of type alpha: the Gauss-Laguerre
-    rule and the Laguerre rows up to the degree at its nodes, times its
-    weights (read-only), built once per (alpha, degree)."""
+    """The nodes of analyze's rule on an axis of type alpha where some row w L_k / ||L_k||^2
+    = psi_0 psi_k / (||L_k|| sum_j psi_j^2), k <= degree, is nonzero, and those rows."""
     rule = gauss_laguerre_rule(alpha, max(2 * degree + 8, 24))
-    rows = laguerre_rows(degree, alpha, rule.nodes) * rule.weights
-    rows.flags.writeable = False
-    return rule, rows
+    live, psi, _ = _laguerre_functions(alpha, len(rule.nodes), rule.nodes)
+    inv_norm = np.cumprod(np.append(1.0, (1.0 + alpha / np.arange(1.0, degree + 1)) ** -0.5))
+    rows = psi[:degree + 1] * (psi[0] / np.einsum("ij,ij->j", psi, psi)) * inv_norm[:, None]
+    nodes, rows = rule.nodes[live][kept := rows.any(axis=0)], rows[:, kept]
+    nodes.flags.writeable = rows.flags.writeable = False
+    return nodes, rows
 
 
 def analyze(f, params: MultiIndexParams, degree: int) -> LaguerreExpansion:
@@ -308,19 +310,17 @@ def analyze(f, params: MultiIndexParams, degree: int) -> LaguerreExpansion:
 
     c_k = (integral of f * L_k^alpha d mu_alpha) / ||L_k^alpha||^2.
     Exact (to rounding) when f is a polynomial of low enough degree.
-    f is called as call_on_points describes, and returns one finite value
-    per point or one for all of them, else DomainError.  Its values on the
-    grid are contracted one axis at a time with that axis's weighted
-    Laguerre rows.
+    f is called as call_on_points describes, only where a row of _analysis_axis is nonzero, and
+    returns one finite value per point or one for all, else DomainError; its values are contracted
+    one axis at a time with the rows.  Round trips hold to 1e-11 to degree 300, overflow from ~325.
     """
     axes = [_analysis_axis(a, degree) for a in params.alpha]
-    sums = call_on_points(f, params, tuple(r.nodes for r, _ in axes))
+    sums = call_on_points(f, params, tuple(nodes for nodes, _ in axes))
     if not np.isfinite(sums).all():
         raise DomainError(f"f must be finite at the {sums.size} grid points")
     for _, rows in axes:  # the leading axis is the next grid axis
         sums = np.tensordot(sums, rows, (0, 1))
-    grid = _layout(params.d, degree)[3]
-    return LaguerreExpansion(params, degree, sums[tuple(grid)] / basis_norm_sq(grid, params))
+    return LaguerreExpansion(params, degree, sums[tuple(_layout(params.d, degree)[3])])
 
 
 def synthesize(e: LaguerreExpansion, x) -> float:

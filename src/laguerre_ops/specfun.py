@@ -5,12 +5,12 @@ scaled modified Bessel function I_nu (the closed form at nu = +-1/2; else the
 ascending series below a bound z_s(nu), the large-argument expansion from a
 bound z_h(nu) on, scipy.special.iv times e^-z between, Amos's ive between
 z = 700 and z_h, and a log-space ascending series where the value leaves the
-normal range), Laguerre
-polynomials (every degree up to N in one recurrence pass), Gauss-Laguerre rules
-normalized against the Laguerre probability measure mu_alpha (density x^alpha
-e^-x / Gamma(alpha+1) per axis), the Gauss-Jacobi rule for the weight eta^a on
-(0, 1) that every power-law endpoint of the kernel and time integrals is
-integrated with, and the Gauss-Kronrod rule of the subordination integrals.
+normal range), Laguerre polynomials (every degree up to N in one recurrence
+pass), and Gauss rules from Jacobi matrices (Golub-Welsch): for the Laguerre
+probability measure mu_alpha (density x^alpha e^-x / Gamma(alpha+1) per axis;
+one recurrence gives its Newton step, its weights and analyze's rows), for the
+weight eta^a on (0, 1) of every power-law endpoint of the kernel and time
+integrals, and the Gauss-Kronrod rule of the subordination integrals.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, iv, ive, logsumexp, rgamma, roots_genlaguerre
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.special import gammaln, iv, ive, logsumexp, rgamma
 
-from .errors import DomainError, PoleError, QuadratureError, check_above, check_integer
+from .errors import DomainError, PoleError, check_above, check_integer
 
 __all__ = [
     "QuadratureRule",
@@ -256,17 +256,18 @@ def laguerre_rows(degree: int, alpha: float, x) -> np.ndarray:
     pass of the upward recurrence
 
     (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1},
-    seeded L_0 = 1, L_1 = alpha + 1 - x.
+    seeded L_0 = 1, L_1 = alpha + 1 - x.  DomainError where a row is not finite.
     """
     alpha = check_above("alpha", (alpha,), -1.0)[0]
     check_integer(degree, 0, "the degree")
-    x_arr = np.asarray(x, dtype=float)
-    rows = np.empty((degree + 1, *x_arr.shape))
-    rows[0] = 1.0
-    if degree:
-        rows[1] = alpha + 1.0 - x_arr
-    for j in range(1, degree):
-        rows[j + 1] = ((2 * j + 1 + alpha - x_arr) * rows[j] - (j + alpha) * rows[j - 1]) / (j + 1)
+    x = np.asarray(x, dtype=float)
+    rows = np.empty((degree + 1, *x.shape))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan stays: the last row tells
+        rows[0], rows[1:2] = 1.0, alpha + 1.0 - x  # rows[1:2] is empty at degree 0
+        for j in range(1, degree):
+            rows[j + 1] = ((2 * j + 1 + alpha - x) * rows[j] - (j + alpha) * rows[j - 1]) / (j + 1)
+    if not np.isfinite(rows[-1]).all():
+        raise DomainError(f"L_k^alpha(x) is not finite at degree {degree}, largest x {np.max(x)}")
     return rows
 
 
@@ -295,13 +296,10 @@ class QuadratureRule:
 
 
 def gauss_laguerre_rule(alpha: float, n: int) -> QuadratureRule:
-    """Gauss rule for the single-factor Laguerre probability measure.
-
-    Nodes are the roots of L_n^alpha; weights are normalized so that they
-    sum to 1 (mu_alpha is a probability measure).  Exact for polynomials of
-    degree <= 2n - 1.  Rules are solved once per (alpha, n) and shared, so
-    their arrays are read-only.
-    """
+    """Gauss rule for the Laguerre probability measure mu_alpha, exact to degree 2n - 1
+    (Golub-Welsch): the eigenvalues of its Jacobi matrix, each polished by one Newton step, and
+    the Christoffel weights psi_0^2 / sum_(k<n) psi_k^2 of _laguerre_functions (0 at a node it
+    leaves out).  Rules are solved once per (alpha, n) and shared, so they are read-only."""
     alpha = check_above("alpha", (alpha,), -1.0)[0]
     check_integer(n, 1, "n")
     return _gauss_laguerre_rule(alpha, n)
@@ -309,18 +307,35 @@ def gauss_laguerre_rule(alpha: float, n: int) -> QuadratureRule:
 
 @lru_cache(maxsize=128)
 def _gauss_laguerre_rule(alpha: float, n: int) -> QuadratureRule:
-    try:
-        nodes, weights = roots_genlaguerre(n, alpha)
-    except Exception as exc:  # pragma: no cover - scipy signals its own failures
-        raise QuadratureError(f"Gauss-Laguerre node solve failed: {exc}") from exc
-    if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights)):
-        raise QuadratureError("Gauss-Laguerre node solve returned non-finite values")
-    # roots_genlaguerre weights integrate against x^alpha e^-x dx; divide by
-    # Gamma(alpha+1) to target the probability measure.
-    weights = weights / math.gamma(alpha + 1.0)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
+    k = np.arange(n, dtype=float)
+    nodes = eigvalsh_tridiagonal(2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)),
+                                 lapack_driver="sterf")
+    live, _, step = _laguerre_functions(alpha, n, nodes)
+    nodes[live] -= step
+    live, psi, _ = _laguerre_functions(alpha, n, nodes)
+    weights = np.zeros(n)
+    weights[live] = psi[0] ** 2 / np.einsum("ij,ij->j", psi, psi)
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights, exact_degree=2 * n - 1)
+
+
+def _laguerre_functions(alpha: float, n: int, x: np.ndarray):
+    """(live, psi, step): psi_k = sqrt(rho binom(k + alpha, k)) p_k, k < n, the Laguerre
+    functions orthonormal in L^2(0, inf), at x[live], and the Newton step x p_n / (n d_n) =
+    L_n / L_n', by scipy's difference form d <- (k d - x p) / (k + alpha + 1), p <- p + d of
+    p_k = L_k^alpha / binom(k + alpha, k); points where sqrt(rho) < e^-1000 are left out."""
+    log_seed = 0.5 * (alpha * np.log(x) - x - math.lgamma(alpha + 1.0))  # log sqrt(rho)
+    live = log_seed >= -1000.0  # elsewhere every weight and analysis row rounds to 0
+    x, psi, v = x[live], np.empty((n + 1, live.sum())), np.zeros(live.sum())  # v: d, in psi's units
+    np.exp(np.maximum(log_seed[live], -700.0), psi[0])  # held at e^-700: a factor no ratio sees
+    k = np.arange(n, dtype=float)[:, None]
+    factors = np.hstack([k ** 0, k, k + alpha + 1.0]) / np.sqrt((k + alpha + 1.0) * (k + 1.0))
+    for u, u_next, cx, (_, kc, rc) in zip(psi[:-1], psi[1:], factors[:, :1] * x, factors.tolist()):
+        v *= kc  # in place: the loop's cost is its array calls
+        v -= cx * u
+        np.multiply(u, rc, u_next)
+        u_next += v
+    return live, psi[:-1], x * psi[-1] / (n * v)
 
 
 def gauss_jacobi_rule(a: float, n: int) -> QuadratureRule:

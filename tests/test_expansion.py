@@ -25,8 +25,8 @@ from laguerre_ops.expansion import (
     synthesize_many,
     tensor_grid,
 )
-from laguerre_ops.expansion import _BLOCK_VALUES, _synthesize
-from laguerre_ops.specfun import laguerre_poly
+from laguerre_ops.expansion import _BLOCK_VALUES, _analysis_axis, _synthesize
+from laguerre_ops.specfun import gauss_laguerre_rule, laguerre_poly
 
 
 def test_enumerate_counts():
@@ -230,6 +230,64 @@ def test_analyze_takes_a_constant_return():
     e = analyze(lambda x: 2.5, p, 3)
     assert e.mean == pytest.approx(2.5, abs=1e-13)
     assert np.abs(e.vector[1:]).max() < 1e-13
+
+
+def exp_coefficients(a, alpha, k):
+    """c_k of e^(-a y) = sum_k c_k L_k^alpha(y): (1 - r)^(alpha + 1) r^k, r = a / (1 + a)."""
+    r = a / (1.0 + a)
+    return np.exp((alpha + 1.0) * math.log1p(-r) + k * math.log(r))
+
+
+@pytest.mark.parametrize("degree", [170, 300])
+@pytest.mark.parametrize("alpha", [-0.9, -0.25, 0.5, 2.0])
+def test_analyze_synthesize_roundtrip_at_high_degree(degree, alpha):
+    # the scipy rule raised QuadratureError from degree 180, and its weights
+    # underflowed past x ~ 745: 1.3e-8 off at degree 170, alpha = -1/4
+    p = MultiIndexParams(1, (alpha,))
+    e = random_expansion(p, degree, seed=11)
+    back = analyze(lambda x: synthesize_many(e, x[:, None]), p, degree)
+    assert np.abs(back.vector - e.vector).max() <= 1e-11
+
+
+@pytest.mark.parametrize("degree", [500, 1000])
+@pytest.mark.parametrize("alpha", [-0.99, -0.25, 0.5, 2.0, 300.0])
+def test_analyze_exponential_against_its_coefficients(degree, alpha):
+    p = MultiIndexParams(1, (alpha,))
+    for a in (0.25, 1.0, 4.0):
+        e = analyze(lambda y: np.exp(-a * y), p, degree)
+        c = exp_coefficients(a, alpha, np.arange(degree + 1))
+        assert np.abs(e.vector - c).max() <= 1e-12 * c[0]
+
+
+def test_analyze_exponential_product_at_d2():
+    p = MultiIndexParams(2, (0.5, -0.25))
+    e = analyze(lambda y: np.exp(-y[:, 0] / 4 - y[:, 1]), p, 200)
+    k1, k2 = np.array(e.indices).T
+    c = exp_coefficients(0.25, 0.5, k1) * exp_coefficients(1.0, -0.25, k2)
+    assert np.abs(e.vector - c).max() <= 1e-13
+
+
+def test_analyze_reads_f_only_where_a_row_is_nonzero():
+    # the rule's 808 nodes reach x ~ 3200; past x ~ 1450 every weighted row
+    # w L_k / ||L_k||^2 rounds to 0, and f is not read there
+    p = MultiIndexParams(1, (0.5,))
+    seen = []
+    analyze(lambda y: seen.append(y.copy()) or np.exp(-y / 4), p, 400)
+    nodes, rows = _analysis_axis(0.5, 400)
+    rule = gauss_laguerre_rule(0.5, 808)
+    assert len(seen) == 1 and np.array_equal(seen[0], nodes)
+    assert np.isin(nodes, rule.nodes).all() and rows.any(axis=0).all()
+    assert nodes.size < rule.nodes.size and nodes.max() < 1500.0 < rule.nodes.max()
+
+
+def test_analyze_of_an_expansion_that_overflows_at_its_nodes_raises():
+    # from degree ~325 the expansion's values overflow at the nodes near x = 1450
+    p = MultiIndexParams(1, (0.5,))
+    e = random_expansion(p, 340, seed=11)
+    with pytest.raises(DomainError, match="degree 340"):
+        analyze(lambda x: synthesize_many(e, x[:, None]), p, 340)
+    with pytest.raises(DomainError, match="degree 200, largest x 3000"):
+        synthesize_many(random_expansion(p, 200, seed=11), [1.0, 3000.0])
 
 
 def test_synthesize_many_zero_expansion_and_degree_zero():

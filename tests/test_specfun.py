@@ -340,6 +340,30 @@ class TestLaguerrePoly:
     def test_rows_at_degree_zero(self):
         np.testing.assert_array_equal(laguerre_rows(0, 0.5, np.array([0.1, 4.0])), [[1.0, 1.0]])
 
+    @pytest.mark.parametrize("x", [3000.0, np.array([1.0, 3000.0]), np.array([[2.0], [np.inf]]),
+                                   math.nan])
+    def test_a_row_that_is_not_finite_raises(self, x):
+        # the recurrence overflowed to inf - inf: laguerre_poly(200, 0.5, 3000.0) was nan,
+        # with a RuntimeWarning
+        with pytest.raises(DomainError, match=r"degree 200, largest x (3000|inf|nan)"):
+            laguerre_rows(200, 0.5, x)
+        with pytest.raises(DomainError, match="degree 200"):
+            laguerre_poly(200, 0.5, x)
+
+    @pytest.mark.parametrize("alpha", [-0.9, 0.5, 300.0])
+    def test_finite_rows_keep_their_bits_up_to_the_overflow(self, alpha):
+        # values up to ~1e240 at degree 200 are the plain recurrence's, bit for bit
+        x = np.array([1e-3, 0.5, 40.0, 700.0, 1400.0])
+        rows = laguerre_rows(200, alpha, x)
+        prev, cur = np.zeros_like(x), np.ones_like(x)
+        for k in range(201):
+            np.testing.assert_array_equal(rows[k], cur)
+            if k == 0:
+                prev, cur = cur, alpha + 1.0 - x
+            else:
+                prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+        assert np.abs(rows[-1]).max() > 1e200
+
 
 class TestGaussLaguerre:
     def test_weights_sum_to_one(self):
@@ -385,6 +409,35 @@ class TestGaussLaguerre:
     def test_rules_are_shared_and_read_only(self):
         rule = gauss_laguerre_rule(0.5, 200)
         assert gauss_laguerre_rule(0.5, 200) is rule
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("n", [368, 1008])
+    @pytest.mark.parametrize("alpha", [-0.99, -0.25, 0.5, 2.0, 171.0, 300.0])
+    def test_large_rules_keep_their_mass_and_mean(self, alpha, n):
+        # scipy's roots_genlaguerre returned non-finite values from 368 nodes on,
+        # and at alpha >= 171 for every n (QuadratureError)
+        rule = gauss_laguerre_rule(alpha, n)
+        tol = 5e-13 if alpha > 100 else 2e-13
+        assert np.isfinite(rule.nodes).all() and (rule.weights >= 0).all()
+        assert abs(rule.weights.sum() - 1.0) <= tol
+        assert abs(rule.integrate(lambda x: x) / (alpha + 1.0) - 1.0) <= tol
+
+    @pytest.mark.parametrize("alpha,n", [(-0.9, 150), (0.5, 200)])
+    def test_smallest_nodes_are_the_roots(self, alpha, n):
+        # the eigenvalues alone are up to 3.5e-13 off here; one Newton step
+        # through the difference-form recurrence brings them to rounding
+        nodes = gauss_laguerre_rule(alpha, n).nodes
+        with mpmath.workdps(40):
+            for x in nodes[:3]:
+                root = mpmath.findroot(lambda t: mpmath.laguerre(n, alpha, t), mpmath.mpf(x))
+                assert float(abs(x - root) / root) <= 2e-15
+
+    def test_large_rules_are_shared_and_read_only(self):
+        rule = gauss_laguerre_rule(300.0, 1008)
+        assert gauss_laguerre_rule(300.0, 1008) is rule
+        assert (rule.weights == 0).any()  # the nodes far out in mu_300's tail
         for arr in (rule.nodes, rule.weights):
             with pytest.raises(ValueError):
                 arr[0] = 1.0

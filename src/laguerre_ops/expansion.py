@@ -460,7 +460,11 @@ def expansion_to_json(e: LaguerreExpansion) -> str:
 
 
 def expansion_from_json(text: str) -> LaguerreExpansion:
-    obj = json.loads(text)
-    params = MultiIndexParams(d=int(obj["d"]), alpha=tuple(obj["alpha"]))
-    coeffs = {tuple(item["k"]): float(item["c"]) for item in obj["coeffs"]}
-    return LaguerreExpansion(params, int(obj["N"]), coeffs)
+    """The expansion of expansion_to_json's schema; DomainError for any other text."""
+    try:  # a JSONDecodeError is a ValueError
+        obj = json.loads(text)
+        d, alpha, degree = int(obj["d"]), tuple(obj["alpha"]), int(obj["N"])
+        coeffs = {tuple(item["k"]): float(item["c"]) for item in obj["coeffs"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"not an expansion document: {exc!r}") from exc
+    return LaguerreExpansion(MultiIndexParams(d=d, alpha=alpha), degree, coeffs)

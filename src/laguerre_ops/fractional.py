@@ -160,13 +160,13 @@ def _route_integral(route: str, lam: float, k: int, a):
     return np.expm1(-np.multiply.outer(a / scale, s)) ** k @ w * scale**lam
 
 
-def _check_mean(kind: str, mean: float):
-    if OPERATORS[kind].zero_mean and abs(mean) > 1e-8:
+def _check_mean(kind: str, mean: float, tol: float = 1e-8):  # tol 0: an expansion's exact mean
+    if OPERATORS[kind].zero_mean and abs(mean) > tol:
         raise NonzeroMeanError(f"{kind} requires a zero-mean input")
 
 
 def _apply_expansion(kind: str, e: LaguerreExpansion, cfg: FracOpConfig):
-    _check_mean(kind, e.mean)
+    _check_mean(kind, e.mean, 0.0)
     shift, route = ROUTES[kind]
     k = smallest_integer_above(cfg.lam)
     # one pass over the orders that carry a nonzero coefficient, bar the mean

@@ -452,15 +452,14 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = ScenarioConfig(**{**cfg.__dict__, "seed": args.seed})
         report = run_scenario(cfg)
-    except (ConfigError, DomainError) as exc:
+        status = "PASS" if report.passed else "FAIL"
+        print(f"{report.scenario}: {status} (max ratio {report.max_ratio:.6g})")
+        if args.out:
+            emit_report(report, args.out, args.format)
+            print(f"report written to {args.out}")
+    except (ConfigError, DomainError, OSError) as exc:  # OSError: a config or out path
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    status = "PASS" if report.passed else "FAIL"
-    print(f"{report.scenario}: {status} (max ratio {report.max_ratio:.6g})")
-    if args.out:
-        emit_report(report, args.out, args.format)
-        print(f"report written to {args.out}")
     return 0 if report.passed else 1
 
 

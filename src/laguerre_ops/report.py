@@ -113,21 +113,25 @@ def report_to_csv(r: BoundReport) -> str:
 
 
 def parse_report(text: str) -> BoundReport:
-    doc = json.loads(text)
-    rows = tuple(
-        ReportRow(row["point"], float(row["measured"]), float(row["bound"]))
-        for row in doc["rows"]
-    )
-    return BoundReport(
-        scenario=doc["scenario"],
-        claim=doc["claim"],
-        config=_config_floats(doc["config"]),
-        rows=rows,
-        max_ratio=float(doc["summary"]["max_ratio"]),
-        passed=bool(doc["summary"]["pass"]),
-        wall_time=float(doc.get("wall_time", 0.0)),
-        extra={k: float(v) for k, v in doc.get("extra", {}).items()},
-    )
+    """The report of report_to_json's schema; ConfigError for any other text."""
+    try:  # a JSONDecodeError is a ValueError
+        doc = json.loads(text)
+        rows = tuple(
+            ReportRow(row["point"], float(row["measured"]), float(row["bound"]))
+            for row in doc["rows"]
+        )
+        return BoundReport(
+            scenario=doc["scenario"],
+            claim=doc["claim"],
+            config=_config_floats(doc["config"]),
+            rows=rows,
+            max_ratio=float(doc["summary"]["max_ratio"]),
+            passed=bool(doc["summary"]["pass"]),
+            wall_time=float(doc.get("wall_time", 0.0)),
+            extra={k: float(v) for k, v in doc.get("extra", {}).items()},
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"not a report document: {exc!r}") from exc
 
 
 def emit_report(r: BoundReport, path, fmt: str = "json") -> None:

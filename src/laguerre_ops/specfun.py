@@ -146,7 +146,7 @@ def _scaled_ascending(nu: float, coeffs, z: np.ndarray, z_min: float) -> np.ndar
     np.add(s, coeffs[-1], s)
     if nu:  # at nu = 0 no power, so z = 0 gives I_0(0) = 1
         # z/2 = 0 (z = 0 or 5e-324) gives 0 at nu > 0 and inf at nu < 0, and a
-        # subnormal z/2 may overflow at nu < 0: _log_above takes those points
+        # subnormal z/2 may overflow at nu < 0: _log_below takes those points
         with np.errstate(divide="ignore", over="ignore") if 0.5 * z_min < _TINY else nullcontext():
             s *= np.power(0.5 * z, nu)
     s *= np.exp(-z)
@@ -185,41 +185,32 @@ def _log_below(nu: float, z: np.ndarray, z_h: float, z_min: float) -> np.ndarray
     return out  # at z = 0, iv gives the limits 0, 1 and inf
 
 
-def _log_above(nu: float, z: np.ndarray, z_h: float, coeffs, z_min: float) -> np.ndarray:
-    # the expansion from z_h on, _log_below under it
-    high = z >= z_h
-    if not (count := np.count_nonzero(high)):
-        return _log_below(nu, z, z_h, z_min)
-    if count == z.size:
-        return _log_hankel(coeffs, z)
-    out = np.empty_like(z)
-    out[high] = _log_hankel(coeffs, z[high])
-    low = ~high
-    out[low] = _log_below(nu, z[low], z_h, z_min)
-    return out
-
-
 def _log_by_band(nu: float, z: np.ndarray, z_min: float) -> np.ndarray:
     z_h, coeffs = _hankel(nu)
     if z_min >= z_h:
         return _log_hankel(coeffs, z)
     z_s, terms = _ascending(nu)
-    if z_min >= z_s:
-        return _log_above(nu, z, z_h, coeffs, z_min)
-    small = z < min(z_s, z_h)
-    whole = np.count_nonzero(small) == small.size  # the cheaper reduction
-    scaled = _scaled_ascending(nu, terms, z if whole else z[small], z_min)
-    normal = scaled.min() >= _TINY and (nu >= 0 or scaled.max() < math.inf)  # <= 1 at nu >= 0
-    if normal and whole:
-        return np.log(scaled)
-    out, rest = np.empty_like(z), ~small
-    if normal:
-        out[small] = np.log(scaled)
-    else:  # where I_nu(z) e^-z leaves the normal range, _log_above takes the point
-        with np.errstate(divide="ignore"):
+    if z_min >= z_s:  # no series point
+        if not np.count_nonzero(high := z >= z_h):  # the cheaper reduction
+            return _log_below(nu, z, z_h, z_min)
+        out, rest = np.empty_like(z), ~high
+    else:
+        small = z < min(z_s, z_h)
+        whole = np.count_nonzero(small) == small.size
+        scaled = _scaled_ascending(nu, terms, z if whole else z[small], z_min)
+        normal = scaled.min() >= _TINY and (nu >= 0 or scaled.max() < math.inf)  # <= 1 at nu >= 0
+        if normal and whole:
+            return np.log(scaled)
+        out, high = np.empty_like(z), z >= z_h
+        rest = ~(small | high)
+        with nullcontext() if normal else np.errstate(divide="ignore"):
             out[small] = np.log(scaled).ravel()
-        rest[small] = ~((scaled >= _TINY) & (scaled < math.inf)).ravel()
-    out[rest] = _log_above(nu, z[rest], z_h, coeffs, z_min)
+        if not normal:  # where I_nu(z) e^-z leaves the normal range, _log_below takes the point
+            rest[small] = ~((scaled >= _TINY) & (scaled < math.inf)).ravel()
+    if np.count_nonzero(high):
+        out[high] = _log_hankel(coeffs, z[high])
+    if np.count_nonzero(rest):
+        out[rest] = _log_below(nu, z[rest], z_h, z_min)
     return out
 
 
@@ -232,9 +223,9 @@ def log_bessel_i_scaled(nu: float, z):
     none from nu ~ 138.5) the ascending series in linear space; from z_h(nu) on
     (_hankel; 37 at nu = -1/4, 890 at 25) and past IVE_Z_MAX (to eps up to
     nu = 2.5e4) the large-argument expansion; between, scipy's iv(nu, z) e^-z
-    to IV_Z_MAX and Amos's ive past it.  Where the series' or iv's value
-    leaves the normal range (tiny z with large nu, or subnormal z), iv and
-    then the all-positive log-space series take the point (_log_below).
+    to IV_Z_MAX and Amos's ive past it.  A point whose series value leaves the
+    normal range (tiny z with large nu, or subnormal z) joins that band's one
+    call (_log_below), where the log-space series takes any iv value out of it.
     """
     if not -1 < nu < math.inf:
         raise DomainError(f"log_bessel_i_scaled requires a finite nu > -1, got {nu}")

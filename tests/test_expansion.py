@@ -317,6 +317,17 @@ def test_json_roundtrip_bit_exact():
     assert expansion_to_json(back) == text
 
 
+@pytest.mark.parametrize("text", [
+    '{"d": 1}',  # a missing key
+    "[]",  # no object
+    '{"d": 1, "alpha": [0.5], "N": 1, "coeffs": [{"k": [0], "c": "x"}]}',  # a non-numeric c
+    "not json",
+])
+def test_json_malformed_text_is_domain_error(text):
+    with pytest.raises(DomainError):
+        expansion_from_json(text)
+
+
 def test_vector_and_mapping_constructors_agree():
     p = MultiIndexParams(2, (0.5, -0.25))
     e = random_expansion(p, 3, seed=9)

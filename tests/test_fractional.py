@@ -240,6 +240,15 @@ class TestExpansionRoutes:
         with pytest.raises(NonzeroMeanError):
             fractional_integral_expansion(e, FracOpConfig(0.5))
 
+    def test_integral_rejects_a_small_mean_as_spectral_apply_does(self):
+        # the expansion's mean is exact, so any nonzero one raises on every entry point
+        e = LaguerreExpansion(P, 2, {(0,): 1e-9, (1,): 1.0, (2,): 0.5})
+        for call in (lambda: fractional_integral_expansion(e, FracOpConfig(0.7)),
+                     lambda: fractional_integral_apply(e, P, 0.7, (1.3,)),
+                     lambda: spectral_apply(fractional_integral(0.7), e)):
+            with pytest.raises(NonzeroMeanError):
+                call()
+
     def test_potential_fixes_constants(self):
         e = LaguerreExpansion(P, 0, {(0,): 2.0})
         out = bessel_potential_expansion(e, FracOpConfig(1.0))

@@ -71,6 +71,11 @@ class TestReportSerialization:
         with pytest.raises(ConfigError):
             emit_report(make_report(), path, "yaml")
 
+    @pytest.mark.parametrize("text", ["{}", "[]", "not json", '{"scenario": "demo", "rows": 5}'])
+    def test_malformed_text_is_config_error(self, text):
+        with pytest.raises(ConfigError):
+            parse_report(text)
+
 
 class TestScenarioConfig:
     def test_unknown_scenario(self):
@@ -226,6 +231,16 @@ class TestCli:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text('{"scenario": "prop31", "seed": 5}')
         assert main(["run", "--scenario", "prop31", "--config", str(cfgfile)]) == 0
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        code = main(["run", "--scenario", "prop31", "--config", str(tmp_path / "missing.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "r.json"
+        assert main(["run", "--scenario", "subordination", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_scenario_mismatch_is_config_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

@@ -73,8 +73,8 @@ from laguerre_ops.kernels import _heat_axis_rule  # noqa: E402
 # scenarios that make no Poisson-kernel L1 or mass integrals; the others
 # take seconds each and are covered by tier-1
 FAST_SCENARIOS = (
-    "subordination", "prop31", "prop33", "thm31",
-    "thm42", "thm33", "thm44", "fdiff-identities",
+    "subordination", "prop31", "prop33", "pminusI", "thm31",
+    "thm-frac-integral", "thm42", "thm33", "thm44", "fdiff-identities",
 )
 
 

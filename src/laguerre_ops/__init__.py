@@ -45,7 +45,15 @@ from .fractional import (
     fractional_integral_expansion,
     smallest_integer_above,
 )
-from .harness import ScenarioConfig, SCENARIOS, main, run_scenario
+from .harness import (
+    SCENARIOS,
+    ScenarioConfig,
+    check_approximation,
+    check_equivalence,
+    check_pminusI_power,
+    main,
+    run_scenario,
+)
 from .kernels import (
     KernelQuery,
     heat_apply_kernel,
@@ -61,9 +69,6 @@ from .kernels import (
 )
 from .lipschitz import (
     LipschitzEstimate,
-    check_approximation,
-    check_equivalence,
-    check_pminusI_power,
     default_t_grid,
     default_x_grid,
     lipschitz_seminorm,

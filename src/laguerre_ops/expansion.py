@@ -463,8 +463,13 @@ def expansion_from_json(text: str) -> LaguerreExpansion:
     """The expansion of expansion_to_json's schema; DomainError for any other text."""
     try:  # a JSONDecodeError is a ValueError
         obj = json.loads(text)
-        d, alpha, degree = int(obj["d"]), tuple(obj["alpha"]), int(obj["N"])
-        coeffs = {tuple(item["k"]): float(item["c"]) for item in obj["coeffs"]}
+        d, degree = check_integer(obj["d"], 1, "d"), check_integer(obj["N"], 0, "N")
+        alpha, coeffs = tuple(obj["alpha"]), {}
+        for item in obj["coeffs"]:
+            k = tuple(check_integer(v, 0, "an index entry") for v in item["k"])
+            if k in coeffs:
+                raise DomainError(f"index {k} is given twice")
+            coeffs[k] = float(item["c"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"not an expansion document: {exc!r}") from exc
     return LaguerreExpansion(MultiIndexParams(d=d, alpha=alpha), degree, coeffs)

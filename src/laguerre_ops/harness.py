@@ -1,8 +1,9 @@
-"""Scenario runner and command-line interface for the verification suite.
+"""Claim table, scenario runner and command-line interface of the verification suite.
 
-Each scenario measures one family of semigroup or fractional-operator
-claims.  Its runner returns (claim, rows, max_ratio, passed[, extra]), and
-run_scenario alone builds and times the BoundReport from them.  Every
+Each entry of _TABLE states one scenario's claim once.  Its runner returns
+(rows, max_ratio, passed[, extra]), and run_scenario alone builds and times
+the BoundReport from them; check_equivalence, check_approximation and
+check_pminusI_power report their claim's reader on a given input.  Every
 tolerance is a fixed literal that the row checked against it carries as
 its bound: bounds with explicit tolerances PASS or FAIL outright;
 existence-only claims report measured constants and PASS by finiteness
@@ -53,7 +54,7 @@ from .kernels import (
     stable_density,
     stable_tail_mass,
 )
-from .lipschitz import _measure, check_approximation, check_equivalence, default_t_grid
+from .lipschitz import _measure, default_t_grid
 from .report import BoundReport, ReportRow, emit_report
 from .specfun import laguerre_poly
 
@@ -136,13 +137,7 @@ def _run_subordination(cfg):
             tail = math.exp(-n * S_CUTOFF) * mass_past
             err = abs(body + tail - math.exp(-t * math.sqrt(n)))
             rows.append(ReportRow(f"t={t:g},n={n}", err, tol))
-    return (
-        "the one-sided stable-1/2 weight Laplace-transforms to the "
-        "square-root exponential",
-        rows,
-        max(r.measured for r in rows) / tol,
-        all(r.measured <= r.bound for r in rows),
-    )
+    return rows, max(r.measured for r in rows) / tol, all(r.measured <= r.bound for r in rows)
 
 
 def _run_kernel_mass(cfg):
@@ -156,14 +151,7 @@ def _run_kernel_mass(cfg):
             rows.append(ReportRow(f"t={t:g},x={x:g}", abs(mass - 1.0), tol))
     rows.append(ReportRow("min-node-value", -min_val, 0.0))
     passed = all(r.measured <= r.bound for r in rows[:-1]) and min_val >= 0.0
-    return (
-        "the Poisson kernel integrates to one in y and is nonnegative at "
-        "the quadrature nodes",
-        rows,
-        max(r.measured for r in rows[:-1]) / tol,
-        passed,
-        {"min_node_value": min_val},
-    )
+    return rows, max(r.measured for r in rows[:-1]) / tol, passed, {"min_node_value": min_val}
 
 
 #: report-row name of each operator of fractional.ROUTES, and the order lam
@@ -205,13 +193,7 @@ def _run_spectral_vs_kernel(cfg):
             if k > 0 or not OPERATORS[kind].zero_mean:
                 name = _FRACTIONAL_ROWS[kind][0]
                 rows.append(ReportRow(f"{name},a={alpha:g},k={k}", err[k], tol))
-    return (
-        "kernel and time-integral quadratures reproduce the diagonal "
-        "eigenvalues of every operator",
-        rows,
-        max(r.measured for r in rows) / tol,
-        all(r.measured <= r.bound for r in rows),
-    )
+    return rows, max(r.measured for r in rows) / tol, all(r.measured <= r.bound for r in rows)
 
 
 def _run_lemma21(cfg):
@@ -227,29 +209,68 @@ def _run_lemma21(cfg):
     spreads = {m: max(v) / min(v) for m, v in ratios.items()}
     worst = max(spreads.values())
     passed = all(math.isfinite(v) for v in spreads.values()) and worst < 50.0
-    return (
-        "scaled L1 norms of Poisson kernel time derivatives stay uniformly "
-        "comparable across times and centers",
-        rows,
-        worst,
-        passed,
-        {f"spread_m{m}": v for m, v in spreads.items()},
-    )
+    return rows, worst, passed, {f"spread_m{m}": v for m, v in spreads.items()}
 
 
 def _seeded_function(cfg):
     return random_expansion(cfg.params, cfg.degree, seed=cfg.seed)
 
 
-def _run_prop31(cfg):
-    beta = cfg.beta
-    r = check_equivalence(_seeded_function(cfg), cfg.params, beta, 1 + int(beta), 2 + int(beta))
-    return r.claim, r.rows, r.max_ratio, r.passed
+def _equivalence(f, params, beta, k, l, t_grid=None, x_grid=None):
+    """The order-k and order-l seminorms of f and their ratio (spectral path).
+
+    Both are finite for smooth inputs; the measured ratio is recorded, with
+    PASS meaning finite values inside the declared comparability window
+    [1/50, 50] (the underlying equivalence provides no explicit constant).
+    """
+    beta = check_above("beta", (beta,))[0]
+    k, l = check_integer(k, 1, "k"), check_integer(l, 1, "l")
+    if k <= beta or l <= beta:
+        raise DomainError("both derivative orders must exceed beta")
+    _, _, ((a_k, _), (a_l, _)) = _measure(params, t_grid, x_grid, (f, k, beta), (f, l, beta))
+    ratio = a_k / a_l if a_l != 0.0 else (1.0 if a_k == 0.0 else math.inf)
+    rows = [ReportRow(f"order={k}", a_k, math.inf), ReportRow(f"order={l}", a_l, math.inf),
+            ReportRow("ratio", ratio, 50.0)]
+    return rows, ratio, math.isfinite(ratio) and 1.0 / 50.0 <= ratio <= 50.0
 
 
-def _run_prop33(cfg):
-    r = check_approximation(_seeded_function(cfg), cfg.params, cfg.beta)
-    return r.claim, r.rows, r.max_ratio, r.passed
+def _approximation(f, params, beta, t_grid=None, x_grid=None):
+    """||P_t f - f||_inf against 1.05 A_beta(f) t^beta on the grids (spectral path)."""
+    beta = check_above("beta", (beta,))[0]
+    if not beta < 1:
+        raise DomainError("approximation check needs beta in (0, 1)")
+    if not isinstance(f, LaguerreExpansion):
+        raise DomainError("approximation check is defined on expansions")
+    n = smallest_integer_above(beta)
+    t_grid, _, ((a_beta, _), sups) = _measure(params, t_grid, x_grid, (f, n, beta), (f, 1))
+    rows = [ReportRow(f"t={t:.6g}", measured, 1.05 * a_beta * t**beta)
+            for t, measured in zip(t_grid, sups.tolist())]
+    worst = max([r.measured / r.bound for r in rows if r.bound > 0], default=0.0)
+    return rows, worst, all(r.measured <= r.bound for r in rows)
+
+
+def _pminusI(f, params, beta, t_grid=None, x_grid=None):
+    """Grid sup of |(P_t - I)^n f| against 2^n ||f||_inf and A_beta t^beta,
+    n = smallest_integer_above(beta) (spectral path)."""
+    if not isinstance(f, LaguerreExpansion):
+        raise DomainError("this check is defined on expansions")
+    beta = check_above("beta", (beta,))[0]
+    n = smallest_integer_above(beta)
+    if beta.is_integer():
+        raise DomainError(
+            f"at the integer beta = {beta} the n-fold simplex integral of v^(beta-n) diverges")
+    t_grid, _, ((a_beta, _), (f_sup,), sups) = _measure(
+        params, t_grid, x_grid, (f, n, beta), (f, 0), (f, n))
+    # n-fold simplex integral of v^(beta-n) over [0,t]^n equals
+    # C(n, beta) t^beta with C = Delta_1^n(x^beta, 0) / prod_(i<n) (beta-i)
+    denom = math.prod(beta - i for i in range(n))
+    simplex_c = forward_difference(lambda u: u**beta, n, 1.0, 0.0) / denom
+    rows, uniform = [], 2.0**n * float(f_sup)
+    for t, measured in zip(t_grid, sups.tolist()):
+        rows.append(ReportRow(f"t={t:.6g},uniform", measured, uniform))
+        rows.append(ReportRow(f"t={t:.6g},holder", measured, simplex_c * a_beta * t**beta))
+    ratios = [r.measured / r.bound for r in rows if r.bound > 0]
+    return rows, max(ratios, default=0.0), all(r.measured <= r.bound * (1 + 1e-12) for r in rows)
 
 
 def _refined_t_grid(levels):
@@ -259,12 +280,15 @@ def _refined_t_grid(levels):
     return [v for pair in zip(base, mids) for v in pair] + base[-1:]
 
 
-def _run_theorem(kinds, claim, cfg):
+def _orders(kinds, cfg):
     """Per operator, A_beta' of its output over the Lipschitz norm of its input,
     where beta' = beta + lam for a potential and beta - lam for a derivative,
     on the dyadic t-grid and on the refined one, and the drift between them:
-    every seminorm from one stacked synthesis."""
+    every seminorm from one stacked synthesis.  The input is the seeded
+    expansion f, or pi0 f where one of the operators needs a zero-mean input."""
     beta, lam, f = cfg.beta, cfg.lam, _seeded_function(cfg)
+    if any(OPERATORS[kind].zero_mean for kind in kinds):
+        f = pi0(f)
     grids = (default_t_grid(cfg.t_levels), _refined_t_grid(cfg.t_levels))
     # f at beta, then each operator's output at its own order
     targets = [(f, beta)] + [
@@ -275,9 +299,7 @@ def _run_theorem(kinds, claim, cfg):
     a = [a_beta for a_beta, _ in seminorms]  # each target's A on the dyadic, then the refined grid
     norms = (float(f_sup) + a[0], float(f_sup) + a[1])
     drift_tol = 0.10
-    rows = []
-    worst_drift = 0.0
-    finite = True
+    rows, worst_drift, finite = [], 0.0, True
     for kind, coarse, fine in zip(kinds, a[2::2], a[3::2]):
         coarse, fine = coarse / norms[0], fine / norms[1]
         drift = abs(fine - coarse) / coarse if coarse > 0 else math.inf
@@ -287,7 +309,7 @@ def _run_theorem(kinds, claim, cfg):
         rows.append(ReportRow(f"{name},ratio", coarse, math.inf))
         rows.append(ReportRow(f"{name},refined", fine, math.inf))
         rows.append(ReportRow(f"{name},drift", drift, drift_tol))
-    return claim, rows, worst_drift, finite and worst_drift <= drift_tol
+    return rows, worst_drift, finite and worst_drift <= drift_tol
 
 
 def _run_fdiff(cfg):
@@ -334,22 +356,18 @@ def _run_fdiff(cfg):
             worst = float(np.max(val / (s**k * t ** (delta - k))))
             rows.append(ReportRow(f"power,delta={delta:g},k={k}", worst, cap))
     passed = all(r.measured <= r.bound for r in rows if math.isfinite(r.bound))
-    return (
-        "forward differences obey the iteration, integral, and "
-        "derivative-commutation identities and the power-function ratio bound",
-        rows,
-        max(r.measured / r.bound for r in rows if r.bound > 0),
-        passed,
-    )
+    return rows, max(r.measured / r.bound for r in rows if r.bound > 0), passed
 
 
 class _Scenario(NamedTuple):
-    """A scenario's runner; the fields among beta, lam, degree and t_levels
-    that it reads, and the beta and lam it takes where the config leaves
-    them None; whether it is one-dimensional; and its hypothesis on
-    (beta, lam), with the error text of a config that breaks it."""
+    """A scenario's runner and the claim it checks; the fields among beta,
+    lam, degree and t_levels that it reads, and the beta and lam it takes
+    where the config leaves them None; whether it is one-dimensional; and
+    its hypothesis on (beta, lam), with the error text of a config that
+    breaks it."""
 
     run: object
+    claim: str
     reads: tuple = ()
     defaults: tuple = (None, None)
     one_dim: bool = False
@@ -366,32 +384,71 @@ _BELOW_ONE = (lambda b, l: 0 < l < b < 1, "this scenario requires 0 < lambda < b
 
 #: every scenario, in the order list-scenarios prints them
 _TABLE = {
-    "subordination": _Scenario(_run_subordination),
-    "kernel-mass": _Scenario(_run_kernel_mass, one_dim=True),
-    "spectral-vs-kernel": _Scenario(_run_spectral_vs_kernel, one_dim=True),
-    "lemma21": _Scenario(_run_lemma21, one_dim=True),
-    "prop31": _Scenario(_run_prop31, ("beta", "degree"), (0.5, None)),
-    "prop33": _Scenario(_run_prop33, ("beta", "degree"), (0.9, None),
-                        hypothesis=(lambda b, l: b < 1, "prop33 requires 0 < beta < 1")),
-    "thm31": _Scenario(partial(
-        _run_theorem, ("bessel_potential",),
-        "the smoothing potential raises the Lipschitz order by lambda"), _OPTIONAL, (0.5, 1.0)),
-    "thm42": _Scenario(partial(
-        _run_theorem, ("fractional_derivative",),
-        "the fractional derivative lowers the Lipschitz order by lambda "
-        "for 0 < lambda < beta < 1"), _OPTIONAL, (0.8, 0.3), hypothesis=_BELOW_ONE),
-    "thm33": _Scenario(partial(
-        _run_theorem, ("bessel_derivative",),
-        "the damped fractional derivative lowers the Lipschitz order by lambda"),
+    "subordination": _Scenario(
+        _run_subordination,
+        "the one-sided stable-1/2 weight Laplace-transforms to the square-root exponential"),
+    "kernel-mass": _Scenario(
+        _run_kernel_mass,
+        "the Poisson kernel integrates to one in y and is nonnegative at the quadrature nodes",
+        one_dim=True),
+    "spectral-vs-kernel": _Scenario(
+        _run_spectral_vs_kernel,
+        "kernel and time-integral quadratures reproduce the diagonal eigenvalues of every "
+        "operator", one_dim=True),
+    "lemma21": _Scenario(
+        _run_lemma21,
+        "scaled L1 norms of Poisson kernel time derivatives stay uniformly comparable across "
+        "times and centers", one_dim=True),
+    "prop31": _Scenario(
+        lambda c: _equivalence(_seeded_function(c), c.params, c.beta, 1 + int(c.beta),
+                               2 + int(c.beta)),
+        "seminorms built from any two derivative orders above beta are equivalent up to a "
+        "constant", ("beta", "degree"), (0.5, None)),
+    "prop33": _Scenario(
+        lambda c: _approximation(_seeded_function(c), c.params, c.beta),
+        "the semigroup approximates a Lipschitz function at rate t^beta with constant A_beta",
+        ("beta", "degree"), (0.9, None),
+        hypothesis=(lambda b, l: b < 1, "prop33 requires 0 < beta < 1")),
+    "pminusI": _Scenario(
+        lambda c: _pminusI(_seeded_function(c), c.params, c.beta),
+        "powers of (P_t - I) are uniformly bounded by 2^n ||f|| and decay like t^beta on "
+        "Lipschitz inputs", ("beta", "degree"), (0.5, None),
+        hypothesis=(lambda b, l: not float(b).is_integer(),
+                    "pminusI requires a beta that is not an integer")),
+    "thm31": _Scenario(
+        partial(_orders, ("bessel_potential",)),
+        "the smoothing potential raises the Lipschitz order by lambda", _OPTIONAL, (0.5, 1.0)),
+    "thm-frac-integral": _Scenario(
+        partial(_orders, ("fractional_integral",)),
+        "the fractional integral raises the Lipschitz order of a zero-mean input by lambda",
+        _OPTIONAL, (0.5, 1.0)),
+    "thm42": _Scenario(
+        partial(_orders, ("fractional_derivative",)),
+        "the fractional derivative lowers the Lipschitz order by lambda for 0 < lambda < beta "
+        "< 1", _OPTIONAL, (0.8, 0.3), hypothesis=_BELOW_ONE),
+    "thm33": _Scenario(
+        partial(_orders, ("bessel_derivative",)),
+        "the damped fractional derivative lowers the Lipschitz order by lambda",
         _OPTIONAL, (0.8, 0.3), hypothesis=_BELOW_ONE),
-    "thm44": _Scenario(partial(
-        _run_theorem, ("fractional_derivative", "bessel_derivative"),
-        "both fractional derivatives stay bounded between Lipschitz classes "
-        "for 1 <= lambda < beta"), _OPTIONAL, (2.3, 1.5),
+    "thm44": _Scenario(
+        partial(_orders, ("fractional_derivative", "bessel_derivative")),
+        "both fractional derivatives stay bounded between Lipschitz classes for 1 <= lambda "
+        "< beta", _OPTIONAL, (2.3, 1.5),
         hypothesis=(lambda b, l: 1 <= l < b, "this scenario requires 1 <= lambda < beta")),
-    "fdiff-identities": _Scenario(_run_fdiff),
+    "fdiff-identities": _Scenario(
+        _run_fdiff,
+        "forward differences obey the iteration, integral, and derivative-commutation "
+        "identities and the power-function ratio bound"),
 }
 SCENARIOS = tuple(_TABLE)
+
+
+def _report(scenario, config, rows, max_ratio, passed, extra=None, started=None):
+    """The report of a runner's result under the scenario's claim; its
+    wall time is the time since the perf_counter value started, if given."""
+    wall_time = 0.0 if started is None else time.perf_counter() - started
+    return BoundReport(scenario, _TABLE[scenario].claim, config, rows, max_ratio, passed,
+                       wall_time, extra or {})
 
 
 def run_scenario(cfg: ScenarioConfig) -> BoundReport:
@@ -400,17 +457,30 @@ def run_scenario(cfg: ScenarioConfig) -> BoundReport:
     entry = _TABLE[cfg.scenario]
     # the runner reads beta and lam with the scenario's defaults filled in
     beta, lam = entry.beta_lam(cfg)
-    claim, rows, max_ratio, passed, *extra = entry.run(replace(cfg, beta=beta, lam=lam))
-    return BoundReport(
-        scenario=cfg.scenario,
-        claim=claim,
-        config={**asdict(cfg), "alpha": list(cfg.alpha)},
-        rows=tuple(rows),
-        max_ratio=max_ratio,
-        passed=passed,
-        wall_time=time.perf_counter() - started,
-        extra=extra[0] if extra else {},
-    )
+    result = entry.run(replace(cfg, beta=beta, lam=lam))
+    return _report(cfg.scenario, {**asdict(cfg), "alpha": list(cfg.alpha)}, *result,
+                   started=started)
+
+
+def check_equivalence(f, params: MultiIndexParams, beta: float, k: int, l: int,
+                      t_grid=None, x_grid=None) -> BoundReport:
+    """The prop31 report of f: its order-k and order-l seminorms (_equivalence)."""
+    result = _equivalence(f, params, beta, k, l, t_grid, x_grid)
+    return _report("prop31", {"beta": float(beta), "k": int(k), "l": int(l)}, *result)
+
+
+def check_approximation(f, params: MultiIndexParams, beta: float,
+                        t_grid=None, x_grid=None) -> BoundReport:
+    """The prop33 report of f: ||P_t f - f|| against 1.05 A_beta t^beta (_approximation)."""
+    result = _approximation(f, params, beta, t_grid, x_grid)
+    return _report("prop33", {"beta": float(beta)}, *result)
+
+
+def check_pminusI_power(f, params: MultiIndexParams, beta: float,
+                        t_grid=None, x_grid=None) -> BoundReport:
+    """The pminusI report of f: (P_t - I)^n f against its two bounds (_pminusI)."""
+    result = _pminusI(f, params, beta, t_grid, x_grid)
+    return _report("pminusI", {"beta": float(beta), "n": smallest_integer_above(beta)}, *result)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +521,8 @@ def main(argv=None) -> int:
             cfg = ScenarioConfig(scenario=args.scenario)
         if args.seed is not None:
             cfg = ScenarioConfig(**{**cfg.__dict__, "seed": args.seed})
+        if args.out:
+            open(args.out, "a").close()  # an unwritable path fails here, before the run
         report = run_scenario(cfg)
         status = "PASS" if report.passed else "FAIL"
         print(f"{report.scenario}: {status} (max ratio {report.max_ratio:.6g})")

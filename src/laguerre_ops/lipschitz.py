@@ -1,4 +1,4 @@
-"""Semigroup Lipschitz seminorms and the smoothness-class checks built on them.
+"""Semigroup Lipschitz seminorms, measured on grids.
 
 For beta > 0 let n be the smallest integer strictly above beta.  The
 seminorm is the measured supremum of t^(n-beta) ||d^n/dt^n P_t f||_inf over
@@ -8,10 +8,12 @@ the diagonal multiplier (-sqrt(n_k))^n e^(-t sqrt(n_k)) on expansions, and
 the kernel side's poisson_dt_apply, which reads every t of the grid off one
 semigroup table per x (subordination of the heat kernel, no multipliers) of
 f itself: an expansion is synthesized on each heat time's grid (call_on_points).
-On the spectral path all that one check reads is one stacked synthesis
-(_measure): the multipliers of every t (and 1, for ||f||) form the columns
-of one coefficient stack, which may hold several expansions of one layout
-(a theorem scenario's input and operator outputs), and the Laguerre tables
+This module only measures; the claims read from the measurements, and
+their reports, are stated in harness.  On the spectral path all that one
+claim reads is one stacked synthesis (_measure): the multipliers of every
+t (and 1, for ||f||) form the columns of one coefficient stack, which may
+hold several expansions of one layout (a theorem scenario's input and
+operator outputs), and the Laguerre tables
 of the x grid are built once for all of them.  The default x grid is handed
 to the synthesis as its per-axis nodes, so each k axis is contracted by an
 outer product over that axis's 24 nodes; a value there is bit for bit the
@@ -36,9 +38,8 @@ from .expansion import (
     call_on_points,
     tensor_grid,
 )
-from .fractional import forward_difference, smallest_integer_above
+from .fractional import smallest_integer_above
 from .kernels import poisson_dt_apply
-from .report import BoundReport, ReportRow
 
 __all__ = [
     "LipschitzEstimate",
@@ -47,9 +48,6 @@ __all__ = [
     "sup_norm",
     "poisson_dt_expansion",
     "lipschitz_seminorm",
-    "check_equivalence",
-    "check_approximation",
-    "check_pminusI_power",
 ]
 
 
@@ -205,107 +203,3 @@ def lipschitz_seminorm(
         map(tuple, grid.points.tolist()))
     return LipschitzEstimate(beta, n, t_grid, points, sup_table, a_beta, float(f_sup))
 
-
-def check_equivalence(
-    f,
-    params: MultiIndexParams,
-    beta: float,
-    k: int,
-    l: int,
-    t_grid=None,
-    x_grid=None,
-) -> BoundReport:
-    """Compare the order-k and order-l versions of the seminorm (spectral path).
-
-    Both are finite for smooth inputs; the measured ratio is recorded, with
-    PASS meaning finite values inside the declared comparability window
-    [1/50, 50] (the underlying equivalence provides no explicit constant).
-    """
-    beta = check_above("beta", (beta,))[0]
-    k, l = check_integer(k, 1, "k"), check_integer(l, 1, "l")
-    if k <= beta or l <= beta:
-        raise DomainError("both derivative orders must exceed beta")
-    _, _, ((a_k, _), (a_l, _)) = _measure(params, t_grid, x_grid, (f, k, beta), (f, l, beta))
-    ratio = a_k / a_l if a_l != 0.0 else (1.0 if a_k == 0.0 else math.inf)
-    ok = math.isfinite(ratio) and 1.0 / 50.0 <= ratio <= 50.0
-    rows = (
-        ReportRow(f"order={k}", a_k, math.inf),
-        ReportRow(f"order={l}", a_l, math.inf),
-        ReportRow("ratio", ratio, 50.0),
-    )
-    return BoundReport(
-        scenario="prop31",
-        claim="seminorms built from any two derivative orders above beta "
-        "are equivalent up to a constant",
-        config={"beta": beta, "k": k, "l": l},
-        rows=rows,
-        max_ratio=ratio,
-        passed=ok,
-    )
-
-
-def check_approximation(
-    f,
-    params: MultiIndexParams,
-    beta: float,
-    t_grid=None,
-    x_grid=None,
-) -> BoundReport:
-    """||P_t f - f||_inf against 1.05 A_beta(f) t^beta on the grids (spectral path)."""
-    beta = check_above("beta", (beta,))[0]
-    if not beta < 1:
-        raise DomainError("approximation check needs beta in (0, 1)")
-    if not isinstance(f, LaguerreExpansion):
-        raise DomainError("approximation check is defined on expansions")
-    n = smallest_integer_above(beta)
-    t_grid, _, ((a_beta, _), sups) = _measure(params, t_grid, x_grid, (f, n, beta), (f, 1))
-    rows = [ReportRow(f"t={t:.6g}", measured, 1.05 * a_beta * t**beta)
-            for t, measured in zip(t_grid, sups.tolist())]
-    worst = max([r.measured / r.bound for r in rows if r.bound > 0], default=0.0)
-    return BoundReport(
-        scenario="prop33",
-        claim="the semigroup approximates a Lipschitz function at rate t^beta "
-        "with constant A_beta",
-        config={"beta": beta},
-        rows=tuple(rows),
-        max_ratio=worst,
-        passed=all(r.measured <= r.bound for r in rows),
-    )
-
-
-def check_pminusI_power(
-    f,
-    params: MultiIndexParams,
-    beta: float,
-    t_grid=None,
-    x_grid=None,
-) -> BoundReport:
-    """Grid sup of |(P_t - I)^n f| against 2^n ||f||_inf and A_beta t^beta,
-    n = smallest_integer_above(beta)."""
-    if not isinstance(f, LaguerreExpansion):
-        raise DomainError("this check is defined on expansions")
-    beta = check_above("beta", (beta,))[0]
-    n = smallest_integer_above(beta)
-    if beta.is_integer():
-        raise DomainError(
-            f"at the integer beta = {beta} the n-fold simplex integral of v^(beta-n) diverges")
-    t_grid, _, ((a_beta, _), (f_sup,), sups) = _measure(
-        params, t_grid, x_grid, (f, n, beta), (f, 0), (f, n))
-    # n-fold simplex integral of v^(beta-n) over [0,t]^n equals
-    # C(n, beta) t^beta with C = Delta_1^n(x^beta, 0) / prod_(i<n) (beta-i)
-    denom = math.prod(beta - i for i in range(n))
-    simplex_c = forward_difference(lambda u: u**beta, n, 1.0, 0.0) / denom
-    rows, uniform = [], 2.0**n * float(f_sup)
-    for t, measured in zip(t_grid, sups.tolist()):
-        rows.append(ReportRow(f"t={t:.6g},uniform", measured, uniform))
-        rows.append(ReportRow(f"t={t:.6g},holder", measured, simplex_c * a_beta * t**beta))
-    ratios = [r.measured / r.bound for r in rows if r.bound > 0]
-    return BoundReport(
-        scenario="pminusI",
-        claim="powers of (P_t - I) are uniformly bounded by 2^n ||f|| and "
-        "decay like t^beta on Lipschitz inputs",
-        config={"beta": beta, "n": n},
-        rows=tuple(rows),
-        max_ratio=max(ratios) if ratios else 0.0,
-        passed=all(r.measured <= r.bound * (1 + 1e-12) for r in rows),
-    )

@@ -120,13 +120,16 @@ def parse_report(text: str) -> BoundReport:
             ReportRow(row["point"], float(row["measured"]), float(row["bound"]))
             for row in doc["rows"]
         )
+        passed = doc["summary"]["pass"]
+        if not isinstance(passed, bool):
+            raise TypeError(f"pass must be true or false, got {passed!r}")
         return BoundReport(
             scenario=doc["scenario"],
             claim=doc["claim"],
             config=_config_floats(doc["config"]),
             rows=rows,
             max_ratio=float(doc["summary"]["max_ratio"]),
-            passed=bool(doc["summary"]["pass"]),
+            passed=passed,
             wall_time=float(doc.get("wall_time", 0.0)),
             extra={k: float(v) for k, v in doc.get("extra", {}).items()},
         )

@@ -37,8 +37,7 @@ from laguerre_ops.fractional import (
     fractional_derivative_expansion,
     fractional_integral_expansion,
 )
-from laguerre_ops.harness import ScenarioConfig, run_scenario
-from laguerre_ops.lipschitz import check_approximation
+from laguerre_ops.harness import ScenarioConfig, check_approximation, run_scenario
 
 P = MultiIndexParams(1, (0.5,))
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

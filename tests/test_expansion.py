@@ -322,6 +322,11 @@ def test_json_roundtrip_bit_exact():
     "[]",  # no object
     '{"d": 1, "alpha": [0.5], "N": 1, "coeffs": [{"k": [0], "c": "x"}]}',  # a non-numeric c
     "not json",
+    '{"d": 1, "alpha": [0.5], "N": 1.7, "coeffs": []}',  # a degree that is not an integer
+    '{"d": true, "alpha": [0.5], "N": 1, "coeffs": []}',  # a dimension that is a bool
+    '{"d": 1, "alpha": [0.5], "N": 1, "coeffs": [{"k": "0", "c": 1}]}',  # a string index
+    # one index given twice
+    '{"d": 1, "alpha": [0.5], "N": 1, "coeffs": [{"k": [0], "c": 1}, {"k": [0], "c": 2}]}',
 ])
 def test_json_malformed_text_is_domain_error(text):
     with pytest.raises(DomainError):

@@ -7,11 +7,13 @@ import pytest
 
 from laguerre_ops import lipschitz
 from laguerre_ops.errors import ConfigError
+from laguerre_ops.expansion import random_expansion
 from laguerre_ops.harness import (
     SCENARIOS,
     ScenarioConfig,
     _TABLE,
     _refined_t_grid,
+    check_pminusI_power,
     main,
     run_scenario,
 )
@@ -74,6 +76,13 @@ class TestReportSerialization:
     @pytest.mark.parametrize("text", ["{}", "[]", "not json", '{"scenario": "demo", "rows": 5}'])
     def test_malformed_text_is_config_error(self, text):
         with pytest.raises(ConfigError):
+            parse_report(text)
+
+    @pytest.mark.parametrize("value", ['"no"', "1", "null"])
+    def test_pass_that_is_not_a_json_bool_is_config_error(self, value):
+        text = report_to_json(make_report()).replace('"pass": true', f'"pass": {value}')
+        assert f'"pass": {value}' in text
+        with pytest.raises(ConfigError, match="pass must be true or false"):
             parse_report(text)
 
 
@@ -184,15 +193,39 @@ class TestScenarios:
         b = run_scenario(ScenarioConfig(scenario="subordination"))
         assert a.same_results(b)
 
-    @pytest.mark.parametrize("scenario", ["thm31", "thm42", "thm33", "thm44"])
+    @pytest.mark.parametrize("scenario", ["prop31", "prop33", "pminusI", "thm31",
+                                          "thm-frac-integral", "thm42", "thm33", "thm44"])
     def test_theorem_reads_every_seminorm_from_one_synthesis(self, scenario, monkeypatch):
-        # the input's and every output's A_beta, on both t grids, and ||f||
+        # every seminorm and sup a claim reads; for a theorem the input's and every
+        # output's A_beta, on both t grids, and ||f||
         calls = []
         synthesize = lipschitz._synthesize
         monkeypatch.setattr(lipschitz, "_synthesize",
                             lambda *args: calls.append(args) or synthesize(*args))
         run_scenario(ScenarioConfig(scenario))
         assert len(calls) == 1
+
+    def test_frac_integral_passes_on_its_row_names(self):
+        r = run_scenario(ScenarioConfig("thm-frac-integral"))
+        assert r.passed
+        assert [row.point for row in r.rows] == ["integral,ratio", "integral,refined",
+                                                 "integral,drift"]
+        assert r.claim == _TABLE["thm-frac-integral"].claim
+
+    def test_frac_integral_at_d2(self):
+        r = run_scenario(ScenarioConfig("thm-frac-integral", d=2, alpha=(0.5, 0.5)))
+        assert r.passed
+        ratio, refined, drift = (row.measured for row in r.rows)
+        assert 0.0 < ratio < math.inf and 0.0 < refined < math.inf
+        assert drift == r.max_ratio <= 0.10
+
+    def test_pminusI_report_has_the_rows_of_the_public_check(self):
+        r = run_scenario(ScenarioConfig("pminusI"))
+        params = ScenarioConfig("pminusI").params
+        check = check_pminusI_power(random_expansion(params, 6, seed=0), params, 0.5)
+        assert r.passed and r.rows == check.rows
+        assert (r.claim, r.max_ratio) == (check.claim, check.max_ratio)
+        assert check.scenario == r.scenario == "pminusI"
 
     def test_theorem_ratio_regression(self):
         with open(os.path.join(os.path.dirname(__file__), "fixtures",
@@ -240,7 +273,9 @@ class TestCli:
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "r.json"
         assert main(["run", "--scenario", "subordination", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""  # the path is checked before the run
 
     def test_scenario_mismatch_is_config_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
@@ -293,6 +328,8 @@ class TestCli:
             {"scenario": "prop33", "t_levels": 3},
             {"scenario": "subordination", "beta": 0.3},
             {"scenario": "fdiff-identities", "degree": 2},
+            {"scenario": "pminusI", "beta": 1},
+            {"scenario": "pminusI", "lam": 0.3},
         ],
     )
     def test_bad_config_is_config_error(self, tmp_path, capsys, doc):

@@ -13,11 +13,9 @@ from laguerre_ops.expansion import (
     spectral_apply,
     synthesize_many,
 )
+from laguerre_ops.harness import check_approximation, check_equivalence, check_pminusI_power
 from laguerre_ops.kernels import poisson_dt_apply
 from laguerre_ops.lipschitz import (
-    check_approximation,
-    check_equivalence,
-    check_pminusI_power,
     default_t_grid,
     default_x_grid,
     lipschitz_seminorm,

@@ -12,10 +12,10 @@ figure is the median wall time of single calls after one warm-up call:
   0.5, n = 200 (the rule the pointwise benchmark's warm-up builds);
 - kernels: one KernelQuery build (d = 1, with x and y; the median of
   batches of 1000, divided by 1000), one heat kernel value (d = 1, on a
-  query built once), one Poisson kernel value, the 720
-  values of one kernel-mass
-  integral (the y rule of the kernel-mass scenario at t = 0.25, x = 1 and
-  alpha = 0.5, 2 and -0.25), poisson_apply at d = 1 and d = 2, and at d = 2 on an
+  query built once), one Poisson kernel value, 720 scalar poisson_kernel
+  calls on a fixed legacy y node set (mass_y_nodes; t = 0.25, x = 1 and
+  alpha = 0.5, 2 and -0.25; kept so that BENCH_<pr>.json files stay
+  comparable), poisson_apply at d = 1 and d = 2, and at d = 2 on an
   expansion (degree 6, t = 0.7), poisson_dt_apply
   (f = L_3^0.5, m = 2, x = 1.3) on the default 11-time grid,
   l1_kernel_derivative at t = 0.5 and at t = 0.05 (where the subordination
@@ -90,9 +90,13 @@ def median_s(fn, repeats):
 
 
 def mass_y_nodes():
-    """y nodes of the kernel-mass scenario's rule on (0, 80): 12-node
-    Gauss-Legendre panels, 20 with dyadic breaks up to 1/2 and 40 with
-    log-spaced breaks from there to 80 (720 nodes)."""
+    """A fixed legacy set of 720 y nodes on (0, 80), which the
+    poisson_kernel_mass_720_* figures time one scalar poisson_kernel call
+    at each: 12-node Gauss-Legendre panels, 20 with dyadic breaks up to 1/2
+    and 40 with log-spaced breaks from there to 80.  The kernel-mass
+    scenario no longer reads them (it integrates on _l1_integral's Kronrod
+    panels in v = sqrt(y)); they stay so that BENCH_<pr>.json files stay
+    comparable."""
     breaks = np.concatenate(
         ([0.0], 2.0 ** -np.arange(20.0, 0.0, -1.0), np.exp(np.linspace(0.0, np.log(80.0), 41))[1:])
     )

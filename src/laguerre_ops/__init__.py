@@ -15,7 +15,6 @@ from .expansion import (
     MultiIndexParams,
     SpectralMultiplier,
     analyze,
-    basis_norm_sq,
     bessel_derivative,
     bessel_potential,
     enumerate_indices,

@@ -25,7 +25,6 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, NonzeroMeanError, check_above, check_integer
 from .specfun import _laguerre_functions, gauss_laguerre_rule, laguerre_rows
@@ -37,7 +36,6 @@ __all__ = [
     "OPERATORS",
     "SpectralMultiplier",
     "enumerate_indices",
-    "basis_norm_sq",
     "tensor_grid",
     "call_on_points",
     "analyze",
@@ -105,15 +103,6 @@ def _layout(d: int, degree: int):
 def enumerate_indices(d: int, degree: int) -> list:
     """All multi-indices (tuples) with |k| <= degree, graded lexicographic order."""
     return list(_layout(d, degree)[0])
-
-
-def basis_norm_sq(k, params: MultiIndexParams):
-    """Squared mu_alpha-norm of L_k^alpha: prod binom(k_j + alpha_j, k_j), for
-    one multi-index k, or elementwise for an array of them of shape (d, M)."""
-    log_h = 0.0
-    for kj, aj in zip(np.asarray(k, dtype=float), params.alpha):
-        log_h += gammaln(kj + aj + 1.0) - gammaln(kj + 1.0) - gammaln(aj + 1.0)
-    return np.exp(log_h)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -440,23 +429,13 @@ def random_expansion(
         params, degree, rng.uniform(-1.0, 1.0, len(_layout(params.d, degree)[0])))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def expansion_to_json(e: LaguerreExpansion) -> str:
-    """Serialize to the documented JSON schema with 17-significant-digit floats."""
-    coeff_items = ",".join(
-        '{"k":[%s],"c":%s}' % (",".join(str(v) for v in k), _fmt(c))
-        for k, c in sorted(e.coeffs.items())
-    )
-    alpha = ",".join(_fmt(a) for a in e.params.alpha)
-    return '{"d":%d,"alpha":[%s],"N":%d,"coeffs":[%s]}' % (
-        e.params.d,
-        alpha,
-        e.degree,
-        coeff_items,
-    )
+    """e as {"d", "alpha", "N", "coeffs"}, the coefficients {"k", "c"} of every index
+    up to the degree, zeros included, in sorted index order; json writes each float
+    as its shortest repr, which reads back bit for bit."""
+    coeffs = [{"k": list(k), "c": c} for k, c in sorted(e.coeffs.items())]
+    return json.dumps({"d": int(e.params.d), "alpha": list(e.params.alpha), "N": int(e.degree),
+                       "coeffs": coeffs}, separators=(",", ":"))
 
 
 def expansion_from_json(text: str) -> LaguerreExpansion:

@@ -239,8 +239,6 @@ def _approximation(f, params, beta, t_grid=None, x_grid=None):
     beta = check_above("beta", (beta,))[0]
     if not beta < 1:
         raise DomainError("approximation check needs beta in (0, 1)")
-    if not isinstance(f, LaguerreExpansion):
-        raise DomainError("approximation check is defined on expansions")
     n = smallest_integer_above(beta)
     t_grid, _, ((a_beta, _), sups) = _measure(params, t_grid, x_grid, (f, n, beta), (f, 1))
     rows = [ReportRow(f"t={t:.6g}", measured, 1.05 * a_beta * t**beta)
@@ -252,8 +250,6 @@ def _approximation(f, params, beta, t_grid=None, x_grid=None):
 def _pminusI(f, params, beta, t_grid=None, x_grid=None):
     """Grid sup of |(P_t - I)^n f| against 2^n ||f||_inf and A_beta t^beta,
     n = smallest_integer_above(beta) (spectral path)."""
-    if not isinstance(f, LaguerreExpansion):
-        raise DomainError("this check is defined on expansions")
     beta = check_above("beta", (beta,))[0]
     n = smallest_integer_above(beta)
     if beta.is_integer():
@@ -520,7 +516,7 @@ def main(argv=None) -> int:
         else:
             cfg = ScenarioConfig(scenario=args.scenario)
         if args.seed is not None:
-            cfg = ScenarioConfig(**{**cfg.__dict__, "seed": args.seed})
+            cfg = replace(cfg, seed=args.seed)
         if args.out:
             open(args.out, "a").close()  # an unwritable path fails here, before the run
         report = run_scenario(cfg)

@@ -65,7 +65,7 @@ from scipy.special import gammainccinv
 
 from .errors import DomainError, OverflowGuardError, QuadratureError, check_above, check_integer
 from .expansion import MultiIndexParams, call_on_points
-from .specfun import gauss_jacobi_rule, gauss_kronrod_rule, log_bessel_i_scaled
+from .specfun import _log_mu, gauss_jacobi_rule, gauss_kronrod_rule, log_bessel_i_scaled
 
 __all__ = [
     "KernelQuery",
@@ -144,10 +144,6 @@ class KernelQuery:
         check_integer(self.derivative_order, 0, "derivative_order")
 
 
-def _log_mu_axis(alpha, y, log_y):
-    return alpha * log_y - y - math.lgamma(alpha + 1.0)
-
-
 def _heat_scales(s, x):
     """The ridge v0 = sqrt(e^-s x), width sigma = sqrt((1 - e^-s) / 2) and 1 - e^-s
     of H_s(x, .) in v = sqrt(y), at a heat time s or an array of them.  A time
@@ -178,7 +174,7 @@ def heat_kernel(q: KernelQuery) -> float:
     for a, x, y in zip(q.params.alpha, q.x, q.y):
         (v0, sig, one_r), v = _heat_scales(q.t, x), math.sqrt(y)
         log_h = _log_ridge(a, v, (v - v0) / sig, v0, sig * sig) - math.log(one_r)
-        log_g += log_h - _log_mu_axis(a, y, math.log(y))
+        log_g += log_h - _log_mu(a, y, math.log(y))
     if abs(log_g) > 700.0:
         raise OverflowGuardError(f"heat kernel log-value {log_g} out of range")
     return math.exp(log_g)
@@ -448,7 +444,7 @@ def _poisson_block_once(params, t, x, y, m, panels):
         for i in range(0, len(y), step):
             rows[i : i + step] = _block_sums(params.alpha, root_y[:, i : i + step], scales, weights)
     # mu_alpha(y)'s density, which the tail weights take for s past S_CUTOFF
-    past = np.exp(reduce(np.add, map(_log_mu_axis, params.alpha, y.T, np.log(y).T)))
+    past = np.exp(reduce(np.add, map(_log_mu, params.alpha, y.T, np.log(y).T)))
     return (rows + past[..., None] * tails).T.reshape(3, -1)
 
 

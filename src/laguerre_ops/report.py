@@ -1,6 +1,11 @@
 """Measured-versus-bound reports and their JSON/CSV serialization.
 
-Floats are serialized as 17-significant-digit decimal strings so that a
+The config's numbers, which validation keeps finite, are plain JSON
+numbers (json writes a float's shortest round-tripping repr), so a
+run_scenario report's config object is the ScenarioConfig JSON that
+`laguerre-ops run --config` reads.  The rows, summary, extra and wall
+time are 17-significant-digit decimal strings, since a bound, ratio or
+spread may be +-inf or nan, which strict JSON cannot hold.  Either way a
 parse(emit(r)) round trip reproduces every value bit for bit.
 """
 
@@ -54,37 +59,11 @@ class BoundReport:
         return replace(self, wall_time=0.0) == replace(other, wall_time=0.0)
 
 
-def _config_strings(config: dict) -> dict:
-    out = {}
-    for key, val in config.items():
-        if isinstance(val, float):
-            out[key] = _fmt(val)
-        elif isinstance(val, (list, tuple)):
-            out[key] = [_fmt(v) if isinstance(v, float) else v for v in val]
-        else:
-            out[key] = val
-    return out
-
-
-def _config_floats(config: dict) -> dict:
-    def back(v):
-        if isinstance(v, str):
-            try:
-                return float(v)
-            except ValueError:
-                return v
-        if isinstance(v, list):
-            return [back(u) for u in v]
-        return v
-
-    return {k: back(v) for k, v in config.items()}
-
-
 def report_to_json(r: BoundReport) -> str:
     doc = {
         "scenario": r.scenario,
         "claim": r.claim,
-        "config": _config_strings(r.config),
+        "config": r.config,
         "rows": [
             {
                 "point": row.point,
@@ -120,13 +99,15 @@ def parse_report(text: str) -> BoundReport:
             ReportRow(row["point"], float(row["measured"]), float(row["bound"]))
             for row in doc["rows"]
         )
-        passed = doc["summary"]["pass"]
+        passed, config = doc["summary"]["pass"], doc["config"]
         if not isinstance(passed, bool):
             raise TypeError(f"pass must be true or false, got {passed!r}")
+        if not isinstance(config, dict):
+            raise TypeError(f"config must be an object, got {config!r}")
         return BoundReport(
             scenario=doc["scenario"],
             claim=doc["claim"],
-            config=_config_floats(doc["config"]),
+            config=config,
             rows=rows,
             max_ratio=float(doc["summary"]["max_ratio"]),
             passed=passed,

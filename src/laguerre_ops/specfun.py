@@ -274,7 +274,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    exact_degree: int
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
@@ -307,7 +306,12 @@ def _gauss_laguerre_rule(alpha: float, n: int) -> QuadratureRule:
     weights = np.zeros(n)
     weights[live] = psi[0] ** 2 / np.einsum("ij,ij->j", psi, psi)
     nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights, exact_degree=2 * n - 1)
+    return QuadratureRule(nodes=nodes, weights=weights)
+
+
+def _log_mu(alpha, x, log_x):
+    """log of mu_alpha's density x^alpha e^-x / Gamma(alpha + 1), given log x too."""
+    return alpha * log_x - x - math.lgamma(alpha + 1.0)
 
 
 def _laguerre_functions(alpha: float, n: int, x: np.ndarray):
@@ -315,7 +319,7 @@ def _laguerre_functions(alpha: float, n: int, x: np.ndarray):
     functions orthonormal in L^2(0, inf), at x[live], and the Newton step x p_n / (n d_n) =
     L_n / L_n', by scipy's difference form d <- (k d - x p) / (k + alpha + 1), p <- p + d of
     p_k = L_k^alpha / binom(k + alpha, k); points where sqrt(rho) < e^-1000 are left out."""
-    log_seed = 0.5 * (alpha * np.log(x) - x - math.lgamma(alpha + 1.0))  # log sqrt(rho)
+    log_seed = 0.5 * _log_mu(alpha, x, np.log(x))  # log sqrt(rho)
     live = log_seed >= -1000.0  # elsewhere every weight and analysis row rounds to 0
     x, psi, v = x[live], np.empty((n + 1, live.sum())), np.zeros(live.sum())  # v: d, in psi's units
     np.exp(np.maximum(log_seed[live], -700.0), psi[0])  # held at e^-700: a factor no ratio sees
@@ -350,7 +354,7 @@ def _gauss_jacobi_rule(a: float, n: int) -> QuadratureRule:
     nodes, vec = eigh_tridiagonal(np.append((a + 1.0) / (a + 2.0), diag), off)
     weights = vec[0] ** 2 / (a + 1.0)
     nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights, exact_degree=2 * n - 1)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 @lru_cache(maxsize=8)

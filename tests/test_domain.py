@@ -20,7 +20,10 @@ from laguerre_ops import (
     KernelQuery,
     LaguerreExpansion,
     MultiIndexParams,
+    NonzeroMeanError,
+    QuadratureRule,
     ScenarioConfig,
+    SpectralMultiplier,
     bessel_derivative_apply,
     bessel_potential,
     bessel_potential_apply,
@@ -33,6 +36,7 @@ from laguerre_ops import (
     default_x_grid,
     expansion_from_json,
     fractional_derivative_apply,
+    fractional_integral,
     fractional_integral_apply,
     fractional_integral_expansion,
     gauss_laguerre_rule,
@@ -267,3 +271,36 @@ def test_checks_leave_their_domain_edges_open():
     grid = default_x_grid(points=6)
     g = lambda x: 1.0 / x[0]
     assert sup_norm(g, (p for p in grid)) == sup_norm(g, grid) == 20.0
+
+
+#: calls with values of the right type that their entry point refuses: an
+#: unknown method or kind, an order below 0 or at the undefined mean mode,
+#: a grid or rule out of order, a kernel query with no y, and a callable
+#: where the spectral path reads an expansion
+REFUSED = {
+    "lipschitz_seminorm.method": (lambda: lipschitz_seminorm(E, P, 0.5, method="bogus"),
+                                  DomainError),
+    "lipschitz_seminorm.t_grid-unsorted":
+        (lambda: lipschitz_seminorm(E, P, 0.5, t_grid=(2.0, 1.0)), DomainError),
+    "lipschitz_seminorm.callable": (lambda: lipschitz_seminorm(f, P, 0.5), DomainError),
+    "check_approximation.callable": (lambda: check_approximation(f, P, 0.5), DomainError),
+    "check_pminusI_power.callable": (lambda: check_pminusI_power(f, P, 0.5), DomainError),
+    "SpectralMultiplier.kind": (lambda: SpectralMultiplier("bogus", 1.0), DomainError),
+    "heat.value-negative": (lambda: heat(1.0).value(-1), DomainError),
+    "fractional_integral.value-0": (lambda: fractional_integral(1.0).value(0), NonzeroMeanError),
+    "poisson_kernel.no-y": (lambda: poisson_kernel(KernelQuery(P, 1.0, (1.0,))), DomainError),
+    "QuadratureRule.unsorted":
+        (lambda: QuadratureRule(np.array([2.0, 1.0]), np.array([0.5, 0.5])), DomainError),
+    "QuadratureRule.unequal":
+        (lambda: QuadratureRule(np.array([1.0, 2.0]), np.array([1.0])), DomainError),
+}
+
+
+@pytest.mark.parametrize("call, error", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_call_raises(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_expansion_is_not_equal_to_a_number():
+    assert (E == 3) is False

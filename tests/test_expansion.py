@@ -9,7 +9,6 @@ from laguerre_ops.expansion import (
     LaguerreExpansion,
     MultiIndexParams,
     analyze,
-    basis_norm_sq,
     bessel_potential,
     enumerate_indices,
     expansion_from_json,
@@ -55,14 +54,6 @@ def test_params_validation():
             MultiIndexParams(d, (0.5,))
     assert MultiIndexParams(1, (0.5,)).half_regime
     assert not MultiIndexParams(1, (-0.6,)).half_regime
-
-
-def test_basis_norm_closed_form():
-    p = MultiIndexParams(1, (0.5,))
-    # ||L_k||^2 = Gamma(k+alpha+1) / (k! Gamma(alpha+1))
-    for k in range(5):
-        ref = math.gamma(k + 1.5) / (math.factorial(k) * math.gamma(1.5))
-        assert basis_norm_sq((k,), p) == pytest.approx(ref, rel=1e-13)
 
 
 def test_analyze_linear_function():
@@ -315,6 +306,19 @@ def test_json_roundtrip_bit_exact():
 
     # serializing again yields the identical document
     assert expansion_to_json(back) == text
+
+
+@pytest.mark.parametrize("d,alpha", [(1, (0.1,)), (3, (0.5, -0.25, 2.0))])
+def test_json_roundtrip_bit_exact_at_d(d, alpha):
+    e = random_expansion(MultiIndexParams(d, alpha), 4, seed=3)
+    assert expansion_from_json(expansion_to_json(e)) == e
+
+
+def test_json_writes_plain_numbers():
+    # every coefficient, zeros included, in sorted index order; a float as its shortest repr
+    e = LaguerreExpansion(MultiIndexParams(1, (0.1,)), 2, [0.1, 0.0, -2.5])
+    assert expansion_to_json(e) == ('{"d":1,"alpha":[0.1],"N":2,"coeffs":[{"k":[0],"c":0.1},'
+                                     '{"k":[1],"c":0.0},{"k":[2],"c":-2.5}]}')
 
 
 @pytest.mark.parametrize("text", [

@@ -73,10 +73,26 @@ class TestReportSerialization:
         with pytest.raises(ConfigError):
             emit_report(make_report(), path, "yaml")
 
-    @pytest.mark.parametrize("text", ["{}", "[]", "not json", '{"scenario": "demo", "rows": 5}'])
+    @pytest.mark.parametrize("text", [
+        "{}", "[]", "not json", '{"scenario": "demo", "rows": 5}',
+        # a config that is not an object
+        '{"scenario": "demo", "claim": "c", "config": [], "rows": [],'
+        ' "summary": {"max_ratio": "0", "pass": true}}',
+    ])
     def test_malformed_text_is_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_report(text)
+
+    def test_config_is_written_as_plain_json(self):
+        doc = json.loads(report_to_json(make_report()))
+        assert doc["config"] == {"beta": 0.5, "alpha": [0.5]}
+        # the rows keep their 17-digit strings, which also hold inf and nan
+        assert doc["rows"][1]["measured"] == "inf"
+
+    def test_config_strings_of_an_older_report_stay_strings(self):
+        doc = json.loads(report_to_json(make_report()))
+        doc["config"] = {"beta": "0.5", "alpha": ["0.5"]}
+        assert parse_report(json.dumps(doc)).config == {"beta": "0.5", "alpha": ["0.5"]}
 
     @pytest.mark.parametrize("value", ['"no"', "1", "null"])
     def test_pass_that_is_not_a_json_bool_is_config_error(self, value):
@@ -264,6 +280,35 @@ class TestCli:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text('{"scenario": "prop31", "seed": 5}')
         assert main(["run", "--scenario", "prop31", "--config", str(cfgfile)]) == 0
+
+    @pytest.mark.parametrize("scenario", [s for s in SCENARIOS if s not in
+                                          ("kernel-mass", "spectral-vs-kernel", "lemma21")])
+    def test_report_config_is_a_config_file(self, tmp_path, capsys, scenario):
+        # the config object of a written report reruns through --config to the same report
+        first, second, cfgfile = (tmp_path / n for n in ("first.json", "second.json", "cfg.json"))
+        code = main(["run", "--scenario", scenario, "--out", str(first)])
+        assert code in (0, 1)
+        cfgfile.write_text(json.dumps(json.loads(first.read_text())["config"]))
+        assert main(["run", "--scenario", scenario, "--config", str(cfgfile),
+                     "--out", str(second)]) == code
+        assert parse_report(second.read_text()).same_results(parse_report(first.read_text()))
+
+    def test_seed_option_replaces_the_config_seed(self, tmp_path, capsys):
+        # the README's `run --scenario prop31 --config my_config.json --seed 3`
+        reports = []
+        for doc, extra in (('{"scenario": "prop31"}', ["--seed", "3"]),
+                           ('{"scenario": "prop31", "seed": 3}', [])):
+            cfgfile, out = tmp_path / "cfg.json", tmp_path / f"r{len(reports)}.json"
+            cfgfile.write_text(doc)
+            assert main(["run", "--scenario", "prop31", "--config", str(cfgfile),
+                         "--out", str(out), *extra]) == 0
+            reports.append(parse_report(out.read_text()))
+        assert reports[0].config["seed"] == 3
+        assert reports[0].same_results(reports[1])
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["run", "--scenario", "prop31", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--scenario", "prop31", "--config", str(tmp_path / "missing.json")])

@@ -10,7 +10,6 @@ from laguerre_ops import kernels, specfun
 from laguerre_ops.errors import DomainError, OverflowGuardError, QuadratureError
 from laguerre_ops.expansion import (
     MultiIndexParams,
-    basis_norm_sq,
     poisson,
     random_expansion,
     spectral_apply,
@@ -53,16 +52,20 @@ P_HALF = MultiIndexParams(1, (0.5,))
 P_NEG = MultiIndexParams(1, (-0.25,))
 
 
+def basis_norm_sq(k, alpha):
+    """||L_k^alpha||^2 in L^2(mu_alpha): binom(k + alpha, k)."""
+    return math.exp(math.lgamma(k + alpha + 1.0) - math.lgamma(k + 1.0) - math.lgamma(alpha + 1.0))
+
+
 def spectral_heat_kernel(alpha, t, x, y, terms=200):
     """Mercer-sum oracle for the heat kernel against d mu_alpha."""
-    params = MultiIndexParams(1, (alpha,))
     total = 0.0
     for k in range(terms):
         total += (
             math.exp(-t * k)
             * laguerre_poly(k, alpha, x)
             * laguerre_poly(k, alpha, y)
-            / basis_norm_sq((k,), params)
+            / basis_norm_sq(k, alpha)
         )
     return total
 
@@ -81,7 +84,6 @@ def closed_form_heat_kernel(alpha, t, x, y):
 
 def spectral_poisson_kernel(alpha, t, x, y, terms=200):
     """Mercer sum for p_t against Lebesgue dy (includes the weight)."""
-    params = MultiIndexParams(1, (alpha,))
     w = y**alpha * math.exp(-y) / math.gamma(alpha + 1.0)
     total = 0.0
     for k in range(terms):
@@ -89,7 +91,7 @@ def spectral_poisson_kernel(alpha, t, x, y, terms=200):
             math.exp(-t * math.sqrt(k))
             * laguerre_poly(k, alpha, x)
             * laguerre_poly(k, alpha, y)
-            / basis_norm_sq((k,), params)
+            / basis_norm_sq(k, alpha)
         )
     return total * w
 

@@ -4,7 +4,8 @@ Coefficients live in the non-normalized basis {L_k^alpha}.  An expansion of
 degree N stores them as one read-only vector over every multi-index with
 |k| <= N, in enumerate_indices order, beside the vector of orders |k|.
 Every diagonal operator multiplies c_k by its symbol m(param, |k|); the six
-symbols and their zero-mean requirements are stated once, in OPERATORS.
+symbols, their zero-mean requirements and the four fractional kinds' time-
+integral routes are stated once, in OPERATORS, and the mean check in _check_mean.
 Synthesis builds the per-axis Laguerre tables once per call, for one
 coefficient vector or for a stack of them, and contracts the coefficients
 one k axis at a time, at scattered points or on a tensor grid given by its
@@ -87,7 +88,8 @@ def _coordinates(name, value, low, d):
 def _layout(d: int, degree: int):
     """(indices, orders, position, grid) of the coefficient vector for
     (d, degree), grid the indices as a (d, ncoef) array, read-only.
-    Typed, so a float degree misses the cache and reaches the check."""
+    Typed, so a float d or degree misses the cache and reaches the check."""
+    check_integer(d, 1, "dimension d")
     check_integer(degree, 0, "degree")
     indices = tuple(sorted(
         (k for k in itertools.product(range(degree + 1), repeat=d) if sum(k) <= degree),
@@ -111,6 +113,8 @@ class LaguerreExpansion:
 
     `coeffs` is a vector in enumerate_indices order, a mapping
     {index tuple: c_k} in which absent indices are zero, or None for zero.
+    An index entry is an integer (check_integer) and a coefficient a finite
+    number (check_above), else DomainError.
     """
 
     params: MultiIndexParams
@@ -120,19 +124,19 @@ class LaguerreExpansion:
     def __init__(self, params: MultiIndexParams, degree: int, coeffs=None):
         indices, orders, position, _ = _layout(params.d, degree)
         if isinstance(coeffs, Mapping):
-            vector = np.zeros(len(indices))
-            for k, c in coeffs.items():
-                kt = tuple(int(v) for v in k)
-                if len(kt) != params.d:
-                    raise DomainError("coefficient index has wrong dimension")
-                if kt not in position:
-                    raise DomainError(f"index {kt} is not an index of degree <= {degree}")
-                vector[position[kt]] = c
-        else:
-            vector = np.zeros(len(indices)) if coeffs is None else np.array(coeffs, dtype=float)
-            if vector.shape != orders.shape:
-                raise DomainError(f"coefficient vector must have length {len(indices)}")
-        vector = check_above("coefficients", vector, -np.inf)
+            mapping, coeffs = coeffs, [0.0] * len(indices)
+            for k, c in mapping.items():
+                if not isinstance(k, tuple) or len(k) != params.d:
+                    raise DomainError(f"index {k!r} is not a tuple of {params.d} integers")
+                k = tuple(check_integer(v, 0, "an index entry") for v in k)
+                if k not in position:
+                    raise DomainError(f"index {k} is not an index of degree <= {degree}")
+                coeffs[position[k]] = c
+        # a copy: check_above returns a float array as it is
+        vector = np.zeros(len(indices)) if coeffs is None else np.array(
+            check_above("coefficients", coeffs, -np.inf), dtype=float)
+        if vector.shape != orders.shape:
+            raise DomainError(f"coefficient vector must have length {len(indices)}")
         vector.flags.writeable = False
         # frozen: the fields are set past the dataclass __setattr__
         self.__dict__.update(
@@ -165,10 +169,14 @@ class LaguerreExpansion:
 
 
 class Operator(NamedTuple):
-    """Symbol m(param, n) on the modes of order n, and the input it needs."""
+    """Symbol m(param, n) on the modes of order n, the input it needs, and a fractional
+    kind's route (shift, "laplace" | "difference"): (shift + sqrt(L))^(-lam) as (1/Gamma(lam))
+    int s^(lam-1) e^(-shift s) P_s ds, or (shift + sqrt(L))^lam as (1/c_lam_k) int s^(-lam-1)
+    (e^(-shift s) P_s - I)^k ds."""
 
     symbol: Callable
     zero_mean: bool = False
+    route: tuple = None
 
 
 #: the diagonal operators of the Laguerre setting; the zero-mean one is
@@ -176,12 +184,20 @@ class Operator(NamedTuple):
 OPERATORS = {
     "heat": Operator(lambda t, n: np.exp(-t * n)),
     "poisson": Operator(lambda t, n: np.exp(-t * np.sqrt(n))),
-    "bessel_potential": Operator(lambda lam, n: (1.0 + np.sqrt(n)) ** -lam),
-    "fractional_integral": Operator(
-        lambda lam, n: np.where(n > 0, n, np.inf) ** (-lam / 2.0), zero_mean=True),
-    "fractional_derivative": Operator(lambda lam, n: n ** (lam / 2.0)),
-    "bessel_derivative": Operator(lambda lam, n: (1.0 + np.sqrt(n)) ** lam),
+    "bessel_potential": Operator(
+        lambda lam, n: (1.0 + np.sqrt(n)) ** -lam, route=(1.0, "laplace")),
+    "fractional_integral": Operator(lambda lam, n: np.where(n > 0, n, np.inf) ** (-lam / 2.0),
+                                    zero_mean=True, route=(0.0, "laplace")),
+    "fractional_derivative": Operator(lambda lam, n: n ** (lam / 2.0), route=(0.0, "difference")),
+    "bessel_derivative": Operator(
+        lambda lam, n: (1.0 + np.sqrt(n)) ** lam, route=(1.0, "difference")),
 }
+
+
+def _check_mean(kind: str, mean: float, tol: float) -> None:
+    """NonzeroMeanError where kind needs a zero-mean input and |mean| > tol (0 if exact)."""
+    if OPERATORS[kind].zero_mean and abs(mean) > tol:
+        raise NonzeroMeanError(f"{kind} requires a zero-mean input")
 
 
 @dataclass(frozen=True)
@@ -237,8 +253,7 @@ def bessel_derivative(lam: float) -> SpectralMultiplier:
 
 def spectral_apply(m: SpectralMultiplier, e: LaguerreExpansion) -> LaguerreExpansion:
     """Apply the diagonal operator: c_k -> m(|k|) c_k."""
-    if m.zero_mean and e.mean != 0.0:
-        raise NonzeroMeanError(f"{m.kind} requires a zero-mean expansion (apply pi0 first)")
+    _check_mean(m.kind, e.mean, 0.0)
     return e.scaled(m.symbol(e.orders))
 
 
@@ -439,16 +454,16 @@ def expansion_to_json(e: LaguerreExpansion) -> str:
 
 
 def expansion_from_json(text: str) -> LaguerreExpansion:
-    """The expansion of expansion_to_json's schema; DomainError for any other text."""
+    """The expansion of expansion_to_json's schema, its numbers read by the constructors;
+    DomainError for any other text."""
     try:  # a JSONDecodeError is a ValueError
         obj = json.loads(text)
-        d, degree = check_integer(obj["d"], 1, "d"), check_integer(obj["N"], 0, "N")
-        alpha, coeffs = tuple(obj["alpha"]), {}
+        d, degree, alpha, coeffs = obj["d"], obj["N"], tuple(obj["alpha"]), {}
         for item in obj["coeffs"]:
-            k = tuple(check_integer(v, 0, "an index entry") for v in item["k"])
+            k = tuple(item["k"])
             if k in coeffs:
                 raise DomainError(f"index {k} is given twice")
-            coeffs[k] = float(item["c"])
+            coeffs[k] = item["c"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"not an expansion document: {exc!r}") from exc
     return LaguerreExpansion(MultiIndexParams(d=d, alpha=alpha), degree, coeffs)

@@ -2,7 +2,8 @@
 
 Each operator has two independent realizations: an exact diagonal action on
 finite Laguerre expansions, and a quadrature of the defining integral in the
-semigroup time variable.  Each route (Laplace, difference) has one time rule
+semigroup time variable, along the route (shift, Laplace | difference) that
+expansion.OPERATORS states for its kind.  Each route has one time rule
 (_time_rule), and every consumer reads it: on an expansion with modes of
 order n the Poisson semigroup contributes e^{-s sqrt(n)}, so each mode's
 multiplier and c_lambda_k are sums over that rule; on a callable, the rule
@@ -27,11 +28,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import comb, gammaincc
 
-from .errors import DomainError, NonzeroMeanError, check_above, check_integer
+from .errors import DomainError, check_above, check_integer
 from .expansion import (
     OPERATORS,
     LaguerreExpansion,
     MultiIndexParams,
+    _check_mean,
     call_on_points,
     synthesize,
 )
@@ -39,7 +41,6 @@ from .kernels import S_CUTOFF, _leggauss, _panels, _settled_read
 from .specfun import gamma, gauss_jacobi_rule
 
 __all__ = [
-    "ROUTES",
     "FracOpConfig",
     "smallest_integer_above",
     "c_lambda",
@@ -131,17 +132,6 @@ def forward_difference(f, k: int, s, t):
 # Quadrature-route multipliers and expansion-level operators
 # ---------------------------------------------------------------------------
 
-#: each operator is (shift + sqrt(L))^(-lam) through the Laplace integral
-#: (1/Gamma(lam)) int s^(lam-1) e^(-shift s) P_s ds, or (shift + sqrt(L))^lam
-#: through the difference integral (1/c_lam_k) int s^(-lam-1) (e^(-shift s) P_s - I)^k ds
-ROUTES = {
-    "bessel_potential": (1.0, "laplace"),
-    "fractional_integral": (0.0, "laplace"),
-    "fractional_derivative": (0.0, "difference"),
-    "bessel_derivative": (1.0, "difference"),
-}
-
-
 def _route_integral(route: str, lam: float, k: int, a):
     """int_0^inf s^(lam-1) e^(-a s) ds (Laplace route) or
     int_0^inf s^(-lam-1) (e^(-a s) - 1)^k ds (difference route) on the
@@ -160,14 +150,9 @@ def _route_integral(route: str, lam: float, k: int, a):
     return np.expm1(-np.multiply.outer(a / scale, s)) ** k @ w * scale**lam
 
 
-def _check_mean(kind: str, mean: float, tol: float = 1e-8):  # tol 0: an expansion's exact mean
-    if OPERATORS[kind].zero_mean and abs(mean) > tol:
-        raise NonzeroMeanError(f"{kind} requires a zero-mean input")
-
-
 def _apply_expansion(kind: str, e: LaguerreExpansion, cfg: FracOpConfig):
     _check_mean(kind, e.mean, 0.0)
-    shift, route = ROUTES[kind]
+    shift, route = OPERATORS[kind].route
     k = smallest_integer_above(cfg.lam)
     # one pass over the orders that carry a nonzero coefficient, bar the mean
     # mode (rate 0): the derivative kills it, the integral is taken on zero
@@ -207,7 +192,7 @@ def _callable_route(kind, f, params, lam, k, x):
     difference route to Delta_s^k(u, 0): a linear functional of one table of
     P_s f(x), which kernels._settled_read settles as one value, the Kronrod
     and Gauss rows by the rule's weights and the magnitude row by |weights|."""
-    shift, route = ROUTES[kind]
+    shift, route = OPERATORS[kind].route
     s, w = _time_rule(route, lam, k)
     weights = (w, w, np.abs(w))
     if route == "laplace":
@@ -217,7 +202,7 @@ def _callable_route(kind, f, params, lam, k, x):
 
         def integral(rows):
             u = np.exp(-shift * times) * rows
-            _check_mean(kind, u[0, -1])
+            _check_mean(kind, u[0, -1], 1e-8)
             return [np.dot(v, r[:-1]) / gamma(lam) + r[-1] * math.exp(S_CUTOFF)
                     * gammaincc(lam, S_CUTOFF) for v, r in zip(weights, u)]
     else:

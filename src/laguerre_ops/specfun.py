@@ -338,23 +338,15 @@ def gauss_jacobi_rule(a: float, n: int) -> QuadratureRule:
     exact for polynomials g of degree <= 2n - 1.  The Jacobi matrix is taken
     in eta, not in xi = 2 eta - 1 (scipy.special.roots_jacobi), so nodes and
     weights near eta = 0 keep full relative precision down to a = -0.99.
-    Rules are solved once per (a, n) and shared, so their arrays are read-only.
+    Each call solves its rule; the callers cache the rules they derive from it.
     """
     a = check_above("a", (a,), -1.0)[0]
-    check_integer(n, 1, "n")
-    return _gauss_jacobi_rule(a, n)
-
-
-@lru_cache(maxsize=256)
-def _gauss_jacobi_rule(a: float, n: int) -> QuadratureRule:
-    k = np.arange(1.0, n)
+    k = np.arange(1.0, check_integer(n, 1, "n"))
     c = 2.0 * k + a
     diag = (2.0 * k * (k + a + 1.0) + a * (a + 1.0)) / (c * (c + 2.0))
     off = k * (k + a) / (c * np.sqrt((c + 1.0) * (2.0 * k - 1.0 + a)))
     nodes, vec = eigh_tridiagonal(np.append((a + 1.0) / (a + 2.0), diag), off)
-    weights = vec[0] ** 2 / (a + 1.0)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, weights=vec[0] ** 2 / (a + 1.0))
 
 
 @lru_cache(maxsize=8)

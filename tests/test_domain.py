@@ -19,6 +19,7 @@ from laguerre_ops import (
     FracOpConfig,
     KernelQuery,
     LaguerreExpansion,
+    LipschitzEstimate,
     MultiIndexParams,
     NonzeroMeanError,
     QuadratureRule,
@@ -34,6 +35,7 @@ from laguerre_ops import (
     check_pminusI_power,
     default_t_grid,
     default_x_grid,
+    enumerate_indices,
     expansion_from_json,
     fractional_derivative_apply,
     fractional_integral,
@@ -273,10 +275,12 @@ def test_checks_leave_their_domain_edges_open():
     assert sup_norm(g, (p for p in grid)) == sup_norm(g, grid) == 20.0
 
 
-#: calls with values of the right type that their entry point refuses: an
-#: unknown method or kind, an order below 0 or at the undefined mean mode,
-#: a grid or rule out of order, a kernel query with no y, and a callable
-#: where the spectral path reads an expansion
+#: calls that their entry point refuses: an unknown method or kind, an
+#: order below 0 or at the undefined mean mode, a grid or rule out of order,
+#: a kernel query with no y, a callable where the spectral path reads an
+#: expansion, a derivative order n <= beta, an index that is not a tuple of
+#: integers, a coefficient that is not a number, and a dimension that is not
+#: an integer >= 1
 REFUSED = {
     "lipschitz_seminorm.method": (lambda: lipschitz_seminorm(E, P, 0.5, method="bogus"),
                                   DomainError),
@@ -293,6 +297,23 @@ REFUSED = {
         (lambda: QuadratureRule(np.array([2.0, 1.0]), np.array([0.5, 0.5])), DomainError),
     "QuadratureRule.unequal":
         (lambda: QuadratureRule(np.array([1.0, 2.0]), np.array([1.0])), DomainError),
+    "LipschitzEstimate.n-below-beta":
+        (lambda: LipschitzEstimate(1.5, 1, (1.0,), ((1.0,),), {}, 0.0, 0.0), DomainError),
+    "LaguerreExpansion.index-1.7": (lambda: LaguerreExpansion(P, 2, {(1.7,): 1.0}), DomainError),
+    "LaguerreExpansion.index-True":
+        (lambda: LaguerreExpansion(P, 2, {(True,): 1.0}), DomainError),
+    "LaguerreExpansion.key-str": (lambda: LaguerreExpansion(P, 2, {"0": 1.0}), DomainError),
+    "LaguerreExpansion.key-int": (lambda: LaguerreExpansion(P, 2, {1: 1.0}), DomainError),
+    "LaguerreExpansion.coeff-str": (lambda: LaguerreExpansion(P, 2, {(0,): "2.5"}), DomainError),
+    "LaguerreExpansion.coeff-True": (lambda: LaguerreExpansion(P, 2, {(0,): True}), DomainError),
+    "LaguerreExpansion.vector-True":
+        (lambda: LaguerreExpansion(P, 2, [True, 1.0, 2.0]), DomainError),
+    "LaguerreExpansion.vector-str":
+        (lambda: LaguerreExpansion(P, 2, ["1", "2", "3"]), DomainError),
+    "enumerate_indices.d-0": (lambda: enumerate_indices(0, 2), DomainError),
+    "enumerate_indices.d-negative": (lambda: enumerate_indices(-1, 2), DomainError),
+    "enumerate_indices.d-1.5": (lambda: enumerate_indices(1.5, 2), DomainError),
+    "enumerate_indices.d-True": (lambda: enumerate_indices(True, 2), DomainError),
 }
 
 

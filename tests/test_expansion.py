@@ -329,6 +329,9 @@ def test_json_writes_plain_numbers():
     '{"d": 1, "alpha": [0.5], "N": 1.7, "coeffs": []}',  # a degree that is not an integer
     '{"d": true, "alpha": [0.5], "N": 1, "coeffs": []}',  # a dimension that is a bool
     '{"d": 1, "alpha": [0.5], "N": 1, "coeffs": [{"k": "0", "c": 1}]}',  # a string index
+    # a coefficient that is a string or a bool, not a number
+    '{"d": 1, "alpha": [0.5], "N": 1, "coeffs": [{"k": [0], "c": "2.5"}]}',
+    '{"d": 1, "alpha": [0.5], "N": 1, "coeffs": [{"k": [0], "c": true}]}',
     # one index given twice
     '{"d": 1, "alpha": [0.5], "N": 1, "coeffs": [{"k": [0], "c": 1}, {"k": [0], "c": 2}]}',
 ])
